@@ -256,6 +256,83 @@ def test_sweep_deterministic_and_order_independent():
     assert quasi_smooth_sweep(member, 11) == serial
 
 
+def _chart_terms(section, base):
+    """(exponents, value, d/dt) of each term at a base point, in its chart.
+
+    The base coordinate t is t0 in the chart t1 = 1 and t1 at (1:0).
+    """
+    t0, t1 = base
+    return [
+        ((m.i, m.j, m.k, m.l), c.evaluate(t0, t1),
+         (c.deriv_t0() if t1 else c.deriv_t1()).evaluate(t0, t1))
+        for m, c in section.terms.items()
+    ]
+
+
+def _value(terms, fiber, p):
+    return sum(c * pow(fiber[0], e[0], p) * pow(fiber[1], e[1], p)
+               * pow(fiber[2], e[2], p) * pow(fiber[3], e[3], p)
+               for e, c, _ in terms) % p
+
+
+def _gradient(terms, fiber, p):
+    """The 5 partials in (x0, x1, y, z, t), term by term."""
+    grad = [0] * 5
+    for exps, c, dc in terms:
+        powers = [pow(x, e, p) for x, e in zip(fiber, exps)]
+        grad[4] += dc * powers[0] * powers[1] * powers[2] * powers[3]
+        for v, (x, e) in enumerate(zip(fiber, exps)):
+            if e:
+                rest = [powers[u] for u in range(4) if u != v]
+                grad[v] += c * e * pow(x, e - 1, p) * rest[0] * rest[1] * rest[2]
+    return [g % p for g in grad]
+
+
+def _brute_force_singular_points(eqs, p):
+    """Every point of the bundle where Q = G = 0 and the Jacobian has rank < 2."""
+    out, chart = [], {}
+    for pt in enumerate_points(eqs.bundle.pg, eqs.bundle.theta, p):
+        if pt.base not in chart:
+            chart[pt.base] = (_chart_terms(eqs.Q, pt.base), _chart_terms(eqs.G, pt.base))
+        q_terms, g_terms = chart[pt.base]
+        if _value(q_terms, pt.fiber, p) or _value(g_terms, pt.fiber, p):
+            continue
+        dq, dg = _gradient(q_terms, pt.fiber, p), _gradient(g_terms, pt.fiber, p)
+        if all((dq[a] * dg[b] - dq[b] * dg[a]) % p == 0
+               for a in range(5) for b in range(a + 1, 5)):
+            out.append(pt)
+    return sorted(out)
+
+
+def _double_line_member(p, seed=2):
+    bundle = BundleData(2, 0)
+    field = FieldSpec.prime_field(p)
+    Q = GradedSection(bundle, field, (2, -2), {FiberMonomial(2, 0, 0, 0): BinForm.one(field)})
+    member = generate_member(FamilyParams(2, 0, field, seed=seed))
+    return SurfaceEquations(bundle, field, Q, member.G)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [5, 7])
+def test_sweep_matches_brute_force_jacobian(p):
+    """The sweep finds exactly the rank-drop points of a brute-force scan."""
+    field = FieldSpec.prime_field(p)
+    members = [
+        generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=split)
+        for (pg, theta) in ((2, 0), (2, 2), (3, 1))
+        for split in (False, True)
+        for seed in range(3)
+    ]
+    members.append(_double_line_member(p))
+    counts = {"clean": 0, "singular": 0, "z != 0": 0}
+    for eqs in members:
+        expected = _brute_force_singular_points(eqs, p)
+        assert quasi_smooth_sweep(eqs, p) == expected
+        counts["singular" if expected else "clean"] += 1
+        counts["z != 0"] += any(pt.fiber[3] for pt in expected)
+    assert all(counts.values()), counts
+
+
 def test_sweep_failures_lie_on_both_hypersurfaces():
     member = generate_member(FamilyParams(2, 0, F11, seed=4))
     for pt in quasi_smooth_sweep(member, 11):
