@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the complete identity ledger plus an end-to-end member workflow.
 
-Exit status 0 only when every check passes.  This is the one-shot
-"everything the package claims, recomputed" driver.
+The member is generated over F_101, so `run_census` takes both its node
+census and its quasi-smoothness sweep at its own prime, p = 101.  Exit
+status 0 only when every check passes.  This is the one-shot "everything
+the package claims, recomputed" driver.
 """
 
 import json
@@ -24,7 +26,7 @@ def run():
         print("ledger failed", file=sys.stderr)
         return code
 
-    print("\n== end-to-end member: generate at (2,0)/F_101, census, sweep at F_11 ==")
+    print("\n== end-to-end member: generate at (2,0)/F_101, census and sweep at F_101 ==")
     member = generate_member(
         FamilyParams(2, 0, FieldSpec.prime_field(101), seed=20260808), split_qy=True
     )

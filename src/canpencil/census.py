@@ -24,10 +24,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .binform import BinForm, roots
 from .fields import FieldSpec
 from .family import SurfaceEquations
-from .sections import BundleData, FiberMonomial, GradedSection
-
-_Y = FiberMonomial(0, 0, 1, 0)
-_X1SQ = FiberMonomial(0, 2, 0, 0)
+from .sections import BundleData, GradedSection
 
 
 @dataclass(frozen=True, order=True)
@@ -99,7 +96,11 @@ def _check_prime(p: int) -> FieldSpec:
 
 
 def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """Equations over F_p: reduce a rational member, or verify the field."""
+    """Equations over F_p: reduce a rational member, or verify the field.
+
+    A coefficient whose denominator p divides has no reduction mod p; that
+    is reported as a ValueError ("bad reduction"), not a ZeroDivisionError.
+    """
     spec = _check_prime(p)
     if eqs.field.is_prime_field:
         if eqs.field.p != p:
@@ -109,7 +110,10 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
         terms = {m: BinForm(spec, [spec.normalize(c) for c in coeff.coeffs])
                  for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)
-    return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
+    try:
+        return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"bad reduction mod {p}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +145,23 @@ class NodeCensus:
     roots_outside_field: bool
 
 
-def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int]):
-    """(f, df/dlocal) at a base point, in the chart where it is finite."""
+def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int], p: int) -> Tuple[int, int]:
+    """(f, df/dt) at a base point over F_p, in the chart where it is finite.
+
+    The local coordinate t is t0 in the chart t1 != 0 and t1 at (1:0).
+    """
+    c = form.coeffs  # c[i] multiplies t0^(d-i) t1^i
     a, b = base
-    if b != 0:
-        return form.evaluate(a, b), form.deriv_t0().evaluate(a, b)
-    return form.evaluate(1, 0), form.deriv_t1().evaluate(1, 0)
+    if b == 0:
+        return (c[0] if c else 0), (c[1] if len(c) > 1 else 0)
+    # Horner in t0 for f and df/dt0 together, the powers of t1 folded in
+    val = der = 0
+    b_pow = 1
+    for ci in c:
+        der = (der * a + val) % p
+        val = (val * a + ci * b_pow) % p
+        b_pow = b_pow * b % p
+    return val, der
 
 
 def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
@@ -172,8 +187,8 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     records = []
     for base in sorted(found):
         mult = found[base]
-        qx_val, _ = _chart_value_and_derivative(qx, base) if not qx.is_zero else (0, 0)
-        _, qy_d = _chart_value_and_derivative(qy, base)
+        qx_val, _ = _chart_value_and_derivative(qx, base, p)
+        _, qy_d = _chart_value_and_derivative(qy, base, p)
         hess = (
             (2, 0, 0),
             (0, 2 * qx_val % p, qy_d % p),
@@ -216,15 +231,19 @@ class BranchViolation:
         return {"point": self.point.to_json_dict(), "branch_value": self.branch_value}
 
 
-def branch_disjointness(eqs: SurfaceEquations, p: int) -> List[BranchViolation]:
+def branch_disjointness(
+    eqs: SurfaceEquations, p: int, census: Optional[NodeCensus] = None
+) -> List[BranchViolation]:
     """Nodes where the branch curve passes through the branch point set.
 
     The branch form is the z-free part of G; at a node x0 = x1 = 0, y = 1
     only the y^3-coefficient survives.  A nonempty list is a report about
-    the member, not an error.
+    the member, not an error.  `census` is the member's node census at p
+    when the caller already has it; otherwise it is computed here.
     """
     eqs = _as_prime_equations(eqs, p)
-    census = node_census(eqs, p)
+    if census is None:
+        census = node_census(eqs, p)
     violations = []
     for rec in census.nodes:
         t0, t1 = rec.point.base
@@ -256,54 +275,94 @@ def quasi_smooth_sweep(
 ) -> List[WPSPoint]:
     """Rational points of the affine cone over X where the Jacobian drops rank.
 
-    For each base point the fiber equations are scalarized; cone points are
-    enumerated by solving Q for x0 and G for z through square-root tables,
-    so the cost is about p^2 fiber pairs per base point.  At every cone
-    point (x0, x1, y, z) != 0 with Q = G = 0 the 2x5 Jacobian in
-    (x0, x1, y, z, t) is tested; rank < 2 points are collapsed to one
-    canonical weighted-orbit representative per base point.  The result is
-    sorted and independent of the processing order.
+    In the chart of a base point the equations read
+
+        Q = x0^2 + q_x x1^2 + q_y y,    G = z^2 + b(x0, x1, y),
+
+    with b the branch form.  Cone points are enumerated by solving Q for x0
+    and G for z through square-root tables, about p^2 per base point.
+    Powers come from one table a^e mod p built per prime, and with x1 and y
+    fixed b splits into its even and odd parts in x0, so one pass over the
+    branch terms gives b at both roots +-x0.  The 2x5 Jacobian in
+    (x0, x1, y, z, t) has the rows
+
+        row_q = (2 x0, 2 q_x x1, q_y, 0, q_x' x1^2 + q_y' y),
+        row_g = (b_x0, b_x1, b_y, 2 z, b_t),
+
+    and only the branch value b is computed at every cone point:
+
+    * b = 0 forces z = 0; the partials of b are computed and all 2x2
+      minors tested.
+    * b != 0 makes every root z nonzero.  The minors through the z column
+      are then 2z times the entries of row_q, so the rank is below two
+      exactly when row_q vanishes: x0 = 0, q_y(t) = 0, q_x x1 = 0 (which
+      Q = 0 then implies, but it is tested anyway) and q_x' x1^2 + q_y' y
+      = 0.  No partial of b is needed, and such points lie only over the
+      roots of q_y.
+
+    Rank < 2 points are collapsed to one canonical weighted-orbit
+    representative per base point.  The result is sorted and independent
+    of the processing order.
     """
     eqs = _as_prime_equations(eqs, p)
     sqrt = _sqrt_table(p)
     failures = set()
     bases = base_order if base_order is not None else base_points(p)
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
+    top = max((max(i, j, k) for i, j, k, _ in branch), default=0)
+    pw = [[pow(a, e, p) for e in range(top + 1)] for a in range(p)]
     qx_form, qy_form = eqs.q_x, eqs.q_y
 
     for base in bases:
-        qx, qx_d = _chart_value_and_derivative(qx_form, base) if not qx_form.is_zero else (0, 0)
-        qy, qy_d = _chart_value_and_derivative(qy_form, base) if not qy_form.is_zero else (0, 0)
+        qx, qx_d = _chart_value_and_derivative(qx_form, base, p)
+        qy, qy_d = _chart_value_and_derivative(qy_form, base, p)
         gl = []
         for (i, j, k, coeff) in branch:
-            val, dval = _chart_value_and_derivative(coeff, base)
+            val, dval = _chart_value_and_derivative(coeff, base, p)
             if val or dval:
-                gl.append((i, j, k, val % p, dval % p))
+                gl.append((i, j, k, val, dval))
         for x1 in range(p):
+            px1 = pw[x1]
             x1sq = x1 * x1 % p
+            # with x1 fixed, b = (even part in x0) + (odd part in x0)
+            even = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 == 0 and px1[j]]
+            odd = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 and px1[j]]
             for y in range(p):
-                rhs = (-(qx * x1sq + qy * y)) % p
-                for x0 in sqrt.get(rhs, ()):
-                    # branch value and its partials at (x0, x1, y)
-                    b_val = b_x0 = b_x1 = b_y = b_t = 0
+                x0_roots = sqrt.get((-(qx * x1sq + qy * y)) % p)
+                if not x0_roots:
+                    continue
+                py = pw[y]
+                px0 = pw[x0_roots[0]]  # the roots are r and p - r, or 0 alone
+                b_even = b_odd = 0
+                for (i, k, c) in even:
+                    b_even += c * px0[i] * py[k]
+                for (i, k, c) in odd:
+                    b_odd += c * px0[i] * py[k]
+                for x0, b_val in zip(x0_roots, ((b_even + b_odd) % p, (b_even - b_odd) % p)):
+                    if b_val:
+                        # z != 0: rank < 2 iff row_q = 0
+                        if (x0 == 0 and qy == 0 and qx * x1 % p == 0
+                                and (qx_d * x1sq + qy_d * y) % p == 0):
+                            for z in sqrt.get(p - b_val, ()):
+                                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                        continue
+                    if x0 == 0 and x1 == 0 and y == 0:
+                        continue  # z = 0 too: the vertex of the cone
+                    px0 = pw[x0]
+                    b_x0 = b_x1 = b_y = b_t = 0
                     for (i, j, k, g, gd) in gl:
-                        mono = pow(x0, i, p) * pow(x1, j, p) % p * pow(y, k, p) % p
-                        b_val = (b_val + g * mono) % p
-                        b_t = (b_t + gd * mono) % p
+                        b_t += gd * px0[i] * px1[j] * py[k]
                         if i:
-                            b_x0 = (b_x0 + g * i * pow(x0, i - 1, p) * pow(x1, j, p) * pow(y, k, p)) % p
+                            b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
                         if j:
-                            b_x1 = (b_x1 + g * j * pow(x0, i, p) * pow(x1, j - 1, p) * pow(y, k, p)) % p
+                            b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
                         if k:
-                            b_y = (b_y + g * k * pow(x0, i, p) * pow(x1, j, p) * pow(y, k - 1, p)) % p
-                    for z in sqrt.get((-b_val) % p, ()):
-                        if x0 == 0 and x1 == 0 and y == 0 and z == 0:
-                            continue
-                        row_q = (2 * x0 % p, 2 * qx * x1 % p, qy % p, 0,
-                                 (qx_d * x1sq + qy_d * y) % p)
-                        row_g = (b_x0, b_x1, b_y, 2 * z % p, b_t)
-                        if _rank_below_two(row_q, row_g, p):
-                            failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                            b_y += g * k * px0[i] * px1[j] * py[k - 1]
+                    row_q = (2 * x0 % p, 2 * qx * x1 % p, qy, 0,
+                             (qx_d * x1sq + qy_d * y) % p)
+                    row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
+                    if _rank_below_two(row_q, row_g, p):
+                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
     return sorted(failures)
 
 
@@ -368,7 +427,7 @@ def run_census(
     report = SingularReport(p_nodes=p_nodes, p_sweep=None if skip_sweep else p_sweep)
     t0 = time.perf_counter()
     report.nodes = node_census(eqs, p_nodes)
-    report.branch_hits = branch_disjointness(eqs, p_nodes)
+    report.branch_hits = branch_disjointness(eqs, p_nodes, report.nodes)
     report.timings["nodes_s"] = round(time.perf_counter() - t0, 6)
     if not skip_sweep:
         t1 = time.perf_counter()

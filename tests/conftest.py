@@ -3,3 +3,21 @@ from pathlib import Path
 
 # allow running the suite from a clean checkout without installing
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from fractions import Fraction  # noqa: E402
+
+import pytest  # noqa: E402
+
+from canpencil.family import FamilyParams, SurfaceEquations, generate_member  # noqa: E402
+from canpencil.fields import QQ  # noqa: E402
+from canpencil.sections import FiberMonomial, GradedSection  # noqa: E402
+
+
+@pytest.fixture
+def member_over_11():
+    """A rational member whose q_x has denominator 11: no reduction mod 11."""
+    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    terms = dict(member.Q.terms)
+    terms[FiberMonomial(0, 2, 0, 0)] = member.q_x.scale(Fraction(1, 11))
+    Q = GradedSection(member.bundle, QQ, member.Q.bidegree, terms)
+    return SurfaceEquations(member.bundle, QQ, Q, member.G).validate()

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from canpencil.binform import BinForm, parse_binform, roots
+import canpencil.census as census_mod
+from canpencil.binform import BinForm, parse_binform, random_binform, roots
 from canpencil.census import (
     WPSPoint,
     base_points,
@@ -216,6 +217,12 @@ def test_branch_disjointness_doctored_member():
         assert value == 0
 
 
+def test_branch_disjointness_accepts_precomputed_census():
+    member = generate_member(FamilyParams(2, 2, F101, seed=4), split_qy=True)
+    census = node_census(member, 101)
+    assert branch_disjointness(member, 101, census) == branch_disjointness(member, 101)
+
+
 def test_branch_value_is_g003_at_nodes():
     member = generate_member(FamilyParams(2, 2, F101, seed=4), split_qy=True)
     for rec in node_census(member, 101).nodes:
@@ -254,6 +261,17 @@ def test_sweep_deterministic_and_order_independent():
     random.Random(0).shuffle(shuffled)
     assert quasi_smooth_sweep(member, 11, base_order=shuffled) == serial
     assert quasi_smooth_sweep(member, 11) == serial
+
+
+def test_chart_value_and_derivative_matches_binform_calculus():
+    rng = random.Random(3)
+    forms = [BinForm.zero(F101)] + [random_binform(F101, rng.randrange(7), rng) for _ in range(20)]
+    for form in forms:
+        for a, b in ((rng.randrange(101), rng.randrange(1, 101)), (rng.randrange(101), 1)):
+            expected = (form.evaluate(a, b), form.deriv_t0().evaluate(a, b))
+            assert census_mod._chart_value_and_derivative(form, (a, b), 101) == expected
+        expected = (form.evaluate(1, 0), form.deriv_t1().evaluate(1, 0))
+        assert census_mod._chart_value_and_derivative(form, (1, 0), 101) == expected
 
 
 def _chart_terms(section, base):
@@ -366,6 +384,26 @@ def test_run_census_skip_sweep():
     report = run_census(member, skip_sweep=True)
     assert report.sweep_skipped
     assert report.to_json_dict()["cone_singularities"] == []
+
+
+def test_run_census_computes_node_census_once(monkeypatch):
+    calls = []
+    original = census_mod.node_census
+
+    def counting(eqs, p):
+        calls.append(p)
+        return original(eqs, p)
+
+    monkeypatch.setattr(census_mod, "node_census", counting)
+    run_census(member_2_0(seed=20260808), skip_sweep=True)
+    assert calls == [101]
+
+
+def test_census_bad_reduction_is_value_error(member_over_11):
+    with pytest.raises(ValueError, match="bad reduction mod 11"):
+        run_census(member_over_11, p_nodes=11, skip_sweep=True)
+    # any other prime reduces fine
+    assert run_census(member_over_11, p_nodes=13, skip_sweep=True).p_nodes == 13
 
 
 def test_census_prime_mismatch_rejected():

@@ -123,6 +123,18 @@ def test_census_prime_conflict(tmp_path, capsys):
     assert "characteristics" in doc["error"]
 
 
+def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
+    out = tmp_path / "member.json"
+    member_over_11.save(str(out))
+    assert "/11" in out.read_text()
+    code = main(["census", "--in", str(out), "--prime", "11", "--skip-sweep"])
+    text = capsys.readouterr().out
+    assert code != 0
+    doc = json.loads(text)  # exactly one JSON document
+    assert list(doc) == ["error"]
+    assert doc["error"].startswith("bad reduction mod 11")
+
+
 def test_census_missing_file(capsys):
     code, doc = run_cli(capsys, "census", "--in", "/nonexistent/member.json")
     assert code != 0
