@@ -4,7 +4,7 @@
 The member is generated over F_101, so `run_census` takes both its node
 census and its quasi-smoothness sweep at its own prime, p = 101.  Exit
 status 0 only when every check passes.  This is the one-shot "everything
-the package claims, recomputed" driver.
+the package claims, recomputed" script.
 """
 
 import json
