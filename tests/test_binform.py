@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canpencil.binform import (
@@ -220,6 +220,62 @@ def test_split_forms_have_full_root_count(data):
 @given(binforms(field=F5, allow_zero=False))
 def test_roots_bounded_by_degree(f):
     assert sum(roots(f).values()) <= f.degree
+
+
+def test_roots_zero_form_rejected():
+    with pytest.raises(BinFormError):
+        roots(BinForm.zero(F5))
+
+
+def brute_force_roots(f: BinForm) -> dict:
+    """Roots by trying every residue: (1:0) first, then ascending a."""
+    p, fld = f.field.p, f.field
+    out = {}
+    if f.t1_multiplicity():
+        out[(1, 0)] = f.t1_multiplicity()
+    u = f.dehomogenize()
+    for a in range(p):
+        acc = 0
+        for c in reversed(u):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            linear, w, mult = BinForm(fld, (1, -a)), f, 0
+            while divides(linear, w):
+                w, mult = divexact(w, linear), mult + 1
+            out[(a, 1)] = mult
+    return out
+
+
+@st.composite
+def root_finding_forms(draw):
+    """Nonzero forms over small primes with repeated linear factors, t1
+    powers and a random cofactor, of degree >= p for some draws."""
+    p = draw(st.sampled_from([5, 7, 11, 13, 101]))
+    fld = FieldSpec.prime_field(p)
+    f = BinForm.constant(fld, draw(st.integers(min_value=1, max_value=p - 1)))
+    linear = st.tuples(st.integers(min_value=0, max_value=p - 1), st.integers(1, 3))
+    for c, e in draw(st.lists(linear, max_size=4)):
+        f = f * BinForm(fld, (1, -c)) ** e
+    f = f * BinForm.t1(fld) ** draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        # t0^p t1 - t0 t1^p vanishes at every point of P^1(F_p)
+        f = f * (BinForm.monomial(fld, p + 1, 1) - BinForm.monomial(fld, p + 1, p))
+    f = f * draw(binforms(field=fld, max_degree=p + 3 if p < 101 else 8, allow_zero=False))
+    return f
+
+
+@pytest.mark.oracle
+@settings(max_examples=150, deadline=None)
+@given(root_finding_forms())
+@example(BinForm.t1(F5) ** 4)
+@example(BinForm.constant(F101, 3))
+@example(form("t0 - t1", F5) ** 3 * form("t0 + 2*t1", F5) ** 2 * form("t0^2 + 2*t1^2", F5))
+@example(form("t0^5*t1 - t0*t1^5", F5) ** 2 * form("t0 - 3*t1", F5))
+def test_roots_match_brute_force_residue_loop(f):
+    expected = brute_force_roots(f)
+    found = roots(f)
+    assert found == expected
+    assert list(found) == list(expected)
 
 
 def test_count_distinct_roots():
