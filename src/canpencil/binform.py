@@ -344,38 +344,127 @@ def lcm(a: BinForm, b: BinForm) -> BinForm:
     return divexact(a * b, gcd(a, b)).monic()
 
 
+def _fp_monic(u: list, p: int) -> list:
+    inv = pow(u[-1], -1, p)
+    return [c * inv % p for c in u]
+
+
+def _fp_divmod(u: list, f: list, p: int):
+    """Quotient and remainder of u by a monic f, on int lists mod p."""
+    n = len(f) - 1
+    u = list(u)
+    q = [0] * max(0, len(u) - n)
+    for k in range(len(u) - 1, n - 1, -1):
+        c = u[k] % p
+        if c:
+            q[k - n] = c
+            for j in range(n):
+                u[k - n + j] -= c * f[j]
+    return q, _upoly_trim([c % p for c in u[:n]])
+
+
+def _fp_gcd(u: list, v: list, p: int) -> list:
+    """Monic gcd of a nonzero u and any v, on int lists mod p."""
+    while v:
+        v = _fp_monic(v, p)
+        u, v = v, _fp_divmod(u, v, p)[1]
+    return _fp_monic(u, p)
+
+
+def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
+    """(t + a)^e mod a monic f of degree >= 1, by left-to-right squaring."""
+    n = len(f) - 1
+    r = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(r) - 1)
+        for i, ri in enumerate(r):
+            if ri:
+                for j, rj in enumerate(r):
+                    sq[i + j] += ri * rj
+        r = _fp_divmod(sq, f, p)[1]
+        if bit == "1" and r:
+            # times (t + a): shift up, add a*r, fold t^n back in once
+            r = [0] + r
+            for i in range(len(r) - 1):
+                r[i] += a * r[i + 1]
+            if len(r) > n:
+                c = r.pop()
+                for j in range(n):
+                    r[j] -= c * f[j]
+            r = _upoly_trim([c % p for c in r])
+    return r
+
+
+def _fp_split(g: list, a: int, p: int, found: list) -> None:
+    """Append the roots of g, a monic product of distinct linear factors.
+
+    Equal-degree splitting with shifts a, a+1, ...: gcd(g, (t+a)^((p-1)/2) - 1)
+    collects the roots r with r + a a nonzero square.  For p >= 5 any two
+    distinct roots are separated by some shift in 1..p-1, so this ends.
+    """
+    if len(g) <= 2:
+        if len(g) == 2:
+            found.append(-g[0] % p)
+        return
+    while True:
+        h = _fp_shift_power(a, (p - 1) // 2, g, p) or [0]
+        h[0] = (h[0] - 1) % p
+        d = _fp_gcd(g, _upoly_trim(h), p)
+        a += 1
+        if 1 < len(d) < len(g):
+            _fp_split(d, a, p, found)
+            _fp_split(_fp_divmod(g, d, p)[0], a, p, found)
+            return
+
+
+def _fp_root_multiplicity(u: list, a: int, p: int) -> int:
+    """Largest m with (t - a)^m dividing the nonzero u, by synthetic division."""
+    m = 0
+    while True:
+        partial, acc = [], 0
+        for c in reversed(u):
+            acc = (acc * a + c) % p
+            partial.append(acc)
+        if acc:
+            return m
+        m += 1
+        u = partial[-2::-1]
+
+
 def roots(form: BinForm) -> dict:
     """All roots of a nonzero form in P^1(F_p), with multiplicities.
 
-    Points are canonical pairs ``(a, 1)`` or ``(1, 0)``.  Rational-root
-    finding over QQ is out of scope and rejected.
+    Points are canonical pairs ``(a, 1)`` or ``(1, 0)``; (1:0) comes first
+    with the t1-multiplicity, then the finite roots by ascending a.
+    Rational-root finding over QQ is out of scope and rejected.
+
+    Method: on the monic chart polynomial f of degree n, t^p mod f comes
+    from repeated squaring, g = gcd(f, t^p - t) is the product of the
+    distinct roots, and g is split by gcds with (t + a)^((p-1)/2) - 1 for
+    the fixed shifts a = 1, 2, ... (Cantor-Zassenhaus without randomness,
+    so results reproduce exactly).  Multiplicities come from repeated
+    division by t - a.  Cost O(n^2 log p) expected, against O(p n) for
+    trying every residue; plain ints mod p, no FieldSpec dispatch.
     """
     if not form.field.is_prime_field:
         raise BinFormError("root finding requires a prime field")
     if form.is_zero:
         raise BinFormError("zero form has every point as a root")
     p = form.field.p
-    f = form.field
     out = {}
     inf_mult = form.t1_multiplicity()
     if inf_mult:
         out[(1, 0)] = inf_mult
     u = _upoly_trim(form.dehomogenize())
-    for a in range(p):
-        # Horner
-        acc = 0
-        for c in reversed(u):
-            acc = (acc * a + c) % p
-        if acc == 0:
-            mult = 0
-            w = u
-            while True:
-                q, r = _upoly_divmod(w, [(-a) % p, 1], f)
-                if r:
-                    break
-                mult += 1
-                w = q
-            out[(a, 1)] = mult
+    if len(u) < 2:
+        return out
+    f = _fp_monic(u, p)
+    h = _fp_shift_power(0, p, f, p) + [0, 0]
+    h[1] = (h[1] - 1) % p
+    found: list = []
+    _fp_split(_fp_gcd(f, _upoly_trim(h), p), 1, p, found)
+    for a in sorted(found):
+        out[(a, 1)] = _fp_root_multiplicity(f, a, p)
     return out
 
 
