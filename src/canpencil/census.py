@@ -410,6 +410,13 @@ class SingularReport:
         }
 
 
+#: largest prime the sweep runs at.  The sweep visits (p + 1) p^2 fiber
+#: pairs (x1, y) over the base points, ~1.7e7 at p = 257, which took 23 s
+#: for a (p_g, theta) = (2, 0) member under CPython 3.11 on a 2-core host;
+#: the cost grows as p^3, so F_10007 would take about two weeks.
+SWEEP_PRIME_MAX = 257
+
+
 def run_census(
     eqs: SurfaceEquations,
     p_nodes: int = 101,
@@ -419,11 +426,18 @@ def run_census(
     """Node census plus branch check, and optionally the full sweep.
 
     Members over a prime field are censused at their own prime; rational
-    members are reduced modulo the requested primes.
+    members are reduced modulo the requested primes.  A sweep above
+    SWEEP_PRIME_MAX is refused with a ValueError before any work is done.
     """
     if eqs.field.is_prime_field:
         p_nodes = eqs.field.p
         p_sweep = eqs.field.p
+    if not skip_sweep and p_sweep > SWEEP_PRIME_MAX:
+        pairs = (p_sweep + 1) * p_sweep * p_sweep
+        raise ValueError(
+            f"sweep at p = {p_sweep} would visit {pairs} fiber pairs "
+            f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"
+        )
     report = SingularReport(p_nodes=p_nodes, p_sweep=None if skip_sweep else p_sweep)
     t0 = time.perf_counter()
     report.nodes = node_census(eqs, p_nodes)

@@ -399,6 +399,16 @@ def test_run_census_computes_node_census_once(monkeypatch):
     assert calls == [101]
 
 
+def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):
+    calls = []
+    monkeypatch.setattr(census_mod, "node_census", lambda eqs, p: calls.append(p))
+    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    p = census_mod.SWEEP_PRIME_MAX + 6  # 263, the next prime
+    with pytest.raises(ValueError, match=f"sweep at p = {p} would visit"):
+        run_census(member, p_nodes=101, p_sweep=p)
+    assert calls == []
+
+
 def test_census_bad_reduction_is_value_error(member_over_11):
     with pytest.raises(ValueError, match="bad reduction mod 11"):
         run_census(member_over_11, p_nodes=11, skip_sweep=True)

@@ -135,6 +135,31 @@ def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
     assert doc["error"].startswith("bad reduction mod 11")
 
 
+def test_census_rational_member_at_largest_prime(tmp_path, capsys):
+    out = tmp_path / "member.json"
+    main(["generate", "--pg", "3", "--theta", "1", "--field", "qq",
+          "--seed", "5", "--out", str(out)])
+    capsys.readouterr()
+    code = main(["census", "--in", str(out), "--prime", "2147483647", "--skip-sweep"])
+    doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 0
+    assert doc["prime_nodes"] == 2147483647 and doc["sweep_skipped"] is True
+
+
+def test_census_refuses_sweep_above_bound(tmp_path, capsys):
+    out = tmp_path / "member.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:10007",
+          "--seed", "3", "--out", str(out)])
+    capsys.readouterr()
+    code = main(["census", "--in", str(out)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1 and list(doc) == ["error"]
+    assert doc["error"].startswith("sweep at p = 10007 would visit 1002201610392 fiber pairs")
+    assert "--skip-sweep" in doc["error"]
+    code, doc = run_cli(capsys, "census", "--in", str(out), "--skip-sweep")
+    assert code == 0 and doc["prime_nodes"] == 10007
+
+
 def test_census_missing_file(capsys):
     code, doc = run_cli(capsys, "census", "--in", "/nonexistent/member.json")
     assert code != 0
