@@ -29,6 +29,8 @@ from .chow import (
 )
 from .fields import FieldSpec
 from .sections import (
+    _X0SQ,
+    _ZSQ,
     BundleData,
     FiberMonomial,
     GradedSection,
@@ -97,10 +99,8 @@ def degree_table(pg: int, theta: int) -> DegreeTable:
 # surface equations and member generation
 # ---------------------------------------------------------------------------
 
-_X0SQ = FiberMonomial(2, 0, 0, 0)
 _X1SQ = FiberMonomial(0, 2, 0, 0)
 _Y = FiberMonomial(0, 0, 1, 0)
-_ZSQ = FiberMonomial(0, 0, 0, 2)
 
 
 @dataclass(frozen=True)
