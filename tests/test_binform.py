@@ -222,6 +222,17 @@ def test_roots_bounded_by_degree(f):
     assert sum(roots(f).values()) <= f.degree
 
 
+F_MERSENNE = FieldSpec.prime_field(2**31 - 1)
+
+
+def test_roots_of_split_form_at_largest_prime():
+    f = random_split_squarefree(F_MERSENNE, 20, random.Random(31))
+    cs = random.Random(31).sample(range(F_MERSENNE.p), 20)
+    assert roots(f) == {(c, 1): 1 for c in cs}
+    cubed = f * BinForm(F_MERSENNE, (1, -12345)) ** 3
+    assert roots(cubed) == {**{(c, 1): 1 for c in cs}, (12345, 1): 3}
+
+
 def test_roots_zero_form_rejected():
     with pytest.raises(BinFormError):
         roots(BinForm.zero(F5))
