@@ -8,6 +8,9 @@ prescribe negative degrees and thereby force coefficients to vanish.
 
 Division, gcd and root finding work through the chart t1 = 1 with the
 t1-multiplicity tracked separately, so nothing is lost at the point (1:0).
+Root finding over F_p never enumerates the field: it takes the gcd with
+t^p - t and splits it by deterministic equal-degree splitting, on plain
+int lists mod p, in O(d^2 log p) for a form of degree d.
 """
 
 from __future__ import annotations
