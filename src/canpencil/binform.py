@@ -376,25 +376,18 @@ def _fp_gcd(u: list, v: list, p: int) -> list:
 
 def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
     """(t + a)^e mod a monic f of degree >= 1, by left-to-right squaring."""
-    n = len(f) - 1
     r = [1]
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * len(r) - 1)
+        sq = [0] * (2 * len(r))
         for i, ri in enumerate(r):
             if ri:
                 for j, rj in enumerate(r):
                     sq[i + j] += ri * rj
+        if bit == "1" and r:  # times (t + a)
+            for i in range(len(sq) - 1, 0, -1):
+                sq[i] = sq[i - 1] + a * sq[i]
+            sq[0] *= a
         r = _fp_divmod(sq, f, p)[1]
-        if bit == "1" and r:
-            # times (t + a): shift up, add a*r, fold t^n back in once
-            r = [0] + r
-            for i in range(len(r) - 1):
-                r[i] += a * r[i + 1]
-            if len(r) > n:
-                c = r.pop()
-                for j in range(n):
-                    r[j] -= c * f[j]
-            r = _upoly_trim([c % p for c in r])
     return r
 
 
@@ -446,8 +439,10 @@ def roots(form: BinForm) -> dict:
     distinct roots, and g is split by gcds with (t + a)^((p-1)/2) - 1 for
     the fixed shifts a = 1, 2, ... (Cantor-Zassenhaus without randomness,
     so results reproduce exactly).  Multiplicities come from repeated
-    division by t - a.  Cost O(n^2 log p) expected, against O(p n) for
-    trying every residue; plain ints mod p, no FieldSpec dispatch.
+    division by t - a.  Each powering costs O(n^2 log p) and a split
+    round typically needs one or two shifts, against O(p n) for trying
+    every residue.  The kernel runs on plain ints mod p, without
+    FieldSpec dispatch.
     """
     if not form.field.is_prime_field:
         raise BinFormError("root finding requires a prime field")
