@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -320,6 +321,229 @@ def test_divexact_t1_powers():
 @given(binforms(allow_zero=False), binforms(allow_zero=False))
 def test_divexact_of_product(a, b):
     assert divexact(a * b, b) == a
+
+
+
+# -- ring arithmetic and division against a per-scalar reference --------------------
+#
+# The reference works on coefficient tuples and goes through FieldSpec.add,
+# sub, mul, neg, inv and normalize once per scalar, so it shares nothing
+# with the form-level kernels in binform.py.
+
+ORACLE_FIELDS = [FieldSpec.prime_field(p) for p in (5, 101, 10007, 2**31 - 1)] + [QQ]
+
+
+def ref_canonical(fld, coeffs) -> tuple:
+    coeffs = tuple(fld.normalize(c) for c in coeffs)
+    return () if all(c == 0 for c in coeffs) else coeffs
+
+
+def ref_add(a: BinForm, b: BinForm) -> tuple:
+    if a.field != b.field:
+        raise BinFormError("mixed fields")
+    if a.is_zero or b.is_zero:
+        return b.coeffs if a.is_zero else a.coeffs
+    if len(a.coeffs) != len(b.coeffs):
+        raise BinFormError("degree mismatch")
+    return ref_canonical(a.field, [a.field.add(x, y) for x, y in zip(a.coeffs, b.coeffs)])
+
+
+def ref_neg(a: BinForm) -> tuple:
+    return ref_canonical(a.field, [a.field.neg(c) for c in a.coeffs])
+
+
+def ref_sub(a: BinForm, b: BinForm) -> tuple:
+    return ref_add(a, BinForm(b.field, ref_neg(b)))
+
+
+def ref_mul_coeffs(fld, u: tuple, v: tuple) -> tuple:
+    if not u or not v:
+        return ()
+    out = [fld.zero] * (len(u) + len(v) - 1)
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            out[i + j] = fld.add(out[i + j], fld.mul(x, y))
+    return ref_canonical(fld, out)
+
+
+def ref_mul(a: BinForm, b: BinForm) -> tuple:
+    if a.field != b.field:
+        raise BinFormError("mixed fields")
+    return ref_mul_coeffs(a.field, a.coeffs, b.coeffs)
+
+
+def ref_scale(a: BinForm, c) -> tuple:
+    fld = a.field
+    c = fld.normalize(c)
+    return ref_canonical(fld, [fld.mul(c, x) for x in a.coeffs])
+
+
+def ref_pow(a: BinForm, n: int) -> tuple:
+    out = (a.field.one,)
+    for _ in range(n):
+        out = ref_mul_coeffs(a.field, out, a.coeffs)
+    return out
+
+
+def ref_trim(u: list) -> list:
+    while u and u[-1] == 0:
+        u.pop()
+    return u
+
+
+def ref_t1_multiplicity(coeffs: tuple) -> int:
+    return next((i for i, c in enumerate(coeffs) if c != 0), 0)
+
+
+def ref_chart(coeffs: tuple) -> list:
+    """f(x, 1), ascending in x."""
+    return ref_trim(list(reversed(coeffs)))
+
+
+def ref_from_chart(fld, u: list, shift: int) -> tuple:
+    u = ref_trim(list(u))
+    return ref_canonical(fld, [fld.zero] * shift + list(reversed(u))) if u else ()
+
+
+def ref_divmod(fld, u: list, v: list):
+    u, v = ref_trim(list(u)), ref_trim(list(v))
+    q = [fld.zero] * max(0, len(u) - len(v) + 1)
+    for k in range(len(u) - len(v), -1, -1):
+        c = fld.div(u[k + len(v) - 1], v[-1])
+        q[k] = c
+        for j, vj in enumerate(v):
+            u[k + j] = fld.sub(u[k + j], fld.mul(c, vj))
+    return q, ref_trim(u)
+
+
+def ref_gcd(a: BinForm, b: BinForm) -> tuple:
+    fld = a.field
+    if a.is_zero and b.is_zero:
+        raise BinFormError("gcd(0, 0)")
+    shift = min(ref_t1_multiplicity(a.coeffs), ref_t1_multiplicity(b.coeffs))
+    if a.is_zero or b.is_zero:
+        shift = ref_t1_multiplicity((b if a.is_zero else a).coeffs)
+    u, v = ref_chart(a.coeffs), ref_chart(b.coeffs)
+    while v:
+        u, v = v, ref_divmod(fld, u, v)[1]
+    inv = fld.inv(u[-1])
+    return ref_from_chart(fld, [fld.mul(inv, c) for c in u], shift)
+
+
+def ref_divides(d: BinForm, n: BinForm) -> bool:
+    if d.is_zero or n.is_zero:
+        return n.is_zero
+    if ref_t1_multiplicity(d.coeffs) > ref_t1_multiplicity(n.coeffs):
+        return False
+    return not ref_divmod(n.field, ref_chart(n.coeffs), ref_chart(d.coeffs))[1]
+
+
+def ref_divexact(a: BinForm, b: BinForm) -> tuple:
+    if b.is_zero:
+        raise ZeroDivisionError("division by zero")
+    if a.is_zero:
+        return ()
+    shift = ref_t1_multiplicity(a.coeffs) - ref_t1_multiplicity(b.coeffs)
+    q, r = ref_divmod(a.field, ref_chart(a.coeffs), ref_chart(b.coeffs))
+    if shift < 0 or r:
+        raise BinFormError("inexact division")
+    return ref_from_chart(a.field, q, shift)
+
+
+def oracle_scalars(fld):
+    if fld.is_rational:
+        return st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    special = st.sampled_from([0, 1, fld.p - 1, fld.p // 2])
+    return st.one_of(special, st.integers(min_value=0, max_value=fld.p - 1))
+
+
+@st.composite
+def oracle_forms(draw, fld, degree=None):
+    """Forms with zero runs at both ends; the zero form when degree is None."""
+    if degree is None:
+        if draw(st.integers(0, 9)) == 0:
+            return BinForm.zero(fld)
+        degree = draw(st.integers(min_value=0, max_value=8))
+    coeffs = draw(st.lists(oracle_scalars(fld), min_size=degree + 1, max_size=degree + 1))
+    lead_zeros = draw(st.integers(0, degree))
+    trail_zeros = draw(st.integers(0, degree - lead_zeros))
+    coeffs[:lead_zeros] = [0] * lead_zeros
+    coeffs[len(coeffs) - trail_zeros:] = [0] * trail_zeros
+    return BinForm(fld, coeffs)
+
+
+def assert_coeffs(result: BinForm, fld, expected: tuple) -> None:
+    assert result.field == fld
+    assert result.coeffs == expected
+    kind = Fraction if fld.is_rational else int
+    assert all(type(c) is kind for c in result.coeffs)
+    if not fld.is_rational:
+        assert all(0 <= c < fld.p for c in result.coeffs)
+
+
+def check_against(op, ref, *args) -> None:
+    try:
+        expected = ref(*args)
+    except (BinFormError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            op(*args)
+        return
+    assert_coeffs(op(*args), args[0].field, expected)
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_operations_match_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    a = data.draw(oracle_forms(fld))
+    same_degree = not a.is_zero and data.draw(st.booleans())
+    b = data.draw(oracle_forms(fld, a.degree if same_degree else None))
+    check_against(operator.add, ref_add, a, b)
+    check_against(operator.sub, ref_sub, a, b)
+    check_against(operator.mul, ref_mul, a, b)
+    check_against(operator.neg, ref_neg, a)
+    c = data.draw(st.one_of(oracle_scalars(fld), st.integers(-50, 50),
+                            st.fractions(-9, 9, max_denominator=4)))
+    check_against(BinForm.scale, ref_scale, a, c)
+    check_against(operator.pow, ref_pow, a, data.draw(st.integers(0, 4)))
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_division_matches_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    a = data.draw(oracle_forms(fld))
+    b = data.draw(oracle_forms(fld))
+    product = BinForm(fld, ref_mul(a, b))
+    check_against(gcd, ref_gcd, a, b)
+    check_against(gcd, ref_gcd, product, b)
+    check_against(divexact, ref_divexact, product, b)
+    check_against(divexact, ref_divexact, a, b)
+    assert divides(b, product) == ref_divides(b, product)
+    assert divides(b, a) == ref_divides(b, a)
+
+
+@pytest.mark.oracle
+def test_mixed_fields_rejected_by_every_binary_operation():
+    forms = [BinForm(fld, (1, 2, 3)) for fld in ORACLE_FIELDS]
+    forms.append(BinForm(FieldSpec.prime_field(7), (1, 2, 3)))
+    for a in forms:
+        for b in forms:
+            if a.field == b.field:
+                continue
+            for op in (operator.add, operator.sub, operator.mul, gcd, divexact):
+                with pytest.raises(BinFormError):
+                    op(a, b)
+                with pytest.raises(BinFormError):
+                    op(BinForm.zero(a.field), b)
+
+
+def test_negative_power_rejected():
+    for fld in ORACLE_FIELDS:
+        with pytest.raises(BinFormError):
+            BinForm.t0(fld) ** -1
 
 
 # -- parser / printer ---------------------------------------------------------------

@@ -13,6 +13,7 @@ from canpencil.chow import (
     adjunction_check,
     class_G,
     class_K_relative,
+    class_fixed_part,
     class_K_surface,
     class_Q,
     invariants_report,
@@ -71,6 +72,48 @@ def test_symmetry_and_multilinearity(a1, b1, a2, b2, a3, b3, a4, b4):
     extra = DivisorClass(rng.randint(-4, 4), rng.randint(-4, 4))
     lhs = top_intersection(c, cls[0] + extra, cls[1], cls[2], cls[3])
     assert lhs == base + top_intersection(c, extra, cls[1], cls[2], cls[3])
+
+
+
+def fraction_top_intersection(bundle, classes) -> Fraction:
+    """The expansion on Fraction scalars: H^4 = (sum a_i/w_i)/6, H^3.F = 1/6."""
+    h4 = sum(Fraction(ai, wi) for ai, wi in zip(bundle.twists, bundle.weights)) / 6
+    coeff_h4 = Fraction(1)
+    for c in classes:
+        coeff_h4 *= c.h
+    coeff_h3f = Fraction(0)
+    for idx in range(4):
+        term = Fraction(classes[idx].f)
+        for jdx in range(4):
+            if jdx != idx:
+                term *= classes[jdx].h
+        coeff_h3f += term
+    return coeff_h4 * h4 + coeff_h3f * Fraction(1, 6)
+
+
+def assert_matches_fraction_expansion(bundle, classes) -> None:
+    val = top_intersection(IntersectionContext(bundle), *classes)
+    assert type(val) is Fraction
+    assert val == fraction_top_intersection(bundle, classes)
+
+
+@pytest.mark.oracle
+def test_top_intersection_matches_fraction_expansion_on_ledger_grid():
+    for pg in range(2, 51):
+        for theta in range(7):
+            b = BundleData(pg, theta)
+            k, q, g = class_K_surface(), class_Q(), class_G(b)
+            for classes in [(k, k, q, g), (class_fixed_part(b), F, q, g), (H, H, H, H),
+                            (H, H, H, F), (class_K_relative(b), q, g, H), (F, F, H, H)]:
+                assert_matches_fraction_expansion(b, classes)
+
+
+@pytest.mark.oracle
+@settings(max_examples=300)
+@given(st.integers(2, 60), st.integers(0, 6),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(-400, 400)), min_size=4, max_size=4))
+def test_top_intersection_matches_fraction_expansion_on_random_classes(pg, theta, pairs):
+    assert_matches_fraction_expansion(BundleData(pg, theta), [DivisorClass(*hf) for hf in pairs])
 
 
 def test_surface_invariants_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -246,3 +247,24 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["K2"] == 2
+
+
+# -- golden outputs -------------------------------------------------------------------
+
+#: SHA-256 of the full stdout; the ledgers must stay byte-identical across
+#: changes to the arithmetic underneath them
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "all", "--seed", "1", "--trials", "15"):
+        "6fd8ad3692950f7654139963b856f7f48f171e2999a1c1d53295fe244ddebc30",
+    ("verify", "--field", "qq", "--seed", "1", "--trials", "6"):
+        "d9d6dd20ae086b6eb277748581a1ca9478b66ba0d7a970a557e61828cf61d994",
+    ("example",):
+        "66d349d9437a4e0bbfbe51521272df36726ca01d6bad61d23d42df89ec75cce4",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
