@@ -15,6 +15,7 @@ int lists mod p, in O(d^2 log p) for a form of degree d.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -26,21 +27,53 @@ class BinFormError(ValueError):
 
 
 def _require_same_field(a: "BinForm", b: "BinForm") -> None:
-    if a.field != b.field:
+    if a.field is not b.field and a.field != b.field:
         raise BinFormError(f"mixed coefficient fields: {a.field} vs {b.field}")
 
 
+_setattr = object.__setattr__
+
+
+def _qq_numerators(coeffs: tuple):
+    """Integer numerators of Fraction coefficients over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _qq_fractions(nums: list, den: int) -> tuple:
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(n, den) for n in nums)
+
+
 class BinForm:
-    """Immutable homogeneous polynomial in (t0, t1)."""
+    """Immutable homogeneous polynomial in (t0, t1).
+
+    ``BinForm(field, coeffs)`` validates: every coefficient goes through
+    ``field.normalize``, so it accepts ints and Fractions alike.  The ring
+    operations build their results with :meth:`_trusted` instead, from
+    coefficients they computed canonically themselves: ints in [0, p)
+    over F_p, Fractions over QQ.
+    """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldSpec, coeffs: Iterable):
         normalized = tuple(field.normalize(c) for c in coeffs)
-        if normalized and all(c == 0 for c in normalized):
+        if not any(normalized):
             normalized = ()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", normalized)
+        _setattr(self, "field", field)
+        _setattr(self, "coeffs", normalized)
+
+    @staticmethod
+    def _trusted(field: FieldSpec, coeffs: tuple) -> "BinForm":
+        """Form from a tuple already canonical in `field`; all zeros give the zero form."""
+        form = object.__new__(BinForm)
+        _setattr(form, "field", field)
+        _setattr(form, "coeffs", coeffs if any(coeffs) else ())
+        return form
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("BinForm is immutable")
@@ -114,56 +147,73 @@ class BinForm:
         return 0
 
     # -- ring operations -------------------------------------------------
+    #
+    # Each operation looks at field.p once: over F_p (p an int) it works on
+    # plain ints and reduces once per output coefficient, over QQ (p None)
+    # on Fractions.  Results go through _trusted, not the normalizing
+    # constructor.
 
     def __add__(self, other: "BinForm") -> "BinForm":
         _require_same_field(self, other)
-        if self.is_zero:
+        a, b = self.coeffs, other.coeffs
+        if not a:
             return other
-        if other.is_zero:
+        if not b:
             return self
-        if self.degree != other.degree:
+        if len(a) != len(b):
             raise BinFormError(f"degree mismatch in sum: {self.degree} vs {other.degree}")
-        add = self.field.add
-        return BinForm(self.field, tuple(add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        p = self.field.p
+        if p is None:
+            return BinForm._trusted(self.field, tuple(x + y for x, y in zip(a, b)))
+        return BinForm._trusted(self.field, tuple((x + y) % p for x, y in zip(a, b)))
 
     def __neg__(self) -> "BinForm":
-        neg = self.field.neg
-        return BinForm(self.field, tuple(neg(c) for c in self.coeffs))
+        p = self.field.p
+        if p is None:
+            return BinForm._trusted(self.field, tuple(-c for c in self.coeffs))
+        return BinForm._trusted(self.field, tuple(-c % p for c in self.coeffs))
 
     def __sub__(self, other: "BinForm") -> "BinForm":
         return self + (-other)
 
     def __mul__(self, other: "BinForm") -> "BinForm":
         _require_same_field(self, other)
-        if self.is_zero or other.is_zero:
-            return BinForm.zero(self.field)
+        a, b = self.coeffs, other.coeffs
         f = self.field
-        out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] = f.add(out[i + j], f.mul(a, b))
-        return BinForm(f, out)
+        if not a or not b:
+            return BinForm._trusted(f, ())
+        p = f.p
+        if p is None:
+            a, da = _qq_numerators(a)
+            b, db = _qq_numerators(b)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        if p is None:
+            return BinForm._trusted(f, _qq_fractions(out, da * db))
+        return BinForm._trusted(f, tuple(c % p for c in out))
 
     def scale(self, c) -> "BinForm":
-        c = self.field.normalize(c)
-        if c == 0:
-            return BinForm.zero(self.field)
-        mul = self.field.mul
-        return BinForm(self.field, tuple(mul(c, a) for a in self.coeffs))
+        f = self.field
+        c = f.normalize(c)
+        p = f.p
+        if p is None:
+            return BinForm._trusted(f, tuple(c * x for x in self.coeffs))
+        return BinForm._trusted(f, tuple(c * x % p for x in self.coeffs))
 
     def __pow__(self, n: int) -> "BinForm":
         if n < 0:
             raise BinFormError("negative power")
-        result = BinForm.one(self.field)
-        base = self
+        f = self.field
+        result, base = BinForm._trusted(f, (f.one,)), self
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def monic(self) -> "BinForm":
@@ -174,7 +224,7 @@ class BinForm:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinForm)
-            and self.field == other.field
+            and (self.field is other.field or self.field == other.field)
             and self.coeffs == other.coeffs
         )
 
@@ -262,32 +312,35 @@ def _upoly_trim(u: list) -> list:
     return u
 
 
-def _upoly_divmod(u: list, v: list, f: FieldSpec):
+def _upoly_divmod(u: list, v: list, p: Optional[int]):
+    """Quotient and remainder over F_p, or over QQ when p is None."""
     v = _upoly_trim(list(v))
     if not v:
         raise ZeroDivisionError("division by zero polynomial")
     u = _upoly_trim(list(u))
-    q = [f.zero] * max(0, len(u) - len(v) + 1)
-    inv_lead = f.inv(v[-1])
+    if p is not None:
+        inv = pow(v[-1], -1, p)
+        q, r = _fp_divmod(u, [c * inv % p for c in v], p)
+        return [c * inv % p for c in q], r
+    q = [Fraction(0)] * max(0, len(u) - len(v) + 1)
+    lead = v[-1]
     for k in range(len(u) - len(v), -1, -1):
-        c = f.mul(u[k + len(v) - 1], inv_lead)
-        if c == 0:
-            continue
-        q[k] = c
-        for j, vj in enumerate(v):
-            u[k + j] = f.sub(u[k + j], f.mul(c, vj))
+        c = u[k + len(v) - 1] / lead
+        if c:
+            q[k] = c
+            for j, vj in enumerate(v, k):
+                u[j] -= c * vj
     return q, _upoly_trim(u)
 
 
-def _upoly_gcd(u: list, v: list, f: FieldSpec) -> list:
+def _upoly_gcd(u: list, v: list, p: Optional[int]) -> list:
+    """Monic gcd over F_p, or over QQ when p is None; [] when both are zero."""
     u, v = _upoly_trim(list(u)), _upoly_trim(list(v))
+    if p is not None:
+        return _fp_gcd(u, v, p) if u or v else []
     while v:
-        _, r = _upoly_divmod(u, v, f)
-        u, v = v, r
-    if u:
-        inv = f.inv(u[-1])
-        u = [f.mul(inv, c) for c in u]
-    return u
+        u, v = v, _upoly_divmod(u, v, None)[1]
+    return [c / u[-1] for c in u] if u else u
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +362,7 @@ def gcd(a: BinForm, b: BinForm) -> BinForm:
         return a.monic()
     f = a.field
     e = min(a.t1_multiplicity(), b.t1_multiplicity())
-    g = _upoly_gcd(a.dehomogenize(), b.dehomogenize(), f)
+    g = _upoly_gcd(a.dehomogenize(), b.dehomogenize(), f.p)
     return BinForm.homogenize(f, g, t1_shift=e)
 
 
@@ -321,7 +374,7 @@ def divides(divisor: BinForm, dividend: BinForm) -> bool:
         return True
     if divisor.t1_multiplicity() > dividend.t1_multiplicity():
         return False
-    _, r = _upoly_divmod(dividend.dehomogenize(), divisor.dehomogenize(), dividend.field)
+    _, r = _upoly_divmod(dividend.dehomogenize(), divisor.dehomogenize(), dividend.field.p)
     return not r
 
 
@@ -335,7 +388,7 @@ def divexact(a: BinForm, b: BinForm) -> BinForm:
     shift = a.t1_multiplicity() - b.t1_multiplicity()
     if shift < 0:
         raise BinFormError("inexact division (t1 multiplicity)")
-    q, r = _upoly_divmod(a.dehomogenize(), b.dehomogenize(), a.field)
+    q, r = _upoly_divmod(a.dehomogenize(), b.dehomogenize(), a.field.p)
     if r:
         raise BinFormError("inexact division")
     return BinForm.homogenize(a.field, q, t1_shift=shift)
@@ -477,7 +530,7 @@ def _distinct_upoly_roots(u: list, f: FieldSpec) -> int:
         p = f.p
         v = [u[j] for j in range(0, len(u), p)]
         return _distinct_upoly_roots(v, f)
-    g = _upoly_gcd(u, du, f)
+    g = _upoly_gcd(u, du, f.p)
     return (len(u) - 1) - (len(g) - 1)
 
 

@@ -7,7 +7,9 @@ top products matter:
     F^2 = 0,   H^3.F = 1/prod(w) = 1/6,   H^4 = (sum a_i/w_i) / prod(w),
 
 hard-coded for this one family rather than derived from a general toric
-engine.  Intersection numbers are exact rationals; only the final surface
+engine.  Every weight divides prod(w) = 6, so 36 * H^3.F and 36 * H^4 are
+integers: products are expanded in ints and divided by 36 once.
+Intersection numbers are exact rationals; only the final surface
 invariants are asserted integral.
 """
 
@@ -66,39 +68,37 @@ def class_fixed_part(bundle: BundleData) -> DivisorClass:
     return DivisorClass(1, -(bundle.pg + 1))
 
 
+#: common denominator prod(w)^2 of the two primitive top products
+DENOMINATOR = 36
+
+#: DENOMINATOR * H^3.F
+H3F_NUMERATOR = 6
+
+
 @dataclass(frozen=True)
 class IntersectionContext:
     bundle: BundleData
 
     @property
-    def h3f(self) -> Fraction:
-        return Fraction(1, 6)
-
-    @property
-    def h4(self) -> Fraction:
-        a = self.bundle.twists
-        w = self.bundle.weights
-        return sum(Fraction(ai, wi) for ai, wi in zip(a, w)) / 6
+    def h4_numerator(self) -> int:
+        """DENOMINATOR * H^4 = sum a_i * (6 / w_i)."""
+        return sum(ai * (6 // wi) for ai, wi in zip(self.bundle.twists, self.bundle.weights))
 
 
 def top_intersection(ctx: IntersectionContext, c1, c2, c3, c4) -> Fraction:
     """Exact top intersection number of four divisor classes.
 
     Multilinear expansion in which every monomial containing F^2 dies, so
-    only H^4 and H^3.F survive.
+    only H^4 and H^3.F survive; their coefficients are integers.
     """
-    classes = (c1, c2, c3, c4)
-    coeff_h4 = Fraction(1)
-    for c in classes:
-        coeff_h4 *= c.h
-    coeff_h3f = Fraction(0)
-    for idx in range(4):
-        term = Fraction(classes[idx].f)
-        for jdx in range(4):
-            if jdx != idx:
-                term *= classes[jdx].h
-        coeff_h3f += term
-    return coeff_h4 * ctx.h4 + coeff_h3f * ctx.h3f
+    coeff_h4 = c1.h * c2.h * c3.h * c4.h
+    coeff_h3f = (
+        c1.f * c2.h * c3.h * c4.h
+        + c1.h * c2.f * c3.h * c4.h
+        + c1.h * c2.h * c3.f * c4.h
+        + c1.h * c2.h * c3.h * c4.f
+    )
+    return Fraction(coeff_h4 * ctx.h4_numerator + coeff_h3f * H3F_NUMERATOR, DENOMINATOR)
 
 
 def adjunction_check(pg: int, theta: int) -> DivisorClass:
