@@ -365,9 +365,16 @@ _DISPATCH = {
 }
 
 
+#: built on the first call to main and reused: argparse keeps no state
+#: between parse_args calls, and building it costs more than a small op
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         doc = _DISPATCH[args.command](args)
     except CliError as exc:

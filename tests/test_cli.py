@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +249,49 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["K2"] == 2
+
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_in_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-m", "canpencil", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    import canpencil.cli as cli
+
+    # the second verify and generate lean on defaults the first ones override
+    argvs = [
+        ["verify", "sigma2", "--field", "fp:101", "--seed", "3", "--trials", "2"],
+        ["generate", "--pg", "2", "--theta", "0", "--field", "fp:11", "--seed", "4", "--split-qy"],
+        ["verify", "sigma2", "--seed", "3", "--trials", "2"],
+        ["generate", "--pg", "2", "--theta", "0", "--field", "fp:11", "--seed", "4"],
+        ["invariants", "--pg", "5", "--theta", "1"],
+    ]
+    main(["degrees", "--pg", "3", "--theta", "0"])
+    capsys.readouterr()
+    parser = cli._parser
+    for argv in argvs:
+        code = main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == run_in_fresh_process(argv)[:2]
+    assert cli._parser is parser
+
+
+def test_usage_errors_and_help_unchanged_with_a_reused_parser(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    main(["invariants", "--pg", "2", "--theta", "0"])
+    capsys.readouterr()
+    for argv in (["verify", "--trials", "3"], ["nosuch"], ["census", "--help"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == run_in_fresh_process(argv)
 
 
 # -- golden outputs -------------------------------------------------------------------
