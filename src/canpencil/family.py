@@ -186,7 +186,8 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
     the general member is only guaranteed for theta <= 4; larger offsets
     are permitted with a warning.  `split_qy` forces q_y to be a product
     of distinct rational linear forms, which pins the whole node census
-    inside the base field.
+    inside the base field.  A q_y that comes out identically zero (possible
+    over a small prime) is redrawn, so every member has a node census.
     """
     if params.theta > 4:
         warnings.warn(
@@ -202,6 +203,8 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
         q_y = random_split_squarefree(field, table.q_y, rng)
     else:
         q_y = random_binform(field, table.q_y, rng)
+        while q_y.is_zero:  # no node census exists; deg q_y = 2p_g - 2 + theta >= 2
+            q_y = random_binform(field, table.q_y, rng)
     Q = GradedSection(
         bundle,
         field,

@@ -126,6 +126,18 @@ def test_census_prime_conflict(tmp_path, capsys):
     assert "characteristics" in doc["error"]
 
 
+
+def test_census_of_member_whose_first_q_y_draw_vanished(tmp_path, capsys):
+    # over F_5 the seed-2 member draws q_y = 0 first; the redraw gives it a node census
+    out = tmp_path / "member.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:5", "--seed", "2",
+          "--out", str(out)])
+    assert "y" in json.loads(capsys.readouterr().out)["Q"]
+    code, doc = run_cli(capsys, "census", "--in", str(out))
+    assert code == 0
+    assert doc["node_count"] == 1 and doc["prime_sweep"] == 5
+
+
 def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
     out = tmp_path / "member.json"
     member_over_11.save(str(out))

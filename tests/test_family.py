@@ -106,6 +106,27 @@ def test_generate_member_split_qy():
     assert all(m == 1 for m in found.values())
 
 
+
+def test_generate_member_redraws_only_a_zero_q_y():
+    from canpencil.binform import random_binform
+
+    f5 = FieldSpec.prime_field(5)
+    table = degree_table(2, 0)
+    first_draw_zero = []
+    for seed in range(40):
+        member = generate_member(FamilyParams(2, 0, f5, seed))
+        assert member.q_y.degree == table.q_y
+        rng = random.Random(seed)
+        q_y = random_binform(f5, table.q_y, rng)
+        if q_y.is_zero:
+            first_draw_zero.append(seed)
+            continue
+        # nothing extra drawn: the member is the one the plain draws give
+        assert member.q_y == q_y
+        assert member.q_x == random_binform(f5, table.q_x, rng)
+    assert first_draw_zero == [2]
+
+
 def test_equation_file_roundtrip(tmp_path):
     params = FamilyParams(3, 1, QQ, seed=5)
     member = generate_member(params)
