@@ -6,6 +6,14 @@ a single shared shape with no degree: any API slot that demands "a form of
 degree d" accepts it, because the geometric degree formulas routinely
 prescribe negative degrees and thereby force coefficients to vanish.
 
+Arithmetic looks at the field once per form operation, not per scalar.
+A product is the dense convolution with one reduction per output
+coefficient (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 2
+and 8): over F_p the sums accumulate in Python ints and are reduced mod p
+once; over QQ the factors are written as integer numerators over a
+common denominator, convolved the same way, and each output coefficient
+becomes one Fraction.
+
 Division, gcd and root finding work through the chart t1 = 1 with the
 t1-multiplicity tracked separately, so nothing is lost at the point (1:0).
 Root finding over F_p never enumerates the field: it takes the gcd with
@@ -150,7 +158,8 @@ class BinForm:
     #
     # Each operation looks at field.p once: over F_p (p an int) it works on
     # plain ints and reduces once per output coefficient, over QQ (p None)
-    # on Fractions.  Results go through _trusted, not the normalizing
+    # on Fractions, or for a product on integer numerators over a common
+    # denominator.  Results go through _trusted, not the normalizing
     # constructor.
 
     def __add__(self, other: "BinForm") -> "BinForm":

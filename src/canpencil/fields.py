@@ -3,8 +3,10 @@
 Every computation in this package is exact.  Rational scalars are
 `fractions.Fraction` values; prime-field scalars are canonical residues
 stored as plain ints in ``[0, p)``.  A :class:`FieldSpec` names the field
-and provides the arithmetic, so polynomial code never branches on the
-coefficient type itself.
+and provides one-scalar-at-a-time arithmetic.  Hot polynomial code does
+not call it per scalar: `BinForm` ring operations, division and root
+finding branch on ``field.p`` once per operation (an int for F_p, None
+for QQ) and then work on plain ints mod p or on Fractions directly.
 """
 
 from __future__ import annotations
