@@ -330,24 +330,178 @@ def _double_line_member(p, seed=2):
     return SurfaceEquations(bundle, field, Q, member.G)
 
 
+def _linear_factor(field, base):
+    """The linear form vanishing at the base point (a : b)."""
+    a, b = base
+    return BinForm(field, (b, -a))
+
+
+def _with_q_x(member, q_x):
+    terms = dict(member.Q.terms)
+    terms[FiberMonomial(0, 2, 0, 0)] = q_x
+    Q = GradedSection(member.bundle, member.field, member.Q.bidegree, terms)
+    return SurfaceEquations(member.bundle, member.field, Q, member.G)
+
+
+def _shared_root_member(p, pg, theta, seed):
+    """A split member whose q_x is multiplied by the linear factor of a root of q_y.
+
+    Over that root Q restricts to x0^2, so the fiber (0 : 1) can carry
+    rank drops with z != 0.
+    """
+    field = FieldSpec.prime_field(p)
+    member = generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=True)
+    lin = _linear_factor(field, min(roots(member.q_y)))
+    rest = random_binform(field, member.q_x.degree - 1, random.Random(seed))
+    return _with_q_x(member, lin * rest)
+
+
+def _flat_fiber_member(p, seed=0):
+    """A (2, 0) member with rank drops in every q_y(t) = 0 branch of the sweep.
+
+    q_y has two rational roots r and s; q_x = -l_s^4 with l_s the linear
+    factor of s; every branch coefficient is divisible by (l_r l_s)^2, so b
+    and db/dt vanish on the fibers over r and s and every point there with
+    z = 0 is a rank drop.  Over r, -q_x is a nonzero square, so Q = 0 has
+    points with x0 = 1; over s, Q = x0^2, so it has points with x0 = 0,
+    x1 = 1; over both it has the points with x0 = x1 = 0.
+    """
+    field = FieldSpec.prime_field(p)
+    rng = random.Random(seed)
+    member = generate_member(FamilyParams(2, 0, field, seed=seed), split_qy=True)
+    r, s = sorted(roots(member.q_y))
+    square = (_linear_factor(field, r) * _linear_factor(field, s)) ** 2
+    g_terms = {m: square * random_binform(field, c.degree - 4, rng)
+               for m, c in member.G.terms.items()}
+    g_terms[FiberMonomial(0, 0, 0, 2)] = BinForm.one(field)
+    G = GradedSection(member.bundle, field, member.G.bidegree, g_terms)
+    flat = SurfaceEquations(member.bundle, field, member.Q, G)
+    return _with_q_x(flat, -(_linear_factor(field, s) ** 4))
+
+
+def _sweep_members(p, seeds):
+    field = FieldSpec.prime_field(p)
+    shapes = ((2, 0), (2, 2), (3, 1))
+    members = [
+        generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=split)
+        for (pg, theta) in shapes
+        for split in (False, True)
+        for seed in seeds
+    ]
+    members += [_shared_root_member(p, pg, theta, seed) for (pg, theta) in shapes for seed in seeds]
+    members += [_double_line_member(p), _flat_fiber_member(p)]
+    return members
+
+
+def _tally(counts, eqs, expected, p):
+    """Count a member's rank drops by kind, and by the sweep branch over q_y = 0."""
+    counts["singular" if expected else "clean"] += 1
+    counts["z != 0"] += any(pt.fiber[3] for pt in expected)
+    for pt in expected:
+        if census_mod._chart_value_and_derivative(eqs.q_y, pt.base, p)[0] == 0:
+            x0, x1 = pt.fiber[:2]
+            counts["x0 = 1" if x0 else "(0 : 1)" if x1 else "x0 = x1 = 0"] += 1
+
+
+def _new_tally():
+    return dict.fromkeys(("clean", "singular", "z != 0", "x0 = 1", "(0 : 1)", "x0 = x1 = 0"), 0)
+
+
 @pytest.mark.oracle
 @pytest.mark.parametrize("p", [5, 7])
 def test_sweep_matches_brute_force_jacobian(p):
-    """The sweep finds exactly the rank-drop points of a brute-force scan."""
-    field = FieldSpec.prime_field(p)
-    members = [
-        generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=split)
-        for (pg, theta) in ((2, 0), (2, 2), (3, 1))
-        for split in (False, True)
-        for seed in range(3)
-    ]
-    members.append(_double_line_member(p))
-    counts = {"clean": 0, "singular": 0, "z != 0": 0}
-    for eqs in members:
+    """The sweep finds exactly the rank-drop points of a brute-force scan.
+
+    The members cover every branch of the enumeration over the roots of
+    q_y, each with at least one rank drop.
+    """
+    counts = _new_tally()
+    for eqs in _sweep_members(p, range(3)):
         expected = _brute_force_singular_points(eqs, p)
         assert quasi_smooth_sweep(eqs, p) == expected
-        counts["singular" if expected else "clean"] += 1
-        counts["z != 0"] += any(pt.fiber[3] for pt in expected)
+        _tally(counts, eqs, expected, p)
+    assert all(counts.values()), counts
+
+
+def _cone_point_sweep(eqs, p, base_order=None):
+    """The cone-point sweep: every cone point over every base point.
+
+    Solves Q for x0 and G for z through square-root tables, about p^2
+    points per base point, and collapses rank drops to canonical orbit
+    representatives.  Kept as the reference the orbit sweep must match at
+    primes too large for the brute-force scan.
+    """
+    eqs = census_mod._as_prime_equations(eqs, p)
+    sqrt = census_mod._sqrt_table(p)
+    failures = set()
+    bases = base_order if base_order is not None else base_points(p)
+    branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
+    top = max((max(i, j, k) for i, j, k, _ in branch), default=0)
+    pw = [[pow(a, e, p) for e in range(top + 1)] for a in range(p)]
+    qx_form, qy_form = eqs.q_x, eqs.q_y
+
+    for base in bases:
+        qx, qx_d = census_mod._chart_value_and_derivative(qx_form, base, p)
+        qy, qy_d = census_mod._chart_value_and_derivative(qy_form, base, p)
+        gl = []
+        for (i, j, k, coeff) in branch:
+            val, dval = census_mod._chart_value_and_derivative(coeff, base, p)
+            if val or dval:
+                gl.append((i, j, k, val, dval))
+        for x1 in range(p):
+            px1 = pw[x1]
+            x1sq = x1 * x1 % p
+            # with x1 fixed, b = (even part in x0) + (odd part in x0)
+            even = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 == 0 and px1[j]]
+            odd = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 and px1[j]]
+            for y in range(p):
+                x0_roots = sqrt.get((-(qx * x1sq + qy * y)) % p)
+                if not x0_roots:
+                    continue
+                py = pw[y]
+                px0 = pw[x0_roots[0]]  # the roots are r and p - r, or 0 alone
+                b_even = b_odd = 0
+                for (i, k, c) in even:
+                    b_even += c * px0[i] * py[k]
+                for (i, k, c) in odd:
+                    b_odd += c * px0[i] * py[k]
+                for x0, b_val in zip(x0_roots, ((b_even + b_odd) % p, (b_even - b_odd) % p)):
+                    if b_val:
+                        # z != 0: rank < 2 iff row_q = 0
+                        if (x0 == 0 and qy == 0 and qx * x1 % p == 0
+                                and (qx_d * x1sq + qy_d * y) % p == 0):
+                            for z in sqrt.get(p - b_val, ()):
+                                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                        continue
+                    if x0 == 0 and x1 == 0 and y == 0:
+                        continue  # z = 0 too: the vertex of the cone
+                    px0 = pw[x0]
+                    b_x0 = b_x1 = b_y = b_t = 0
+                    for (i, j, k, g, gd) in gl:
+                        b_t += gd * px0[i] * px1[j] * py[k]
+                        if i:
+                            b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
+                        if j:
+                            b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
+                        if k:
+                            b_y += g * k * px0[i] * px1[j] * py[k - 1]
+                    row_q = (2 * x0 % p, 2 * qx * x1 % p, qy, 0,
+                             (qx_d * x1sq + qy_d * y) % p)
+                    row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
+                    if census_mod._rank_below_two(row_q, row_g, p):
+                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+    return sorted(failures)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23])
+def test_sweep_matches_cone_point_sweep(p):
+    """The sweep agrees with the cone-point reference beyond brute-force reach."""
+    counts = _new_tally()
+    for eqs in _sweep_members(p, range(2)):
+        expected = _cone_point_sweep(eqs, p)
+        assert quasi_smooth_sweep(eqs, p) == expected
+        _tally(counts, eqs, expected, p)
     assert all(counts.values()), counts
 
 
