@@ -268,28 +268,60 @@ def _sqrt_table(p: int) -> Dict[int, List[int]]:
     return table
 
 
+def _fiber_candidates(p: int, qx: int, qy: int) -> Iterator[Tuple[int, int, int]]:
+    """(x0, x1, y) of the cone points of Q = x0^2 + qx x1^2 + qy y = 0.
+
+    With (x0, x1) != 0 only the orbit representatives (1, a) and (0, 1)
+    are listed: Q is linear in y, so qy != 0 gives one y each, and qy = 0
+    gives every y where x0^2 + qx x1^2 = 0.  With x0 = x1 = 0, Q = 0
+    needs y = 0 (the cone vertex, skipped) unless qy = 0, and then every
+    y != 0 is listed, not only orbit representatives.
+    """
+    if qy:
+        inv = pow(-qy, -1, p)  # y = (x0^2 + qx x1^2) / (-qy)
+        for a in range(p):
+            yield 1, a, (1 + qx * a * a) * inv % p
+        yield 0, 1, qx * inv % p
+        return
+    for a in range(p):
+        if (1 + qx * a * a) % p == 0:
+            for y in range(p):
+                yield 1, a, y
+    if qx == 0:
+        for y in range(p):
+            yield 0, 1, y
+    for y in range(1, p):
+        yield 0, 0, y
+
+
 def quasi_smooth_sweep(
     eqs: SurfaceEquations,
     p: int,
     base_order: Optional[List[Tuple[int, int]]] = None,
 ) -> List[WPSPoint]:
-    """Rational points of the affine cone over X where the Jacobian drops rank.
+    """Rational points of X where the Jacobian of its affine cone drops rank.
 
     In the chart of a base point the equations read
 
         Q = x0^2 + q_x x1^2 + q_y y,    G = z^2 + b(x0, x1, y),
 
-    with b the branch form.  Cone points are enumerated by solving Q for x0
-    and G for z through square-root tables, about p^2 per base point.
-    Powers come from one table a^e mod p built per prime, and with x1 and y
-    fixed b splits into its even and odd parts in x0, so one pass over the
-    branch terms gives b at both roots +-x0.  The 2x5 Jacobian in
-    (x0, x1, y, z, t) has the rows
+    with b the branch form.  Q and G are weighted-homogeneous of weights 2
+    and 6, so at l * v the Jacobian is diag(l^2, l^6) J(v) diag(l^-1,
+    l^-1, l^-2, l^-3, 1): its rank is the same at every point of a
+    weighted orbit, and one point per orbit suffices.  An orbit with
+    (x0, x1) != 0 has exactly one point with (x0, x1) = (1, a) or (0, 1),
+    its canonical representative.  Q is linear in y, so over each base
+    point there are p + 1 such (x0, x1) with one y each when q_y(t) != 0,
+    and O(p) points in all when q_y(t) = 0 (see `_fiber_candidates`).
+    Points with x0 = x1 = 0 lie only over the roots of q_y; all p - 1
+    values of y are visited there and the failures collapsed by
+    `canonical_fiber_rep`.  The roots z come from a square-root table of
+    -b.  The 2x5 Jacobian in (x0, x1, y, z, t) has the rows
 
         row_q = (2 x0, 2 q_x x1, q_y, 0, q_x' x1^2 + q_y' y),
         row_g = (b_x0, b_x1, b_y, 2 z, b_t),
 
-    and only the branch value b is computed at every cone point:
+    and only the branch value b is computed at every candidate:
 
     * b = 0 forces z = 0; the partials of b are computed and all 2x2
       minors tested.
@@ -297,12 +329,10 @@ def quasi_smooth_sweep(
       are then 2z times the entries of row_q, so the rank is below two
       exactly when row_q vanishes: x0 = 0, q_y(t) = 0, q_x x1 = 0 (which
       Q = 0 then implies, but it is tested anyway) and q_x' x1^2 + q_y' y
-      = 0.  No partial of b is needed, and such points lie only over the
-      roots of q_y.
+      = 0.  No partial of b is needed.
 
-    Rank < 2 points are collapsed to one canonical weighted-orbit
-    representative per base point.  The result is sorted and independent
-    of the processing order.
+    Powers come from one table a^e mod p built per prime.  The result is
+    sorted and independent of the processing order.
     """
     eqs = _as_prime_equations(eqs, p)
     sqrt = _sqrt_table(p)
@@ -321,48 +351,32 @@ def quasi_smooth_sweep(
             val, dval = _chart_value_and_derivative(coeff, base, p)
             if val or dval:
                 gl.append((i, j, k, val, dval))
-        for x1 in range(p):
-            px1 = pw[x1]
-            x1sq = x1 * x1 % p
-            # with x1 fixed, b = (even part in x0) + (odd part in x0)
-            even = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 == 0 and px1[j]]
-            odd = [(i, k, g * px1[j]) for (i, j, k, g, _) in gl if i % 2 and px1[j]]
-            for y in range(p):
-                x0_roots = sqrt.get((-(qx * x1sq + qy * y)) % p)
-                if not x0_roots:
-                    continue
-                py = pw[y]
-                px0 = pw[x0_roots[0]]  # the roots are r and p - r, or 0 alone
-                b_even = b_odd = 0
-                for (i, k, c) in even:
-                    b_even += c * px0[i] * py[k]
-                for (i, k, c) in odd:
-                    b_odd += c * px0[i] * py[k]
-                for x0, b_val in zip(x0_roots, ((b_even + b_odd) % p, (b_even - b_odd) % p)):
-                    if b_val:
-                        # z != 0: rank < 2 iff row_q = 0
-                        if (x0 == 0 and qy == 0 and qx * x1 % p == 0
-                                and (qx_d * x1sq + qy_d * y) % p == 0):
-                            for z in sqrt.get(p - b_val, ()):
-                                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
-                        continue
-                    if x0 == 0 and x1 == 0 and y == 0:
-                        continue  # z = 0 too: the vertex of the cone
-                    px0 = pw[x0]
-                    b_x0 = b_x1 = b_y = b_t = 0
-                    for (i, j, k, g, gd) in gl:
-                        b_t += gd * px0[i] * px1[j] * py[k]
-                        if i:
-                            b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
-                        if j:
-                            b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
-                        if k:
-                            b_y += g * k * px0[i] * px1[j] * py[k - 1]
-                    row_q = (2 * x0 % p, 2 * qx * x1 % p, qy, 0,
-                             (qx_d * x1sq + qy_d * y) % p)
-                    row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
-                    if _rank_below_two(row_q, row_g, p):
-                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+        for x0, x1, y in _fiber_candidates(p, qx, qy):
+            px0, px1, py = pw[x0], pw[x1], pw[y]
+            b_val = 0
+            for (i, j, k, g, _) in gl:
+                b_val += g * px0[i] * px1[j] * py[k]
+            b_val %= p
+            if b_val:
+                # z != 0: rank < 2 iff row_q = 0
+                if (x0 == 0 and qy == 0 and qx * x1 % p == 0
+                        and (qx_d * x1 * x1 + qy_d * y) % p == 0):
+                    for z in sqrt.get(p - b_val, ()):
+                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                continue
+            b_x0 = b_x1 = b_y = b_t = 0
+            for (i, j, k, g, gd) in gl:
+                b_t += gd * px0[i] * px1[j] * py[k]
+                if i:
+                    b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
+                if j:
+                    b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
+                if k:
+                    b_y += g * k * px0[i] * px1[j] * py[k - 1]
+            row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
+            row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
+            if _rank_below_two(row_q, row_g, p):
+                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
     return sorted(failures)
 
 
@@ -410,10 +424,11 @@ class SingularReport:
         }
 
 
-#: largest prime the sweep runs at.  The sweep visits (p + 1) p^2 fiber
-#: pairs (x1, y) over the base points, ~1.7e7 at p = 257, which took 23 s
-#: for a (p_g, theta) = (2, 0) member under CPython 3.11 on a 2-core host;
-#: the cost grows as p^3, so F_10007 would take about two weeks.
+#: largest prime the sweep runs at, a conservative limit: the sweep visits
+#: about (p + 1)^2 candidates, 0.12 s at p = 257 for a (p_g, theta) =
+#: (2, 0) member under CPython 3.11 on a 2-core host, and grows as p^2.
+#: The refusal quotes the (p + 1) p^2 fiber pairs (x1, y) of an exhaustive
+#: scan, the count the CLI tests pin.
 SWEEP_PRIME_MAX = 257
 
 
