@@ -377,6 +377,7 @@ def gcd(a: BinForm, b: BinForm) -> BinForm:
 
 def divides(divisor: BinForm, dividend: BinForm) -> bool:
     """True when `divisor` divides `dividend` exactly."""
+    _require_same_field(divisor, dividend)
     if divisor.is_zero:
         return dividend.is_zero
     if dividend.is_zero:

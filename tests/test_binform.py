@@ -72,6 +72,10 @@ def test_mixed_fields_rejected():
         form("t0") * form("t1", F5)
     with pytest.raises(BinFormError):
         form("t0") + form("t0", F5)
+    with pytest.raises(BinFormError):
+        divides(BinForm(F5, (1, 2)), BinForm(FieldSpec.prime_field(7), (1, 2, 1)))
+    with pytest.raises(BinFormError):
+        divides(form("t0 + 2*t1"), form("t0^2 + 2*t0*t1", F5))
 
 
 def test_add_degree_mismatch():
