@@ -325,3 +325,27 @@ def test_golden_stdout(capsys, argv):
     assert main(list(argv)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
+
+
+#: SHA-256 of `census` stdout with `timings` removed, re-dumped with
+#: sort_keys=True, indent=2; keyed by the `generate` arguments of the member
+#: and the extra `census` arguments
+GOLDEN_CENSUS_SHA256 = {
+    (("--pg", "2", "--theta", "0", "--field", "fp:101", "--seed", "9"), ()):
+        "ccf0ac5cb1aeb1e67bcdad8024d33cc7054fb53a1406c65248bcceb007a7ce66",
+    (("--pg", "7", "--theta", "3", "--field", "qq", "--seed", "5"), ("--prime", "35027", "--skip-sweep")):
+        "20637ca6f91f7621c5e0dee4e70cb6b2caad83b951f243501f617eca0891f065",
+}
+
+
+@pytest.mark.parametrize("member, extra", list(GOLDEN_CENSUS_SHA256),
+                         ids=lambda args: " ".join(args) or "full-sweep")
+def test_golden_census_stdout(tmp_path, capsys, member, extra):
+    path = tmp_path / "member.json"
+    assert main(["generate", *member, "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["census", "--in", str(path), *extra]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["timings"]
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CENSUS_SHA256[member, extra]
