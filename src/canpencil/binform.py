@@ -148,12 +148,6 @@ class BinForm:
                 return i
         return 0
 
-    def t0_multiplicity(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i] != 0:
-                return len(self.coeffs) - 1 - i
-        return 0
-
     # -- ring operations -------------------------------------------------
     #
     # Each operation looks at field.p once: over F_p (p an int) it works on

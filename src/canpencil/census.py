@@ -294,11 +294,7 @@ def _fiber_candidates(p: int, qx: int, qy: int) -> Iterator[Tuple[int, int, int]
         yield 0, 0, y
 
 
-def quasi_smooth_sweep(
-    eqs: SurfaceEquations,
-    p: int,
-    base_order: Optional[List[Tuple[int, int]]] = None,
-) -> List[WPSPoint]:
+def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
     """Rational points of X where the Jacobian of its affine cone drops rank.
 
     In the chart of a base point the equations read
@@ -337,13 +333,12 @@ def quasi_smooth_sweep(
     eqs = _as_prime_equations(eqs, p)
     sqrt = _sqrt_table(p)
     failures = set()
-    bases = base_order if base_order is not None else base_points(p)
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
     top = max((max(i, j, k) for i, j, k, _ in branch), default=0)
     pw = [[pow(a, e, p) for e in range(top + 1)] for a in range(p)]
     qx_form, qy_form = eqs.q_x, eqs.q_y
 
-    for base in bases:
+    for base in base_points(p):
         qx, qx_d = _chart_value_and_derivative(qx_form, base, p)
         qy, qy_d = _chart_value_and_derivative(qy_form, base, p)
         gl = []
@@ -425,38 +420,49 @@ class SingularReport:
 
 
 #: largest prime the sweep runs at, a conservative limit: the sweep visits
-#: about (p + 1)^2 candidates, 0.12 s at p = 257 for a (p_g, theta) =
-#: (2, 0) member under CPython 3.11 on a 2-core host, and grows as p^2.
-#: The refusal quotes the (p + 1) p^2 fiber pairs (x1, y) of an exhaustive
-#: scan, the count the CLI tests pin.
+#: about (p + 1)^2 fiber candidates, the count the refusal quotes, 0.12 s
+#: at p = 257 for a (p_g, theta) = (2, 0) member under CPython 3.11 on a
+#: 2-core host, and grows as p^2.
 SWEEP_PRIME_MAX = 257
+
+
+def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: int) -> int:
+    """p, or `default` when p is None, for a rational member; else the member's prime."""
+    if not eqs.field.is_prime_field:
+        return default if p is None else p
+    if p is not None and p != eqs.field.p:
+        raise ValueError(
+            f"member lives over F_{eqs.field.p}; censusing at --prime {p} "
+            "would cross characteristics"
+        )
+    return eqs.field.p
 
 
 def run_census(
     eqs: SurfaceEquations,
-    p_nodes: int = 101,
-    p_sweep: Optional[int] = 11,
+    p_nodes: Optional[int] = None,
+    p_sweep: Optional[int] = None,
     skip_sweep: bool = False,
 ) -> SingularReport:
     """Node census plus branch check, and optionally the full sweep.
 
-    Members over a prime field are censused at their own prime; rational
-    members are reduced modulo the requested primes.  A sweep above
-    SWEEP_PRIME_MAX is refused with a ValueError before any work is done.
+    A member over F_p is censused at p: None stands for p, and any other
+    prime is a ValueError.  A rational member is reduced modulo p_nodes
+    (None: 101) and p_sweep (None: 11).  A sweep above SWEEP_PRIME_MAX is
+    refused with a ValueError before any work is done.
     """
-    if eqs.field.is_prime_field:
-        p_nodes = eqs.field.p
-        p_sweep = eqs.field.p
+    p_nodes = _census_prime(eqs, p_nodes, 101)
+    p_sweep = _census_prime(eqs, p_sweep, 11)
     if not skip_sweep and p_sweep > SWEEP_PRIME_MAX:
-        pairs = (p_sweep + 1) * p_sweep * p_sweep
         raise ValueError(
-            f"sweep at p = {p_sweep} would visit {pairs} fiber pairs "
+            f"sweep at p = {p_sweep} would visit {(p_sweep + 1) ** 2} fiber candidates "
             f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"
         )
     report = SingularReport(p_nodes=p_nodes, p_sweep=None if skip_sweep else p_sweep)
     t0 = time.perf_counter()
-    report.nodes = node_census(eqs, p_nodes)
-    report.branch_hits = branch_disjointness(eqs, p_nodes, report.nodes)
+    reduced = _as_prime_equations(eqs, p_nodes)
+    report.nodes = node_census(reduced, p_nodes)
+    report.branch_hits = branch_disjointness(reduced, p_nodes, report.nodes)
     report.timings["nodes_s"] = round(time.perf_counter() - t0, 6)
     if not skip_sweep:
         t1 = time.perf_counter()

@@ -34,9 +34,6 @@ class DivisorClass(NamedTuple):
     def __add__(self, other):
         return DivisorClass(self.h + other.h, self.f + other.f)
 
-    def scaled(self, n: int) -> "DivisorClass":
-        return DivisorClass(n * self.h, n * self.f)
-
 
 H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from random import Random
 from typing import List, Optional
 
 from . import census as census_mod
 from . import chow, family, relalg
-from .binform import BinForm, format_binform
+from .binform import format_binform
 from .fields import FieldSpec
 
 
@@ -72,17 +73,7 @@ def cmd_generate(args) -> dict:
 
 def cmd_census(args) -> dict:
     eqs = load_equations(args.infile)
-    if args.prime and eqs.field.is_prime_field and args.prime != eqs.field.p:
-        raise CliError(
-            f"member lives over F_{eqs.field.p}; censusing at --prime {args.prime} "
-            "would cross characteristics"
-        )
-    report = census_mod.run_census(
-        eqs,
-        p_nodes=args.prime if args.prime else 101,
-        p_sweep=args.prime if args.prime else 11,
-        skip_sweep=args.skip_sweep,
-    )
+    report = census_mod.run_census(eqs, args.prime, args.prime, args.skip_sweep)
     return report.to_json_dict()
 
 
@@ -144,84 +135,64 @@ def load_equations(path: str) -> family.SurfaceEquations:
 # ---------------------------------------------------------------------------
 
 
-def _ledger_sigma2(rng, field, trials, checks):
-    import random as _random
+def _random_data(rng, field, trials):
+    """`trials` random sigma-2 data, each drawn from a generator seeded by rng."""
+    for _ in range(trials):
+        yield relalg.random_sigma_data(field, Random(rng.randrange(2**63)))
 
-    for n in range(trials):
-        data = relalg.random_sigma_data(field, _random.Random(rng.randrange(2**63)))
+
+def _ledger_sigma2(rng, field, trials):
+    for data in _random_data(rng, field, trials):
         split = relalg.validate_sigma2(data)
-        ok_sum = split.d0 + split.d1 + split.d2 == 5 * data.pg + data.theta + 4
-        if not ok_sum:
-            checks.append({"name": "sigma2/degree-slots", "passed": False,
-                           "details": {"pg": data.pg, "theta": data.theta, "alpha": data.alpha}})
-            return
-        tau = relalg.tau_of(data)
-        if tau.degree != 2 * data.pg + data.theta - 2:
-            checks.append({"name": "sigma2/tau-degree", "passed": False,
-                           "details": {"pg": data.pg, "theta": data.theta, "alpha": data.alpha}})
-            return
-    checks.append({"name": "sigma2/degree-slots", "passed": True, "details": {"trials": trials}})
-    checks.append({"name": "sigma2/tau-degree", "passed": True, "details": {"trials": trials}})
+        where = {"pg": data.pg, "theta": data.theta, "alpha": data.alpha}
+        if split.d0 + split.d1 + split.d2 != 5 * data.pg + data.theta + 4:
+            return [("sigma2/degree-slots", False, where)]
+        if relalg.tau_of(data).degree != 2 * data.pg + data.theta - 2:
+            return [("sigma2/tau-degree", False, where)]
+    return [("sigma2/degree-slots", True, {"trials": trials}),
+            ("sigma2/tau-degree", True, {"trials": trials})]
 
 
-def _ledger_lifting(rng, field, trials, checks):
-    import random as _random
-
+def _ledger_lifting(rng, field, trials):
     sample = None
-    for n in range(trials):
-        data = relalg.random_sigma_data(field, _random.Random(rng.randrange(2**63)))
+    for data in _random_data(rng, field, trials):
         if data.f0.is_zero:
             continue
         cert = relalg.lifting_annihilator(data)
         if not cert.verify():
-            checks.append({"name": "lifting/f0^4-annihilator", "passed": False, "details": {}})
-            return
+            return [("lifting/f0^4-annihilator", False, {})]
         if sample is None:
             sample = [[format_binform(c) for c in sol] for sol in cert.solutions]
-    checks.append(
-        {
-            "name": "lifting/f0^4-annihilator",
-            "passed": True,
-            "details": {"trials": trials, "certificate": sample},
-        }
-    )
+    return [("lifting/f0^4-annihilator", True, {"trials": trials, "certificate": sample})]
 
 
-def _ledger_s6(rng, field, trials, checks):
-    import random as _random
-
-    for n in range(trials):
-        data = relalg.random_sigma_data(field, _random.Random(rng.randrange(2**63)))
+def _ledger_s6(rng, field, trials):
+    for data in _random_data(rng, field, trials):
         s6 = relalg.s6prime_matrix(data)
         rel = relalg.relation_matrix(data.f0, data.f1)
         prod = relalg.mat_mul([list(r) for r in s6.matrix], rel)
         if not relalg.mat_is_zero(prod):
-            checks.append({"name": "eq.S3S2->S6/kernel", "passed": False, "details": {}})
-            return
+            return [("eq.S3S2->S6/kernel", False, {})]
         want = (
             5 * data.pg + 2 * data.theta + data.alpha + 2,
             6 * data.pg + 3 * data.theta - data.alpha,
         )
         if s6.summand_degrees != want:
-            checks.append({"name": "eq.S3S2->S6/summands", "passed": False, "details": {}})
-            return
-    checks.append({"name": "eq.S3S2->S6/kernel", "passed": True, "details": {"trials": trials}})
-    checks.append({"name": "eq.S3S2->S6/summands", "passed": True, "details": {"trials": trials}})
+            return [("eq.S3S2->S6/summands", False, {})]
+    return [("eq.S3S2->S6/kernel", True, {"trials": trials}),
+            ("eq.S3S2->S6/summands", True, {"trials": trials})]
 
 
-def _ledger_examples(checks):
+def _ledger_examples(rng, field, trials):
+    checks = []
     for key in relalg.EXAMPLE_KEYS:
         rep = relalg.example_verify(key)
-        checks.append(
-            {
-                "name": f"examples/alpha{key[0]}-theta{key[1]}-K2-{key[2]}",
-                "passed": rep.passed,
-                "details": {k: bool(v) for k, v in rep.checks.items()},
-            }
-        )
+        checks.append((f"examples/alpha{key[0]}-theta{key[1]}-K2-{key[2]}", rep.passed,
+                       {k: bool(v) for k, v in rep.checks.items()}))
+    return checks
 
 
-def _ledger_bidouble(checks):
+def _ledger_bidouble(rng, field, trials):
     bad = []
     for theta in range(7):
         for pg in range(2, 21):
@@ -229,53 +200,46 @@ def _ledger_bidouble(checks):
                 family.bidouble_cross_check(theta, pg)
             except AssertionError:
                 bad.append((theta, pg))
-    checks.append(
-        {"name": "bidouble/cross-check", "passed": not bad, "details": {"failures": bad}}
-    )
+    return [("bidouble/cross-check", not bad, {"failures": bad})]
 
 
-def _ledger_invariants(checks):
+def _ledger_invariants(rng, field, trials):
     bad = []
     for pg in range(2, 51):
         for theta in range(7):
             inv = chow.surface_invariants(pg, theta)
             if inv["K2"] != 4 * pg - 6 + theta or inv["chi"] != pg + 1:
                 bad.append((pg, theta))
-    checks.append(
-        {"name": "invariants/closed-forms", "passed": not bad, "details": {"failures": bad}}
-    )
-    checks.append(
-        {
-            "name": "invariants/adjunction",
-            "passed": all(
-                chow.adjunction_check(pg, th) == chow.H for pg in (2, 9, 30) for th in range(7)
-            ),
-            "details": {},
-        }
-    )
+    adjunction = all(chow.adjunction_check(pg, th) == chow.H for pg in (2, 9, 30) for th in range(7))
+    return [("invariants/closed-forms", not bad, {"failures": bad}),
+            ("invariants/adjunction", adjunction, {})]
+
+
+#: verify target -> its ledgers, run in this order.  Each ledger takes
+#: (rng, field, trials) and returns (name, passed, details) triples; the
+#: random-data ledgers report only the check that failed first, and the
+#: last three draw no random data.
+LEDGERS = {
+    "all": (_ledger_sigma2, _ledger_lifting, _ledger_s6, _ledger_examples,
+            _ledger_bidouble, _ledger_invariants),
+    "sigma2": (_ledger_sigma2,),
+    "lifting": (_ledger_lifting,),
+    "s6": (_ledger_s6,),
+    "examples": (_ledger_examples,),
+}
 
 
 def cmd_verify(args) -> dict:
-    import random as _random
-
     if args.trials is not None and args.trials <= 0:
         raise CliError("--trials must be positive", code=2)
     trials = args.trials or 25
     field = parse_field(args.field)
-    rng = _random.Random(args.seed)
-    checks: List[dict] = []
-    what = args.what
-    if what in ("sigma2", "all"):
-        _ledger_sigma2(rng, field, trials, checks)
-    if what in ("lifting", "all"):
-        _ledger_lifting(rng, field, trials, checks)
-    if what in ("s6", "all"):
-        _ledger_s6(rng, field, trials, checks)
-    if what in ("examples", "all"):
-        _ledger_examples(checks)
-    if what == "all":
-        _ledger_bidouble(checks)
-        _ledger_invariants(checks)
+    rng = Random(args.seed)
+    checks = [
+        {"name": name, "passed": passed, "details": details}
+        for ledger in LEDGERS[args.what]
+        for name, passed, details in ledger(rng, field, trials)
+    ]
     checks.sort(key=lambda c: c["name"])
     doc = {
         "field": str(field),
@@ -329,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None)
 
     p = sub.add_parser("verify", help="run the identity ledger")
-    p.add_argument("what", nargs="?", default="all",
-                   choices=["all", "sigma2", "lifting", "s6", "examples"])
+    p.add_argument("what", nargs="?", default="all", choices=list(LEDGERS))
     p.add_argument("--field", type=str, default="fp:10007")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--trials", type=int, default=None)

@@ -13,15 +13,13 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .binform import BinForm, random_binform, random_split_squarefree
 from .chow import (
-    DivisorClass,
     F,
     IntersectionContext,
     class_G,
-    class_K_surface,
     class_Q,
     class_fixed_part,
     surface_invariants,
@@ -116,11 +114,11 @@ class SurfaceEquations:
             raise ValueError("Q must have x0^2-coefficient exactly 1")
         if self.G.coefficient(_ZSQ) != one:
             raise ValueError("G must have z^2-coefficient exactly 1")
-        if self.Q.bidegree != (2, -2):
+        if self.Q.bidegree != class_Q():
             raise ValueError("Q must live in |2H - 2F|")
-        expected_G = (6, -(6 * self.bundle.pg + 2 * self.bundle.theta))
+        expected_G = class_G(self.bundle)
         if self.G.bidegree != expected_G:
-            raise ValueError(f"G must live in |6H{expected_G[1]:+d}F|")
+            raise ValueError(f"G must live in |{expected_G}|")
         for mono in self.Q.terms:
             if mono not in (_X0SQ, _X1SQ, _Y):
                 raise ValueError(f"unexpected monomial {mono} in Q")
@@ -159,12 +157,19 @@ class SurfaceEquations:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SurfaceEquations":
+        """Equations from their JSON document; a malformed one is a ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"an equation file holds a JSON object, not {type(d).__name__}")
+        for key in ("p_g", "theta", "field", "Q", "G"):
+            if key not in d:
+                raise ValueError(f"missing key {key!r}")
+        for key in ("field", "Q", "G"):
+            if not isinstance(d[key], dict):
+                raise ValueError(f"{key!r} must be a JSON object, not {type(d[key]).__name__}")
         bundle = BundleData(int(d["p_g"]), int(d["theta"]))
         field = FieldSpec.from_json(d["field"])
-        Q = section_terms_from_dict(bundle, field, (2, -2), d["Q"])
-        G = section_terms_from_dict(
-            bundle, field, (6, -(6 * bundle.pg + 2 * bundle.theta)), d["G"]
-        )
+        Q = section_terms_from_dict(bundle, field, class_Q(), d["Q"])
+        G = section_terms_from_dict(bundle, field, class_G(bundle), d["G"])
         return SurfaceEquations(bundle, field, Q, G).validate()
 
     def save(self, path: str) -> None:
@@ -208,13 +213,13 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
     Q = GradedSection(
         bundle,
         field,
-        (2, -2),
+        class_Q(),
         {_X0SQ: one, _X1SQ: random_binform(field, table.q_x, rng), _Y: q_y},
     )
     g_terms = {_ZSQ: one}
     for (i, j, k) in table.g_present():
         g_terms[FiberMonomial(i, j, k, 0)] = random_binform(field, table.g[(i, j, k)], rng)
-    G = GradedSection(bundle, field, (6, -(6 * params.pg + 2 * params.theta)), g_terms)
+    G = GradedSection(bundle, field, class_G(bundle), g_terms)
     return SurfaceEquations(bundle, field, Q, G).validate()
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -128,12 +128,6 @@ class FieldSpec:
     def div(self, a: Scalar, b: Scalar) -> Scalar:
         return self.mul(a, self.inv(b))
 
-    def elements(self) -> Iterator[int]:
-        """All residues of a prime field (rationals are not enumerable)."""
-        if not self.is_prime_field:
-            raise ValueError("cannot enumerate the rationals")
-        return iter(range(self.p))
-
     def random_element(self, rng) -> Scalar:
         """Uniform residue over F_p; small bounded integer over the rationals."""
         if self.is_prime_field:
@@ -141,9 +135,6 @@ class FieldSpec:
         return Fraction(rng.randint(-9, 9))
 
     # -- serialization --------------------------------------------------
-
-    def scalar_str(self, v: Scalar) -> str:
-        return str(v)
 
     def to_json(self) -> dict:
         if self.is_rational:

@@ -123,9 +123,6 @@ class YPoly:
             total = total + coeff * y0**e0 * y1**e1 * y2**e2
         return total
 
-    def total_degrees(self) -> set:
-        return {sum(e) for e in self.terms}
-
     def twist_offset(self, twists: Tuple[int, int, int]) -> Optional[int]:
         """The common value deg(coeff) - sum(e_i d_i), or raise if mixed.
 
@@ -201,15 +198,16 @@ class SigmaTwoData:
     def field(self) -> FieldSpec:
         return self.f0.field if not self.f0.is_zero else self.f1.field
 
-    def degree_slots(self) -> Dict[str, int]:
-        pg, th, a = self.pg, self.theta, self.alpha
-        return {
-            "f0": a,
-            "f1": pg + th - a - 2,
-            "g0": pg + a,
-            "g1": 2 * pg + th - a - 2,
-            "g2": 2 * pg,
-        }
+
+def degree_slots(pg: int, theta: int, alpha: int) -> Dict[str, int]:
+    """Prescribed degree of each of the forms f0, f1, g0, g1, g2."""
+    return {
+        "f0": alpha,
+        "f1": pg + theta - alpha - 2,
+        "g0": pg + alpha,
+        "g1": 2 * pg + theta - alpha - 2,
+        "g2": 2 * pg,
+    }
 
 
 @dataclass(frozen=True)
@@ -262,7 +260,7 @@ def validate_sigma2(data: SigmaTwoData) -> SplitType:
         raise SigmaError(
             f"alpha = {a} > 0 requires p_g <= 2*alpha - theta + 4 = {2 * a - th + 4}, got {pg}"
         )
-    for name, deg in data.degree_slots().items():
+    for name, deg in degree_slots(pg, th, a).items():
         form = getattr(data, name)
         if form.is_zero:
             continue
@@ -754,14 +752,7 @@ def random_sigma_data(
             p = rng.randint(2, 2 * a - th + 4)
         if not alpha_feasible(p, th, a):
             continue
-        slots = {
-            "f0": a,
-            "f1": p + th - a - 2,
-            "g0": p + a,
-            "g1": 2 * p + th - a - 2,
-            "g2": 2 * p,
-        }
-        forms = {k: random_binform(field, d, rng) for k, d in slots.items()}
+        forms = {k: random_binform(field, d, rng) for k, d in degree_slots(p, th, a).items()}
         if forms["f0"].is_zero and forms["f1"].is_zero:
             continue
         try:

@@ -14,7 +14,7 @@ accidental one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .binform import BinForm, format_binform, parse_binform
 from .fields import FieldSpec

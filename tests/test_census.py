@@ -253,13 +253,15 @@ def test_sweep_clean_member():
     assert quasi_smooth_sweep(member, 11) == []
 
 
-def test_sweep_deterministic_and_order_independent():
+def test_sweep_deterministic_and_order_independent(monkeypatch):
     member = generate_member(FamilyParams(2, 0, F11, seed=4))  # has failures
     serial = quasi_smooth_sweep(member, 11)
     assert serial, "seed 4 should produce a singular member for this test"
     shuffled = base_points(11)
     random.Random(0).shuffle(shuffled)
-    assert quasi_smooth_sweep(member, 11, base_order=shuffled) == serial
+    with monkeypatch.context() as m:
+        m.setattr(census_mod, "base_points", lambda p: list(shuffled))
+        assert quasi_smooth_sweep(member, 11) == serial
     assert quasi_smooth_sweep(member, 11) == serial
 
 
@@ -529,8 +531,12 @@ def test_run_census_rational_member_reduces():
 
 def test_run_census_prime_member_uses_own_prime():
     member = generate_member(FamilyParams(2, 0, F11, seed=1))
-    report = run_census(member, p_nodes=101, p_sweep=11)
-    assert report.p_nodes == 11 and report.p_sweep == 11
+    for primes in ((None, None), (11, None), (None, 11), (11, 11)):
+        report = run_census(member, *primes)
+        assert report.p_nodes == 11 and report.p_sweep == 11
+    for primes in ((101, None), (None, 13), (101, 11), (11, 13)):
+        with pytest.raises(ValueError, match="would cross characteristics"):
+            run_census(member, *primes, skip_sweep=True)
 
 
 def test_run_census_skip_sweep():

@@ -169,10 +169,28 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
     code = main(["census", "--in", str(out)])
     doc = json.loads(capsys.readouterr().out)
     assert code == 1 and list(doc) == ["error"]
-    assert doc["error"].startswith("sweep at p = 10007 would visit 1002201610392 fiber pairs")
+    assert doc["error"].startswith("sweep at p = 10007 would visit 100160064 fiber candidates")
     assert "--skip-sweep" in doc["error"]
     code, doc = run_cli(capsys, "census", "--in", str(out), "--skip-sweep")
     assert code == 0 and doc["prime_nodes"] == 10007
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: [], "an equation file holds a JSON object"),
+    (lambda doc: {**doc, "field": "fp:11"}, "'field' must be a JSON object"),
+    (lambda doc: {**doc, "Q": [1]}, "'Q' must be a JSON object"),
+    (lambda doc: {k: v for k, v in doc.items() if k != "theta"}, "missing key 'theta'"),
+], ids=["list", "field-string", "Q-list", "no-theta"])
+def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "member.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
+          "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code = main(["census", "--in", str(path)])
+    doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 1 and list(doc) == ["error"]
+    assert message in doc["error"]
 
 
 def test_census_missing_file(capsys):
