@@ -4,8 +4,9 @@ Subpackage map:
 
 - :mod:`canpencil.fields`, :mod:`canpencil.binform` -- exact scalars and
   binary forms on the base line, with the literal parser;
-- :mod:`canpencil.sections` -- the bigraded section ring of the weighted
-  bundle P(1:1:2:3) over P^1, with normal-form reduction;
+- :mod:`canpencil.sections` -- the sparse-polynomial core and, on it, the
+  bigraded section ring of the weighted bundle P(1:1:2:3) over P^1, with
+  normal-form reduction;
 - :mod:`canpencil.chow` -- intersection numbers and surface invariants;
 - :mod:`canpencil.family` -- degree tables, seeded members, bidouble-cover
   branch data, genus feasibility;

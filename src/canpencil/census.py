@@ -107,8 +107,7 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
             raise ValueError(f"member lives over F_{eqs.field.p}, cannot census at p = {p}")
         return eqs
     def reduce_section(s: GradedSection) -> GradedSection:
-        terms = {m: BinForm(spec, [spec.normalize(c) for c in coeff.coeffs])
-                 for m, coeff in s.terms.items()}
+        terms = {m: BinForm(spec, coeff.coeffs) for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)
     try:
         return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
@@ -244,16 +243,9 @@ def branch_disjointness(
     eqs = _as_prime_equations(eqs, p)
     if census is None:
         census = node_census(eqs, p)
-    violations = []
-    for rec in census.nodes:
-        t0, t1 = rec.point.base
-        value = 0
-        for mono, coeff in eqs.branch_terms().items():
-            if mono.i == 0 and mono.j == 0:
-                value = (value + coeff.evaluate(t0, t1)) % p
-        if value == 0:
-            violations.append(BranchViolation(rec.point, 0))
-    return violations
+    g003 = eqs.g_coefficient(0, 0, 3)
+    return [BranchViolation(rec.point, 0) for rec in census.nodes
+            if g003.evaluate(*rec.point.base) == 0]
 
 
 # ---------------------------------------------------------------------------

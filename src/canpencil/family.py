@@ -25,7 +25,7 @@ from .chow import (
     surface_invariants,
     top_intersection,
 )
-from .fields import FieldSpec
+from .fields import FieldSpec, json_int
 from .sections import (
     _X0SQ,
     _ZSQ,
@@ -166,7 +166,12 @@ class SurfaceEquations:
         for key in ("field", "Q", "G"):
             if not isinstance(d[key], dict):
                 raise ValueError(f"{key!r} must be a JSON object, not {type(d[key]).__name__}")
-        bundle = BundleData(int(d["p_g"]), int(d["theta"]))
+        for key in ("Q", "G"):
+            for mono, coeff in d[key].items():
+                if not isinstance(coeff, str):
+                    raise ValueError(f"{key!r} coefficient of {mono!r} must be a string, "
+                                     f"not {type(coeff).__name__}")
+        bundle = BundleData(json_int(d["p_g"], "'p_g'"), json_int(d["theta"], "'theta'"))
         field = FieldSpec.from_json(d["field"])
         Q = section_terms_from_dict(bundle, field, class_Q(), d["Q"])
         G = section_terms_from_dict(bundle, field, class_G(bundle), d["G"])

@@ -23,6 +23,13 @@ PRIME_MIN = 5
 PRIME_MAX = 2**31
 
 
+def json_int(value, name: str) -> int:
+    """`value` if it is a JSON integer (a bool is not one), else a ValueError naming `name`."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be a JSON integer, not {type(value).__name__}")
+    return value
+
+
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.2e18."""
     if n < 2:
@@ -143,10 +150,15 @@ class FieldSpec:
 
     @staticmethod
     def from_json(d: dict) -> "FieldSpec":
+        """The field `to_json` describes; a malformed descriptor is a ValueError."""
         if d.get("kind") == "rationals":
+            if "p" in d:
+                raise ValueError("a rationals descriptor carries no key 'p'")
             return FieldSpec.rationals()
         if d.get("kind") == "prime_field":
-            return FieldSpec.prime_field(int(d["p"]))
+            if "p" not in d:
+                raise ValueError("missing key 'p' in the prime-field descriptor")
+            return FieldSpec.prime_field(json_int(d["p"], "field 'p'"))
         raise ValueError(f"bad field descriptor {d!r}")
 
     def __str__(self) -> str:

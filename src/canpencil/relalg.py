@@ -10,7 +10,8 @@ normalized so its third column is (0, 0, 1):
 
 Everything downstream of that matrix is symbolic and exact: the
 determinant divisor tau, the conic relation in the three bundle
-coordinates (y0, y1, y2), the rank-2 quotient acting on cubics, the
+coordinates (y0, y1, y2) (a `YPoly`, whose ring operations are the shared
+`sections.SparsePoly` ones), the rank-2 quotient acting on cubics, the
 f0^4 annihilator certificates, and the three exceptional low-invariant
 families, which are rebuilt from scratch and checked coefficient by
 coefficient.
@@ -39,6 +40,7 @@ from .binform import (
     random_binform,
 )
 from .fields import QQ, FieldSpec
+from .sections import SparsePoly
 
 
 class SigmaError(ValueError):
@@ -50,27 +52,10 @@ class SigmaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class YPoly:
-    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2."""
+class YPoly(SparsePoly):
+    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2, keyed by exponents."""
 
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: FieldSpec, terms: Dict[Tuple[int, int, int], BinForm]):
-        clean = {}
-        for exps, coeff in terms.items():
-            if coeff.field != field:
-                raise ValueError("coefficient field mismatch")
-            if not coeff.is_zero:
-                clean[tuple(exps)] = coeff
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("YPoly is immutable")
-
-    @staticmethod
-    def zero(field: FieldSpec) -> "YPoly":
-        return YPoly(field, {})
+    __slots__ = ()
 
     @staticmethod
     def variable(field: FieldSpec, index: int) -> "YPoly":
@@ -82,39 +67,6 @@ class YPoly:
     def from_linear(c0: BinForm, c1: BinForm, c2: BinForm) -> "YPoly":
         field = c0.field
         return YPoly(field, {(1, 0, 0): c0, (0, 1, 0): c1, (0, 0, 1): c2})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, exps) -> BinForm:
-        return self.terms.get(tuple(exps), BinForm.zero(self.field))
-
-    def __add__(self, other: "YPoly") -> "YPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            terms[e] = c if acc is None else acc + c
-        return YPoly(self.field, terms)
-
-    def __neg__(self) -> "YPoly":
-        return YPoly(self.field, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "YPoly") -> "YPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "YPoly") -> "YPoly":
-        terms: Dict[Tuple[int, int, int], BinForm] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = c1 * c2
-                acc = terms.get(e)
-                terms[e] = prod if acc is None else acc + prod
-        return YPoly(self.field, terms)
-
-    def scale(self, c: BinForm) -> "YPoly":
-        return YPoly(self.field, {e: c * v for e, v in self.terms.items()})
 
     def substitute(self, y0: BinForm, y1: BinForm, y2: BinForm) -> BinForm:
         """Evaluate at binary-form values of the three coordinates."""
@@ -137,13 +89,6 @@ class YPoly:
             elif offset != m:
                 raise SigmaError(f"inhomogeneous twist: {m} vs {offset} at {e}")
         return offset
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, YPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         body = " + ".join(
@@ -386,18 +331,12 @@ class LiftingCertificate:
         ]
 
     def verify(self) -> bool:
-        m = self.columns()
         f04 = self.data.f0 ** 4
-        field = self.data.field
-        for i, sol in enumerate(self.solutions):
-            for r in range(3):
-                acc = BinForm.zero(field)
-                for c in range(3):
-                    acc = acc + m[r][c] * sol[c]
-                want = f04 if r == i else BinForm.zero(field)
-                if acc != want:
-                    return False
-        return True
+        zero = BinForm.zero(self.data.field)
+        prod = mat_mul(self.columns(), [list(row) for row in zip(*self.solutions)])
+        return all(
+            prod[r][i] == (f04 if r == i else zero) for r in range(3) for i in range(3)
+        )
 
 
 def lifting_annihilator(data: SigmaTwoData) -> LiftingCertificate:

@@ -9,17 +9,23 @@ prescribed coefficient degree is negative can only carry the zero form,
 which the sparse representation stores as absence; the bidegree is explicit
 and never inferred, so a forced zero stays distinguishable from an
 accidental one.
+
+The sparse ring operations live once, in `SparsePoly`; `GradedSection`
+adds the bundle and bidegree, and `relalg.YPoly` its own helpers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from operator import add, sub
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .binform import BinForm, format_binform, parse_binform
 from .fields import FieldSpec
 
 WEIGHTS = (1, 1, 2, 3)
+
+_setattr = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -68,11 +74,6 @@ class FiberMonomial(NamedTuple):
         a = bundle.twists
         return self.i * a[0] + self.j * a[1] + self.k * a[2] + self.l * a[3]
 
-    def __mul__(self, other: "FiberMonomial") -> "FiberMonomial":
-        return FiberMonomial(
-            self.i + other.i, self.j + other.j, self.k + other.k, self.l + other.l
-        )
-
     def __str__(self) -> str:
         return monomial_str(self)
 
@@ -118,10 +119,113 @@ class SectionDegreeError(ValueError):
         self.actual = actual
 
 
-class GradedSection:
-    """Sparse section of O_P(d*H + m*F); immutable."""
+class SparsePoly:
+    """Immutable sparse polynomial: exponent tuples -> nonzero BinForms over one field.
 
-    __slots__ = ("bundle", "field", "h", "m", "terms")
+    The one home of ``+``, ``-``, ``*``, `scale` and ``==``.  A subclass names
+    its key type in `_key` and refines the hooks for its ring and grading,
+    which here are the field alone and no grading.
+    """
+
+    __slots__ = ("field", "terms")
+
+    _key = tuple  # builds a key from an iterable of exponents
+
+    def __init__(self, field: FieldSpec, terms: Dict[tuple, BinForm]):
+        key = self._key
+        clean = {}
+        for exps, coeff in terms.items():
+            if coeff.field != field:
+                raise ValueError("coefficient field disagrees with the polynomial field")
+            if not coeff.is_zero:
+                clean[key(exps)] = coeff
+        _setattr(self, "field", field)
+        _setattr(self, "terms", clean)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, exps) -> BinForm:
+        return self.terms.get(self._key(exps), BinForm.zero(self.field))
+
+    # -- hooks -----------------------------------------------------------
+
+    def _mismatch(self, other: "SparsePoly") -> Optional[str]:
+        """Why `other` lies in another ring, or None."""
+        return None if self.field == other.field else "mismatched coefficient fields"
+
+    def _compat(self, other: "SparsePoly") -> None:
+        reason = self._mismatch(other)
+        if reason:
+            raise ValueError(reason)
+
+    _grading = None  # summands must share it
+
+    def _product_grading(self, other: "SparsePoly"):
+        return None
+
+    def _scaled_grading(self, coeff: BinForm):
+        return None
+
+    def _like(self, terms: dict, grading) -> "SparsePoly":
+        return type(self)(self.field, terms)
+
+    # -- ring structure --------------------------------------------------
+
+    def __add__(self, other: "SparsePoly") -> "SparsePoly":
+        self._compat(other)
+        if self._grading != other._grading:
+            raise ValueError(f"grading mismatch in sum: {self._grading} vs {other._grading}")
+        terms = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            acc = terms.get(mono)
+            terms[mono] = coeff if acc is None else acc + coeff
+        return self._like(terms, self._grading)
+
+    def __neg__(self) -> "SparsePoly":
+        return self._like({m: -c for m, c in self.terms.items()}, self._grading)
+
+    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
+        return self + (-other)
+
+    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
+        self._compat(other)
+        key = self._key
+        terms: Dict[tuple, BinForm] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = key(map(add, m1, m2))
+                prod = c1 * c2
+                acc = terms.get(mono)
+                terms[mono] = prod if acc is None else acc + prod
+        return self._like(terms, self._product_grading(other))
+
+    def scale(self, coeff: BinForm) -> "SparsePoly":
+        """Multiply every coefficient by one base form."""
+        if coeff.is_zero:
+            return self._like({}, self._grading)
+        terms = {m: coeff * c for m, c in self.terms.items()}
+        return self._like(terms, self._scaled_grading(coeff))
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self) and self._mismatch(other) is None
+                and self._grading == other._grading and self.terms == other.terms)
+
+
+class GradedSection(SparsePoly):
+    """Sparse section of O_P(d*H + m*F), keyed by `FiberMonomial`; immutable.
+
+    Sections of different bundles never mix; a product adds bidegrees, and
+    scaling by a base form raises the F-twist by its degree.
+    """
+
+    __slots__ = ("bundle", "h", "m")
+
+    _key = staticmethod(FiberMonomial._make)
 
     def __init__(
         self,
@@ -130,22 +234,10 @@ class GradedSection:
         bidegree: Tuple[int, int],
         terms: Dict[FiberMonomial, BinForm],
     ):
-        clean = {}
-        for mono, coeff in terms.items():
-            if not isinstance(mono, FiberMonomial):
-                mono = FiberMonomial(*mono)
-            if coeff.field != field:
-                raise ValueError("coefficient field disagrees with the section field")
-            if not coeff.is_zero:
-                clean[mono] = coeff
-        object.__setattr__(self, "bundle", bundle)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "h", bidegree[0])
-        object.__setattr__(self, "m", bidegree[1])
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GradedSection is immutable")
+        _setattr(self, "bundle", bundle)
+        _setattr(self, "h", bidegree[0])
+        _setattr(self, "m", bidegree[1])
+        super().__init__(field, terms)
 
     # -- basics --------------------------------------------------------
 
@@ -153,26 +245,24 @@ class GradedSection:
     def bidegree(self) -> Tuple[int, int]:
         return (self.h, self.m)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    _grading = bidegree
 
-    def coefficient(self, mono) -> BinForm:
-        if not isinstance(mono, FiberMonomial):
-            mono = FiberMonomial(*mono)
-        return self.terms.get(mono, BinForm.zero(self.field))
+    def _mismatch(self, other: "GradedSection") -> Optional[str]:
+        if self.bundle != other.bundle:
+            return "mismatched bundle data"
+        return super()._mismatch(other)
+
+    def _product_grading(self, other: "GradedSection") -> Tuple[int, int]:
+        return (self.h + other.h, self.m + other.m)
+
+    def _scaled_grading(self, coeff: BinForm) -> Tuple[int, int]:
+        return (self.h, self.m + coeff.degree)
+
+    def _like(self, terms: dict, bidegree: Tuple[int, int]) -> "GradedSection":
+        return GradedSection(self.bundle, self.field, bidegree, terms)
 
     def expected_coeff_degree(self, mono: FiberMonomial) -> int:
         return self.m + mono.twist_sum(self.bundle)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedSection)
-            and self.bundle == other.bundle
-            and self.field == other.field
-            and self.bidegree == other.bidegree
-            and self.terms == other.terms
-        )
 
     def __repr__(self):
         body = " + ".join(
@@ -239,65 +329,6 @@ class GradedSection:
                     f"expected {expected}",
                 )
         return self
-
-    # -- ring structure -------------------------------------------------------
-
-    def _compat(self, other: "GradedSection") -> None:
-        if self.bundle != other.bundle:
-            raise ValueError("mismatched bundle data")
-        if self.field != other.field:
-            raise ValueError("mismatched coefficient fields")
-
-    def __add__(self, other: "GradedSection") -> "GradedSection":
-        self._compat(other)
-        if self.bidegree != other.bidegree:
-            raise ValueError(f"bidegree mismatch in sum: {self.bidegree} vs {other.bidegree}")
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-        return GradedSection(self.bundle, self.field, self.bidegree, terms)
-
-    def __neg__(self) -> "GradedSection":
-        return GradedSection(
-            self.bundle, self.field, self.bidegree, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other: "GradedSection") -> "GradedSection":
-        return self + (-other)
-
-    def __mul__(self, other: "GradedSection") -> "GradedSection":
-        self._compat(other)
-        bidegree = (self.h + other.h, self.m + other.m)
-        terms: Dict[FiberMonomial, BinForm] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 * m2
-                prod = c1 * c2
-                acc = terms.get(mono)
-                terms[mono] = prod if acc is None else acc + prod
-        return GradedSection(self.bundle, self.field, bidegree, terms)
-
-    def scale(self, coeff: BinForm) -> "GradedSection":
-        """Multiply by a base form, raising the F-twist by its degree."""
-        if coeff.is_zero:
-            return GradedSection.zero(self.bundle, self.field, self.bidegree)
-        return GradedSection(
-            self.bundle,
-            self.field,
-            (self.h, self.m + coeff.degree),
-            {m: coeff * c for m, c in self.terms.items()},
-        )
-
-    def __pow__(self, n: int) -> "GradedSection":
-        if n < 0:
-            raise ValueError("negative power")
-        result = GradedSection(
-            self.bundle, self.field, (0, 0), {FiberMonomial(0, 0, 0, 0): BinForm.one(self.field)}
-        )
-        for _ in range(n):
-            result = result * self
-        return result
 
     # -- evaluation ----------------------------------------------------------
 
@@ -367,14 +398,12 @@ def normal_form(s: GradedSection, Q: GradedSection, G: GradedSection) -> GradedS
             rel, lead = G, _ZSQ
         else:
             rel, lead = Q, _X0SQ
-        stub = FiberMonomial(
-            target.i - lead.i, target.j - lead.j, target.k - lead.k, target.l - lead.l
-        )
+        stub = FiberMonomial._make(map(sub, target, lead))
         # c * target == c * stub * rel  -  c * stub * (tail of rel)   (mod ideal)
         for mono, relc in rel.terms.items():
             if mono == lead:
                 continue
-            dest = stub * mono
+            dest = FiberMonomial._make(map(add, stub, mono))
             delta = coeff * relc
             acc = work.get(dest)
             new = -delta if acc is None else acc - delta

@@ -180,7 +180,22 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
     (lambda doc: {**doc, "field": "fp:11"}, "'field' must be a JSON object"),
     (lambda doc: {**doc, "Q": [1]}, "'Q' must be a JSON object"),
     (lambda doc: {k: v for k, v in doc.items() if k != "theta"}, "missing key 'theta'"),
-], ids=["list", "field-string", "Q-list", "no-theta"])
+    (lambda doc: {**doc, "p_g": None}, "'p_g' must be a JSON integer, not NoneType"),
+    (lambda doc: {**doc, "p_g": [2]}, "'p_g' must be a JSON integer, not list"),
+    (lambda doc: {**doc, "p_g": 2.7}, "'p_g' must be a JSON integer, not float"),
+    (lambda doc: {**doc, "p_g": "2"}, "'p_g' must be a JSON integer, not str"),
+    (lambda doc: {**doc, "theta": False}, "'theta' must be a JSON integer, not bool"),
+    (lambda doc: {**doc, "field": {"kind": "prime_field", "p": None}},
+     "field 'p' must be a JSON integer, not NoneType"),
+    (lambda doc: {**doc, "field": {"kind": "prime_field", "p": "11"}},
+     "field 'p' must be a JSON integer, not str"),
+    (lambda doc: {**doc, "field": {"kind": "prime_field"}}, "missing key 'p'"),
+    (lambda doc: {**doc, "field": {"kind": "rationals", "p": 11}}, "carries no key 'p'"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "y": 5}},
+     "'Q' coefficient of 'y' must be a string, not int"),
+], ids=["list", "field-string", "Q-list", "no-theta", "p_g-null", "p_g-list", "p_g-float",
+        "p_g-string", "theta-bool", "p-null", "p-string", "no-p", "rationals-p",
+        "coefficient-int"])
 def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit, message):
     path = tmp_path / "member.json"
     main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
@@ -222,6 +237,14 @@ def test_verify_zero_trials_is_config_error(capsys):
     code, doc = run_cli(capsys, "verify", "--seed", "5", "--trials", "0")
     assert code == 2
     assert "trials" in doc["error"]
+
+
+def test_verify_trials_above_cap_is_config_error(capsys):
+    from canpencil.cli import TRIALS_MAX
+
+    code, doc = run_cli(capsys, "verify", "--seed", "5", "--trials", "1000000000000")
+    assert code == 2
+    assert doc == {"error": f"--trials must lie in 1..{TRIALS_MAX}"}
 
 
 def test_verify_bit_reproducible(capsys):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from canpencil.binform import BinForm, parse_binform, random_binform
 from canpencil.fields import QQ, FieldSpec
+from canpencil.relalg import YPoly
 from canpencil.sections import (
     BundleData,
     FiberMonomial,
@@ -147,9 +148,15 @@ def test_mul_mismatched_bundles_rejected():
     x0_b = GradedSection.variable(BundleData(2, 1), QQ, 0)
     with pytest.raises(ValueError, match="bundle"):
         x0_a * x0_b
-    x0_f = GradedSection.variable(BundleData(2, 0), F101, 0)
+
+
+@pytest.mark.parametrize("variable", [
+    lambda field: GradedSection.variable(BundleData(2, 0), field, 0),
+    lambda field: YPoly.variable(field, 0),
+], ids=["GradedSection", "YPoly"])
+def test_mul_mismatched_fields_rejected(variable):
     with pytest.raises(ValueError, match="field"):
-        x0_a * x0_f
+        variable(QQ) * variable(F101)
 
 
 def test_mul_by_unit():
@@ -160,22 +167,34 @@ def test_mul_by_unit():
     assert Q * one == Q
 
 
-def test_mul_convolution_oracle():
+def random_ypoly(field, offset, rng):
+    """Random quadric in (y0, y1, y2), homogeneous for the twists (2, 3, 4)."""
+    terms = {}
+    for e in [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]:
+        terms[e] = random_binform(field, offset + 2 * e[0] + 3 * e[1] + 4 * e[2], rng)
+    return YPoly(field, terms)
+
+
+@pytest.mark.parametrize("factors", [
+    lambda rng: (random_section(BundleData(2, 1), QQ, (2, -2), rng),
+                 random_section(BundleData(2, 1), QQ, (2, -3), rng)),
+    lambda rng: (random_ypoly(QQ, 0, rng), random_ypoly(QQ, 1, rng)),
+], ids=["GradedSection", "YPoly"])
+def test_mul_convolution_oracle(factors):
     # oracle: brute-force convolution over expanded term lists
-    rng = random.Random(2)
-    b = BundleData(2, 1)
-    s1 = random_section(b, QQ, (2, -2), rng)
-    s2 = random_section(b, QQ, (2, -3), rng)
+    s1, s2 = factors(random.Random(2))
     prod = s1 * s2
     expected = {}
     for m1, c1 in s1.terms.items():
         for m2, c2 in s2.terms.items():
-            key = FiberMonomial(m1.i + m2.i, m1.j + m2.j, m1.k + m2.k, m1.l + m2.l)
+            key = tuple(a + b for a, b in zip(m1, m2))
             acc = expected.get(key)
             expected[key] = c1 * c2 if acc is None else acc + c1 * c2
     expected = {m: c for m, c in expected.items() if not c.is_zero}
     assert prod.terms == expected
-    prod.validate()
+    assert {type(m) for m in prod.terms} == {type(next(iter(s1.terms)))}
+    if isinstance(prod, GradedSection):
+        prod.validate()
 
 
 @settings(max_examples=25)
