@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,8 @@ from canpencil.binform import (
     roots,
 )
 from canpencil.fields import QQ, FieldSpec
+
+import binform_reference
 
 F5 = FieldSpec.prime_field(5)
 F101 = FieldSpec.prime_field(101)
@@ -611,6 +614,53 @@ def test_print_parse_roundtrip_qq(f):
 @given(binforms(field=F5))
 def test_print_parse_roundtrip_f5(f):
     assert parse_binform(format_binform(f), F5) == f
+
+
+# Random literals for the parser oracle: a soup of grammar pieces, stray
+# characters and non-ASCII digits, and near-valid term sums that reach the
+# denominator, zero-term and homogeneity checks.
+_LITERAL_PIECES = ["t0", "t1", "^", "*", "/", "+", "-", "0", "1", "2", "7", "12", "x", "t2",
+                   "@", "_", "\u00e9", "\u0663", "t01", "\u00b2", " ", "\t"]
+_FACTOR_PIECES = ["0", "1", "2", "7", "12", "3/2", "1/7", "7/14", "2/10", "1/0",
+                  "t0", "t1", "t0^2", "t1^3", "t0^0", "t1^12"]
+PARSE_FIELDS = [QQ, F5, FieldSpec.prime_field(7)]
+
+
+def _short_digit_runs(text):
+    """Every run of `str.isdigit` characters has at most 4, so exponents stay below 10^4."""
+    return all(len(list(run)) <= 4 for digit, run in groupby(text, str.isdigit) if digit)
+
+
+literal_soup = st.lists(st.sampled_from(_LITERAL_PIECES), max_size=16).map("".join)
+near_valid_literals = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-", " - ", "+ "]),
+              st.lists(st.sampled_from(_FACTOR_PIECES), min_size=1, max_size=3)),
+    min_size=1, max_size=4,
+).map(lambda terms: "".join(sign + "*".join(factors) for sign, factors in terms))
+
+
+def parse_outcome(parse, text, field):
+    """What `parse` makes of `text`: a form with its coefficient types, or the error."""
+    try:
+        f = parse(text, field)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+    return ("form", f.field, f.coeffs, tuple(map(type, f.coeffs)))
+
+
+def expected_outcome(text, field):
+    """The reference parser's outcome."""
+    return parse_outcome(binform_reference.parse_binform, text, field)
+
+
+@pytest.mark.oracle
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(literal_soup, near_valid_literals).filter(_short_digit_runs),
+       st.sampled_from(PARSE_FIELDS))
+def test_parse_matches_reference_parser(text, field):
+    assert parse_outcome(parse_binform, text, field) == expected_outcome(text, field)
 
 
 # -- misc helpers -------------------------------------------------------------------
