@@ -24,6 +24,7 @@ int lists mod p, in O(d^2 log p) for a form of degree d.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -584,43 +585,93 @@ def random_split_squarefree(field: FieldSpec, degree: int, rng) -> BinForm:
 
 
 class ParseError(ValueError):
-    """Syntax or homogeneity error; `offset` is the byte position."""
+    """Syntax or homogeneity error; `offset` counts characters, though the message says "byte"."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("t0", i) or text.startswith("t1", i):
-            tokens.append(("var", text[i : i + 2], i))
-            i += 2
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            raise ParseError(f"unknown variable {text[i:j]!r} (expected t0 or t1)", i)
-        raise ParseError(f"unexpected character {ch!r}", i)
-    return tokens
+# An unsigned decimal integer, a variable, an operator, a word (an unknown
+# variable if it starts with a letter) or any other non-space character.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>t[01])|(?P<op>[-+*/^])|(?P<word>\w+)|(?P<char>\S)")
+
+
+def scan_binform(text: str, field: FieldSpec):
+    """Read a literal as ``(degree, {t1 exponent: coefficient})`` without building the form.
+
+    Coefficients are canonical in `field` and nonzero; the zero form reads
+    as ``(None, {})``.  Errors come in this order: a bad character, a syntax
+    error, a denominator not invertible in `field` (at its own term), and a
+    nonzero term whose degree differs from the first nonzero term's.
+    """
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    for kind, tok, off in tokens:
+        if kind == "word" or kind == "char":
+            raise ParseError(f"unknown variable {tok!r} (expected t0 or t1)" if tok[0].isalpha()
+                             else f"unexpected character {tok[0]!r}", off)
+    if not tokens:
+        raise ParseError("empty polynomial literal", 0)
+    if tokens[0][1] not in ("+", "-"):  # an implicit '+' opens the first term
+        tokens.insert(0, ("op", "+", tokens[0][2]))
+    # state: "factor" is due next; an "int" or a "var" was just read; "/" or
+    # "^" waits for its integer; a "term" may end here
+    terms, state = [], "term"  # [numerator, denominator, e0, e1, offset] per term
+    for kind, tok, off in tokens + [("end", "", len(text))]:
+        if state == "factor":
+            if kind == "int":
+                term[0] *= int(tok)
+            elif kind == "var":
+                var = 2 if tok == "t0" else 3
+                term[var] += 1
+            else:
+                raise ParseError("expected coefficient or variable", off)
+            state = kind
+        elif state == "/" or state == "^":
+            if kind != "int":
+                what = "denominator after '/'" if state == "/" else "integer exponent after '^'"
+                raise ParseError(f"expected {what}", off)
+            if state == "^":
+                term[var] += int(tok) - 1
+            elif int(tok):
+                term[1] *= int(tok)
+            else:
+                raise ParseError("zero denominator", off)
+            state = "term"
+        elif tok == "*":
+            state = "factor"
+        elif (state, tok) in (("int", "/"), ("var", "^")):
+            state = tok
+        elif tok == "+" or tok == "-":
+            term = [-1 if tok == "-" else 1, 1, 0, 0, off]
+            terms.append(term)
+            state = "factor"
+        elif kind != "end":
+            raise ParseError("expected '+' or '-' between terms", off)
+    p, live, coeffs = field.p, [], {}
+    for num, den, e0, e1, off in terms:
+        try:
+            c = num % p if p and den == 1 else field.normalize(Fraction(num, den))
+        except ZeroDivisionError as exc:
+            raise ParseError(str(exc), off) from None
+        if c:
+            live.append((c, e0 + e1, e1, off))
+    for c, degree, e1, off in live:
+        if degree != live[0][1]:
+            raise ParseError(f"inhomogeneous literal: term of degree {degree} "
+                             f"in a degree-{live[0][1]} form", off)
+        coeffs[e1] = field.add(coeffs.get(e1, field.zero), c)
+    coeffs = {e1: c for e1, c in coeffs.items() if c}
+    return (live[0][1] if coeffs else None), coeffs
+
+
+def build_binform(scanned, field: FieldSpec) -> BinForm:
+    """The form `scan_binform` read, with dense coefficients of t0^(d-i)*t1^i."""
+    degree, coeffs = scanned
+    dense = [field.zero] * (degree + 1 if coeffs else 0)
+    for e1, c in coeffs.items():
+        dense[e1] = c
+    return BinForm._trusted(field, tuple(dense))
 
 
 def parse_binform(text: str, field: FieldSpec) -> BinForm:
@@ -629,94 +680,7 @@ def parse_binform(text: str, field: FieldSpec) -> BinForm:
     Example: ``"3*t0^2*t1 - 1/2*t1^3"``.  All terms must share one total
     degree once zero-coefficient terms are dropped.
     """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty polynomial literal", 0)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None, len(text))
-
-    def advance():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def parse_factor():
-        kind, value, off = peek()
-        if kind == "int":
-            advance()
-            num = int(value)
-            if peek()[0] == "/":
-                advance()
-                k2, v2, o2 = peek()
-                if k2 != "int":
-                    raise ParseError("expected denominator after '/'", o2)
-                advance()
-                if int(v2) == 0:
-                    raise ParseError("zero denominator", o2)
-                return ("coeff", Fraction(num, int(v2)), off)
-            return ("coeff", Fraction(num), off)
-        if kind == "var":
-            advance()
-            exp = 1
-            if peek()[0] == "^":
-                advance()
-                k2, v2, o2 = peek()
-                if k2 != "int":
-                    raise ParseError("expected integer exponent after '^'", o2)
-                advance()
-                exp = int(v2)
-            return (value, exp, off)
-        raise ParseError("expected coefficient or variable", off)
-
-    terms = []  # (coeff Fraction, e0, e1, offset)
-    while True:
-        sign = 1
-        kind, value, off = peek()
-        term_off = off
-        if kind in ("+", "-"):
-            advance()
-            sign = -1 if kind == "-" else 1
-        coeff = Fraction(sign)
-        e0 = e1 = 0
-        while True:
-            what, val, foff = parse_factor()
-            if what == "coeff":
-                coeff *= val
-            elif what == "t0":
-                e0 += val
-            else:
-                e1 += val
-            if peek()[0] == "*":
-                advance()
-                continue
-            break
-        terms.append((coeff, e0, e1, term_off))
-        kind, _, off = peek()
-        if kind is None:
-            break
-        if kind not in ("+", "-"):
-            raise ParseError("expected '+' or '-' between terms", off)
-
-    try:
-        live = [(field.normalize(c), e0, e1, off) for (c, e0, e1, off) in terms]
-    except ZeroDivisionError as exc:
-        raise ParseError(str(exc), terms[0][3]) from None
-    live = [t for t in live if t[0] != 0]
-    if not live:
-        return BinForm.zero(field)
-    degree = live[0][1] + live[0][2]
-    for c, e0, e1, off in live:
-        if e0 + e1 != degree:
-            raise ParseError(
-                f"inhomogeneous literal: term of degree {e0 + e1} in a degree-{degree} form", off
-            )
-    coeffs = [field.zero] * (degree + 1)
-    for c, e0, e1, _ in live:
-        coeffs[e1] = field.add(coeffs[e1], c)
-    return BinForm(field, coeffs)
+    return build_binform(scan_binform(text, field), field)
 
 
 def format_binform(form: BinForm) -> str:

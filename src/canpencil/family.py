@@ -173,9 +173,13 @@ class SurfaceEquations:
                                      f"not {type(coeff).__name__}")
         bundle = BundleData(json_int(d["p_g"], "'p_g'"), json_int(d["theta"], "'theta'"))
         field = FieldSpec.from_json(d["field"])
-        Q = section_terms_from_dict(bundle, field, class_Q(), d["Q"])
-        G = section_terms_from_dict(bundle, field, class_G(bundle), d["G"])
-        return SurfaceEquations(bundle, field, Q, G).validate()
+        sections = {}
+        for key, bidegree in (("Q", class_Q()), ("G", class_G(bundle))):
+            try:
+                sections[key] = section_terms_from_dict(bundle, field, bidegree, d[key])
+            except ValueError as exc:
+                raise ValueError(f"{key!r} {exc}") from None
+        return SurfaceEquations(bundle, field, sections["Q"], sections["G"]).validate()
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

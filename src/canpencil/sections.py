@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .binform import BinForm, format_binform, parse_binform
+from .binform import BinForm, ParseError, build_binform, format_binform, scan_binform
 from .fields import FieldSpec
 
 WEIGHTS = (1, 1, 2, 3)
@@ -86,26 +86,24 @@ def monomial_str(m: FiberMonomial) -> str:
     for name, e in zip(_VAR_NAMES, m):
         if e == 1:
             parts.append(name)
-        elif e > 1:
+        elif e:
             parts.append(f"{name}^{e}")
     return "*".join(parts) if parts else "1"
 
 
 def monomial_from_str(s: str) -> FiberMonomial:
+    """The monomial a key such as ``"x1^2*y"`` names; exponents are ASCII decimal integers."""
     exps = {name: 0 for name in _VAR_NAMES}
-    s = s.strip()
-    if s == "1":
+    if s.strip() == "1":
         return FiberMonomial(0, 0, 0, 0)
     for piece in s.split("*"):
-        piece = piece.strip()
-        if "^" in piece:
-            name, _, expo = piece.partition("^")
-            e = int(expo)
-        else:
-            name, e = piece, 1
+        name, caret, expo = piece.strip().partition("^")
         if name not in exps:
-            raise ValueError(f"unknown fiber variable {name!r} in monomial {s!r}")
-        exps[name] += e
+            raise ValueError(f"monomial {s!r}: unknown fiber variable {name!r}")
+        if caret and not (expo.isascii() and expo.isdigit()):
+            raise ValueError(f"monomial {s!r}: exponent {expo!r} is not a non-negative "
+                             "decimal integer")
+        exps[name] += int(expo) if caret else 1
     return FiberMonomial(*(exps[n] for n in _VAR_NAMES))
 
 
@@ -117,6 +115,34 @@ class SectionDegreeError(ValueError):
         self.monomial = monomial
         self.expected = expected
         self.actual = actual
+
+
+def _check_term(
+    bundle: BundleData, bidegree: Tuple[int, int], mono: FiberMonomial, degree: int
+) -> None:
+    """Refuse a nonzero coefficient of `degree` at `mono` in a section of `bidegree`.
+
+    The monomial's exponents must be non-negative with fiber weight equal to
+    the H-degree, and the coefficient's degree must equal m + a(M) >= 0.
+    """
+    h, m = bidegree
+    if any(e < 0 for e in mono):
+        raise SectionDegreeError(mono, 0, None, f"negative exponent in monomial {mono}")
+    if mono.weight != h:
+        raise SectionDegreeError(
+            mono, h, mono.weight,
+            f"monomial {mono} has fiber weight {mono.weight}, section has H-degree {h}",
+        )
+    expected = m + mono.twist_sum(bundle)
+    if expected < 0:
+        raise SectionDegreeError(
+            mono, expected, degree,
+            f"monomial {mono} has prescribed degree {expected} < 0 and must carry the zero form",
+        )
+    if degree != expected:
+        raise SectionDegreeError(
+            mono, expected, degree, f"coefficient of {mono} has degree {degree}, expected {expected}"
+        )
 
 
 class SparsePoly:
@@ -299,35 +325,7 @@ class GradedSection(SparsePoly):
         m + a(M) < 0 may only hold the (absent) zero form.
         """
         for mono, coeff in self.terms.items():
-            if any(e < 0 for e in mono):
-                raise SectionDegreeError(
-                    mono, 0, None, f"negative exponent in monomial {monomial_str(mono)}"
-                )
-            if mono.weight != self.h:
-                raise SectionDegreeError(
-                    mono,
-                    self.h,
-                    mono.weight,
-                    f"monomial {monomial_str(mono)} has fiber weight {mono.weight}, "
-                    f"section has H-degree {self.h}",
-                )
-            expected = self.expected_coeff_degree(mono)
-            if expected < 0:
-                raise SectionDegreeError(
-                    mono,
-                    expected,
-                    coeff.degree,
-                    f"monomial {monomial_str(mono)} has prescribed degree {expected} < 0 "
-                    "and must carry the zero form",
-                )
-            if coeff.degree != expected:
-                raise SectionDegreeError(
-                    mono,
-                    expected,
-                    coeff.degree,
-                    f"coefficient of {monomial_str(mono)} has degree {coeff.degree}, "
-                    f"expected {expected}",
-                )
+            _check_term(self.bundle, self.bidegree, mono, coeff.degree)
         return self
 
     # -- evaluation ----------------------------------------------------------
@@ -429,11 +427,23 @@ def section_terms_from_dict(
     bidegree: Tuple[int, int],
     body: Dict[str, str],
 ) -> GradedSection:
+    """The section a JSON body describes.
+
+    Each literal is scanned and its degree checked against its monomial's
+    slot before its dense form is built, so a literal such as
+    ``"t0^99999999999"`` is refused without allocating it.
+    """
     terms = {}
     for mono_s, coeff_s in body.items():
         mono = monomial_from_str(mono_s)
-        coeff = parse_binform(coeff_s, field)
+        try:
+            scanned = scan_binform(coeff_s, field)
+        except ParseError as exc:
+            raise ValueError(f"coefficient of {mono_s!r}: {exc}") from None
+        degree = scanned[0]
+        if degree is not None:
+            _check_term(bundle, bidegree, mono, degree)
         if mono in terms:
             raise ValueError(f"duplicate monomial {mono_s!r}")
-        terms[mono] = coeff
+        terms[mono] = build_binform(scanned, field)
     return GradedSection(bundle, field, bidegree, terms)

@@ -604,6 +604,20 @@ def test_parse_rational_over_prime_field():
 def test_parse_denominator_not_invertible():
     with pytest.raises(ParseError):
         form("1/5*t0", F5)
+    with pytest.raises(ParseError) as err:
+        form("t0 + 1/5*t1", F5)
+    assert err.value.offset == 3  # the term with the denominator, not the first term
+    assert str(err.value) == "denominator 5 not invertible mod 5 (at byte 3)"
+
+
+def test_parse_non_decimal_digit_is_parse_error():
+    # "\u00b2" passes str.isdigit but not int(); it is a bad character, not an int
+    for text, offset in (("t0^\u00b2", 3), ("12\u00b2*t0", 2)):
+        with pytest.raises(ParseError) as err:
+            form(text)
+        assert err.value.offset == offset
+        assert str(err.value) == f"unexpected character '\u00b2' (at byte {offset})"
+    assert form("\u0663*t0") == form("3*t0")  # an Arabic-Indic 3 is a decimal digit
 
 
 @given(binforms())
@@ -650,15 +664,48 @@ def parse_outcome(parse, text, field):
     return ("form", f.field, f.coeffs, tuple(map(type, f.coeffs)))
 
 
+def _parse_error(message, offset):
+    return ("ParseError", f"{message} (at byte {offset})", offset)
+
+
 def expected_outcome(text, field):
-    """The reference parser's outcome."""
-    return parse_outcome(binform_reference.parse_binform, text, field)
+    """The reference parser's outcome, with its two known faults mapped to the fix.
+
+    A character that `str.isdigit` accepts but `int` rejects (such as
+    "\u00b2") escaped the reference as a bare ValueError from `int`; it is an
+    "unexpected character" error unless the reference's tokenizer refuses an
+    earlier character.  A denominator that is not invertible in the field
+    was reported at the first term's offset; it is reported at the offset of
+    its own term, the first term that the reference refuses on its own.
+    """
+    odd = next((i for i, ch in enumerate(text) if ch.isdigit() and not ch.isdecimal()), None)
+    if odd is not None:
+        try:
+            binform_reference._tokenize(text)
+        except ParseError as exc:
+            if exc.offset < odd:
+                return _parse_error(str(exc).rsplit(" (at byte", 1)[0], exc.offset)
+        return _parse_error(f"unexpected character {text[odd]!r}", odd)
+    outcome = parse_outcome(binform_reference.parse_binform, text, field)
+    if outcome[0] == "ParseError" and "not invertible" in outcome[1]:
+        tokens = binform_reference._tokenize(text)
+        starts = [tokens[0][2]] + [off for kind, _, off in tokens[1:] if kind in ("+", "-")]
+        for start, stop in zip(starts, starts[1:] + [len(text)]):
+            alone = parse_outcome(binform_reference.parse_binform, text[start:stop], field)
+            if alone[0] == "ParseError" and "not invertible" in alone[1]:
+                return _parse_error(alone[1].rsplit(" (at byte", 1)[0], start)
+    return outcome
 
 
 @pytest.mark.oracle
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(literal_soup, near_valid_literals).filter(_short_digit_runs),
        st.sampled_from(PARSE_FIELDS))
+@example("t0 + 1/5*t1", F5)
+@example("7*t1 - t0 + 2/10", F5)
+@example("t0^\u00b2", QQ)
+@example("x\u00b2 + 1\u00b2@", QQ)
+@example("1\u00b2x", QQ)
 def test_parse_matches_reference_parser(text, field):
     assert parse_outcome(parse_binform, text, field) == expected_outcome(text, field)
 

@@ -193,9 +193,20 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
     (lambda doc: {**doc, "field": {"kind": "rationals", "p": 11}}, "carries no key 'p'"),
     (lambda doc: {**doc, "Q": {**doc["Q"], "y": 5}},
      "'Q' coefficient of 'y' must be a string, not int"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "y": "t0^99999999999"}},
+     "'Q' coefficient of y has degree 99999999999, expected 2"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "x0^-1": "1"}},
+     "'Q' monomial 'x0^-1': exponent '-1' is not a non-negative decimal integer"),
+    (lambda doc: {**doc, "G": {**doc["G"], "x0^-1*x1^7": "1"}},
+     "'G' monomial 'x0^-1*x1^7': exponent '-1' is not a non-negative decimal integer"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "x0^x": "1"}},
+     "'Q' monomial 'x0^x': exponent 'x' is not a non-negative decimal integer"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "y": "t0 + t1 @"}},
+     "'Q' coefficient of 'y': unexpected character '@' (at byte 8)"),
 ], ids=["list", "field-string", "Q-list", "no-theta", "p_g-null", "p_g-list", "p_g-float",
         "p_g-string", "theta-bool", "p-null", "p-string", "no-p", "rationals-p",
-        "coefficient-int"])
+        "coefficient-int", "over-degree-literal", "negative-exponent",
+        "negative-exponent-G", "exponent-not-integer", "parse-error"])
 def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit, message):
     path = tmp_path / "member.json"
     main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,19 @@ def test_wrong_degree_coefficient_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         SurfaceEquations.load(str(path))
+
+
+def test_over_degree_literal_refused_before_allocation():
+    doc = generate_member(FamilyParams(2, 0, FieldSpec.prime_field(11), seed=1)).to_json_dict()
+    doc["Q"]["y"] = "t0^1000000"  # the y slot has degree 2 p_g + theta - 2 = 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="'Q' coefficient of y has degree 1000000, expected 2"):
+            SurfaceEquations.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # -- canonical structure ------------------------------------------------------------

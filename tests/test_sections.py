@@ -381,6 +381,31 @@ def test_monomial_unknown_variable():
         monomial_from_str("x2^3")
 
 
+@pytest.mark.parametrize("key, expo", [("x0^-1", "-1"), ("x0^-1*x1^7", "-1"), ("x0^x", "x"),
+                                       ("y^", ""), ("z^ 2", " 2"), ("x1^\u0663", "\u0663")])
+def test_monomial_exponents_are_decimal_integers(key, expo):
+    with pytest.raises(ValueError) as err:
+        monomial_from_str(key)
+    assert str(err.value) == (f"monomial {key!r}: exponent {expo!r} is not a non-negative "
+                              "decimal integer")
+
+
+def test_monomial_str_shows_negative_exponents():
+    assert monomial_str(FiberMonomial(-1, 7, 0, 0)) == "x0^-1*x1^7"
+
+
+def test_section_literal_degree_checked_before_building():
+    b = BundleData(2, 0)
+    y = FiberMonomial(0, 0, 1, 0)
+    with pytest.raises(SectionDegreeError) as err:
+        section_terms_from_dict(b, QQ, (2, -2), {"y": "t0^1000000"})
+    assert (err.value.monomial, err.value.expected, err.value.actual) == (y, 2, 1000000)
+    # the literal's degree is the form's: terms that cancel leave the zero form
+    assert section_terms_from_dict(b, QQ, (2, -2), {"y": "t0^5 - t0^5"}).is_zero
+    with pytest.raises(ValueError, match="coefficient of 'y': inhomogeneous literal"):
+        section_terms_from_dict(b, QQ, (2, -2), {"y": "t0^2 + t1^99999999999"})
+
+
 def test_section_dict_roundtrip():
     rng = random.Random(12)
     b = BundleData(3, 2)
