@@ -660,7 +660,7 @@ def scan_binform(text: str, field: FieldSpec):
         if degree != live[0][1]:
             raise ParseError(f"inhomogeneous literal: term of degree {degree} "
                              f"in a degree-{live[0][1]} form", off)
-        coeffs[e1] = field.add(coeffs.get(e1, field.zero), c)
+        coeffs[e1] = field.add(coeffs.get(e1, 0), c)
     coeffs = {e1: c for e1, c in coeffs.items() if c}
     return (live[0][1] if coeffs else None), coeffs
 
