@@ -430,11 +430,14 @@ def ref_gcd(a: BinForm, b: BinForm) -> tuple:
     shift = min(ref_t1_multiplicity(a.coeffs), ref_t1_multiplicity(b.coeffs))
     if a.is_zero or b.is_zero:
         shift = ref_t1_multiplicity((b if a.is_zero else a).coeffs)
-    u, v = ref_chart(a.coeffs), ref_chart(b.coeffs)
+    return ref_from_chart(fld, ref_chart_gcd(fld, ref_chart(a.coeffs), ref_chart(b.coeffs)), shift)
+
+
+def ref_chart_gcd(fld, u: list, v: list) -> list:
     while v:
         u, v = v, ref_divmod(fld, u, v)[1]
     inv = fld.inv(u[-1])
-    return ref_from_chart(fld, [fld.mul(inv, c) for c in u], shift)
+    return [fld.mul(inv, c) for c in u]
 
 
 def ref_divides(d: BinForm, n: BinForm) -> bool:
@@ -455,6 +458,51 @@ def ref_divexact(a: BinForm, b: BinForm) -> tuple:
     if shift < 0 or r:
         raise BinFormError("inexact division")
     return ref_from_chart(a.field, q, shift)
+
+
+def ref_evaluate(f: BinForm, a, b):
+    fld = f.field
+    a, b = fld.normalize(a), fld.normalize(b)
+    d, acc = len(f.coeffs) - 1, fld.zero
+    for i, c in enumerate(f.coeffs):
+        for _ in range(d - i):
+            c = fld.mul(c, a)
+        for _ in range(i):
+            c = fld.mul(c, b)
+        acc = fld.add(acc, c)
+    return acc
+
+
+def ref_deriv(f: BinForm, t1: bool) -> tuple:
+    """d/dt1 when `t1`, else d/dt0, one monomial at a time."""
+    fld, d = f.field, len(f.coeffs) - 1
+    out = [fld.zero] * max(d, 0)
+    for i, c in enumerate(f.coeffs):
+        e = i if t1 else d - i
+        if e:
+            out[i - 1 if t1 else i] = fld.mul(fld.normalize(e), c)
+    return ref_canonical(fld, out)
+
+
+def ref_radical(fld, u: list) -> list:
+    """lcm(u/gcd(u, u'), radical of gcd(u, u')): a product of x - r over the distinct roots r of u."""
+    if len(u) <= 1:
+        return [fld.one]
+    du = ref_trim([fld.mul(fld.normalize(i), u[i]) for i in range(1, len(u))])
+    if not du:
+        # u = v(x^p); Frobenius permutes the roots of v, which are those of u
+        return ref_radical(fld, u[::fld.p])
+    g = ref_chart_gcd(fld, u, du)
+    w = ref_divmod(fld, u, g)[0]  # once each root whose multiplicity p does not divide
+    r = ref_radical(fld, g)  # every repeated root
+    return ref_divmod(fld, list(ref_mul_coeffs(fld, tuple(w), tuple(r))), ref_chart_gcd(fld, w, r))[0]
+
+
+def ref_count_distinct_roots(f: BinForm) -> int:
+    if f.is_zero:
+        raise BinFormError("zero form")
+    at_infinity = 1 if ref_t1_multiplicity(f.coeffs) else 0
+    return at_infinity + len(ref_radical(f.field, ref_chart(f.coeffs))) - 1
 
 
 def oracle_scalars(fld):
@@ -530,6 +578,29 @@ def test_division_matches_per_scalar_reference(data):
     check_against(divexact, ref_divexact, a, b)
     assert divides(b, product) == ref_divides(b, product)
     assert divides(b, a) == ref_divides(b, a)
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluation_and_calculus_match_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    f = data.draw(oracle_forms(fld))
+    if fld == F5 and data.draw(st.booleans()):
+        f = f ** 5  # Frobenius: a p-th power has a vanishing chart derivative
+    points = st.one_of(oracle_scalars(fld), st.integers(-50, 50), st.fractions(-9, 9, max_denominator=4))
+    a, b = data.draw(points), data.draw(points)
+    value = f.evaluate(a, b)
+    assert value == ref_evaluate(f, a, b)
+    assert type(value) is (Fraction if fld.is_rational else int)
+    assert fld.is_rational or 0 <= value < fld.p
+    assert_coeffs(f.deriv_t0(), fld, ref_deriv(f, t1=False))
+    assert_coeffs(f.deriv_t1(), fld, ref_deriv(f, t1=True))
+    if f.is_zero:
+        with pytest.raises(BinFormError):
+            count_distinct_roots(f)
+    else:
+        assert count_distinct_roots(f) == ref_count_distinct_roots(f)
 
 
 @pytest.mark.oracle
