@@ -14,11 +14,16 @@ once; over QQ the factors are written as integer numerators over a
 common denominator, convolved the same way, and each output coefficient
 becomes one Fraction.
 
-Division, gcd and root finding work through the chart t1 = 1 with the
-t1-multiplicity tracked separately, so nothing is lost at the point (1:0).
-Root finding over F_p never enumerates the field: it takes the gcd with
-t^p - t and splits it by deterministic equal-degree splitting, on plain
-int lists mod p, in O(d^2 log p) for a form of degree d.
+Division, gcd, derivatives, root counting and root finding work through
+the chart t1 = 1 with the t1-multiplicity tracked separately, so nothing is
+lost at the point (1:0).  One kernel serves both fields: `_monic`,
+`_divmod` (by a monic divisor), `_gcd` and `_derivative` take dense
+ascending coefficient lists and ``p`` (None for QQ), and branch on it once
+per step, on plain ints mod p or on Fractions.  Euclid over a field is one
+algorithm for both (von zur Gathen-Gerhard, ch. 3).  Root finding over F_p
+never enumerates the field: it takes the gcd with t^p - t and splits it by
+deterministic equal-degree splitting, in O(d^2 log p) for a form of
+degree d.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class BinForm:
 
     @staticmethod
     def one(field: FieldSpec) -> "BinForm":
-        return BinForm(field, (1,))
+        return BinForm._trusted(field, (field.one,))
 
     @staticmethod
     def monomial(field: FieldSpec, degree: int, t1_exp: int, coeff=1) -> "BinForm":
@@ -247,54 +252,37 @@ class BinForm:
     # -- evaluation and calculus ------------------------------------------
 
     def evaluate(self, a, b) -> Scalar:
-        """Value at (t0, t1) = (a, b)."""
+        """Value at (t0, t1) = (a, b): Horner in t0, the powers of t1 folded in."""
         f = self.field
-        a, b = f.normalize(a), f.normalize(b)
-        if self.is_zero:
-            return f.zero
-        d = len(self.coeffs) - 1
-        pa = [f.one]
-        for _ in range(d):
-            pa.append(f.mul(pa[-1], a))
-        pb = [f.one]
-        for _ in range(d):
-            pb.append(f.mul(pb[-1], b))
-        acc = f.zero
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                acc = f.add(acc, f.mul(c, f.mul(pa[d - i], pb[i])))
-        return acc
+        a, b, p = f.normalize(a), f.normalize(b), f.p
+        val, b_pow = f.zero, f.one
+        for c in self.coeffs:
+            val, b_pow = val * a + c * b_pow, b_pow * b
+            if p is not None:
+                val, b_pow = val % p, b_pow % p
+        return val
 
     def deriv_t0(self) -> "BinForm":
         """Formal partial derivative with respect to t0."""
-        if self.is_zero or self.degree == 0:
-            return BinForm.zero(self.field)
-        d = self.degree
-        f = self.field
-        return BinForm(f, tuple(f.mul(f.normalize(d - i), self.coeffs[i]) for i in range(d)))
+        return BinForm._trusted(self.field, tuple(_partial(self.coeffs[::-1], self.field)[::-1]))
 
     def deriv_t1(self) -> "BinForm":
-        if self.is_zero or self.degree == 0:
-            return BinForm.zero(self.field)
-        f = self.field
-        return BinForm(f, tuple(f.mul(f.normalize(i), self.coeffs[i]) for i in range(1, len(self.coeffs))))
+        """Formal partial derivative with respect to t1."""
+        return BinForm._trusted(self.field, tuple(_partial(self.coeffs, self.field)))
 
     # -- chart t1 = 1 ------------------------------------------------------
 
     def dehomogenize(self) -> list:
         """Coefficients of f(x, 1) ascending in x; exact length deg+1."""
-        return [self.coeffs[len(self.coeffs) - 1 - j] for j in range(len(self.coeffs))]
+        return list(self.coeffs[::-1])
 
     @staticmethod
     def homogenize(field: FieldSpec, poly: list, t1_shift: int = 0) -> "BinForm":
-        """Inverse of :meth:`dehomogenize`, times an extra t1^t1_shift."""
-        while poly and poly[-1] == 0:
-            poly = poly[:-1]
+        """Inverse of :meth:`dehomogenize` on canonical scalars, times an extra t1^t1_shift."""
+        poly = _trim(list(poly))
         if not poly:
             return BinForm.zero(field)
-        d = len(poly) - 1
-        coeffs = [poly[d - i] for i in range(d + 1)]
-        return BinForm(field, [field.zero] * t1_shift + coeffs)
+        return BinForm._trusted(field, tuple([field.zero] * t1_shift + poly[::-1]))
 
     # -- printing ----------------------------------------------------------
 
@@ -306,45 +294,59 @@ class BinForm:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers on dense ascending coefficient lists
+# the chart kernel: dense ascending coefficient lists over F_p, or QQ when p
+# is None.  Scalars stay canonical (ints in [0, p), or Fractions), so the
+# results can be homogenized without normalizing them again.
 # ---------------------------------------------------------------------------
 
 
-def _upoly_trim(u: list) -> list:
+def _trim(u: list) -> list:
     while u and u[-1] == 0:
         u.pop()
     return u
 
 
-def _upoly_divmod(u: list, v: list, p: Optional[int]):
-    """Quotient and remainder over F_p, or over QQ when p is None."""
-    v = _upoly_trim(list(v))
-    if not v:
-        raise ZeroDivisionError("division by zero polynomial")
-    u = _upoly_trim(list(u))
-    if p is not None:
-        inv = pow(v[-1], -1, p)
-        q, r = _fp_divmod(u, [c * inv % p for c in v], p)
-        return [c * inv % p for c in q], r
-    q = [Fraction(0)] * max(0, len(u) - len(v) + 1)
-    lead = v[-1]
-    for k in range(len(u) - len(v), -1, -1):
-        c = u[k + len(v) - 1] / lead
+def _scale(u: list, c, p: Optional[int]) -> list:
+    return [x * c for x in u] if p is None else [x * c % p for x in u]
+
+
+def _monic(u: list, p: Optional[int]) -> list:
+    """The nonzero trimmed u divided by its leading coefficient."""
+    return _scale(u, 1 / u[-1] if p is None else pow(u[-1], -1, p), p)
+
+
+def _divmod(u: list, f: list, p: Optional[int]):
+    """Quotient and remainder of u by a monic f; the quotient is trimmed when u is."""
+    n = len(f) - 1
+    u = list(u)
+    q = [0] * max(0, len(u) - n)
+    for k in range(len(u) - 1, n - 1, -1):
+        c = q[k - n] = u[k] if p is None else u[k] % p
         if c:
-            q[k] = c
-            for j, vj in enumerate(v, k):
-                u[j] -= c * vj
-    return q, _upoly_trim(u)
+            for j in range(n):
+                u[k - n + j] -= c * f[j]
+    return q, _trim(u[:n] if p is None else [c % p for c in u[:n]])
 
 
-def _upoly_gcd(u: list, v: list, p: Optional[int]) -> list:
-    """Monic gcd over F_p, or over QQ when p is None; [] when both are zero."""
-    u, v = _upoly_trim(list(u)), _upoly_trim(list(v))
-    if p is not None:
-        return _fp_gcd(u, v, p) if u or v else []
+def _gcd(u: list, v: list, p: Optional[int]) -> list:
+    """Monic gcd of trimmed u and v, not both zero."""
     while v:
-        u, v = v, _upoly_divmod(u, v, None)[1]
-    return [c / u[-1] for c in u] if u else u
+        v = _monic(v, p)
+        u, v = v, _divmod(u, v, p)[1]
+    return _monic(u, p)
+
+
+def _derivative(u: list, p: Optional[int]) -> list:
+    """Trimmed formal derivative of u."""
+    if p is None:
+        return _trim([i * u[i] for i in range(1, len(u))])
+    return _trim([i * u[i] % p for i in range(1, len(u))])
+
+
+def _partial(coeffs, field: FieldSpec) -> list:
+    """Derivative of coeffs read ascending, padded back to length len(coeffs) - 1."""
+    du = _derivative(list(coeffs), field.p)
+    return du + [field.zero] * (len(coeffs) - 1 - len(du))
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +362,23 @@ def gcd(a: BinForm, b: BinForm) -> BinForm:
     _require_same_field(a, b)
     if a.is_zero and b.is_zero:
         raise BinFormError("gcd(0, 0) is undefined")
+    e = min(g.t1_multiplicity() for g in (a, b) if not g.is_zero)
+    g = _gcd(_trim(a.dehomogenize()), _trim(b.dehomogenize()), a.field.p)
+    return BinForm.homogenize(a.field, g, t1_shift=e)
+
+
+def _quotient(a: BinForm, b: BinForm) -> Optional[BinForm]:
+    """a / b for a nonzero b, or None when b does not divide a."""
     if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    f = a.field
-    e = min(a.t1_multiplicity(), b.t1_multiplicity())
-    g = _upoly_gcd(a.dehomogenize(), b.dehomogenize(), f.p)
-    return BinForm.homogenize(f, g, t1_shift=e)
+        return a
+    shift = a.t1_multiplicity() - b.t1_multiplicity()
+    if shift < 0:
+        return None
+    p = a.field.p
+    v = _trim(b.dehomogenize())
+    inv = 1 / v[-1] if p is None else pow(v[-1], -1, p)
+    q, r = _divmod(_trim(a.dehomogenize()), _scale(v, inv, p), p)
+    return None if r else BinForm.homogenize(a.field, _scale(q, inv, p), t1_shift=shift)
 
 
 def divides(divisor: BinForm, dividend: BinForm) -> bool:
@@ -375,12 +386,7 @@ def divides(divisor: BinForm, dividend: BinForm) -> bool:
     _require_same_field(divisor, dividend)
     if divisor.is_zero:
         return dividend.is_zero
-    if dividend.is_zero:
-        return True
-    if divisor.t1_multiplicity() > dividend.t1_multiplicity():
-        return False
-    _, r = _upoly_divmod(dividend.dehomogenize(), divisor.dehomogenize(), dividend.field.p)
-    return not r
+    return _quotient(dividend, divisor) is not None
 
 
 def divexact(a: BinForm, b: BinForm) -> BinForm:
@@ -388,48 +394,16 @@ def divexact(a: BinForm, b: BinForm) -> BinForm:
     _require_same_field(a, b)
     if b.is_zero:
         raise ZeroDivisionError("division by the zero form")
-    if a.is_zero:
-        return a
-    shift = a.t1_multiplicity() - b.t1_multiplicity()
-    if shift < 0:
-        raise BinFormError("inexact division (t1 multiplicity)")
-    q, r = _upoly_divmod(a.dehomogenize(), b.dehomogenize(), a.field.p)
-    if r:
+    q = _quotient(a, b)
+    if q is None:
         raise BinFormError("inexact division")
-    return BinForm.homogenize(a.field, q, t1_shift=shift)
+    return q
 
 
 def lcm(a: BinForm, b: BinForm) -> BinForm:
     if a.is_zero or b.is_zero:
         return BinForm.zero(a.field)
     return divexact(a * b, gcd(a, b)).monic()
-
-
-def _fp_monic(u: list, p: int) -> list:
-    inv = pow(u[-1], -1, p)
-    return [c * inv % p for c in u]
-
-
-def _fp_divmod(u: list, f: list, p: int):
-    """Quotient and remainder of u by a monic f, on int lists mod p."""
-    n = len(f) - 1
-    u = list(u)
-    q = [0] * max(0, len(u) - n)
-    for k in range(len(u) - 1, n - 1, -1):
-        c = u[k] % p
-        if c:
-            q[k - n] = c
-            for j in range(n):
-                u[k - n + j] -= c * f[j]
-    return q, _upoly_trim([c % p for c in u[:n]])
-
-
-def _fp_gcd(u: list, v: list, p: int) -> list:
-    """Monic gcd of a nonzero u and any v, on int lists mod p."""
-    while v:
-        v = _fp_monic(v, p)
-        u, v = v, _fp_divmod(u, v, p)[1]
-    return _fp_monic(u, p)
 
 
 def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
@@ -445,7 +419,7 @@ def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
             for i in range(len(sq) - 1, 0, -1):
                 sq[i] = sq[i - 1] + a * sq[i]
             sq[0] *= a
-        r = _fp_divmod(sq, f, p)[1]
+        r = _divmod(sq, f, p)[1]
     return r
 
 
@@ -463,26 +437,22 @@ def _fp_split(g: list, a: int, p: int, found: list) -> None:
     while True:
         h = _fp_shift_power(a, (p - 1) // 2, g, p) or [0]
         h[0] = (h[0] - 1) % p
-        d = _fp_gcd(g, _upoly_trim(h), p)
+        d = _gcd(g, _trim(h), p)
         a += 1
         if 1 < len(d) < len(g):
             _fp_split(d, a, p, found)
-            _fp_split(_fp_divmod(g, d, p)[0], a, p, found)
+            _fp_split(_divmod(g, d, p)[0], a, p, found)
             return
 
 
 def _fp_root_multiplicity(u: list, a: int, p: int) -> int:
-    """Largest m with (t - a)^m dividing the nonzero u, by synthetic division."""
+    """Largest m with (t - a)^m dividing the nonzero trimmed u."""
     m = 0
     while True:
-        partial, acc = [], 0
-        for c in reversed(u):
-            acc = (acc * a + c) % p
-            partial.append(acc)
-        if acc:
+        u, r = _divmod(u, [-a % p, 1], p)
+        if r:
             return m
         m += 1
-        u = partial[-2::-1]
 
 
 def roots(form: BinForm) -> dict:
@@ -499,8 +469,7 @@ def roots(form: BinForm) -> dict:
     so results reproduce exactly).  Multiplicities come from repeated
     division by t - a.  Each powering costs O(n^2 log p) and a split
     round typically needs one or two shifts, against O(p n) for trying
-    every residue.  The kernel runs on plain ints mod p, without
-    FieldSpec dispatch.
+    every residue.
     """
     if not form.field.is_prime_field:
         raise BinFormError("root finding requires a prime field")
@@ -511,48 +480,47 @@ def roots(form: BinForm) -> dict:
     inf_mult = form.t1_multiplicity()
     if inf_mult:
         out[(1, 0)] = inf_mult
-    u = _upoly_trim(form.dehomogenize())
+    u = _trim(form.dehomogenize())
     if len(u) < 2:
         return out
-    f = _fp_monic(u, p)
+    f = _monic(u, p)
     h = _fp_shift_power(0, p, f, p) + [0, 0]
     h[1] = (h[1] - 1) % p
     found: list = []
-    _fp_split(_fp_gcd(f, _upoly_trim(h), p), 1, p, found)
+    _fp_split(_gcd(f, _trim(h), p), 1, p, found)
     for a in sorted(found):
         out[(a, 1)] = _fp_root_multiplicity(f, a, p)
     return out
-
-
-def _distinct_upoly_roots(u: list, f: FieldSpec) -> int:
-    """Distinct roots of a univariate polynomial in the algebraic closure."""
-    if len(u) <= 1:
-        return 0
-    du = _upoly_trim([f.mul(f.normalize(i), u[i]) for i in range(1, len(u))])
-    if not du:
-        # u' = 0 in characteristic p: u = v(x^p), and over the prime field
-        # Frobenius fixes scalars, so v has the same coefficients
-        p = f.p
-        v = [u[j] for j in range(0, len(u), p)]
-        return _distinct_upoly_roots(v, f)
-    g = _upoly_gcd(u, du, f.p)
-    return (len(u) - 1) - (len(g) - 1)
 
 
 def count_distinct_roots(form: BinForm) -> int:
     """Number of distinct roots in P^1 over the algebraic closure.
 
     Computed as the degree of the squarefree part, so it is available over
-    the rationals as well; no factorization is performed.
+    the rationals as well; no factorization is performed.  With g =
+    gcd(u, u') on the chart polynomial u, deg u - deg g counts the roots
+    whose multiplicity p does not divide (all of them over QQ).  Dividing
+    those roots out of g leaves a p-th power v(t^p), whose roots are those
+    of v, because Frobenius fixes the prime field.
     """
     if form.is_zero:
         raise BinFormError("zero form")
-    if form.degree == 0:
-        return 0
-    e = form.t1_multiplicity()
-    u = _upoly_trim(form.dehomogenize())
-    distinct_finite = _distinct_upoly_roots(u, form.field)
-    return distinct_finite + (1 if e > 0 else 0)
+    p = form.field.p
+    count = 1 if form.t1_multiplicity() else 0
+    u = _trim(form.dehomogenize())
+    while len(u) > 1:
+        du = _derivative(u, p)
+        if not du:
+            u = u[::p]
+            continue
+        g = _gcd(u, du, p)
+        count += len(u) - len(g)
+        y = _gcd(g, _divmod(u, g, p)[0], p)
+        while len(y) > 1:
+            g = _divmod(g, y, p)[0]
+            y = _gcd(g, y, p)
+        u = g
+    return count
 
 
 def random_binform(field: FieldSpec, degree: int, rng) -> BinForm:
@@ -563,7 +531,7 @@ def random_binform(field: FieldSpec, degree: int, rng) -> BinForm:
     """
     if degree < 0:
         return BinForm.zero(field)
-    return BinForm(field, [field.random_element(rng) for _ in range(degree + 1)])
+    return BinForm._trusted(field, tuple(field.random_element(rng) for _ in range(degree + 1)))
 
 
 def random_split_squarefree(field: FieldSpec, degree: int, rng) -> BinForm:
@@ -660,7 +628,8 @@ def scan_binform(text: str, field: FieldSpec):
         if degree != live[0][1]:
             raise ParseError(f"inhomogeneous literal: term of degree {degree} "
                              f"in a degree-{live[0][1]} form", off)
-        coeffs[e1] = field.add(coeffs.get(e1, 0), c)
+        coeffs[e1] = coeffs.get(e1, 0) + c
+    coeffs = {e1: c % p if p else c for e1, c in coeffs.items()}
     coeffs = {e1: c for e1, c in coeffs.items() if c}
     return (live[0][1] if coeffs else None), coeffs
 
