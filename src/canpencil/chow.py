@@ -102,7 +102,8 @@ def adjunction_check(pg: int, theta: int) -> DivisorClass:
     """K_{P|P^1} + Q + G, asserted to be exactly H."""
     bundle = BundleData(pg, theta)
     total = class_K_relative(bundle) + class_Q() + class_G(bundle)
-    assert total == H, f"adjunction failed: {total}"  # library bug if this trips
+    if total != H:  # library bug if this trips
+        raise AssertionError(f"adjunction failed: {total}")
     return total
 
 
@@ -113,10 +114,6 @@ def surface_invariants(pg: int, theta: int) -> dict:
     then cross-checked against the closed forms 4p_g - 6 + theta and
     chi = p_g + 1, which must agree exactly.
     """
-    if pg < 2:
-        raise ValueError("p_g >= 2 required")
-    if not 0 <= theta <= 6:
-        raise ValueError("theta must lie in [0, 6]")
     bundle = BundleData(pg, theta)
     ctx = IntersectionContext(bundle)
     k = class_K_surface()

@@ -106,7 +106,8 @@ BinMatrix = List[List[BinForm]]
 
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     rows, inner, cols = len(a), len(b), len(b[0])
-    assert all(len(r) == inner for r in a)
+    if not all(len(r) == inner for r in a):
+        raise AssertionError("matrix shapes do not chain")
     out = []
     for i in range(rows):
         row = []
@@ -141,7 +142,7 @@ class SigmaTwoData:
 
     @property
     def field(self) -> FieldSpec:
-        return self.f0.field if not self.f0.is_zero else self.f1.field
+        return self.f0.field
 
 
 def degree_slots(pg: int, theta: int, alpha: int) -> Dict[str, int]:
@@ -166,7 +167,8 @@ class SplitType:
     @staticmethod
     def from_params(pg: int, theta: int, alpha: int) -> "SplitType":
         st = SplitType(pg + 2 + alpha, 2 * pg + theta - alpha, 2 * pg + 2)
-        assert st.d0 + st.d1 + st.d2 == 5 * pg + theta + 4
+        if st.d0 + st.d1 + st.d2 != 5 * pg + theta + 4:
+            raise AssertionError(f"splitting degrees {st} do not sum to 5 p_g + theta + 4")
         return st
 
     @property
@@ -230,7 +232,8 @@ def tau_of(data: SigmaTwoData) -> BinForm:
     if det.is_zero:
         raise SigmaError("degenerate data: det sigma_2 = 0")
     expected = 2 * data.pg + data.theta - 2
-    assert det.degree == expected, f"tau degree {det.degree} != {expected}"
+    if det.degree != expected:
+        raise AssertionError(f"tau degree {det.degree} != {expected}")
     return det
 
 
@@ -243,7 +246,8 @@ def q_relation(data: SigmaTwoData) -> YPoly:
     # bihomogeneity against the splitting twists, with offset -(2 p_g + 4)
     st = SplitType.from_params(data.pg, data.theta, data.alpha)
     offset = rel.twist_offset(st.twists)
-    assert offset is None or offset == -(2 * data.pg + 4)
+    if offset is not None and offset != -(2 * data.pg + 4):
+        raise AssertionError(f"relation twist offset {offset} != {-(2 * data.pg + 4)}")
     return rel
 
 
@@ -286,7 +290,7 @@ def relation_matrix(f0: BinForm, f1: BinForm) -> BinMatrix:
     Columns are (f0 y0 + f1 y1)^2 * y0 and (f0 y0 + f1 y1)^2 * y1 written in
     the cubic monomial basis (y0^3, y0^2 y1, y0 y1^2, y1^3).
     """
-    field = f0.field if not f0.is_zero else f1.field
+    field = f0.field
     zero = BinForm.zero(field)
     two = BinForm.constant(field, 2)
     return [
@@ -470,7 +474,8 @@ def z_summand_degree(pg: int, theta: int) -> int:
     det_a1 = 1 + (pg + 1)
     tau_deg = 2 * pg + theta - 2
     total = det_a1 + tau_deg
-    assert total == 3 * pg + theta
+    if total != 3 * pg + theta:
+        raise AssertionError(f"determinant degree {total} != {3 * pg + theta}")
     return total
 
 
@@ -543,7 +548,8 @@ def example_data(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Sigma
     else:
         f0 = t0 * (t0 - t1.scale(2))
     exp = (pg + 2) // alpha
-    assert alpha * exp == pg + 2
+    if alpha * exp != pg + 2:
+        raise AssertionError(f"alpha = {alpha} does not divide p_g + 2 = {pg + 2}")
     data = SigmaTwoData(
         pg=pg,
         theta=theta,
@@ -609,7 +615,8 @@ def example_verify(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Exa
     field = data.field
     t1 = BinForm.t1(field)
     f04 = f0 ** 4
-    assert f0.t1_multiplicity() == 0, "chart t1=1 reduction requires t1 coprime to f0"
+    if f0.t1_multiplicity() != 0:
+        raise AssertionError("chart t1=1 reduction requires t1 coprime to f0")
 
     E = _branch_cubic(data)
     F030 = E.coefficient((0, 3, 0))

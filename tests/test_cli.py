@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,28 @@ def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit
     doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
     assert code == 1 and list(doc) == ["error"]
     assert message in doc["error"]
+
+
+def test_pg_above_bound_is_refused_before_any_work(tmp_path, capsys):
+    from canpencil.family import PG_MAX, FamilyParams
+
+    FamilyParams(PG_MAX, 0, FieldSpec.prime_field(11), 1)
+    refusal = {"error": f"p_g must be at most {PG_MAX} for a family member, got 100000000"}
+    path = tmp_path / "member.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
+          "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    path.write_text(json.dumps({**json.loads(path.read_text()), "p_g": 100000000}))
+    start = time.perf_counter()
+    code, doc = run_cli(capsys, "generate", "--pg", "100000000", "--theta", "0",
+                        "--field", "fp:11", "--seed", "1")
+    assert code == 1 and doc == refusal
+    code, doc = run_cli(capsys, "census", "--in", str(path))
+    assert code == 1 and doc["error"].endswith(refusal["error"])
+    assert time.perf_counter() - start < 1
+    code, doc = run_cli(capsys, "generate", "--pg", str(PG_MAX + 1), "--theta", "0",
+                        "--field", "qq", "--seed", "1")
+    assert code == 1 and doc["error"].startswith(f"p_g must be at most {PG_MAX}")
 
 
 def test_census_missing_file(capsys):
