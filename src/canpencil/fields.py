@@ -2,11 +2,12 @@
 
 Every computation in this package is exact.  Rational scalars are
 `fractions.Fraction` values; prime-field scalars are canonical residues
-stored as plain ints in ``[0, p)``.  A :class:`FieldSpec` names the field
-and provides one-scalar-at-a-time arithmetic.  Hot polynomial code does
-not call it per scalar: `BinForm` ring operations, division and root
-finding branch on ``field.p`` once per operation (an int for F_p, None
-for QQ) and then work on plain ints mod p or on Fractions directly.
+stored as plain ints in ``[0, p)``.  A :class:`FieldSpec` names the field,
+coerces values into it (`normalize`) and provides one-scalar-at-a-time
+arithmetic, which the tests use as a per-scalar reference.  Polynomial
+code does not call it per scalar: `BinForm` ring operations and the chart
+kernel in `binform` branch on ``field.p`` (an int for F_p, None for QQ)
+and work on plain ints mod p or on Fractions directly.
 """
 
 from __future__ import annotations
@@ -131,9 +132,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.is_prime_field else 1 / a
-
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     def random_element(self, rng) -> Scalar:
         """Uniform residue over F_p; small bounded integer over the rationals."""
