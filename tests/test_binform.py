@@ -516,14 +516,24 @@ def oracle_scalars(fld):
     return st.one_of(special, st.integers(min_value=0, max_value=fld.p - 1))
 
 
+#: rationals with numerators up to 10^12 and denominators up to 10^6, so
+#: that coefficient growth in a remainder sequence over Z shows
+wide_rationals = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+)
+
+
 @st.composite
-def oracle_forms(draw, fld, degree=None):
+def oracle_forms(draw, fld, degree=None, scalars=None):
     """Forms with zero runs at both ends; the zero form when degree is None."""
     if degree is None:
         if draw(st.integers(0, 9)) == 0:
             return BinForm.zero(fld)
         degree = draw(st.integers(min_value=0, max_value=8))
-    coeffs = draw(st.lists(oracle_scalars(fld), min_size=degree + 1, max_size=degree + 1))
+    if scalars is None:
+        scalars = oracle_scalars(fld)
+    coeffs = draw(st.lists(scalars, min_size=degree + 1, max_size=degree + 1))
     lead_zeros = draw(st.integers(0, degree))
     trail_zeros = draw(st.integers(0, degree - lead_zeros))
     coeffs[:lead_zeros] = [0] * lead_zeros
@@ -550,31 +560,22 @@ def check_against(op, ref, *args) -> None:
     assert_coeffs(op(*args), args[0].field, expected)
 
 
-@pytest.mark.oracle
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_ring_operations_match_per_scalar_reference(data):
-    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
-    a = data.draw(oracle_forms(fld))
+def check_ring_operations(data, fld, scalars) -> None:
+    a = data.draw(oracle_forms(fld, scalars=scalars))
     same_degree = not a.is_zero and data.draw(st.booleans())
-    b = data.draw(oracle_forms(fld, a.degree if same_degree else None))
+    b = data.draw(oracle_forms(fld, a.degree if same_degree else None, scalars))
     check_against(operator.add, ref_add, a, b)
     check_against(operator.sub, ref_sub, a, b)
     check_against(operator.mul, ref_mul, a, b)
     check_against(operator.neg, ref_neg, a)
-    c = data.draw(st.one_of(oracle_scalars(fld), st.integers(-50, 50),
-                            st.fractions(-9, 9, max_denominator=4)))
+    c = data.draw(st.one_of(scalars, st.integers(-50, 50), st.fractions(-9, 9, max_denominator=4)))
     check_against(BinForm.scale, ref_scale, a, c)
     check_against(operator.pow, ref_pow, a, data.draw(st.integers(0, 4)))
 
 
-@pytest.mark.oracle
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_division_matches_per_scalar_reference(data):
-    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
-    a = data.draw(oracle_forms(fld))
-    b = data.draw(oracle_forms(fld))
+def check_division(data, fld, scalars) -> None:
+    a = data.draw(oracle_forms(fld, scalars=scalars))
+    b = data.draw(oracle_forms(fld, scalars=scalars))
     product = BinForm(fld, ref_mul(a, b))
     check_against(gcd, ref_gcd, a, b)
     check_against(gcd, ref_gcd, product, b)
@@ -584,17 +585,16 @@ def test_division_matches_per_scalar_reference(data):
     assert divides(b, a) == ref_divides(b, a)
 
 
-@pytest.mark.oracle
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_evaluation_and_calculus_match_per_scalar_reference(data):
-    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
-    f = data.draw(oracle_forms(fld))
+def check_calculus(data, fld, scalars) -> None:
+    f = data.draw(oracle_forms(fld, scalars=scalars))
     if fld == F5 and data.draw(st.booleans()):
         # Frobenius: a p-th power has a vanishing chart derivative, and the
         # cofactor puts roots of multiplicity prime to p next to it
         f = f ** 5 * data.draw(oracle_forms(fld))
-    points = st.one_of(oracle_scalars(fld), st.integers(-50, 50), st.fractions(-9, 9, max_denominator=4))
+    elif fld.is_rational and data.draw(st.booleans()):
+        # repeated rational roots, so that gcd(u, u') is not constant
+        f = f * data.draw(oracle_forms(fld, scalars=scalars)) ** 2
+    points = st.one_of(scalars, st.integers(-50, 50), st.fractions(-9, 9, max_denominator=4))
     a, b = data.draw(points), data.draw(points)
     value = f.evaluate(a, b)
     assert value == ref_evaluate(f, a, b)
@@ -607,6 +607,38 @@ def test_evaluation_and_calculus_match_per_scalar_reference(data):
             count_distinct_roots(f)
     else:
         assert count_distinct_roots(f) == ref_count_distinct_roots(f)
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_ring_operations_match_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    check_ring_operations(data, fld, oracle_scalars(fld))
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_division_matches_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    check_division(data, fld, oracle_scalars(fld))
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluation_and_calculus_match_per_scalar_reference(data):
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    check_calculus(data, fld, oracle_scalars(fld))
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("check", [check_ring_operations, check_division, check_calculus])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_wide_rationals_match_per_scalar_reference(check, data):
+    check(data, QQ, wide_rationals)
 
 
 @pytest.mark.oracle

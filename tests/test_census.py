@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -574,6 +575,21 @@ def test_census_bad_reduction_is_value_error(member_over_11):
         run_census(member_over_11, p_nodes=11, skip_sweep=True)
     # any other prime reduces fine
     assert run_census(member_over_11, p_nodes=13, skip_sweep=True).p_nodes == 13
+
+
+def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
+    # q_x becomes 8/33 t0^4 - 8/11 t0^3 t1 - 7/22 t0^2 t1^2 - ...: the first
+    # coefficient that 11 cannot reduce has denominator 33, the form's common
+    # denominator is 66, and the message names the coefficient's own
+    terms = dict(member_over_11.Q.terms)
+    qx = terms[FiberMonomial(0, 2, 0, 0)]
+    terms[FiberMonomial(0, 2, 0, 0)] = qx + BinForm(QQ, (Fraction(1, 3), 0, Fraction(1, 2), 0, 0))
+    Q = GradedSection(member_over_11.bundle, QQ, member_over_11.Q.bidegree, terms)
+    member = SurfaceEquations(member_over_11.bundle, QQ, Q, member_over_11.G).validate()
+    assert member.q_x.coefficient(0) == Fraction(8, 33)
+    with pytest.raises(ValueError) as err:
+        run_census(member, p_nodes=11, skip_sweep=True)
+    assert str(err.value) == "bad reduction mod 11: denominator 33 not invertible mod 11"
 
 
 def test_census_prime_mismatch_rejected():

@@ -148,7 +148,7 @@ def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
     assert code != 0
     doc = json.loads(text)  # exactly one JSON document
     assert list(doc) == ["error"]
-    assert doc["error"].startswith("bad reduction mod 11")
+    assert doc["error"] == "bad reduction mod 11: denominator 11 not invertible mod 11"
 
 
 def test_census_rational_member_at_largest_prime(tmp_path, capsys):
