@@ -1,27 +1,33 @@
 """Binary forms: homogeneous polynomials in (t0, t1) over an exact field.
 
-A form of degree d is stored as the coefficient tuple ``(c_0, ..., c_d)``
-where ``c_i`` multiplies ``t0^(d-i) * t1^i``.  The identically-zero form is
-a single shared shape with no degree: any API slot that demands "a form of
-degree d" accepts it, because the geometric degree formulas routinely
-prescribe negative degrees and thereby force coefficients to vanish.
+A form of degree d has the coefficients ``(c_0, ..., c_d)``, where ``c_i``
+multiplies ``t0^(d-i) * t1^i``.  They are stored as integer numerators
+``nums`` over one positive denominator ``den``.  Over F_p, ``den`` is 1 and
+the numerators are residues in [0, p).  Over QQ the pair is canonical:
+``gcd(den, *nums) == 1``, so equal forms have equal ``(nums, den)``.  The
+``coeffs`` property gives the scalars themselves, ints over F_p and
+Fractions over QQ.  The identically-zero form is a single shared shape with
+no degree: any API slot that demands "a form of degree d" accepts it,
+because the geometric degree formulas routinely prescribe negative degrees
+and thereby force coefficients to vanish.
 
-Arithmetic looks at the field once per form operation, not per scalar.
-A product is the dense convolution with one reduction per output
-coefficient (von zur Gathen-Gerhard, *Modern Computer Algebra*, ch. 2
-and 8): over F_p the sums accumulate in Python ints and are reduced mod p
-once; over QQ the factors are written as integer numerators over a
-common denominator, convolved the same way, and each output coefficient
-becomes one Fraction.
+Arithmetic works in Python ints and looks at the field once per form
+operation, not per scalar.  A sum brings the two forms to a common
+denominator; a product is the dense convolution of the numerators over the
+product of the denominators (von zur Gathen-Gerhard, *Modern Computer
+Algebra*, ch. 2 and 8).  Each result is reduced once: mod p per
+coefficient over F_p, by one gcd of its denominator and numerators over QQ.
 
 Division, gcd, derivatives, root counting and root finding work through
 the chart t1 = 1 with the t1-multiplicity tracked separately, so nothing is
-lost at the point (1:0).  One kernel serves both fields: `_monic`,
-`_divmod` (by a monic divisor), `_gcd` and `_derivative` take dense
-ascending coefficient lists and ``p`` (None for QQ), and branch on it once
-per step, on plain ints mod p or on Fractions.  Euclid over a field is one
-algorithm for both (von zur Gathen-Gerhard, ch. 3).  Root finding over F_p
-never enumerates the field: it takes the gcd with t^p - t and splits it by
+lost at the point (1:0).  The chart kernel works on dense ascending lists of
+ints.  Over F_p, `_monic`, `_divmod` (by a monic divisor), `_gcd` and
+`_derivative` are Euclid over a field (von zur Gathen-Gerhard, ch. 3).  Over
+QQ the kernel works over Z on the numerators, since a denominator is only
+a scalar: `_zgcd` is a primitive (content-removing) pseudo-remainder
+sequence, and `_zquotient` divides exactly by a primitive divisor (Knuth,
+TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p never
+enumerates the field: it takes the gcd with t^p - t and splits it by
 deterministic equal-degree splitting, in O(d^2 log p) for a form of
 degree d.
 """
@@ -45,49 +51,53 @@ def _require_same_field(a: "BinForm", b: "BinForm") -> None:
         raise BinFormError(f"mixed coefficient fields: {a.field} vs {b.field}")
 
 
-_setattr = object.__setattr__
-
-
-def _qq_numerators(coeffs: tuple):
-    """Integer numerators of Fraction coefficients over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
-def _qq_fractions(nums: list, den: int) -> tuple:
-    if den == 1:
-        return tuple(map(Fraction, nums))
-    return tuple(Fraction(n, den) for n in nums)
-
-
 class BinForm:
     """Immutable homogeneous polynomial in (t0, t1).
 
     ``BinForm(field, coeffs)`` validates: every coefficient goes through
     ``field.normalize``, so it accepts ints and Fractions alike.  The ring
-    operations build their results with :meth:`_trusted` instead, from
-    coefficients they computed canonically themselves: ints in [0, p)
-    over F_p, Fractions over QQ.
+    operations build their results with :meth:`from_numerators` instead,
+    from integer numerators and a denominator they computed themselves.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: FieldSpec, coeffs: Iterable):
-        normalized = tuple(field.normalize(c) for c in coeffs)
-        if not any(normalized):
-            normalized = ()
-        _setattr(self, "field", field)
-        _setattr(self, "coeffs", normalized)
+        scalars = [field.normalize(c) for c in coeffs]
+        den = 1
+        if field.p is None:
+            # over the least common denominator the pair is already canonical
+            den = math.lcm(*[c.denominator for c in scalars])
+            scalars = [c.numerator * (den // c.denominator) for c in scalars]
+        if not any(scalars):
+            scalars, den = (), 1
+        _set_field(self, field)
+        _set_nums(self, tuple(scalars))
+        _set_den(self, den)
 
     @staticmethod
-    def _trusted(field: FieldSpec, coeffs: tuple) -> "BinForm":
-        """Form from a tuple already canonical in `field`; all zeros give the zero form."""
-        form = object.__new__(BinForm)
-        _setattr(form, "field", field)
-        _setattr(form, "coeffs", coeffs if any(coeffs) else ())
-        return form
+    def from_numerators(field: FieldSpec, nums: Iterable[int], den: int = 1) -> "BinForm":
+        """The form with coefficients ``nums[i] / den``, for ints and a ``den`` > 0.
+
+        Over F_p the numerators are reduced mod p, times one inverse of
+        ``den`` (a ValueError when p divides it); over QQ the pair is reduced
+        by one gcd.  All-zero numerators give the zero form.
+        """
+        p = field.p
+        if p is None:
+            nums = tuple(nums)
+        elif den == 1:
+            nums = tuple([n % p for n in nums])
+        else:
+            inv = pow(den, -1, p)
+            nums, den = tuple([n * inv % p for n in nums]), 1
+        if not any(nums):
+            return _new(field, (), 1)
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                nums, den = tuple([n // g for n in nums]), den // g
+        return _new(field, nums, den)
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("BinForm is immutable")
@@ -96,7 +106,7 @@ class BinForm:
 
     @staticmethod
     def zero(field: FieldSpec) -> "BinForm":
-        return BinForm(field, ())
+        return _new(field, (), 1)
 
     @staticmethod
     def constant(field: FieldSpec, c) -> "BinForm":
@@ -104,16 +114,22 @@ class BinForm:
 
     @staticmethod
     def one(field: FieldSpec) -> "BinForm":
-        return BinForm._trusted(field, (field.one,))
+        return _new(field, (1,), 1)
 
     @staticmethod
     def monomial(field: FieldSpec, degree: int, t1_exp: int, coeff=1) -> "BinForm":
         """coeff * t0^(degree - t1_exp) * t1^t1_exp."""
         if not 0 <= t1_exp <= degree:
             raise BinFormError(f"exponent {t1_exp} outside degree {degree}")
-        coeffs = [0] * (degree + 1)
-        coeffs[t1_exp] = coeff
-        return BinForm(field, coeffs)
+        c = field.normalize(coeff)
+        if not c:
+            return _new(field, (), 1)
+        nums = [0] * (degree + 1)
+        if field.p is None:
+            nums[t1_exp] = c.numerator
+            return _new(field, tuple(nums), c.denominator)
+        nums[t1_exp] = c
+        return _new(field, tuple(nums), 1)
 
     @staticmethod
     def t0(field: FieldSpec) -> "BinForm":
@@ -126,97 +142,100 @@ class BinForm:
     # -- structure ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as scalars: residues over F_p, Fractions over QQ."""
+        if self.field.p is not None:
+            return self.nums
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.nums])
+
+    def _scalar(self, n: int) -> Scalar:
+        return n if self.field.p is not None else Fraction(n, self.den)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> Optional[int]:
         """Homogeneity degree, or None for the zero form."""
-        return None if self.is_zero else len(self.coeffs) - 1
+        return None if self.is_zero else len(self.nums) - 1
 
     def coefficient(self, t1_exp: int) -> Scalar:
-        if self.is_zero or not 0 <= t1_exp < len(self.coeffs):
+        if not 0 <= t1_exp < len(self.nums):
             return self.field.zero
-        return self.coeffs[t1_exp]
+        return self._scalar(self.nums[t1_exp])
 
     @property
     def lead_coeff(self) -> Scalar:
         """Coefficient of the highest t0-power present; 0 for the zero form."""
-        for c in self.coeffs:
-            if c != 0:
-                return c
+        for n in self.nums:
+            if n:
+                return self._scalar(n)
         return self.field.zero
 
     def t1_multiplicity(self) -> int:
         """Largest e with t1^e dividing the form (0 for the zero form)."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
+        for i, n in enumerate(self.nums):
+            if n:
                 return i
         return 0
 
     # -- ring operations -------------------------------------------------
     #
-    # Each operation looks at field.p once: over F_p (p an int) it works on
-    # plain ints and reduces once per output coefficient, over QQ (p None)
-    # on Fractions, or for a product on integer numerators over a common
-    # denominator.  Results go through _trusted, not the normalizing
-    # constructor.
+    # Each operation looks at field.p once and works on the numerators in
+    # Python ints; from_numerators reduces the result once, mod p over F_p
+    # or by one gcd over QQ.
 
     def __add__(self, other: "BinForm") -> "BinForm":
         _require_same_field(self, other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a:
             return other
         if not b:
             return self
         if len(a) != len(b):
             raise BinFormError(f"degree mismatch in sum: {self.degree} vs {other.degree}")
-        p = self.field.p
-        if p is None:
-            return BinForm._trusted(self.field, tuple(x + y for x, y in zip(a, b)))
-        return BinForm._trusted(self.field, tuple((x + y) % p for x, y in zip(a, b)))
+        da, db = self.den, other.den
+        if da == db:
+            return BinForm.from_numerators(self.field, [x + y for x, y in zip(a, b)], da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return BinForm.from_numerators(self.field, [x * ma + y * mb for x, y in zip(a, b)], da * ma)
 
     def __neg__(self) -> "BinForm":
         p = self.field.p
         if p is None:
-            return BinForm._trusted(self.field, tuple(-c for c in self.coeffs))
-        return BinForm._trusted(self.field, tuple(-c % p for c in self.coeffs))
+            return _new(self.field, tuple([-n for n in self.nums]), self.den)
+        return _new(self.field, tuple([-n % p for n in self.nums]), 1)
 
     def __sub__(self, other: "BinForm") -> "BinForm":
         return self + (-other)
 
     def __mul__(self, other: "BinForm") -> "BinForm":
         _require_same_field(self, other)
-        a, b = self.coeffs, other.coeffs
-        f = self.field
+        a, b = self.nums, other.nums
         if not a or not b:
-            return BinForm._trusted(f, ())
-        p = f.p
-        if p is None:
-            a, da = _qq_numerators(a)
-            b, db = _qq_numerators(b)
+            return _new(self.field, (), 1)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
-        if p is None:
-            return BinForm._trusted(f, _qq_fractions(out, da * db))
-        return BinForm._trusted(f, tuple(c % p for c in out))
+        return BinForm.from_numerators(self.field, out, self.den * other.den)
 
     def scale(self, c) -> "BinForm":
         f = self.field
         c = f.normalize(c)
-        p = f.p
-        if p is None:
-            return BinForm._trusted(f, tuple(c * x for x in self.coeffs))
-        return BinForm._trusted(f, tuple(c * x % p for x in self.coeffs))
+        if f.p is None:
+            n = c.numerator
+            return BinForm.from_numerators(f, [n * x for x in self.nums], self.den * c.denominator)
+        return BinForm.from_numerators(f, [c * x for x in self.nums])
 
     def __pow__(self, n: int) -> "BinForm":
         if n < 0:
             raise BinFormError("negative power")
-        f = self.field
-        result, base = BinForm._trusted(f, (f.one,)), self
+        result, base = _new(self.field, (1,), 1), self
         while n:
             if n & 1:
                 result = result * base
@@ -228,17 +247,26 @@ class BinForm:
     def monic(self) -> "BinForm":
         if self.is_zero:
             raise BinFormError("zero form has no monic normalization")
-        return self.scale(self.field.inv(self.lead_coeff))
+        lead = next(n for n in self.nums if n)
+        p = self.field.p
+        if p is None:
+            # c_i / c_lead = n_i / lead
+            if lead < 0:
+                return BinForm.from_numerators(self.field, [-n for n in self.nums], -lead)
+            return BinForm.from_numerators(self.field, self.nums, lead)
+        inv = pow(lead, -1, p)
+        return BinForm.from_numerators(self.field, [n * inv for n in self.nums])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinForm)
             and (self.field is other.field or self.field == other.field)
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.nums, self.den))
 
     def proportional_to(self, other: "BinForm") -> bool:
         """True when the forms differ by a nonzero scalar."""
@@ -252,23 +280,37 @@ class BinForm:
     # -- evaluation and calculus ------------------------------------------
 
     def evaluate(self, a, b) -> Scalar:
-        """Value at (t0, t1) = (a, b): Horner in t0, the powers of t1 folded in."""
+        """Value at (t0, t1) = (a, b): Horner in t0, the powers of t1 folded in.
+
+        Over QQ the numerators are evaluated at an integer point and one
+        Fraction is built at the end: with a = an/ad and b = bn/bd,
+        homogeneity gives F(a, b) = F(an*bd, bn*ad) / (ad*bd)^d.
+        """
         f = self.field
         a, b, p = f.normalize(a), f.normalize(b), f.p
-        val, b_pow = f.zero, f.one
-        for c in self.coeffs:
-            val, b_pow = val * a + c * b_pow, b_pow * b
-            if p is not None:
-                val, b_pow = val % p, b_pow % p
-        return val
+        val, b_pow = 0, 1
+        if p is not None:
+            for n in self.nums:
+                val, b_pow = (val * a + n * b_pow) % p, b_pow * b % p
+            return val
+        if not self.nums:
+            return f.zero
+        ad, bd = a.denominator, b.denominator
+        a, b = a.numerator * bd, b.numerator * ad
+        for n in self.nums:
+            val, b_pow = val * a + n * b_pow, b_pow * b
+        return Fraction(val, self.den * (ad * bd) ** (len(self.nums) - 1))
 
     def deriv_t0(self) -> "BinForm":
         """Formal partial derivative with respect to t0."""
-        return BinForm._trusted(self.field, tuple(_partial(self.coeffs[::-1], self.field)[::-1]))
+        d = len(self.nums) - 1
+        nums = [(d - i) * n for i, n in enumerate(self.nums[:-1])]
+        return BinForm.from_numerators(self.field, nums, self.den)
 
     def deriv_t1(self) -> "BinForm":
         """Formal partial derivative with respect to t1."""
-        return BinForm._trusted(self.field, tuple(_partial(self.coeffs, self.field)))
+        nums = [i * n for i, n in enumerate(self.nums[1:], 1)]
+        return BinForm.from_numerators(self.field, nums, self.den)
 
     # -- chart t1 = 1 ------------------------------------------------------
 
@@ -276,13 +318,9 @@ class BinForm:
         """Coefficients of f(x, 1) ascending in x; exact length deg+1."""
         return list(self.coeffs[::-1])
 
-    @staticmethod
-    def homogenize(field: FieldSpec, poly: list, t1_shift: int = 0) -> "BinForm":
-        """Inverse of :meth:`dehomogenize` on canonical scalars, times an extra t1^t1_shift."""
-        poly = _trim(list(poly))
-        if not poly:
-            return BinForm.zero(field)
-        return BinForm._trusted(field, tuple([field.zero] * t1_shift + poly[::-1]))
+    def _chart(self) -> list:
+        """Numerators of f(x, 1) ascending in x, trimmed: the factor t1^e is dropped."""
+        return _trim(list(self.nums[::-1]))
 
     # -- printing ----------------------------------------------------------
 
@@ -293,10 +331,28 @@ class BinForm:
         return f"BinForm({self.field}, {format_binform(self)!r})"
 
 
+# the slots' own setters, which bypass the immutability guard
+_set_field, _set_nums, _set_den = BinForm.field.__set__, BinForm.nums.__set__, BinForm.den.__set__
+
+
+def _new(field: FieldSpec, nums: tuple, den: int) -> BinForm:
+    """Form from numerators and a denominator that are already canonical."""
+    form = object.__new__(BinForm)
+    _set_field(form, field)
+    _set_nums(form, nums)
+    _set_den(form, den)
+    return form
+
+
+def _from_chart(field: FieldSpec, u: list, t1_shift: int, den: int = 1) -> BinForm:
+    """Inverse of `BinForm._chart`: numerators `u` over `den`, times t1^t1_shift."""
+    return BinForm.from_numerators(field, [0] * t1_shift + u[::-1], den)
+
+
 # ---------------------------------------------------------------------------
-# the chart kernel: dense ascending coefficient lists over F_p, or QQ when p
-# is None.  Scalars stay canonical (ints in [0, p), or Fractions), so the
-# results can be homogenized without normalizing them again.
+# the chart kernel: dense ascending lists of ints.  Over F_p they hold
+# residues in [0, p); over QQ they hold integer numerators, and the kernel
+# works over Z.
 # ---------------------------------------------------------------------------
 
 
@@ -306,29 +362,29 @@ def _trim(u: list) -> list:
     return u
 
 
-def _scale(u: list, c, p: Optional[int]) -> list:
-    return [x * c for x in u] if p is None else [x * c % p for x in u]
+def _scale(u: list, c: int, p: int) -> list:
+    return [x * c % p for x in u]
 
 
-def _monic(u: list, p: Optional[int]) -> list:
+def _monic(u: list, p: int) -> list:
     """The nonzero trimmed u divided by its leading coefficient."""
-    return _scale(u, 1 / u[-1] if p is None else pow(u[-1], -1, p), p)
+    return _scale(u, pow(u[-1], -1, p), p)
 
 
-def _divmod(u: list, f: list, p: Optional[int]):
+def _divmod(u: list, f: list, p: int):
     """Quotient and remainder of u by a monic f; the quotient is trimmed when u is."""
     n = len(f) - 1
     u = list(u)
     q = [0] * max(0, len(u) - n)
     for k in range(len(u) - 1, n - 1, -1):
-        c = q[k - n] = u[k] if p is None else u[k] % p
+        c = q[k - n] = u[k] % p
         if c:
             for j in range(n):
                 u[k - n + j] -= c * f[j]
-    return q, _trim(u[:n] if p is None else [c % p for c in u[:n]])
+    return q, _trim([c % p for c in u[:n]])
 
 
-def _gcd(u: list, v: list, p: Optional[int]) -> list:
+def _gcd(u: list, v: list, p: int) -> list:
     """Monic gcd of trimmed u and v, not both zero."""
     while v:
         v = _monic(v, p)
@@ -336,17 +392,78 @@ def _gcd(u: list, v: list, p: Optional[int]) -> list:
     return _monic(u, p)
 
 
-def _derivative(u: list, p: Optional[int]) -> list:
+def _derivative(u: list, p: int) -> list:
     """Trimmed formal derivative of u."""
-    if p is None:
-        return _trim([i * u[i] for i in range(1, len(u))])
     return _trim([i * u[i] % p for i in range(1, len(u))])
 
 
-def _partial(coeffs, field: FieldSpec) -> list:
-    """Derivative of coeffs read ascending, padded back to length len(coeffs) - 1."""
-    du = _derivative(list(coeffs), field.p)
-    return du + [field.zero] * (len(coeffs) - 1 - len(du))
+def _content(u: list) -> int:
+    """The gcd of the nonzero trimmed u, with the sign of its leading coefficient."""
+    c = math.gcd(*u)
+    return -c if u[-1] < 0 else c
+
+
+def _primitive(u: list) -> list:
+    """The nonzero trimmed u over its content: coprime entries, leading one > 0."""
+    c = _content(u)
+    return u if c == 1 else [x // c for x in u]
+
+
+def _prem(u: list, v: list) -> list:
+    """Trimmed remainder of m*u by a nonzero trimmed v, for some integer m != 0.
+
+    A pseudo-remainder over Z: each step cancels the top coefficient c of u
+    against the leading coefficient l of v with the smallest multipliers,
+    l/gcd(c, l) on u and c/gcd(c, l) on v, so no fraction appears.
+    """
+    n, lead = len(v) - 1, v[-1]
+    u = list(u)
+    while len(u) > n:
+        c = u.pop()
+        if c:
+            g = math.gcd(c, lead)
+            m, c = lead // g, c // g
+            if m != 1:
+                u = [x * m for x in u]
+            k = len(u) - n
+            for j in range(n):
+                u[k + j] -= c * v[j]
+    return _trim(u)
+
+
+def _zgcd(u: list, v: list) -> list:
+    """Primitive gcd over Z of trimmed u and v, not both zero; leading coefficient > 0.
+
+    The primitive remainder sequence: each pseudo-remainder is divided by
+    its content before it divides the next, which keeps the coefficients
+    near the size of the inputs.
+    """
+    while v:
+        v = _primitive(v)
+        u, v = v, _prem(u, v)
+    return _primitive(u)
+
+
+def _zquotient(u: list, v: list) -> Optional[list]:
+    """u / v for a primitive v, or None when v does not divide u over QQ.
+
+    By Gauss's lemma a primitive v that divides u over QQ divides it over Z,
+    so every quotient coefficient is an exact integer division: the first
+    inexact one, or a nonzero remainder, shows that v does not divide u.
+    """
+    n, lead = len(v) - 1, v[-1]
+    u = list(u)
+    q = [0] * max(0, len(u) - n)
+    while len(u) > n:
+        c, r = divmod(u.pop(), lead)
+        if r:
+            return None
+        k = len(u) - n
+        q[k] = c
+        if c:
+            for j in range(n):
+                u[k + j] -= c * v[j]
+    return None if any(u) else q
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +480,11 @@ def gcd(a: BinForm, b: BinForm) -> BinForm:
     if a.is_zero and b.is_zero:
         raise BinFormError("gcd(0, 0) is undefined")
     e = min(g.t1_multiplicity() for g in (a, b) if not g.is_zero)
-    g = _gcd(_trim(a.dehomogenize()), _trim(b.dehomogenize()), a.field.p)
-    return BinForm.homogenize(a.field, g, t1_shift=e)
+    p = a.field.p
+    if p is None:
+        g = _zgcd(a._chart(), b._chart())
+        return _from_chart(a.field, g, e, g[-1])
+    return _from_chart(a.field, _gcd(a._chart(), b._chart(), p), e)
 
 
 def _quotient(a: BinForm, b: BinForm) -> Optional[BinForm]:
@@ -375,10 +495,20 @@ def _quotient(a: BinForm, b: BinForm) -> Optional[BinForm]:
     if shift < 0:
         return None
     p = a.field.p
-    v = _trim(b.dehomogenize())
-    inv = 1 / v[-1] if p is None else pow(v[-1], -1, p)
-    q, r = _divmod(_trim(a.dehomogenize()), _scale(v, inv, p), p)
-    return None if r else BinForm.homogenize(a.field, _scale(q, inv, p), t1_shift=shift)
+    v = b._chart()
+    if p is None:
+        # a / b = (u / a.den) / (c * w / b.den) = (u / w) * b.den / (a.den * c)
+        c = _content(v)
+        q = _zquotient(a._chart(), [x // c for x in v])
+        if q is None:
+            return None
+        den, m = a.den * c, b.den
+        if den < 0:
+            den, m = -den, -m
+        return _from_chart(a.field, [x * m for x in q], shift, den)
+    inv = pow(v[-1], -1, p)
+    q, r = _divmod(a._chart(), _scale(v, inv, p), p)
+    return None if r else _from_chart(a.field, _scale(q, inv, p), shift)
 
 
 def divides(divisor: BinForm, dividend: BinForm) -> bool:
@@ -480,7 +610,7 @@ def roots(form: BinForm) -> dict:
     inf_mult = form.t1_multiplicity()
     if inf_mult:
         out[(1, 0)] = inf_mult
-    u = _trim(form.dehomogenize())
+    u = form._chart()
     if len(u) < 2:
         return out
     f = _monic(u, p)
@@ -507,7 +637,10 @@ def count_distinct_roots(form: BinForm) -> int:
         raise BinFormError("zero form")
     p = form.field.p
     count = 1 if form.t1_multiplicity() else 0
-    u = _trim(form.dehomogenize())
+    u = form._chart()
+    if p is None:
+        # in characteristic 0 every repeated root of u is a root of u'
+        return count + len(u) - len(_zgcd(u, [i * u[i] for i in range(1, len(u))]))
     while len(u) > 1:
         du = _derivative(u, p)
         if not du:
@@ -531,7 +664,9 @@ def random_binform(field: FieldSpec, degree: int, rng) -> BinForm:
     """
     if degree < 0:
         return BinForm.zero(field)
-    return BinForm._trusted(field, tuple(field.random_element(rng) for _ in range(degree + 1)))
+    if field.p is None:
+        return BinForm.from_numerators(field, [rng.randint(-9, 9) for _ in range(degree + 1)])
+    return BinForm.from_numerators(field, [rng.randrange(field.p) for _ in range(degree + 1)])
 
 
 def random_split_squarefree(field: FieldSpec, degree: int, rng) -> BinForm:
@@ -566,12 +701,14 @@ _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>t[01])|(?P<op>[-+*/^])|(?P<word>\w+)|
 
 
 def scan_binform(text: str, field: FieldSpec):
-    """Read a literal as ``(degree, {t1 exponent: coefficient})`` without building the form.
+    """Read a literal as ``(degree, {t1 exponent: numerator}, den)`` without building the form.
 
-    Coefficients are canonical in `field` and nonzero; the zero form reads
-    as ``(None, {})``.  Errors come in this order: a bad character, a syntax
-    error, a denominator not invertible in `field` (at its own term), and a
-    nonzero term whose degree differs from the first nonzero term's.
+    The coefficient of t1^e is ``numerator / den``: nonzero residues and
+    ``den`` = 1 over F_p, nonzero integers over one common denominator over
+    QQ (not yet reduced).  The zero form reads as ``(None, {}, 1)``.  Errors
+    come in this order: a bad character, a syntax error, a denominator not
+    invertible in `field` (at its own term), and a nonzero term whose degree
+    differs from the first nonzero term's.
     """
     tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     for kind, tok, off in tokens:
@@ -618,29 +755,33 @@ def scan_binform(text: str, field: FieldSpec):
             raise ParseError("expected '+' or '-' between terms", off)
     p, live, coeffs = field.p, [], {}
     for num, den, e0, e1, off in terms:
-        try:
-            c = num % p if p and den == 1 else field.normalize(Fraction(num, den))
-        except ZeroDivisionError as exc:
-            raise ParseError(str(exc), off) from None
-        if c:
-            live.append((c, e0 + e1, e1, off))
-    for c, degree, e1, off in live:
-        if degree != live[0][1]:
+        if den != 1:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
+            if p:  # the term's residue
+                if den % p == 0:
+                    raise ParseError(f"denominator {den} not invertible mod {p}", off)
+                num, den = num * pow(den, -1, p), 1
+        if (num % p if p else num):
+            live.append((num, den, e0 + e1, e1, off))
+    den = 1 if p else math.lcm(*[t[1] for t in live])
+    for num, d, degree, e1, off in live:
+        if degree != live[0][2]:
             raise ParseError(f"inhomogeneous literal: term of degree {degree} "
-                             f"in a degree-{live[0][1]} form", off)
-        coeffs[e1] = coeffs.get(e1, 0) + c
+                             f"in a degree-{live[0][2]} form", off)
+        coeffs[e1] = coeffs.get(e1, 0) + (num if d == den else num * (den // d))
     coeffs = {e1: c % p if p else c for e1, c in coeffs.items()}
     coeffs = {e1: c for e1, c in coeffs.items() if c}
-    return (live[0][1] if coeffs else None), coeffs
+    return (live[0][2] if coeffs else None), coeffs, den
 
 
 def build_binform(scanned, field: FieldSpec) -> BinForm:
-    """The form `scan_binform` read, with dense coefficients of t0^(d-i)*t1^i."""
-    degree, coeffs = scanned
-    dense = [field.zero] * (degree + 1 if coeffs else 0)
-    for e1, c in coeffs.items():
-        dense[e1] = c
-    return BinForm._trusted(field, tuple(dense))
+    """The form `scan_binform` read, with dense numerators of t0^(d-i)*t1^i."""
+    degree, nums, den = scanned
+    dense = [0] * (degree + 1 if nums else 0)
+    for e1, n in nums.items():
+        dense[e1] = n
+    return BinForm.from_numerators(field, dense, den)
 
 
 def parse_binform(text: str, field: FieldSpec) -> BinForm:
@@ -656,10 +797,10 @@ def format_binform(form: BinForm) -> str:
     """Canonical printer; output re-parses to an equal form."""
     if form.is_zero:
         return "0"
-    d = form.degree
+    d, den = form.degree, form.den
     pieces = []
-    for i, c in enumerate(form.coeffs):
-        if c == 0:
+    for i, n in enumerate(form.nums):
+        if n == 0:
             continue
         e0, e1 = d - i, i
         mono_parts = []
@@ -668,18 +809,17 @@ def format_binform(form: BinForm) -> str:
         if e1:
             mono_parts.append("t1" if e1 == 1 else f"t1^{e1}")
         mono = "*".join(mono_parts)
-        if isinstance(c, Fraction):
-            negative = c < 0
-            mag = -c if negative else c
-        else:
-            negative = False
-            mag = c
-        if mono and mag == 1:
+        negative = n < 0  # only over QQ: residues are >= 0
+        mag, q = abs(n), 1
+        if den != 1:
+            g = math.gcd(mag, den)
+            mag, q = mag // g, den // g
+        if mono and mag == q == 1:
             body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = str(mag) if q == 1 else f"{mag}/{q}"
+            if mono:
+                body = f"{body}*{mono}"
         if not pieces:
             pieces.append(f"-{body}" if negative else body)
         else:

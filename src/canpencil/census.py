@@ -17,6 +17,7 @@ class ambiguity deterministically.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -95,24 +96,30 @@ def _check_prime(p: int) -> FieldSpec:
     return FieldSpec.prime_field(p)  # rejects 2, 3, composites
 
 
-def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """Equations over F_p: reduce a rational member, or verify the field.
+def _reduce_form(form: BinForm, spec: FieldSpec) -> BinForm:
+    """A rational form over F_p: its numerators times one inverse of its denominator.
 
-    A coefficient whose denominator p divides has no reduction mod p; that
-    is reported as a ValueError ("bad reduction"), not a ZeroDivisionError.
+    When p divides the denominator, the ValueError ("bad reduction") names
+    the own denominator of the first coefficient that has no reduction.
     """
+    p, den = spec.p, form.den
+    if den % p == 0:
+        own = next(d for d in (den // math.gcd(n, den) for n in form.nums) if d % p == 0)
+        raise ValueError(f"bad reduction mod {p}: denominator {own} not invertible mod {p}")
+    return BinForm.from_numerators(spec, form.nums, den)
+
+
+def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
+    """Equations over F_p: reduce a rational member, or verify the field."""
     spec = _check_prime(p)
     if eqs.field.is_prime_field:
         if eqs.field.p != p:
             raise ValueError(f"member lives over F_{eqs.field.p}, cannot census at p = {p}")
         return eqs
     def reduce_section(s: GradedSection) -> GradedSection:
-        terms = {m: BinForm(spec, coeff.coeffs) for m, coeff in s.terms.items()}
+        terms = {m: _reduce_form(coeff, spec) for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)
-    try:
-        return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
-    except ZeroDivisionError as exc:
-        raise ValueError(f"bad reduction mod {p}: {exc}") from None
+    return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +156,7 @@ def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int], p: int) ->
 
     The local coordinate t is t0 in the chart t1 != 0 and t1 at (1:0).
     """
-    c = form.coeffs  # c[i] multiplies t0^(d-i) t1^i
+    c = form.nums  # residues; c[i] multiplies t0^(d-i) t1^i
     a, b = base
     if b == 0:
         return (c[0] if c else 0), (c[1] if len(c) > 1 else 0)

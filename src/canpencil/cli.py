@@ -225,10 +225,11 @@ LEDGERS = {
 }
 
 
-#: largest --trials that verify runs: `verify all` costs about 1.6 ms per
-#: trial over F_10007 and 4.5 ms over QQ (1000 trials, CPython 3.11 on a
-#: 2-core host) and grows linearly in the trials, so a run at the limit
-#: takes about 16 s over F_10007 and 45 s over QQ.
+#: largest --trials that verify runs: `verify all` costs about 1.5 ms per
+#: trial over F_10007 and 1.3 ms over QQ (1000 trials, median of 5
+#: in-process runs, CPython 3.11 on a 2-core host) and grows linearly in
+#: the trials, so a run at the limit takes about 15 s over F_10007 and 13 s
+#: over QQ.
 TRIALS_MAX = 10_000
 
 

@@ -5,9 +5,10 @@ Every computation in this package is exact.  Rational scalars are
 stored as plain ints in ``[0, p)``.  A :class:`FieldSpec` names the field,
 coerces values into it (`normalize`) and provides one-scalar-at-a-time
 arithmetic, which the tests use as a per-scalar reference.  Polynomial
-code does not call it per scalar: `BinForm` ring operations and the chart
-kernel in `binform` branch on ``field.p`` (an int for F_p, None for QQ)
-and work on plain ints mod p or on Fractions directly.
+code does not call it per scalar: a `BinForm` stores integer numerators
+over one denominator (residues over 1 for F_p), its operations branch on
+``field.p`` (an int for F_p, None for QQ) once, and the chart kernel in
+`binform` works on ints mod p, or over Z for QQ.
 """
 
 from __future__ import annotations
@@ -132,12 +133,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p) if self.is_prime_field else 1 / a
-
-    def random_element(self, rng) -> Scalar:
-        """Uniform residue over F_p; small bounded integer over the rationals."""
-        if self.is_prime_field:
-            return rng.randrange(self.p)
-        return Fraction(rng.randint(-9, 9))
 
     # -- serialization --------------------------------------------------
 

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -654,6 +655,46 @@ def test_mixed_fields_rejected_by_every_binary_operation():
                     op(a, b)
                 with pytest.raises(BinFormError):
                     op(BinForm.zero(a.field), b)
+
+
+def assert_canonical(f: BinForm) -> None:
+    """A QQ form's numerators and denominator are the canonical pair."""
+    assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+    assert all(type(n) is int for n in f.nums)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    rebuilt = BinForm(QQ, f.coeffs)
+    assert rebuilt == f and hash(rebuilt) == hash(f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rational_forms_are_canonical_however_built(data):
+    a = data.draw(oracle_forms(QQ, scalars=wide_rationals))
+    b = data.draw(oracle_forms(QQ, None if a.is_zero else a.degree, wide_rationals))
+    c = data.draw(wide_rationals)
+    built = [a, b, a * b, a.scale(c), a ** 3, -a, a.deriv_t0(), a.deriv_t1(),
+             parse_binform(format_binform(a), QQ)]
+    if a.degree == b.degree:
+        built += [a + b, a - b]
+    if not a.is_zero:
+        built += [a.monic(), gcd(a, b), gcd(a * b, a ** 2)]
+    if not b.is_zero:
+        built += [divexact(a * b, b), divexact(a * b.scale(c), b)]
+    for f in built:
+        assert_canonical(f)
+    # equal forms built different ways compare and hash equal
+    for x, y in [(a + a, a.scale(2)), (a * b - b * a, BinForm.zero(QQ)),
+                 (BinForm.from_numerators(QQ, [3 * n for n in a.nums], 3 * a.den), a)]:
+        assert x == y and hash(x) == hash(y)
+    if not b.is_zero:
+        assert divexact(a * b, b) == a and hash(divexact(a * b, b)) == hash(a)
+
+
+def test_from_numerators_over_prime_field_divides_by_den():
+    assert BinForm.from_numerators(F5, [1, 3, 10], 2) == BinForm(F5, [Fraction(1, 2), Fraction(3, 2), 5])
+    assert BinForm.from_numerators(F5, [5, 10], 3).is_zero
+    with pytest.raises(ValueError):
+        BinForm.from_numerators(F5, [1, 2], 10)
 
 
 def test_negative_power_rejected():
