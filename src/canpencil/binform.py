@@ -397,15 +397,11 @@ def _derivative(u: list, p: int) -> list:
     return _trim([i * u[i] % p for i in range(1, len(u))])
 
 
-def _content(u: list) -> int:
-    """The gcd of the nonzero trimmed u, with the sign of its leading coefficient."""
-    c = math.gcd(*u)
-    return -c if u[-1] < 0 else c
-
-
 def _primitive(u: list) -> list:
     """The nonzero trimmed u over its content: coprime entries, leading one > 0."""
-    c = _content(u)
+    c = math.gcd(*u)
+    if u[-1] < 0:
+        c = -c
     return u if c == 1 else [x // c for x in u]
 
 
@@ -445,7 +441,7 @@ def _zgcd(u: list, v: list) -> list:
 
 
 def _zquotient(u: list, v: list) -> Optional[list]:
-    """u / v for a primitive v, or None when v does not divide u over QQ.
+    """u / v for a primitive v (coprime entries), or None when v does not divide u over QQ.
 
     By Gauss's lemma a primitive v that divides u over QQ divides it over Z,
     so every quotient coefficient is an exact integer division: the first
@@ -498,14 +494,11 @@ def _quotient(a: BinForm, b: BinForm) -> Optional[BinForm]:
     v = b._chart()
     if p is None:
         # a / b = (u / a.den) / (c * w / b.den) = (u / w) * b.den / (a.den * c)
-        c = _content(v)
+        c = math.gcd(*v)
         q = _zquotient(a._chart(), [x // c for x in v])
         if q is None:
             return None
-        den, m = a.den * c, b.den
-        if den < 0:
-            den, m = -den, -m
-        return _from_chart(a.field, [x * m for x in q], shift, den)
+        return _from_chart(a.field, [x * b.den for x in q], shift, a.den * c)
     inv = pow(v[-1], -1, p)
     q, r = _divmod(a._chart(), _scale(v, inv, p), p)
     return None if r else _from_chart(a.field, _scale(q, inv, p), shift)
