@@ -290,6 +290,22 @@ def test_verify_bit_reproducible(capsys):
     assert out1 == out2
 
 
+
+def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
+    from canpencil import relalg
+
+    exact = relalg.s6prime_matrix
+
+    def shifted(data):
+        s6 = exact(data)
+        return relalg.S6Prime(s6.matrix, (s6.summand_degrees[0] + 1, s6.summand_degrees[1]))
+
+    monkeypatch.setattr(relalg, "s6prime_matrix", shifted)
+    code, doc = run_cli(capsys, "verify", "s6", "--seed", "5", "--trials", "3")
+    assert code == 1
+    assert doc["all_passed"] is False
+    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["eq.S3S2->S6/summands"]
+
 # -- bidouble / feasibility / example ---------------------------------------------------
 
 

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
-from canpencil.binform import BinForm, divexact, parse_binform, random_binform
+from canpencil.binform import BinForm, divexact, format_binform, parse_binform, random_binform
 from canpencil.fields import QQ, FieldSpec
 from canpencil.relalg import (
     EXAMPLE_KEYS,
@@ -139,6 +141,26 @@ def test_tau_degree_random_sweep():
         chi = data.pg + 1
         assert tau_of(data).degree == k2 - 2 * chi + 6
 
+
+
+#: SHA-256 over seeds 0..199 of one JSON line per draw of
+#: random_sigma_data(field, Random(seed)): [p_g, theta, alpha] and the
+#: formatted slots f0, f1, g0, g1, g2.  The ledger's golden output rests on
+#: this stream, so a change to the rejection loop must leave it unchanged.
+RANDOM_SIGMA_DATA_SHA256 = {
+    "F10007": "61d0b93c2eeefea3f33cce26dce945cf9ced54f629f2c3d60b2d3779538f3b55",
+    "QQ": "c86a16df380cdec4880ae7910c0f087e32309db92e5c7f900680219e94b93f6b",
+}
+
+
+@pytest.mark.parametrize("field", [F10007, QQ], ids=str)
+def test_random_sigma_data_stream_is_pinned(field):
+    digest = hashlib.sha256()
+    for seed in range(200):
+        data = random_sigma_data(field, random.Random(seed))
+        slots = [format_binform(getattr(data, name)) for name in ("f0", "f1", "g0", "g1", "g2")]
+        digest.update((json.dumps([data.pg, data.theta, data.alpha, *slots]) + "\n").encode())
+    assert digest.hexdigest() == RANDOM_SIGMA_DATA_SHA256[str(field)]
 
 # -- the conic relation -----------------------------------------------------------
 
