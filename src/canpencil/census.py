@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .binform import BinForm, roots
 from .fields import FieldSpec
 from .family import SurfaceEquations
-from .sections import BundleData, GradedSection
+from .sections import GradedSection
 
 
 @dataclass(frozen=True, order=True)
@@ -58,38 +58,8 @@ def canonical_fiber_rep(p: int, v: Tuple[int, int, int, int]) -> Tuple[int, int,
     return (l * x0 % p, l * x1 % p, l * l * y % p, pow(l, 3, p) * z % p)
 
 
-def enumerate_fiber_classes(p: int) -> List[Tuple[int, int, int, int]]:
-    """All weighted-projective classes of the fiber, canonical and sorted."""
-    seen = set()
-    # x0 = 1 stratum: free (x1, y, z)
-    for x1 in range(p):
-        for y in range(p):
-            for z in range(p):
-                seen.add((1, x1, y, z))
-    # x0 = 0, x1 = 1 stratum
-    for y in range(p):
-        for z in range(p):
-            seen.add((0, 1, y, z))
-    # x0 = x1 = 0: orbit representatives computed explicitly
-    for y in range(p):
-        for z in range(p):
-            if y or z:
-                seen.add(canonical_fiber_rep(p, (0, 0, y, z)))
-    return sorted(seen)
-
-
 def base_points(p: int) -> List[Tuple[int, int]]:
     return [(a, 1) for a in range(p)] + [(1, 0)]
-
-
-def enumerate_points(pg: int, theta: int, p: int) -> Iterator[WPSPoint]:
-    """Every point of the bundle over F_p exactly once, in canonical order."""
-    BundleData(pg, theta)
-    _check_prime(p)
-    fibers = enumerate_fiber_classes(p)
-    for base in base_points(p):
-        for fiber in fibers:
-            yield WPSPoint(base, fiber)
 
 
 def _check_prime(p: int) -> FieldSpec:

@@ -110,9 +110,9 @@ def adjunction_check(pg: int, theta: int) -> DivisorClass:
 def surface_invariants(pg: int, theta: int) -> dict:
     """K^2, chi, p_g, q of the complete intersection X = Q cap G.
 
-    K^2 is computed honestly by intersection theory with K_X = (H-2F)|_X and
-    then cross-checked against the closed forms 4p_g - 6 + theta and
-    chi = p_g + 1, which must agree exactly.
+    K^2 comes from intersection theory with K_X = (H-2F)|_X; an AssertionError
+    says it missed the closed form 4p_g - 6 + theta or adjunction failed.
+    chi = p_g + 1 is the degree count of the direct image O(1) + O(p_g+1).
     """
     bundle = BundleData(pg, theta)
     ctx = IntersectionContext(bundle)
@@ -123,12 +123,8 @@ def surface_invariants(pg: int, theta: int) -> dict:
     k2 = int(k2)
     if k2 != bundle.k2:
         raise AssertionError(f"K^2 cross-check failed: {k2} vs {bundle.k2}")
-    # chi = deg(O(1) + O(p_g+1)) - 1, the direct image degree count
-    chi = 1 + (pg + 1) - 1
-    if chi != bundle.chi:
-        raise AssertionError("chi cross-check failed")
     adjunction_check(pg, theta)
-    return {"K2": k2, "chi": chi, "pg": pg, "q": 0}
+    return {"K2": k2, "chi": bundle.chi, "pg": pg, "q": 0}
 
 
 def invariants_report(pg: int, theta: int) -> dict:

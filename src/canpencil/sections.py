@@ -328,29 +328,6 @@ class GradedSection(SparsePoly):
             _check_term(self.bundle, self.bidegree, mono, coeff.degree)
         return self
 
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, point) -> int:
-        """Plain polynomial evaluation at (t0, t1, x0, x1, y, z) over F_p."""
-        if not self.field.is_prime_field:
-            raise ValueError("evaluation is supported over prime fields only")
-        t0, t1, x0, x1, y, z = point
-        p = self.field.p
-        total = 0
-        for mono, coeff in self.terms.items():
-            c = coeff.evaluate(t0, t1)
-            if c == 0:
-                continue
-            v = (
-                c
-                * pow(x0 % p, mono.i, p)
-                * pow(x1 % p, mono.j, p)
-                * pow(y % p, mono.k, p)
-                * pow(z % p, mono.l, p)
-            )
-            total = (total + v) % p
-        return total
-
 
 # ---------------------------------------------------------------------------
 # normal-form reduction modulo (Q, G)

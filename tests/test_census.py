@@ -10,8 +10,6 @@ from canpencil.census import (
     base_points,
     branch_disjointness,
     canonical_fiber_rep,
-    enumerate_fiber_classes,
-    enumerate_points,
     node_census,
     quasi_smooth_sweep,
     run_census,
@@ -229,7 +227,7 @@ def test_branch_value_is_g003_at_nodes():
     for rec in node_census(member, 101).nodes:
         t0, t1 = rec.point.base
         g003 = member.g_coefficient(0, 0, 3)
-        full = member.G.evaluate((t0, t1, 0, 0, 1, 0))
+        full = evaluate_section(member.G, (t0, t1, 0, 0, 1, 0))
         assert full == g003.evaluate(t0, t1)
 
 
@@ -307,6 +305,58 @@ def _gradient(terms, fiber, p):
                 rest = [powers[u] for u in range(4) if u != v]
                 grad[v] += c * e * pow(x, e - 1, p) * rest[0] * rest[1] * rest[2]
     return [g % p for g in grad]
+
+
+def enumerate_fiber_classes(p):
+    """All weighted-projective classes of the fiber, canonical and sorted."""
+    seen = set()
+    # x0 = 1 stratum: free (x1, y, z)
+    for x1 in range(p):
+        for y in range(p):
+            for z in range(p):
+                seen.add((1, x1, y, z))
+    # x0 = 0, x1 = 1 stratum
+    for y in range(p):
+        for z in range(p):
+            seen.add((0, 1, y, z))
+    # x0 = x1 = 0: orbit representatives computed explicitly
+    for y in range(p):
+        for z in range(p):
+            if y or z:
+                seen.add(canonical_fiber_rep(p, (0, 0, y, z)))
+    return sorted(seen)
+
+
+def enumerate_points(pg, theta, p):
+    """Every point of the bundle over F_p exactly once, in canonical order."""
+    BundleData(pg, theta)
+    FieldSpec.prime_field(p)  # rejects 2, 3, composites
+    fibers = enumerate_fiber_classes(p)
+    for base in base_points(p):
+        for fiber in fibers:
+            yield WPSPoint(base, fiber)
+
+
+def evaluate_section(section, point):
+    """Plain polynomial evaluation of a GradedSection at (t0, t1, x0, x1, y, z) over F_p."""
+    if not section.field.is_prime_field:
+        raise ValueError("evaluation is supported over prime fields only")
+    t0, t1, x0, x1, y, z = point
+    p = section.field.p
+    total = 0
+    for mono, coeff in section.terms.items():
+        c = coeff.evaluate(t0, t1)
+        if c == 0:
+            continue
+        v = (
+            c
+            * pow(x0 % p, mono.i, p)
+            * pow(x1 % p, mono.j, p)
+            * pow(y % p, mono.k, p)
+            * pow(z % p, mono.l, p)
+        )
+        total = (total + v) % p
+    return total
 
 
 def _brute_force_singular_points(eqs, p):
@@ -513,8 +563,8 @@ def test_sweep_failures_lie_on_both_hypersurfaces():
     for pt in quasi_smooth_sweep(member, 11):
         t = pt.base
         x0, x1, y, z = pt.fiber
-        assert member.Q.evaluate((t[0], t[1], x0, x1, y, z)) == 0
-        assert member.G.evaluate((t[0], t[1], x0, x1, y, z)) == 0
+        assert evaluate_section(member.Q, (t[0], t[1], x0, x1, y, z)) == 0
+        assert evaluate_section(member.G, (t[0], t[1], x0, x1, y, z)) == 0
 
 
 # -- assembled report -----------------------------------------------------------------------

@@ -306,6 +306,38 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
     assert doc["all_passed"] is False
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["eq.S3S2->S6/summands"]
 
+
+def _k2_off_by_one_at_pg7(monkeypatch):
+    from canpencil import chow
+
+    exact = chow.top_intersection
+
+    def faulty(ctx, *classes):
+        return exact(ctx, *classes) + (ctx.bundle.pg == 7)
+
+    monkeypatch.setattr(chow, "top_intersection", faulty)
+    return "invariants", "K^2 cross-check failed"
+
+
+def _certificate_never_verifies(monkeypatch):
+    from canpencil import relalg
+
+    monkeypatch.setattr(relalg.LiftingCertificate, "verify", lambda self: False)
+    return "lifting", "certificate failed to verify"
+
+
+@pytest.mark.parametrize("fault", [_k2_off_by_one_at_pg7, _certificate_never_verifies],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
+    ledger, message = fault(monkeypatch)
+    code = main(["verify", "all", "--seed", "1", "--trials", "3"])
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)  # one JSON document, no traceback
+    assert (code, captured.err) == (1, "")
+    assert doc["all_passed"] is False
+    failed = {c["name"]: c["details"] for c in doc["checks"] if not c["passed"]}
+    assert message in failed[ledger]["error"]
+
 # -- bidouble / feasibility / example ---------------------------------------------------
 
 

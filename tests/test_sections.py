@@ -18,6 +18,7 @@ from canpencil.sections import (
     section_terms_from_dict,
     section_terms_to_dict,
 )
+from test_census import evaluate_section
 
 F101 = FieldSpec.prime_field(101)
 
@@ -331,7 +332,7 @@ def test_evaluate_Q_on_section_locus():
     qy = Q.coefficient(FiberMonomial(0, 0, 1, 0))
     # x0 = x1 = 0 leaves only the y-term
     for t0, y in [(3, 5), (10, 1)]:
-        v = Q.evaluate((t0, 1, 0, 0, y, 0))
+        v = evaluate_section(Q, (t0, 1, 0, 0, y, 0))
         assert v == qy.evaluate(t0, 1) * y % 101
 
 
@@ -339,8 +340,8 @@ def test_evaluate_zero_fiber_tuple():
     rng = random.Random(9)
     b = BundleData(2, 0)
     Q, G = make_equations(b, F101, rng)
-    assert Q.evaluate((4, 1, 0, 0, 0, 0)) == 0
-    assert G.evaluate((4, 1, 0, 0, 0, 0)) == 0
+    assert evaluate_section(Q, (4, 1, 0, 0, 0, 0)) == 0
+    assert evaluate_section(G, (4, 1, 0, 0, 0, 0)) == 0
 
 
 def test_evaluate_at_constructed_node():
@@ -355,7 +356,7 @@ def test_evaluate_at_constructed_node():
         if found:
             break
     (a, bb) = next(iter(found))
-    assert Q.evaluate((a, bb, 0, 0, 1, 0)) == 0
+    assert evaluate_section(Q, (a, bb, 0, 0, 1, 0)) == 0
 
 
 def test_evaluate_requires_prime_field():
@@ -363,7 +364,7 @@ def test_evaluate_requires_prime_field():
     b = BundleData(2, 0)
     Q, _ = make_equations(b, QQ, rng)
     with pytest.raises(ValueError):
-        Q.evaluate((1, 1, 0, 0, 0, 0))
+        evaluate_section(Q, (1, 1, 0, 0, 0, 0))
 
 
 # -- serialization -----------------------------------------------------------------------
