@@ -3,7 +3,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canpencil.chow import surface_invariants
@@ -23,6 +23,8 @@ from canpencil.family import (
 )
 from canpencil.fields import QQ, FieldSpec
 from canpencil.sections import FiberMonomial
+
+import bidouble_reference
 
 F101 = FieldSpec.prime_field(101)
 
@@ -247,6 +249,46 @@ def test_bidouble_rejects_odd_pair_sum():
 def test_branch_data_effectivity():
     with pytest.raises(ValueError):
         BranchData(1, (-1, 2), (3, 6), (1, 0))
+
+
+def _value_or_refusal(fn, *args):
+    """fn(*args), or ("ValueError", message) when it refuses its arguments."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+@pytest.mark.oracle
+def test_bidouble_rows_and_invariants_match_reference():
+    for theta in range(7):
+        for pg in range(2, 201):
+            want = bidouble_reference.bidouble_branch_data(theta, pg)
+            got = bidouble_branch_data(theta, pg)
+            assert (got, got.source) == (want, want.source)
+            assert bidouble_invariants(got) == bidouble_reference.bidouble_invariants(want)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("theta, pg", [(7, 5), (-1, 5), (0, 1), (6, 1), (7, 1)])
+def test_bidouble_refusals_match_reference(theta, pg):
+    got = _value_or_refusal(bidouble_branch_data, theta, pg)
+    assert got[0] == "ValueError"
+    assert got == _value_or_refusal(bidouble_reference.bidouble_branch_data, theta, pg)
+
+
+branch_classes = st.tuples(st.integers(0, 9), st.integers(0, 40))
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.builds(BranchData, st.integers(0, 5), branch_classes, branch_classes, branch_classes))
+@example(BranchData(2, (1, 3), (3, 6), (1, 0)))
+@example(BranchData(0, (1, 4), (2, 2), (1, 0)))
+def test_bidouble_invariants_match_reference_on_any_triple(data):
+    # odd pair sums included: both must refuse with the same message
+    assert (_value_or_refusal(bidouble_invariants, data)
+            == _value_or_refusal(bidouble_reference.bidouble_invariants, data))
 
 
 # -- genus feasibility ---------------------------------------------------------------------
