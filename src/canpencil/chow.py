@@ -11,6 +11,9 @@ engine.  Every weight divides prod(w) = 6, so 36 * H^3.F and 36 * H^4 are
 integers: products are expanded in ints and divided by 36 once.
 Intersection numbers are exact rationals; only the final surface
 invariants are asserted integral.
+
+`verify` recomputes the invariants of every (p_g, theta) on every run, with no
+cache: Q and K are constants, and only `top_intersection` builds a Fraction.
 """
 
 from __future__ import annotations
@@ -32,15 +35,17 @@ class DivisorClass(NamedTuple):
         return f"{self.h}H{self.f:+d}F"
 
     def __add__(self, other):
-        return DivisorClass(self.h + other.h, self.f + other.f)
+        return DivisorClass._make((self.h + other.h, self.f + other.f))
 
 
 H = DivisorClass(1, 0)
 F = DivisorClass(0, 1)
+_Q = DivisorClass(2, -2)
+_K_SURFACE = DivisorClass(1, -2)
 
 
 def class_Q() -> DivisorClass:
-    return DivisorClass(2, -2)
+    return _Q
 
 
 def class_G(bundle: BundleData) -> DivisorClass:
@@ -57,7 +62,7 @@ def class_K_relative(bundle: BundleData) -> DivisorClass:
 
 
 def class_K_surface() -> DivisorClass:
-    return DivisorClass(1, -2)
+    return _K_SURFACE
 
 
 def class_fixed_part(bundle: BundleData) -> DivisorClass:
@@ -78,8 +83,9 @@ class IntersectionContext:
 
     @property
     def h4_numerator(self) -> int:
-        """DENOMINATOR * H^4 = sum a_i * (6 / w_i)."""
-        return sum(ai * (6 // wi) for ai, wi in zip(self.bundle.twists, self.bundle.weights))
+        """DENOMINATOR * H^4 = sum a_i * (6 / w_i), with weights (1, 1, 2, 3)."""
+        a0, a1, a2, a3 = self.bundle.twists
+        return 6 * a0 + 6 * a1 + 3 * a2 + 2 * a3
 
 
 def top_intersection(ctx: IntersectionContext, c1, c2, c3, c4) -> Fraction:

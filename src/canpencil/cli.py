@@ -184,14 +184,12 @@ def _ledger_examples(rng, field, trials):
 
 
 def _ledger_bidouble(rng, field, trials):
-    bad = []
+    # bidouble_cross_check raises on a mismatch, naming theta and p_g, and
+    # surface_invariants inside it raises on a fault in intersection theory
     for theta in range(7):
         for pg in range(2, 21):
-            try:
-                family.bidouble_cross_check(theta, pg)
-            except AssertionError:
-                bad.append((theta, pg))
-    return [("bidouble/cross-check", not bad, {"failures": bad})]
+            family.bidouble_cross_check(theta, pg)
+    return [("bidouble/cross-check", True, {"failures": []})]
 
 
 def _ledger_invariants(rng, field, trials):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Dict, List, Tuple
 
@@ -358,6 +357,18 @@ class BranchData:
                 raise ValueError(f"branch class {d} is not effective on F_{self.base_r}")
 
 
+#: theta -> (r, D1 offset past 2p_g, D2, D3, source) of the branch triple on F_r
+_BRANCH_ROWS = (
+    (2, 0, (3, 6), (1, 0), "table row"),
+    (1, 0, (3, 4), (1, 0), "table row"),
+    (0, 0, (3, 2), (1, 0), "table row"),
+    (1, 1, (3, 3), (1, 1), "table row"),
+    (2, 2, (3, 4), (1, 2), "table row"),
+    (1, 2, (3, 2), (1, 2), "explicit construction"),
+    (0, 2, (3, 0), (1, 2), "external-source row"),
+)
+
+
 def bidouble_branch_data(theta: int, pg: int) -> BranchData:
     """Branch triple realizing (K^2, chi) = (4p_g - 6 + theta, p_g + 1).
 
@@ -371,16 +382,8 @@ def bidouble_branch_data(theta: int, pg: int) -> BranchData:
         raise ValueError("theta must lie in [0, 6]")
     if pg < 2:
         raise ValueError("p_g >= 2 required")
-    rows = {
-        0: BranchData(2, (1, 2 * pg), (3, 6), (1, 0)),
-        1: BranchData(1, (1, 2 * pg), (3, 4), (1, 0)),
-        2: BranchData(0, (1, 2 * pg), (3, 2), (1, 0)),
-        3: BranchData(1, (1, 2 * pg + 1), (3, 3), (1, 1)),
-        4: BranchData(2, (1, 2 * pg + 2), (3, 4), (1, 2)),
-        5: BranchData(1, (1, 2 * pg + 2), (3, 2), (1, 2), source="explicit construction"),
-        6: BranchData(0, (1, 2 * pg + 2), (3, 0), (1, 2), source="external-source row"),
-    }
-    return rows[theta]
+    r, d1_offset, d2, d3, source = _BRANCH_ROWS[theta]
+    return BranchData(r, (1, 2 * pg + d1_offset), d2, d3, source)
 
 
 def _hirzebruch_product(r: int, a: Tuple[int, int], b: Tuple[int, int]) -> int:
@@ -396,23 +399,24 @@ def bidouble_invariants(data: BranchData) -> dict:
     These are the standard smooth-bidouble formulas; the package treats
     them as self-verifying through the cross-check against the
     intersection-theory invariants rather than as trusted inputs.
+    Both are summed in ints, chi as 2*chi, which must come out even.
     """
     r = data.base_r
     ky = (-2, -(r + 2))
     d1, d2, d3 = data.divisors()
     total = (2 * ky[0] + d1[0] + d2[0] + d3[0], 2 * ky[1] + d1[1] + d2[1] + d3[1])
     k2 = _hirzebruch_product(r, total, total)
-    chi = Fraction(4)  # 4 * chi(O) of a Hirzebruch surface
+    twice_chi = 8  # 2 * 4 * chi(O) of a Hirzebruch surface
     for dj, dk in ((d2, d3), (d1, d3), (d1, d2)):
         s = (dj[0] + dk[0], dj[1] + dk[1])
         if s[0] % 2 or s[1] % 2:
             raise ValueError(f"branch pair sum {s} is not 2-divisible; no square root exists")
         li = (s[0] // 2, s[1] // 2)
         li_plus_k = (li[0] + ky[0], li[1] + ky[1])
-        chi += Fraction(_hirzebruch_product(r, li, li_plus_k), 2)
-    if chi.denominator != 1:
+        twice_chi += _hirzebruch_product(r, li, li_plus_k)
+    if twice_chi % 2:
         raise AssertionError("chi of a bidouble cover must be integral")
-    return {"K2": k2, "chi": int(chi)}
+    return {"K2": k2, "chi": twice_chi // 2}
 
 
 def bidouble_cross_check(theta: int, pg: int) -> dict:

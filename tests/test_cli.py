@@ -316,27 +316,69 @@ def _k2_off_by_one_at_pg7(monkeypatch):
         return exact(ctx, *classes) + (ctx.bundle.pg == 7)
 
     monkeypatch.setattr(chow, "top_intersection", faulty)
-    return "invariants", "K^2 cross-check failed"
+    # the bidouble cross-check recomputes K^2 too, and names the same fault
+    return {"invariants": "K^2 cross-check failed", "bidouble": "K^2 cross-check failed"}
 
 
 def _certificate_never_verifies(monkeypatch):
     from canpencil import relalg
 
     monkeypatch.setattr(relalg.LiftingCertificate, "verify", lambda self: False)
-    return "lifting", "certificate failed to verify"
+    return {"lifting": "certificate failed to verify"}
 
 
-@pytest.mark.parametrize("fault", [_k2_off_by_one_at_pg7, _certificate_never_verifies],
+def _bidouble_k2_off_by_one(monkeypatch):
+    from canpencil import family
+
+    exact = family.bidouble_invariants
+
+    def faulty(data):
+        inv = exact(data)
+        return {**inv, "K2": inv["K2"] + 1}
+
+    monkeypatch.setattr(family, "bidouble_invariants", faulty)
+    return {"bidouble": "theta=0, p_g=2"}
+
+
+@pytest.mark.parametrize("fault", [_k2_off_by_one_at_pg7, _certificate_never_verifies,
+                                   _bidouble_k2_off_by_one],
                          ids=lambda f: f.__name__.strip("_"))
 def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
-    ledger, message = fault(monkeypatch)
+    messages = fault(monkeypatch)
     code = main(["verify", "all", "--seed", "1", "--trials", "3"])
     captured = capsys.readouterr()
     doc = json.loads(captured.out)  # one JSON document, no traceback
     assert (code, captured.err) == (1, "")
     assert doc["all_passed"] is False
     failed = {c["name"]: c["details"] for c in doc["checks"] if not c["passed"]}
-    assert message in failed[ledger]["error"]
+    assert sorted(failed) == sorted(messages)
+    for ledger, message in messages.items():
+        assert message in failed[ledger]["error"]
+
+
+def test_verify_recomputes_every_closed_form_on_every_run(capsys, monkeypatch):
+    from canpencil import chow, family
+
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    # family imports surface_invariants by name for bidouble_cross_check
+    surface = counted("surface_invariants", chow.surface_invariants)
+    monkeypatch.setattr(chow, "surface_invariants", surface)
+    monkeypatch.setattr(family, "surface_invariants", surface)
+    monkeypatch.setattr(family, "bidouble_cross_check",
+                        counted("bidouble_cross_check", family.bidouble_cross_check))
+    for _ in range(2):  # a cache would make the second run a lookup
+        calls.update(surface_invariants=0, bidouble_cross_check=0)
+        assert main(["verify", "all", "--seed", "1", "--trials", "3"]) == 0
+        capsys.readouterr()
+        # 49 p_g x 7 theta invariants, plus 19 p_g x 7 theta bidouble rows
+        assert calls == {"surface_invariants": 343 + 133, "bidouble_cross_check": 133}
 
 # -- bidouble / feasibility / example ---------------------------------------------------
 
