@@ -1,14 +1,20 @@
-"""The equation-literal parser as it stood before the one-scan parser.
+"""Package code as it stood before a faster rewrite, kept as test references.
 
-Kept verbatim as the reference that `canpencil.binform.parse_binform`
-must match (see the oracle test in test_binform.py): a tokenizer, a
-recursive-descent term loop with a Fraction per factor, then one
-normalization per term and one more in the final `BinForm`.
+The equation-literal parser as it stood before the one-scan parser: a
+tokenizer, a recursive-descent term loop with a Fraction per factor, then
+one normalization per term and one more in the final `BinForm`.
+`canpencil.binform.parse_binform` must match it.
+
+`shift_power_schoolbook` is the F_p powering kernel as it stood before the
+packed-slot kernel: one schoolbook square and one schoolbook `_divmod` per
+exponent bit.  `canpencil.binform._fp_shift_power` must match it.
+
+The oracle tests in test_binform.py and test_census.py compare the two.
 """
 
 from fractions import Fraction
 
-from canpencil.binform import BinForm, ParseError
+from canpencil.binform import BinForm, ParseError, _divmod
 from canpencil.fields import FieldSpec
 
 
@@ -138,3 +144,20 @@ def parse_binform(text: str, field: FieldSpec) -> BinForm:
     for c, e0, e1, _ in live:
         coeffs[e1] = field.add(coeffs[e1], c)
     return BinForm(field, coeffs)
+
+
+def shift_power_schoolbook(a: int, e: int, f: list, p: int) -> list:
+    """(t + a)^e mod a monic f of degree >= 1, by left-to-right squaring."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * len(r))
+        for i, ri in enumerate(r):
+            if ri:
+                for j, rj in enumerate(r):
+                    sq[i + j] += ri * rj
+        if bit == "1" and r:  # times (t + a)
+            for i in range(len(sq) - 1, 0, -1):
+                sq[i] = sq[i - 1] + a * sq[i]
+            sq[0] *= a
+        r = _divmod(sq, f, p)[1]
+    return r

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from canpencil.binform import (
     BinForm,
+    _fp_shift_power,
     BinFormError,
     ParseError,
     count_distinct_roots,
@@ -296,6 +297,53 @@ def test_roots_match_brute_force_residue_loop(f):
     found = roots(f)
     assert found == expected
     assert list(found) == list(expected)
+
+
+SHIFT_POWER_PRIMES = [5, 7, 17, 23, 101, 35027, 45007, 1_000_003, 2**31 - 1]
+
+
+@st.composite
+def shift_power_cases(draw):
+    """(a, e, f, p): a monic f of degree 1..64, a shift in [0, p), and an
+    exponent from the root finder's (0, 1, 2, p, (p - 1)/2) or below 2^40."""
+    p = draw(st.sampled_from(SHIFT_POWER_PRIMES))
+    n = draw(st.integers(min_value=1, max_value=64))
+    f = draw(st.lists(st.integers(min_value=0, max_value=p - 1), min_size=n, max_size=n)) + [1]
+    a = draw(st.integers(min_value=0, max_value=p - 1))
+    e = draw(st.sampled_from([0, 1, 2, p, (p - 1) // 2]) | st.integers(0, 2**40 - 1))
+    return a, e, f, p
+
+
+@pytest.mark.oracle
+@settings(max_examples=200, deadline=None)
+@given(shift_power_cases())
+@example((0, 0, [4, 1], 5))  # e = 0
+@example((2, 9, [2, 1], 5))  # f = t + a: the residue becomes zero
+@example((3, 2, [2, 6, 1], 7))  # f = (t + a)^2
+@example((0, 2**31 - 1, [0] * 64 + [1], 2**31 - 1))  # f = t^64
+def test_shift_power_matches_schoolbook(case):
+    assert _fp_shift_power(*case) == binform_reference.shift_power_schoolbook(*case)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize(
+    "n, p, e",
+    [
+        (400, 35027, 35027),
+        (400, 300007, 300007),
+        (400, 2**31 - 1, 10**6),
+        (2004, 35027, 3000),
+        (2004, 300007, 3000),
+        (2004, 2**31 - 1, 3000),
+    ],
+)
+def test_shift_power_matches_schoolbook_at_large_degree(n, p, e):
+    # (n + 1) p^3 fits one 64-bit word at p = 35027, at p = 300007 only for
+    # n = 400, and at p = 2^31 - 1 for neither
+    rng = random.Random(n + p)
+    f = [rng.randrange(p) for _ in range(n)] + [1]
+    a = rng.randrange(p)
+    assert _fp_shift_power(a, e, f, p) == binform_reference.shift_power_schoolbook(a, e, f, p)
 
 
 def test_count_distinct_roots():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import canpencil.binform as binform_mod
 import canpencil.census as census_mod
 from canpencil.binform import BinForm, parse_binform, random_binform, roots
 from canpencil.census import (
@@ -17,6 +18,8 @@ from canpencil.census import (
 from canpencil.family import FamilyParams, SurfaceEquations, generate_member
 from canpencil.fields import FieldSpec, QQ
 from canpencil.sections import BundleData, FiberMonomial, GradedSection
+
+import binform_reference
 
 F11 = FieldSpec.prime_field(11)
 F101 = FieldSpec.prime_field(101)
@@ -565,6 +568,17 @@ def test_sweep_failures_lie_on_both_hypersurfaces():
         x0, x1, y, z = pt.fiber
         assert evaluate_section(member.Q, (t[0], t[1], x0, x1, y, z)) == 0
         assert evaluate_section(member.G, (t[0], t[1], x0, x1, y, z)) == 0
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [35027, 2**31 - 1])
+def test_node_census_matches_schoolbook_powering(p, monkeypatch):
+    # deg q_y = 398; seed 3 has a node at both primes, three at 2^31 - 1
+    member = generate_member(FamilyParams(200, 0, QQ, seed=3))
+    census = node_census(member, p)
+    assert census.nodes
+    monkeypatch.setattr(binform_mod, "_fp_shift_power", binform_reference.shift_power_schoolbook)
+    assert node_census(member, p) == census
 
 
 # -- assembled report -----------------------------------------------------------------------
