@@ -28,18 +28,23 @@ a scalar: `_zgcd` is a primitive (content-removing) pseudo-remainder
 sequence, and `_zquotient` divides exactly by a primitive divisor (Knuth,
 TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p never
 enumerates the field: it takes the gcd with t^p - t and splits it by
-deterministic equal-degree splitting, in O(d^2 log p) for a form of
-degree d.
+deterministic equal-degree splitting.  Its powers of t + a are taken on
+packed slots of n(n + 1)/2 p^3 (Kronecker substitution, von zur Gathen-Gerhard
+8.4): one big-int square and O(n) interpreted operations per step (`roots`).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
+from array import array
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .fields import FieldSpec, Scalar
+
+_BIG_ENDIAN = sys.byteorder == "big"  #: int.to_bytes puts the high 64-bit word first
 
 
 class BinFormError(ValueError):
@@ -529,21 +534,41 @@ def lcm(a: BinForm, b: BinForm) -> BinForm:
     return divexact(a * b, gcd(a, b)).monic()
 
 
+def _unpack(x: int, n: int, k: int):
+    """The n slots of k 64-bit words each of 0 <= x < 2^(64 k n), low slot first."""
+    w = memoryview(x.to_bytes(8 * k * n, sys.byteorder)).cast("Q")
+    if _BIG_ENDIAN:
+        w = w[::-1]
+    if k == 1:
+        return w
+    v = w[k - 1 :: k].tolist()
+    for j in range(k - 2, -1, -1):
+        v = [hi << 64 | lo for hi, lo in zip(v, w[j::k])]
+    return v
+
+
 def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
-    """(t + a)^e mod a monic f of degree >= 1, by left-to-right squaring."""
-    r = [1]
+    """(t + a)^e mod a monic f of degree n >= 1, for 0 <= a < p, on packed slots."""
+    n = len(f) - 1
+    k = -(-(n * (n + 1) // 2 * p**3).bit_length() // 64)  # 64-bit words per slot
+    w, words = 64 * k, array("Q", bytes(8 * k * n))
+    shift, mask = w * n, (1 << w * n) - 1
+    def pack(r) -> int:  # n residues in [0, p)
+        words[::k] = array("Q", r)
+        return int.from_bytes(words[::-1] if _BIG_ENDIAN else words, sys.byteorder)
+    rows = [pack([-c % p for c in f[:n]])]  # rows[j] = t^(n+j) mod f, slots below p + j p^2
+    while len(rows) < n:
+        x = rows[-1] << w
+        rows.append((x & mask) + (x >> shift) % p * rows[0])
+    x, t_plus_a = 1, (1 << w) + a
     for bit in bin(e)[2:]:
-        sq = [0] * (2 * len(r))
-        for i, ri in enumerate(r):
-            if ri:
-                for j, rj in enumerate(r):
-                    sq[i + j] += ri * rj
-        if bit == "1" and r:  # times (t + a)
-            for i in range(len(sq) - 1, 0, -1):
-                sq[i] = sq[i - 1] + a * sq[i]
-            sq[0] *= a
-        r = _divmod(sq, f, p)[1]
-    return r
+        x *= x
+        if bit == "1":
+            x *= t_plus_a
+        if hi := x >> shift:
+            x = sum([c % p * r for c, r in zip(_unpack(hi, n, k), rows)], x & mask)
+        x = pack([c % p for c in _unpack(x, n, k)])
+    return _trim(list(_unpack(x, n, k)))
 
 
 def _fp_split(g: list, a: int, p: int, found: list) -> None:
@@ -558,7 +583,7 @@ def _fp_split(g: list, a: int, p: int, found: list) -> None:
             found.append(-g[0] % p)
         return
     while True:
-        h = _fp_shift_power(a, (p - 1) // 2, g, p) or [0]
+        h = _fp_shift_power(a % p, (p - 1) // 2, g, p) or [0]
         h[0] = (h[0] - 1) % p
         d = _gcd(g, _trim(h), p)
         a += 1
@@ -585,14 +610,14 @@ def roots(form: BinForm) -> dict:
     with the t1-multiplicity, then the finite roots by ascending a.
     Rational-root finding over QQ is out of scope and rejected.
 
-    Method: on the monic chart polynomial f of degree n, t^p mod f comes
-    from repeated squaring, g = gcd(f, t^p - t) is the product of the
-    distinct roots, and g is split by gcds with (t + a)^((p-1)/2) - 1 for
-    the fixed shifts a = 1, 2, ... (Cantor-Zassenhaus without randomness,
-    so results reproduce exactly).  Multiplicities come from repeated
-    division by t - a.  Each powering costs O(n^2 log p) and a split
-    round typically needs one or two shifts, against O(p n) for trying
-    every residue.
+    Method: on the monic chart polynomial f of degree n, g = gcd(f, t^p - t)
+    is the product of the distinct roots, split by its gcds with the
+    (t + a)^((p-1)/2) - 1 for a = 1, 2, ... (Cantor-Zassenhaus without
+    randomness, so results reproduce); multiplicities come from division by
+    t - a.  A power mod f is one int, k 64-bit words per coefficient slot.  A
+    step is one big-int square, a shift-add for t + a, n products of a top slot
+    mod p by a row t^j mod f (j = n..2n-1, kept unreduced) and one O(n) pass
+    that packs the low slots again mod p; a slot must hold n(n + 1)/2 p^3.
     """
     if not form.field.is_prime_field:
         raise BinFormError("root finding requires a prime field")

@@ -80,7 +80,13 @@ def _reduce_form(form: BinForm, spec: FieldSpec) -> BinForm:
 
 
 def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """Equations over F_p: reduce a rational member, or verify the field."""
+    """Equations over F_p: reduce a rational member, or verify the field.
+
+    A member over F_p itself is returned at once: its `FieldSpec` checked p
+    when it was built, so the primality test does not run again.
+    """
+    if isinstance(p, int) and eqs.field.p == p:
+        return eqs
     spec = _check_prime(p)
     if eqs.field.is_prime_field:
         if eqs.field.p != p:

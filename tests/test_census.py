@@ -624,6 +624,22 @@ def test_run_census_computes_node_census_once(monkeypatch):
     assert calls == [101]
 
 
+def test_run_census_builds_one_prime_field(monkeypatch):
+    # the reduced member carries F_p, so node_census and branch_disjointness
+    # take it as it is instead of testing p for primality again
+    built = []
+    original = FieldSpec.__post_init__
+
+    def counting(self):
+        built.append(self.p)
+        original(self)
+
+    member = generate_member(FamilyParams(3, 2, QQ, seed=5))
+    monkeypatch.setattr(FieldSpec, "__post_init__", counting)
+    run_census(member, p_nodes=35027, skip_sweep=True)
+    assert built == [35027]
+
+
 def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(census_mod, "node_census", lambda eqs, p: calls.append(p))
