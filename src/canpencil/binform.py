@@ -28,9 +28,8 @@ a scalar: `_zgcd` is a primitive (content-removing) pseudo-remainder
 sequence, and `_zquotient` divides exactly by a primitive divisor (Knuth,
 TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p never
 enumerates the field: it takes the gcd with t^p - t and splits it by
-deterministic equal-degree splitting.  Its powers of t + a are taken on
-packed slots of n(n + 1)/2 p^3 (Kronecker substitution, von zur Gathen-Gerhard
-8.4): one big-int square and O(n) interpreted operations per step (`roots`).
+deterministic equal-degree splitting.  Powers mod f use Kronecker-packed
+slots of n(n + 1)/2 p^3, one big-int square and O(n) interpreted work per bit.
 """
 
 from __future__ import annotations
@@ -557,16 +556,17 @@ def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
         words[::k] = array("Q", r)
         return int.from_bytes(words[::-1] if _BIG_ENDIAN else words, sys.byteorder)
     rows = [pack([-c % p for c in f[:n]])]  # rows[j] = t^(n+j) mod f, slots below p + j p^2
-    while len(rows) < n:
-        x = rows[-1] << w
-        rows.append((x & mask) + (x >> shift) % p * rows[0])
+    while len(rows) < n:  # t * rows[-1], its top slot folded back through rows[0]
+        rows.append(((rows[-1] << w) & mask) + (rows[-1] >> (shift - w)) % p * rows[0])
     x, t_plus_a = 1, (1 << w) + a
     for bit in bin(e)[2:]:
         x *= x
         if bit == "1":
             x *= t_plus_a
         if hi := x >> shift:
-            x = sum([c % p * r for c, r in zip(_unpack(hi, n, k), rows)], x & mask)
+            x &= mask
+            for c, r in zip(_unpack(hi, n, k), rows):
+                x += c % p * r
         x = pack([c % p for c in _unpack(x, n, k)])
     return _trim(list(_unpack(x, n, k)))
 

@@ -39,8 +39,8 @@ from .sections import (
 #: largest p_g of a member with equations, checked before any draw or scan.
 #: The node census of a QQ member is quadratic in deg q_y = 2 p_g - 2 + theta
 #: (the row products of each squaring, and the gcd): in-process `census
-#: --prime 35027 --skip-sweep` of the seed-1, theta-0 member took 0.06 s at
-#: p_g = 200, 0.97 s at 800 and 1.5 s at 1000, and the theta-6 member 4.3 s at
+#: --prime 35027 --skip-sweep` of the seed-1, theta-0 member took 0.05 s at
+#: p_g = 200, 0.78 s at 800 and 1.1 s at 1000, and the theta-6 member 2.7 s at
 #: p = 2^31 - 1 (CPython 3.11.7, shared 2-core host), while `generate` took
 #: 0.03 s.
 #: The closed forms (`invariants`, `degrees`, `bidouble`) are not bounded.
