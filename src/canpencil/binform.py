@@ -717,17 +717,48 @@ class ParseError(ValueError):
 # variable if it starts with a letter) or any other non-space character.
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>t[01])|(?P<op>[-+*/^])|(?P<word>\w+)|(?P<char>\S)")
 
+# A factor is an integer with an optional "/den", or t0 or t1 with an
+# optional "^e"; factors join by "*" into terms, and terms by "+" or "-".
+# Whitespace is read only by a `\s*` right after a piece that must be
+# there, so no two quantifiers compete for one run of characters and a
+# refused literal fails in linear time (3.10's re has no atomic groups).
+_FACTOR = r"(?:\d+\s*(?:/\s*\d+\s*)?|t[01]\s*(?:\^\s*\d+\s*)?)"
+_LITERAL = re.compile(rf"(\s*)(?:[-+]\s*)?{_FACTOR}(?:[-+*]\s*{_FACTOR})*")
+# One match per factor of a literal `_LITERAL` accepts, read from its first
+# non-space character: the operator before it ("" on the first), then the
+# integer and denominator, or the variable and exponent.
+_FACTOR_PARTS = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s*(\d+)\s*)?)")
 
-def scan_binform(text: str, field: FieldSpec):
-    """Read a literal as ``(degree, {t1 exponent: numerator}, den)`` without building the form.
 
-    The coefficient of t1^e is ``numerator / den``: nonzero residues and
-    ``den`` = 1 over F_p, nonzero integers over one common denominator over
-    QQ (not yet reduced).  The zero form reads as ``(None, {}, 1)``.  Errors
-    come in this order: a bad character, a syntax error, a denominator not
-    invertible in `field` (at its own term), and a nonzero term whose degree
-    differs from the first nonzero term's.
+def _read_terms(text: str) -> list:
+    """``[numerator, denominator, e0, e1, offset]`` per term of a literal, read by two regexes.
+
+    A literal that `_LITERAL` refuses, or one with a zero denominator, goes
+    to `_read_terms_by_token`, the only code that words a syntax error.
     """
+    head = _LITERAL.fullmatch(text)
+    if head is None:
+        return _read_terms_by_token(text)
+    terms = []
+    for m in _FACTOR_PARTS.finditer(text, head.end(1)):
+        op, num, den, var, exp = m.groups()
+        if op != "*":
+            term = [-1 if op == "-" else 1, 1, 0, 0, m.start()]
+            terms.append(term)
+        if var:
+            term[2 if var == "0" else 3] += int(exp) if exp else 1
+        else:
+            term[0] *= int(num)
+            if den:
+                d = int(den)
+                if not d:
+                    return _read_terms_by_token(text)
+                term[1] *= d
+    return terms
+
+
+def _read_terms_by_token(text: str) -> list:
+    """`_read_terms` by a state machine over `_TOKEN` tokens, raising `ParseError` on a bad literal."""
     tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
     for kind, tok, off in tokens:
         if kind == "word" or kind == "char":
@@ -739,7 +770,7 @@ def scan_binform(text: str, field: FieldSpec):
         tokens.insert(0, ("op", "+", tokens[0][2]))
     # state: "factor" is due next; an "int" or a "var" was just read; "/" or
     # "^" waits for its integer; a "term" may end here
-    terms, state = [], "term"  # [numerator, denominator, e0, e1, offset] per term
+    terms, state = [], "term"
     for kind, tok, off in tokens + [("end", "", len(text))]:
         if state == "factor":
             if kind == "int":
@@ -771,6 +802,30 @@ def scan_binform(text: str, field: FieldSpec):
             state = "factor"
         elif kind != "end":
             raise ParseError("expected '+' or '-' between terms", off)
+    return terms
+
+
+def scan_binform(text: str, field: FieldSpec):
+    """Read a literal as ``(degree, {t1 exponent: numerator}, den)`` without building the form.
+
+    The coefficient of t1^e is ``numerator / den``: nonzero residues and
+    ``den`` = 1 over F_p, nonzero integers over one common denominator over
+    QQ (not yet reduced).  The zero form reads as ``(None, {}, 1)``.
+
+    The front half, `_read_terms`, turns the text into one record
+    ``[numerator, denominator, e0, e1, offset]`` per term: one
+    `_LITERAL.fullmatch` checks the literal against the grammar, and one
+    `_FACTOR_PARTS.finditer` reads it factor by factor, without a token
+    list.  Only a literal the grammar refuses, or one with a zero
+    denominator, goes to the token machine `_read_terms_by_token`, which
+    words every syntax error: a bad character first, then a syntax error.
+    The back half reduces each term, puts the terms over one denominator
+    and words the other two errors, in this order: a denominator not
+    invertible in `field` (at its own term), and a nonzero term whose
+    degree differs from the first nonzero term's.  Both halves take time
+    linear in the length of the text, also on a literal they refuse.
+    """
+    terms = _read_terms(text)
     p, live, coeffs = field.p, [], {}
     for num, den, e0, e1, off in terms:
         if den != 1:

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -21,3 +22,15 @@ def member_over_11():
     terms[FiberMonomial(0, 2, 0, 0)] = member.q_x.scale(Fraction(1, 11))
     Q = GradedSection(member.bundle, QQ, member.Q.bidegree, terms)
     return SurfaceEquations(member.bundle, QQ, Q, member.G).validate()
+
+
+@pytest.fixture
+def time_limit():
+    """``time_limit(seconds)`` fails the test, instead of hanging it, once it runs that long."""
+    def expire(signum, frame):
+        pytest.fail("time limit exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import groupby
 
@@ -30,6 +31,7 @@ import binform_reference
 
 F5 = FieldSpec.prime_field(5)
 F101 = FieldSpec.prime_field(101)
+F35027 = FieldSpec.prime_field(35027)
 
 
 def form(text, field=QQ):
@@ -891,17 +893,70 @@ def expected_outcome(text, field):
     return outcome
 
 
+@st.composite
+def spaced_printer_literals(draw):
+    """`format_binform` output over QQ, F_5 or F_35027 at degree 0..40, with random
+    whitespace around every operator and at both ends, and a field to parse it over."""
+    printed_over = draw(st.sampled_from([QQ, F5, F35027]))
+    f = draw(oracle_forms(printed_over, draw(st.integers(0, 40))))
+    spaces = st.text(st.sampled_from(" \t\n\u3000"), max_size=3)
+    text = re.sub(r"\s*([-+*/^])\s*", lambda m: draw(spaces) + m.group(1) + draw(spaces),
+                  format_binform(f))
+    return draw(spaces) + text + draw(spaces), draw(st.sampled_from([printed_over, QQ, F5]))
+
+
 @pytest.mark.oracle
 @settings(max_examples=600, deadline=None)
-@given(st.one_of(literal_soup, near_valid_literals).filter(_short_digit_runs),
-       st.sampled_from(PARSE_FIELDS))
-@example("t0 + 1/5*t1", F5)
-@example("7*t1 - t0 + 2/10", F5)
-@example("t0^\u00b2", QQ)
-@example("x\u00b2 + 1\u00b2@", QQ)
-@example("1\u00b2x", QQ)
-def test_parse_matches_reference_parser(text, field):
+@given(st.one_of(
+    st.tuples(st.one_of(literal_soup, near_valid_literals).filter(_short_digit_runs),
+              st.sampled_from(PARSE_FIELDS)),
+    spaced_printer_literals(),
+))
+@example(("t0 + 1/5*t1", F5))
+@example(("7*t1 - t0 + 2/10", F5))
+@example(("t0^\u00b2", QQ))
+@example(("x\u00b2 + 1\u00b2@", QQ))
+@example(("1\u00b2x", QQ))
+@example(("  1/5*t1", F5))  # a term that fails after whitespace: its offset is past it
+@example((" t0 +  t1^2", QQ))
+@example(("\t- 3 / 10 * t0 ^ 2 -\n1/5*t1^2 ", F5))
+def test_parse_matches_reference_parser(case):
+    text, field = case
     assert parse_outcome(parse_binform, text, field) == expected_outcome(text, field)
+
+
+# A literal must scan in time linear in its length, also when it is refused.
+# Python 3.10's re has no atomic groups, so two quantifiers side by side over
+# one run of whitespace would make these cases quadratic; `time_limit` turns
+# that into a failure instead of a hang.
+_SPACES = " " * 10**5
+_N = len(_SPACES)
+LONG_LITERALS = {  # id: (literal, the outcome of parsing it over QQ)
+    "leading": (_SPACES + "@", _parse_error("unexpected character '@'", _N)),
+    "after-sign": ("-" + _SPACES + "@", _parse_error("unexpected character '@'", _N + 1)),
+    "around-star": ("t0" + _SPACES + "*" + _SPACES + "@",
+                    _parse_error("unexpected character '@'", 2 * _N + 3)),
+    "around-caret": ("t0" + _SPACES + "^" + _SPACES + "@",
+                     _parse_error("unexpected character '@'", 2 * _N + 3)),
+    "around-slash": ("7" + _SPACES + "/" + _SPACES + "@",
+                     _parse_error("unexpected character '@'", 2 * _N + 2)),
+    "many-terms": (" + ".join(["3/2*t0^2*t1"] * 10**4) + "@",
+                   _parse_error("unexpected character '@'", 10**4 * 14 - 3)),
+    "factor-due": ("t0" + _SPACES + "*" + _SPACES,
+                   _parse_error("expected coefficient or variable", 2 * _N + 3)),
+    "no-operator": (_SPACES + "t0" + _SPACES + "t1",
+                    _parse_error("expected '+' or '-' between terms", 2 * _N + 2)),
+    "zero-denominator": ("1" + _SPACES + "/" + _SPACES + "0",
+                         _parse_error("zero denominator", 2 * _N + 2)),
+    "valid": (_SPACES + "t0" + _SPACES + "+" + _SPACES + "t1" + _SPACES,
+              parse_outcome(parse_binform, "t0 + t1", QQ)),
+}
+
+
+@pytest.mark.parametrize("text, outcome", LONG_LITERALS.values(), ids=LONG_LITERALS)
+def test_long_literal_scans_in_linear_time(text, outcome, time_limit):
+    time_limit(10)
+    assert parse_outcome(parse_binform, text, QQ) == outcome
 
 
 # -- misc helpers -------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -204,11 +206,19 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
      "'Q' monomial 'x0^x': exponent 'x' is not a non-negative decimal integer"),
     (lambda doc: {**doc, "Q": {**doc["Q"], "y": "t0 + t1 @"}},
      "'Q' coefficient of 'y': unexpected character '@' (at byte 8)"),
+    # refused in time linear in the literal's length (see time_limit below)
+    (lambda doc: {**doc, "Q": {**doc["Q"], "y": " " * 10**5 + "@"}},
+     "'Q' coefficient of 'y': unexpected character '@' (at byte 100000)"),
+    (lambda doc: {**doc, "Q": {**doc["Q"], "y": " + ".join(["3*t0*t1"] * 10**4) + "@"}},
+     "'Q' coefficient of 'y': unexpected character '@' (at byte 99997)"),
 ], ids=["list", "field-string", "Q-list", "no-theta", "p_g-null", "p_g-list", "p_g-float",
         "p_g-string", "theta-bool", "p-null", "p-string", "no-p", "rationals-p",
         "coefficient-int", "over-degree-literal", "negative-exponent",
-        "negative-exponent-G", "exponent-not-integer", "parse-error"])
-def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit, message):
+        "negative-exponent-G", "exponent-not-integer", "parse-error", "long-spaces-literal",
+        "long-terms-literal"])
+def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, time_limit, edit,
+                                                          message):
+    time_limit(20)
     path = tmp_path / "member.json"
     main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
           "--seed", "1", "--out", str(path)])
@@ -218,6 +228,40 @@ def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, edit
     doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
     assert code == 1 and list(doc) == ["error"]
     assert message in doc["error"]
+
+
+def respaced_reordered(literal, rng):
+    """`literal` with the factors of each term shuffled and random spaces around every operator."""
+    spaces = lambda: " " * rng.randrange(3)
+    out = []
+    for sign, term in re.findall(r"([-+]?) ?([^ +-]+)", literal):
+        factors = term.split("*")
+        rng.shuffle(factors)
+        factors = [re.sub(r"[/^]", lambda m: spaces() + m.group() + spaces(), f) for f in factors]
+        out.append(spaces() + sign + spaces() + (spaces() + "*" + spaces()).join(factors))
+    return "".join(out) + spaces()
+
+
+@pytest.mark.parametrize("member, extra", [
+    (("--pg", "2", "--theta", "0", "--field", "fp:101", "--seed", "9"), ()),
+    (("--pg", "7", "--theta", "3", "--field", "qq", "--seed", "5"), ("--prime", "35027", "--skip-sweep")),
+], ids=["fp101", "qq"])
+def test_census_of_respaced_reordered_member_is_unchanged(tmp_path, capsys, member, extra):
+    path = tmp_path / "member.json"
+    assert main(["generate", *member, "--out", str(path)]) == 0
+    original = json.loads(capsys.readouterr().out)
+    rng = random.Random(1)
+    edited = {**original, **{s: {mono: respaced_reordered(lit, rng) for mono, lit in original[s].items()}
+                             for s in ("Q", "G")}}
+    assert edited != original and "t1^" in json.dumps(original)
+    docs = []
+    for doc in (original, edited):
+        path.write_text(json.dumps(doc))
+        code, census = run_cli(capsys, "census", "--in", str(path), *extra)
+        assert code == 0
+        del census["timings"]
+        docs.append(census)
+    assert docs[0] == docs[1]
 
 
 def test_pg_above_bound_is_refused_before_any_work(tmp_path, capsys):

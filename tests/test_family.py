@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from canpencil.chow import surface_invariants
 from canpencil.family import (
     BranchData,
+    PG_MAX,
     FamilyParams,
     SurfaceEquations,
     bidouble_branch_data,
@@ -130,9 +131,7 @@ def test_generate_member_redraws_only_a_zero_q_y():
     assert first_draw_zero == [2]
 
 
-def test_equation_file_roundtrip(tmp_path):
-    params = FamilyParams(3, 1, QQ, seed=5)
-    member = generate_member(params)
+def assert_equation_file_roundtrip(member, tmp_path):
     path = tmp_path / "member.json"
     member.save(str(path))
     back = SurfaceEquations.load(str(path))
@@ -141,6 +140,18 @@ def test_equation_file_roundtrip(tmp_path):
     path2 = tmp_path / "member2.json"
     back.save(str(path2))
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_equation_file_roundtrip(tmp_path):
+    assert_equation_file_roundtrip(generate_member(FamilyParams(3, 1, QQ, seed=5)), tmp_path)
+
+
+def test_equation_file_roundtrip_of_largest_member(tmp_path):
+    # the member CI censuses: literals of up to ~2000 terms
+    with pytest.warns(UserWarning):
+        member = generate_member(FamilyParams(PG_MAX, 6, QQ, seed=1))
+    assert max(len(c.nums) for c in member.Q.terms.values()) > 1990
+    assert_equation_file_roundtrip(member, tmp_path)
 
 
 def test_malformed_coefficient_rejected(tmp_path):
