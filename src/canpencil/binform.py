@@ -713,96 +713,82 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-# An unsigned decimal integer, a variable, an operator, a word (an unknown
-# variable if it starts with a letter) or any other non-space character.
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>t[01])|(?P<op>[-+*/^])|(?P<word>\w+)|(?P<char>\S)")
-
-# A factor is an integer with an optional "/den", or t0 or t1 with an
-# optional "^e"; factors join by "*" into terms, and terms by "+" or "-".
-# Whitespace is read only by a `\s*` right after a piece that must be
-# there, so no two quantifiers compete for one run of characters and a
-# refused literal fails in linear time (3.10's re has no atomic groups).
-_FACTOR = r"(?:\d+\s*(?:/\s*\d+\s*)?|t[01]\s*(?:\^\s*\d+\s*)?)"
-_LITERAL = re.compile(rf"(\s*)(?:[-+]\s*)?{_FACTOR}(?:[-+*]\s*{_FACTOR})*")
-# One match per factor of a literal `_LITERAL` accepts, read from its first
-# non-space character: the operator before it ("" on the first), then the
-# integer and denominator, or the variable and exponent.
-_FACTOR_PARTS = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s*(\d+)\s*)?)")
+# A factor, read from its first non-space character: the operator before it
+# ("" on the first factor), then an integer with an optional "/den", or t0
+# or t1 with an optional "^e".  Factors join by "*" into terms, and terms by
+# "+" or "-".  Whitespace is read only by a `\s*` right after a piece that
+# must be there, so no two quantifiers compete for one run of characters and
+# a match that fails does so in linear time (3.10's re has no atomic groups).
+_FACTOR = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s*(\d+)\s*)?)")
+# A word other than t0 and t1 (an unknown variable if it starts with a
+# letter), or a character that the grammar never uses.
+_BAD = re.compile(r"(?!t[01])[^\W\d]\w*|[^\w\s*/^+-]")
+_SPACE = re.compile(r"\s*")
 
 
 def _read_terms(text: str) -> list:
-    """``[numerator, denominator, e0, e1, offset]`` per term of a literal, read by two regexes.
+    """``[numerator, denominator, e0, e1, offset]`` per term of a literal, one `_FACTOR` match per factor.
 
-    A literal that `_LITERAL` refuses, or one with a zero denominator, goes
-    to `_read_terms_by_token`, the only code that words a syntax error.
+    Each match starts where the last one stopped, so no character goes
+    unread; where no factor fits, `_syntax_error` words why.
     """
-    head = _LITERAL.fullmatch(text)
-    if head is None:
-        return _read_terms_by_token(text)
-    terms = []
-    for m in _FACTOR_PARTS.finditer(text, head.end(1)):
-        op, num, den, var, exp = m.groups()
-        if op != "*":
-            term = [-1 if op == "-" else 1, 1, 0, 0, m.start()]
-            terms.append(term)
-        if var:
-            term[2 if var == "0" else 3] += int(exp) if exp else 1
-        else:
-            term[0] *= int(num)
-            if den:
-                d = int(den)
-                if not d:
-                    return _read_terms_by_token(text)
-                term[1] *= d
+    terms, prev, pos = [], None, _SPACE.match(text).end()
+    try:
+        while pos < len(text) or prev is None:
+            m = _FACTOR.match(text, pos)
+            if m is None or m[1] == ("*" if prev is None else ""):
+                raise _syntax_error(text, pos, prev)
+            op, num, den, var, exp = m.groups()
+            if op != "*":
+                term = [-1 if op == "-" else 1, 1, 0, 0, m.start()]
+                terms.append(term)
+            if var:
+                term[2 if var == "0" else 3] += int(exp) if exp else 1
+            else:
+                term[0] *= int(num)
+                if den:
+                    d = int(den)
+                    if not d:
+                        raise _syntax_error(text, m.end(), m)
+                    term[1] *= d
+            prev, pos = m, m.end()
+    except ValueError as exc:  # a ParseError, or int() past sys.get_int_max_str_digits()
+        if isinstance(exc, ParseError) or not _BAD.search(text):
+            raise
+        raise _syntax_error(text, pos, prev) from None  # a bad character still comes first
     return terms
 
 
-def _read_terms_by_token(text: str) -> list:
-    """`_read_terms` by a state machine over `_TOKEN` tokens, raising `ParseError` on a bad literal."""
-    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-    for kind, tok, off in tokens:
-        if kind == "word" or kind == "char":
-            raise ParseError(f"unknown variable {tok!r} (expected t0 or t1)" if tok[0].isalpha()
-                             else f"unexpected character {tok[0]!r}", off)
-    if not tokens:
-        raise ParseError("empty polynomial literal", 0)
-    if tokens[0][1] not in ("+", "-"):  # an implicit '+' opens the first term
-        tokens.insert(0, ("op", "+", tokens[0][2]))
-    # state: "factor" is due next; an "int" or a "var" was just read; "/" or
-    # "^" waits for its integer; a "term" may end here
-    terms, state = [], "term"
-    for kind, tok, off in tokens + [("end", "", len(text))]:
-        if state == "factor":
-            if kind == "int":
-                term[0] *= int(tok)
-            elif kind == "var":
-                var = 2 if tok == "t0" else 3
-                term[var] += 1
-            else:
-                raise ParseError("expected coefficient or variable", off)
-            state = kind
-        elif state == "/" or state == "^":
-            if kind != "int":
-                what = "denominator after '/'" if state == "/" else "integer exponent after '^'"
-                raise ParseError(f"expected {what}", off)
-            if state == "^":
-                term[var] += int(tok) - 1
-            elif int(tok):
-                term[1] *= int(tok)
-            else:
-                raise ParseError("zero denominator", off)
-            state = "term"
-        elif tok == "*":
-            state = "factor"
-        elif (state, tok) in (("int", "/"), ("var", "^")):
-            state = tok
-        elif tok == "+" or tok == "-":
-            term = [-1 if tok == "-" else 1, 1, 0, 0, off]
-            terms.append(term)
-            state = "factor"
-        elif kind != "end":
-            raise ParseError("expected '+' or '-' between terms", off)
-    return terms
+def _syntax_error(text: str, pos: int, prev) -> ParseError:
+    """Why the literal stops at `pos`, where `prev` is the `_FACTOR` match before it (None if none).
+
+    The first bad word or character anywhere in the text wins.  Then the
+    literal is empty, `prev` has a zero denominator, or the character at
+    `pos` lacks what must follow it: a factor after an operator, a
+    denominator after '/', an exponent after '^', or else '+' or '-' before
+    a new term.  A missing factor, denominator or exponent is reported
+    where it is due, past the operator and its whitespace; a missing '+' or
+    '-' at `pos`.
+    """
+    bad = _BAD.search(text)
+    if bad:
+        word = bad.group()
+        return ParseError(f"unknown variable {word!r} (expected t0 or t1)" if word[0].isalpha()
+                          else f"unexpected character {word[0]!r}", bad.start())
+    if prev is None and pos == len(text):
+        return ParseError("empty polynomial literal", 0)
+    if prev and prev[3] and not int(prev[3]):
+        return ParseError("zero denominator", prev.start(3))
+    c, due = text[pos], _SPACE.match(text, pos + 1).end()
+    if c in "+-" or (c == "*" and prev):
+        return ParseError("expected coefficient or variable", due)
+    if prev is None:  # "*", "/" or "^" opens the literal
+        return ParseError("expected coefficient or variable", pos)
+    if c == "/" and prev[2] and not prev[3]:
+        return ParseError("expected denominator after '/'", due)
+    if c == "^" and prev[4] and not prev[5]:
+        return ParseError("expected integer exponent after '^'", due)
+    return ParseError("expected '+' or '-' between terms", pos)
 
 
 def scan_binform(text: str, field: FieldSpec):
@@ -813,12 +799,11 @@ def scan_binform(text: str, field: FieldSpec):
     QQ (not yet reduced).  The zero form reads as ``(None, {}, 1)``.
 
     The front half, `_read_terms`, turns the text into one record
-    ``[numerator, denominator, e0, e1, offset]`` per term: one
-    `_LITERAL.fullmatch` checks the literal against the grammar, and one
-    `_FACTOR_PARTS.finditer` reads it factor by factor, without a token
-    list.  Only a literal the grammar refuses, or one with a zero
-    denominator, goes to the token machine `_read_terms_by_token`, which
-    words every syntax error: a bad character first, then a syntax error.
+    ``[numerator, denominator, e0, e1, offset]`` per term.  It reads the
+    literal with one anchored `_FACTOR` match per factor, each starting
+    where the last one stopped.  Where no factor fits, or a denominator is
+    zero, `_syntax_error` words the error from that point: a bad character
+    anywhere in the text first, then what the character there lacks.
     The back half reduces each term, puts the terms over one denominator
     and words the other two errors, in this order: a denominator not
     invertible in `field` (at its own term), and a nonzero term whose

@@ -62,10 +62,6 @@ def base_points(p: int) -> List[Tuple[int, int]]:
     return [(a, 1) for a in range(p)] + [(1, 0)]
 
 
-def _check_prime(p: int) -> FieldSpec:
-    return FieldSpec.prime_field(p)  # rejects 2, 3, composites
-
-
 def _reduce_form(form: BinForm, spec: FieldSpec) -> BinForm:
     """A rational form over F_p: its numerators times one inverse of its denominator.
 
@@ -80,18 +76,17 @@ def _reduce_form(form: BinForm, spec: FieldSpec) -> BinForm:
 
 
 def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """Equations over F_p: reduce a rational member, or verify the field.
+    """Equations over F_p: a rational member reduced mod p.
 
     A member over F_p itself is returned at once: its `FieldSpec` checked p
-    when it was built, so the primality test does not run again.
+    when it was built, so the primality test does not run again.  A member
+    over another prime field is refused once p itself has been checked.
     """
     if isinstance(p, int) and eqs.field.p == p:
         return eqs
-    spec = _check_prime(p)
+    spec = FieldSpec.prime_field(p)  # rejects 2, 3, composites
     if eqs.field.is_prime_field:
-        if eqs.field.p != p:
-            raise ValueError(f"member lives over F_{eqs.field.p}, cannot census at p = {p}")
-        return eqs
+        raise ValueError(f"member lives over F_{eqs.field.p}, cannot census at p = {p}")
     def reduce_section(s: GradedSection) -> GradedSection:
         terms = {m: _reduce_form(coeff, spec) for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)

@@ -39,11 +39,15 @@ def parse_field(text: str) -> FieldSpec:
 
 
 def emit(doc: dict, out: Optional[str]) -> None:
+    """Write `doc` to `out` first, so an --out that cannot be written prints only the error."""
     text = json.dumps(doc, sort_keys=True, indent=2)
-    print(text)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc.strerror}")
+    print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +126,9 @@ def load_equations(path: str) -> family.SurfaceEquations:
         return family.SurfaceEquations.load(path)
     except FileNotFoundError:
         raise CliError(f"no such equation file: {path}")
-    except (ValueError, KeyError) as exc:
+    except OSError as exc:  # a directory, an unreadable file
+        raise CliError(f"cannot read equation file {path}: {exc.strerror}")
+    except (ValueError, KeyError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise CliError(f"bad equation file {path}: {exc}")
 
 
@@ -339,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        doc = _DISPATCH[args.command](args)
+        emit(_DISPATCH[args.command](args), getattr(args, "out", None))
     except CliError as exc:
         msg = str(exc)
         # ledger failures already carry a JSON document; wrap plain messages
@@ -351,7 +357,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:  # SigmaError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
-    emit(doc, getattr(args, "out", None))
     return 0
 
 

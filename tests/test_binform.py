@@ -920,6 +920,21 @@ def spaced_printer_literals(draw):
 @example(("  1/5*t1", F5))  # a term that fails after whitespace: its offset is past it
 @example((" t0 +  t1^2", QQ))
 @example(("\t- 3 / 10 * t0 ^ 2 -\n1/5*t1^2 ", F5))
+# one example per wording of a syntax error, and where it points
+@example(("3/", QQ))
+@example(("3 / * 4", QQ))
+@example(("t0 ^ + t1", QQ))
+@example(("3/4/5", QQ))
+@example(("t0^2^3", QQ))
+@example(("+ *3", QQ))
+@example(("*3", QQ))
+@example(("   ", QQ))
+@example(("t0 t1", QQ))
+@example(("1/00", QQ))
+@example(("3 + ", QQ))
+@example(("3 4 @", QQ))
+@example(("1/0 + x", QQ))
+@example(("9" * 5000 + " @", QQ))  # past int()'s digit limit: the bad character still wins
 def test_parse_matches_reference_parser(case):
     text, field = case
     assert parse_outcome(parse_binform, text, field) == expected_outcome(text, field)
@@ -948,6 +963,12 @@ LONG_LITERALS = {  # id: (literal, the outcome of parsing it over QQ)
                     _parse_error("expected '+' or '-' between terms", 2 * _N + 2)),
     "zero-denominator": ("1" + _SPACES + "/" + _SPACES + "0",
                          _parse_error("zero denominator", 2 * _N + 2)),
+    "denominator-due": ("7/" + _SPACES, _parse_error("expected denominator after '/'", _N + 2)),
+    "exponent-due": ("t0^" + _SPACES,
+                     _parse_error("expected integer exponent after '^'", _N + 3)),
+    "only-spaces": (_SPACES, _parse_error("empty polynomial literal", 0)),
+    "syntax-error-then-late-char": ("3 4" + _SPACES + "@",
+                                    _parse_error("unexpected character '@'", _N + 3)),
     "valid": (_SPACES + "t0" + _SPACES + "+" + _SPACES + "t1" + _SPACES,
               parse_outcome(parse_binform, "t0 + t1", QQ)),
 }

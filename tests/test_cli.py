@@ -292,6 +292,21 @@ def test_census_missing_file(capsys):
     assert "error" in doc
 
 
+def test_unreadable_input_and_unwritable_out_are_one_json_error(tmp_path, capsys):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 10**5)
+    missing_dir = tmp_path / "missing" / "x.json"
+    for argv, message in [
+        (("census", "--in", str(tmp_path)), f"cannot read equation file {tmp_path}: "),
+        (("census", "--in", str(nested)), f"bad equation file {nested}: "),
+        (("invariants", "--pg", "2", "--theta", "0", "--out", str(missing_dir)),
+         f"cannot write {missing_dir}: "),
+    ]:
+        code, doc = run_cli(capsys, *argv)  # one JSON document, no traceback
+        assert code == 1 and list(doc) == ["error"] and doc["error"].startswith(message)
+    assert not missing_dir.parent.exists()
+
+
 # -- verify ---------------------------------------------------------------------------
 
 
