@@ -527,12 +527,6 @@ def divexact(a: BinForm, b: BinForm) -> BinForm:
     return q
 
 
-def lcm(a: BinForm, b: BinForm) -> BinForm:
-    if a.is_zero or b.is_zero:
-        return BinForm.zero(a.field)
-    return divexact(a * b, gcd(a, b)).monic()
-
-
 def _unpack(x: int, n: int, k: int):
     """The n slots of k 64-bit words each of 0 <= x < 2^(64 k n), low slot first."""
     w = memoryview(x.to_bytes(8 * k * n, sys.byteorder)).cast("Q")
@@ -601,6 +595,35 @@ def _fp_root_multiplicity(u: list, a: int, p: int) -> int:
         if r:
             return m
         m += 1
+
+
+def sqrt_mod(a: int, p: int) -> Optional[int]:
+    """The least r in 0..p-1 with r^2 = a mod an odd prime p, or None if a is not a square.
+
+    Tonelli-Shanks (Cohen, Alg. 1.5.1): with p - 1 = 2^s q, q odd, x = a^((q+1)/2)
+    has x^2 = a b, b = a^q; each step multiplies x by a power of z = n^q, n a
+    non-square, that lowers the order 2^m of b, until b = 1.  m = s shows a non-square.
+    """
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    z, x, b = pow(n, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b != 1:
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        if m == s:
+            return None
+        t = pow(z, 1 << (s - m - 1), p)
+        z, s = t * t % p, m
+        x, b = x * t % p, b * z % p
+    return min(x, p - x)
 
 
 def roots(form: BinForm) -> dict:
@@ -730,7 +753,9 @@ def _read_terms(text: str) -> list:
     """``[numerator, denominator, e0, e1, offset]`` per term of a literal, one `_FACTOR` match per factor.
 
     Each match starts where the last one stopped, so no character goes
-    unread; where no factor fits, `_syntax_error` words why.
+    unread; where no factor fits, `_syntax_error` words why.  An integer
+    longer than `sys.get_int_max_str_digits()` is an error at its first
+    digit, unless the text has a bad character anywhere.
     """
     terms, prev, pos = [], None, _SPACE.match(text).end()
     try:
@@ -753,9 +778,14 @@ def _read_terms(text: str) -> list:
                     term[1] *= d
             prev, pos = m, m.end()
     except ValueError as exc:  # a ParseError, or int() past sys.get_int_max_str_digits()
-        if isinstance(exc, ParseError) or not _BAD.search(text):
+        if isinstance(exc, ParseError):
             raise
-        raise _syntax_error(text, pos, prev) from None  # a bad character still comes first
+        if _BAD.search(text):
+            raise _syntax_error(text, pos, prev) from None  # a bad character still comes first
+        limit = sys.get_int_max_str_digits()
+        g = next(g for g in (2, 3, 5) if m[g] and len(m[g]) > limit)
+        raise ParseError(f"integer with {len(m[g])} digits exceeds the limit of {limit} digits",
+                         m.start(g)) from None
     return terms
 
 

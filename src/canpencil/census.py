@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .binform import BinForm, roots
+from .binform import BinForm, roots, sqrt_mod
 from .fields import FieldSpec
 from .family import SurfaceEquations
 from .sections import GradedSection
@@ -231,117 +231,127 @@ def branch_disjointness(
 # ---------------------------------------------------------------------------
 
 
-def _sqrt_table(p: int) -> Dict[int, List[int]]:
-    table: Dict[int, List[int]] = {}
-    for r in range(p):
-        table.setdefault(r * r % p, []).append(r)
-    return table
+def _base_values(form: BinForm, p: int) -> List[int]:
+    """The form's residues at the base points (a : 1), a = 0..p-1, then at (1 : 0)."""
+    vals = [0] * p
+    for c in form.nums:
+        vals = [(v * a + c) % p for a, v in enumerate(vals)]
+    return vals + [form.nums[0] if form.nums else 0]
 
 
-def _fiber_candidates(p: int, qx: int, qy: int) -> Iterator[Tuple[int, int, int]]:
-    """(x0, x1, y) of the cone points of Q = x0^2 + qx x1^2 + qy y = 0.
+def _sextic_candidates(p: int, qx: int, qy: int, jk, gs) -> List[Tuple[int, int, tuple]]:
+    """The (x0, x1, (y,)) of Q = 0 over a base with qy != 0 where beta and its partials vanish.
 
-    With (x0, x1) != 0 only the orbit representatives (1, a) and (0, 1)
-    are listed: Q is linear in y, so qy != 0 gives one y each, and qy = 0
-    gives every y where x0^2 + qx x1^2 = 0.  With x0 = x1 = 0, Q = 0
-    needs y = 0 (the cone vertex, skipped) unless qy = 0, and then every
-    y != 0 is listed, not only orbit representatives.
+    On the graph y = -(x0^2 + qx x1^2)/qy of Q = 0 the branch form is the
+    sextic beta = qy^3 b(x0, x1, y); in the chart x0 = 1 it is f(a), where
+    a term g x0^i x1^j y^k ((j, k) in `jk`, g in `gs`) adds
+    g (-1)^k qy^(3-k) a^j (1 + qx a^2)^k.  The candidates are the a with
+    f(a) = f'(a) = 0, and (0, 1) when c6 = c5 = 0 (beta and its x0-partial).
     """
-    if qy:
-        inv = pow(-qy, -1, p)  # y = (x0^2 + qx x1^2) / (-qy)
-        for a in range(p):
-            yield 1, a, (1 + qx * a * a) * inv % p
-        yield 0, 1, qx * inv % p
-        return
-    for a in range(p):
-        if (1 + qx * a * a) % p == 0:
-            for y in range(p):
-                yield 1, a, y
+    qy2, qx2 = qy * qy, qx * qx
+    # (-1)^k qy^(3-k) (1 + qx a^2)^k: the coefficient of a^(2l) at l
+    w = ((qy2 * qy,), (-qy2, -qy2 * qx), (qy, 2 * qy * qx, qy * qx2),
+         (-1, -3 * qx, -3 * qx2, -qx2 * qx))
+    c = [0] * 7
+    for (j, k), g in zip(jk, gs):
+        if g:
+            for l, wl in enumerate(w[k]):
+                c[j + 2 * l] += g * wl
+    c0, c1, c2, c3, c4, c5, c6 = [x % p for x in c]
+    inv = pow(-qy, -1, p)
+    hits = [a for a in range(p)
+            if not ((((((c6 * a + c5) * a + c4) * a + c3) * a + c2) * a + c1) * a + c0) % p]
+    out = [(1, a, ((1 + qx * a * a) * inv % p,)) for a in hits
+           if not (((((6 * c6 * a + 5 * c5) * a + 4 * c4) * a + 3 * c3) * a + 2 * c2) * a + c1) % p]
+    if not (c6 or c5):
+        out.append((0, 1, (qx * inv % p,)))
+    return out
+
+
+def _fiber_candidates(p: int, qx: int) -> List[Tuple[int, int, range]]:
+    """(x0, x1, every y) of the cone points of Q = x0^2 + qx x1^2 = 0 over a root of q_y.
+
+    (x0, x1) runs over the orbit representatives (1, a) and (0, 1) on
+    Q = 0, and over (0, 0) with every y != 0, not only representatives.
+    """
+    out = [(1, a, range(p)) for a in range(p) if (1 + qx * a * a) % p == 0]
     if qx == 0:
-        for y in range(p):
-            yield 0, 1, y
-    for y in range(1, p):
-        yield 0, 0, y
+        out.append((0, 1, range(p)))
+    return out + [(0, 0, range(1, p))]
 
 
 def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
     """Rational points of X where the Jacobian of its affine cone drops rank.
 
-    In the chart of a base point the equations read
-
-        Q = x0^2 + q_x x1^2 + q_y y,    G = z^2 + b(x0, x1, y),
-
-    with b the branch form.  Q and G are weighted-homogeneous of weights 2
-    and 6, so at l * v the Jacobian is diag(l^2, l^6) J(v) diag(l^-1,
-    l^-1, l^-2, l^-3, 1): its rank is the same at every point of a
-    weighted orbit, and one point per orbit suffices.  An orbit with
-    (x0, x1) != 0 has exactly one point with (x0, x1) = (1, a) or (0, 1),
-    its canonical representative.  Q is linear in y, so over each base
-    point there are p + 1 such (x0, x1) with one y each when q_y(t) != 0,
-    and O(p) points in all when q_y(t) = 0 (see `_fiber_candidates`).
-    Points with x0 = x1 = 0 lie only over the roots of q_y; all p - 1
-    values of y are visited there and the failures collapsed by
-    `canonical_fiber_rep`.  The roots z come from a square-root table of
-    -b.  The 2x5 Jacobian in (x0, x1, y, z, t) has the rows
+    In the chart of a base point Q = x0^2 + q_x x1^2 + q_y y and
+    G = z^2 + b(x0, x1, y) are weighted-homogeneous of weights 2 and 6, so
+    at l * v the Jacobian is diag(l^2, l^6) J(v) diag(l^-1, l^-1, l^-2,
+    l^-3, 1): its rank is the same on a weighted orbit, and one point per
+    orbit is tested.  The 2x5 Jacobian in (x0, x1, y, z, t) has the rows
 
         row_q = (2 x0, 2 q_x x1, q_y, 0, q_x' x1^2 + q_y' y),
         row_g = (b_x0, b_x1, b_y, 2 z, b_t),
 
-    and only the branch value b is computed at every candidate:
+    and `_rank_below_two` decides every failure; the rest picks candidates.
 
-    * b = 0 forces z = 0; the partials of b are computed and all 2x2
-      minors tested.
-    * b != 0 makes every root z nonzero.  The minors through the z column
-      are then 2z times the entries of row_q, so the rank is below two
-      exactly when row_q vanishes: x0 = 0, q_y(t) = 0, q_x x1 = 0 (which
-      Q = 0 then implies, but it is tested anyway) and q_x' x1^2 + q_y' y
-      = 0.  No partial of b is needed.
+    * q_y(t) != 0: the (y, z) minor 2 z q_y forces z = 0, so b = 0 and
+      row_g = (b_y / q_y) row_q.  By the chain rule through y on Q = 0,
+      the sextic beta = q_y^3 b and its (x0, x1)-partials vanish there, so
+      only the points of `_sextic_candidates` are tested (one Horner value
+      per a; all p + 1 when beta vanishes on the fiber).
+    * q_y(t) = 0: every cone point of `_fiber_candidates` is tested, and
+      the failures with x0 = x1 = 0 collapsed by `canonical_fiber_rep`.
+      Where b != 0 the roots z = ±sqrt(-b) are nonzero, the minors through
+      z are 2z times row_q, and the rank drops exactly when row_q = 0.
 
-    Powers come from one table a^e mod p built per prime.  The result is
-    sorted and independent of the processing order.
+    The t-derivatives of the coefficients and the powers of the fiber
+    coordinates are taken only over a base point with a candidate.  The
+    result is sorted and independent of the processing order.
     """
     eqs = _as_prime_equations(eqs, p)
-    sqrt = _sqrt_table(p)
     failures = set()
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
-    top = max((max(i, j, k) for i, j, k, _ in branch), default=0)
-    pw = [[pow(a, e, p) for e in range(top + 1)] for a in range(p)]
-    qx_form, qy_form = eqs.q_x, eqs.q_y
+    jk = [(j, k) for _, j, k, _ in branch]
+    values = list(zip(*[_base_values(c, p) for *_, c in branch])) or [()] * (p + 1)
+    qx_vals, qy_vals = _base_values(eqs.q_x, p), _base_values(eqs.q_y, p)
 
     for base in base_points(p):
-        qx, qx_d = _chart_value_and_derivative(qx_form, base, p)
-        qy, qy_d = _chart_value_and_derivative(qy_form, base, p)
-        gl = []
-        for (i, j, k, coeff) in branch:
-            val, dval = _chart_value_and_derivative(coeff, base, p)
-            if val or dval:
-                gl.append((i, j, k, val, dval))
-        for x0, x1, y in _fiber_candidates(p, qx, qy):
-            px0, px1, py = pw[x0], pw[x1], pw[y]
-            b_val = 0
-            for (i, j, k, g, _) in gl:
-                b_val += g * px0[i] * px1[j] * py[k]
-            b_val %= p
-            if b_val:
-                # z != 0: rank < 2 iff row_q = 0
-                if (x0 == 0 and qy == 0 and qx * x1 % p == 0
-                        and (qx_d * x1 * x1 + qy_d * y) % p == 0):
-                    for z in sqrt.get(p - b_val, ()):
-                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
-                continue
-            b_x0 = b_x1 = b_y = b_t = 0
-            for (i, j, k, g, gd) in gl:
-                b_t += gd * px0[i] * px1[j] * py[k]
-                if i:
-                    b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
-                if j:
-                    b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
-                if k:
-                    b_y += g * k * px0[i] * px1[j] * py[k - 1]
-            row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
-            row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
-            if _rank_below_two(row_q, row_g, p):
-                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+        n = base[0] if base[1] else p
+        qx, qy = qx_vals[n], qy_vals[n]
+        cands = _sextic_candidates(p, qx, qy, jk, values[n]) if qy else _fiber_candidates(p, qx)
+        if not cands:
+            continue
+        qx_d = _chart_value_and_derivative(eqs.q_x, base, p)[1]
+        qy_d = _chart_value_and_derivative(eqs.q_y, base, p)[1]
+        gl = [(i, j, k, *_chart_value_and_derivative(c, base, p)) for i, j, k, c in branch]
+        gl = [t for t in gl if t[3] or t[4]]
+        for x0, x1, ys in cands:
+            b3 = [0] * 4  # b(x0, x1, y) as a cubic in y
+            for i, j, k, g, _ in gl:
+                b3[k] += g * x0**i * x1**j
+            for y in ys:
+                b_val = (((b3[3] * y + b3[2]) * y + b3[1]) * y + b3[0]) % p
+                if b_val:
+                    # z != 0: rank < 2 iff row_q = 0
+                    if (x0 == 0 and qy == 0 and qx * x1 % p == 0
+                            and (qx_d * x1 * x1 + qy_d * y) % p == 0):
+                        r = sqrt_mod(-b_val, p)
+                        for z in (r, p - r) if r is not None else ():
+                            failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                    continue
+                b_x0 = b_x1 = b_y = b_t = 0
+                for (i, j, k, g, gd) in gl:
+                    b_t += gd * x0**i * x1**j * y**k
+                    if i:
+                        b_x0 += g * i * x0**(i - 1) * x1**j * y**k
+                    if j:
+                        b_x1 += g * j * x0**i * x1**(j - 1) * y**k
+                    if k:
+                        b_y += g * k * x0**i * x1**j * y**(k - 1)
+                row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
+                row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
+                if _rank_below_two(row_q, row_g, p):
+                    failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
     return sorted(failures)
 
 
@@ -389,8 +399,9 @@ class SingularReport:
         }
 
 
-#: largest prime the sweep runs at, a conservative limit: the sweep visits
-#: about (p + 1)^2 fiber candidates, the count the refusal quotes, 0.12 s
+#: largest prime the sweep runs at, a conservative limit: the refusal quotes
+#: the (p + 1)^2 fiber candidates, one per point of the conic over each base
+#: point; the sweep takes one value of the branch sextic at each, about 30 ms
 #: at p = 257 for a (p_g, theta) = (2, 0) member under CPython 3.11 on a
 #: 2-core host, and grows as p^2.
 SWEEP_PRIME_MAX = 257

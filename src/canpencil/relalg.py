@@ -26,7 +26,7 @@ for every slot where the check is used; asserted at run time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .binform import (
@@ -405,77 +405,6 @@ def delta_on_s6prime(F120: BinForm, F030: BinForm, data: SigmaTwoData) -> DeltaR
         raise SigmaError("3*F030/f0^2 - 2*f1*F120/f0^3 is not a polynomial")
     second = divexact(cleared, f03)
     return DeltaRestriction((first, second))
-
-
-# ---------------------------------------------------------------------------
-# stalks of the section algebra and tau'
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StalkModel:
-    """Local model at a point of tau with multiplicity r.
-
-    The degree-2 coefficient functions live in the local parameter t; only
-    the x0^2 slot of f2 matters for the torsion computation, but the whole
-    weighted-homogeneous shape is kept for clarity.  Coefficient functions
-    are tuples of rationals, ascending in t.
-    """
-
-    r: int
-    f2_coeffs: Dict[Tuple[int, int], tuple]  # (x0 exp, x1 exp) -> t-poly
-    f6_coeffs: Dict[Tuple[int, int, int], tuple] = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("multiplicity r >= 1 required")
-        for (i, j) in self.f2_coeffs:
-            if i + j != 2:
-                raise ValueError("f2 must be weighted homogeneous of degree 2 in (x0, x1)")
-
-
-def _t_valuation(poly: tuple) -> Optional[int]:
-    for i, c in enumerate(poly):
-        if c != 0:
-            return i
-    return None
-
-
-@dataclass(frozen=True)
-class StalkTauPrime:
-    r_torsion: int  # r'' = t-adic torsion depth of the stalk
-    r_prime: int
-    section_through_fixed_point: bool
-
-
-def stalk_tau_prime(model: StalkModel) -> StalkTauPrime:
-    """Multiplicity bookkeeping of the section sub-divisor at one stalk.
-
-    r'' is the largest power of t dividing t^r * y - f2(x0, 0; t); only the
-    x0^2 coefficient a(t) of f2 survives the restriction, so
-    r'' = min(r, val_t(a)).  The point lies on the section part exactly
-    when r' = r - r'' is positive.
-    """
-    a = model.f2_coeffs.get((2, 0), ())
-    val = _t_valuation(tuple(a))
-    r2 = model.r if val is None else min(model.r, val)
-    r_prime = model.r - r2
-    return StalkTauPrime(r2, r_prime, r_prime > 0)
-
-
-def z_summand_degree(pg: int, theta: int) -> int:
-    """Degree of the rank-1 odd summand locally generated by z.
-
-    It is det of the rank-2 piece twisted by tau:
-    (p_g + 2) + (2 p_g + theta - 2) = 3 p_g + theta, asserted here as pure
-    arithmetic; the sheaf itself is split off, never materialized.
-    """
-    det_a1 = 1 + (pg + 1)
-    tau_deg = 2 * pg + theta - 2
-    total = det_a1 + tau_deg
-    if total != 3 * pg + theta:
-        raise AssertionError(f"determinant degree {total} != {3 * pg + theta}")
-    return total
 
 
 def s_algebra_degrees(deg_s1: int, tau_prime: BinForm, d_max: int) -> List[int]:

@@ -2,6 +2,7 @@ import math
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import groupby
 
@@ -19,11 +20,11 @@ from canpencil.binform import (
     divides,
     format_binform,
     gcd,
-    lcm,
     parse_binform,
     random_binform,
     random_split_squarefree,
     roots,
+    sqrt_mod,
 )
 from canpencil.fields import QQ, FieldSpec
 
@@ -199,6 +200,12 @@ def test_gcd_divides_both_and_is_monic(a, b):
     assert divexact(a, g) * g == a
 
 
+def lcm(a, b):
+    if a.is_zero or b.is_zero:
+        return BinForm.zero(a.field)
+    return divexact(a * b, gcd(a, b)).monic()
+
+
 @given(binforms(allow_zero=False), binforms(allow_zero=False))
 def test_gcd_lcm_degree_formula(a, b):
     g, m = gcd(a, b), lcm(a, b)
@@ -248,6 +255,36 @@ def test_roots_of_split_form_at_largest_prime():
 def test_roots_zero_form_rejected():
     with pytest.raises(BinFormError):
         roots(BinForm.zero(F5))
+
+
+@pytest.mark.oracle
+def test_sqrt_mod_matches_table_of_squares():
+    """The least root of every residue at every odd prime up to 257, None for non-squares."""
+    for p in range(3, 258, 2):
+        if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+            continue
+        least = {}
+        for r in range(p - 1, -1, -1):
+            least[r * r % p] = r
+        for a in range(p):
+            assert sqrt_mod(a, p) == least.get(a), (a, p)
+            assert sqrt_mod(a - p, p) == least.get(a)
+
+
+@pytest.mark.parametrize("p, s", [(65537, 16), (2**31 - 1, 1)])
+def test_sqrt_mod_at_both_ends_of_the_two_power(p, s):
+    # p - 1 = 2^s q with q odd: Tonelli-Shanks takes up to s - 1 steps at
+    # 65537 = 2^16 + 1, where 9 = 3^2 has order 2^15, and none at 2^31 - 1
+    assert (p - 1) & -(p - 1) == 1 << s
+    rng = random.Random(p)
+    for a in [0, 1, 2, 3, 9, p - 1] + rng.sample(range(p), 1500):
+        r = sqrt_mod(a, p)
+        if a and pow(a, (p - 1) // 2, p) != 1:  # Euler's criterion
+            assert r is None, a
+        else:
+            assert r * r % p == a and r <= p - r, a
+    for r in rng.sample(range(p), 500):
+        assert sqrt_mod(r * r, p) == min(r, p - r)
 
 
 def brute_force_roots(f: BinForm) -> dict:
@@ -814,6 +851,26 @@ def test_parse_non_decimal_digit_is_parse_error():
         assert err.value.offset == offset
         assert str(err.value) == f"unexpected character '\u00b2' (at byte {offset})"
     assert form("\u0663*t0") == form("3*t0")  # an Arabic-Indic 3 is a decimal digit
+
+
+@pytest.mark.parametrize("text, digits, offset", [
+    ("9" * 5000 + "*t0^2", 5000, 0),
+    ("t0^2 + 3/" + "7" * 4301 + "*t1^2", 4301, 9),  # a denominator
+    ("t0^" + "1" * 4400, 4400, 3),  # an exponent
+])
+def test_parse_integer_past_digit_limit_is_parse_error(text, digits, offset):
+    """An integer that int() refuses for its length is a ParseError at its first digit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for field in (QQ, F5):
+            with pytest.raises(ParseError) as err:
+                form(text, field)
+            assert err.value.offset == offset
+            assert str(err.value) == (f"integer with {digits} digits exceeds the limit of 4300 "
+                                      f"digits (at byte {offset})")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @given(binforms())

@@ -479,16 +479,180 @@ def test_sweep_matches_brute_force_jacobian(p):
     assert all(counts.values()), counts
 
 
+def _sqrt_table(p):
+    """Every residue that is a square mod p -> all its square roots, ascending."""
+    table = {}
+    for r in range(p):
+        table.setdefault(r * r % p, []).append(r)
+    return table
+
+
+def _orbit_fiber_candidates(p, qx, qy):
+    """(x0, x1, y) of the cone points of Q = x0^2 + qx x1^2 + qy y = 0.
+
+    With (x0, x1) != 0 only the orbit representatives (1, a) and (0, 1)
+    are listed: Q is linear in y, so qy != 0 gives one y each, and qy = 0
+    gives every y where x0^2 + qx x1^2 = 0.  With x0 = x1 = 0, Q = 0
+    needs y = 0 (the cone vertex, skipped) unless qy = 0, and then every
+    y != 0 is listed, not only orbit representatives.
+    """
+    if qy:
+        inv = pow(-qy, -1, p)  # y = (x0^2 + qx x1^2) / (-qy)
+        for a in range(p):
+            yield 1, a, (1 + qx * a * a) * inv % p
+        yield 0, 1, qx * inv % p
+        return
+    for a in range(p):
+        if (1 + qx * a * a) % p == 0:
+            for y in range(p):
+                yield 1, a, y
+    if qx == 0:
+        for y in range(p):
+            yield 0, 1, y
+    for y in range(1, p):
+        yield 0, 0, y
+
+
+def _orbit_sweep(eqs, p):
+    """The orbit sweep: the branch value at one point per weighted orbit.
+
+    Over each base point it visits the p + 1 orbit representatives with
+    (x0, x1) != 0 when q_y(t) != 0, and every cone point when q_y(t) = 0,
+    with powers from one table a^e mod p.  b = 0 forces z = 0 and the
+    partials of b go to the rank test; b != 0 makes z nonzero, and the
+    rank drops exactly when row_q = 0.  Kept as the reference for
+    `quasi_smooth_sweep`, which tests only the points where q_y = 0 or the
+    branch sextic is singular.
+    """
+    eqs = census_mod._as_prime_equations(eqs, p)
+    sqrt = _sqrt_table(p)
+    failures = set()
+    branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
+    top = max((max(i, j, k) for i, j, k, _ in branch), default=0)
+    pw = [[pow(a, e, p) for e in range(top + 1)] for a in range(p)]
+    qx_form, qy_form = eqs.q_x, eqs.q_y
+
+    for base in base_points(p):
+        qx, qx_d = census_mod._chart_value_and_derivative(qx_form, base, p)
+        qy, qy_d = census_mod._chart_value_and_derivative(qy_form, base, p)
+        gl = []
+        for (i, j, k, coeff) in branch:
+            val, dval = census_mod._chart_value_and_derivative(coeff, base, p)
+            if val or dval:
+                gl.append((i, j, k, val, dval))
+        for x0, x1, y in _orbit_fiber_candidates(p, qx, qy):
+            px0, px1, py = pw[x0], pw[x1], pw[y]
+            b_val = 0
+            for (i, j, k, g, _) in gl:
+                b_val += g * px0[i] * px1[j] * py[k]
+            b_val %= p
+            if b_val:
+                # z != 0: rank < 2 iff row_q = 0
+                if (x0 == 0 and qy == 0 and qx * x1 % p == 0
+                        and (qx_d * x1 * x1 + qy_d * y) % p == 0):
+                    for z in sqrt.get(p - b_val, ()):
+                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                continue
+            b_x0 = b_x1 = b_y = b_t = 0
+            for (i, j, k, g, gd) in gl:
+                b_t += gd * px0[i] * px1[j] * py[k]
+                if i:
+                    b_x0 += g * i * px0[i - 1] * px1[j] * py[k]
+                if j:
+                    b_x1 += g * j * px0[i] * px1[j - 1] * py[k]
+                if k:
+                    b_y += g * k * px0[i] * px1[j] * py[k - 1]
+            row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
+            row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
+            if census_mod._rank_below_two(row_q, row_g, p):
+                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+    return sorted(failures)
+
+
+def _sparsified(member, rng):
+    """The member with each branch term dropped with probability 1/2 (z^2 is kept)."""
+    terms = {m: c for m, c in member.G.terms.items() if m.l or rng.random() < 0.5}
+    G = GradedSection(member.bundle, member.field, member.G.bidegree, terms)
+    return SurfaceEquations(member.bundle, member.field, member.Q, G)
+
+
+def _vanishing_fiber_member(p, power, seed=0):
+    """A (3, 1) member whose branch terms all vanish to order `power` over a base with q_y != 0.
+
+    b is then zero on that whole fiber, so all p + 1 of its points are
+    candidates; with power 2, b_t vanishes there too and every point of the
+    fiber with z = 0 is a rank drop.  Terms of degree below `power` are dropped.
+    """
+    field = FieldSpec.prime_field(p)
+    rng = random.Random(seed)
+    member = generate_member(FamilyParams(3, 1, field, seed=seed))
+    base = next(b for b in base_points(p) if member.q_y.evaluate(*b))
+    lin = _linear_factor(field, base) ** power
+    terms = {m: lin * random_binform(field, c.degree - power, rng)
+             for m, c in member.G.terms.items() if m.l == 0 and c.degree >= power}
+    terms[FiberMonomial(0, 0, 0, 2)] = BinForm.one(field)
+    G = GradedSection(member.bundle, field, member.G.bidegree, terms)
+    return SurfaceEquations(member.bundle, field, member.Q, G)
+
+
+def _sextic_paths(eqs, expected, p):
+    """The branches of the sweep that a member reaches, found without the sweep.
+
+    "beta = 0": a base point with q_y != 0 where b vanishes at every point
+    of Q = 0 with (x0, x1) != 0; "(0 : 1)": one where b and b_x0 vanish at
+    (0 : 1 : q_x / -q_y), so c6 = c5 = 0; "z != 0": a failure off z = 0,
+    which lies over a root of q_y.
+    """
+    hit = {"z != 0"} if any(pt.fiber[3] for pt in expected) else set()
+    for base in base_points(p):
+        qx, qy = eqs.q_x.evaluate(*base), eqs.q_y.evaluate(*base)
+        if not qy:
+            continue
+        g_terms, inv = _chart_terms(eqs.G, base), pow(-qy, -1, p)
+        top = (0, 1, qx * inv % p, 0)
+        if _value(g_terms, top, p) == 0:
+            if _gradient(g_terms, top, p)[0] == 0:
+                hit.add("(0 : 1)")
+            if all(_value(g_terms, (1, a, (1 + qx * a * a) * inv % p, 0), p) == 0
+                   for a in range(p)):
+                hit.add("beta = 0")
+    return hit
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_sweep_matches_orbit_sweep(p):
+    """The sextic sweep agrees with the orbit sweep, and its rare branches are reached.
+
+    Generated members of five shapes, the members of `_sweep_members`, each
+    of them with sparsified branch terms, and two members with a fiber where
+    b vanishes.
+    """
+    field = FieldSpec.prime_field(p)
+    members = [generate_member(FamilyParams(pg, theta, field, seed=seed))
+               for pg, theta in ((4, 4), (6, 0)) for seed in range(2)]
+    members += _sweep_members(p, range(2))
+    rng = random.Random(p)
+    members += [_sparsified(eqs, rng) for eqs in members]
+    members += [_vanishing_fiber_member(p, power) for power in (1, 2)]
+    paths = set()
+    for eqs in members:
+        expected = _orbit_sweep(eqs, p)
+        assert quasi_smooth_sweep(eqs, p) == expected
+        paths |= _sextic_paths(eqs, expected, p)
+    assert paths == {"beta = 0", "(0 : 1)", "z != 0"}
+
+
 def _cone_point_sweep(eqs, p, base_order=None):
     """The cone-point sweep: every cone point over every base point.
 
     Solves Q for x0 and G for z through square-root tables, about p^2
     points per base point, and collapses rank drops to canonical orbit
-    representatives.  Kept as the reference the orbit sweep must match at
+    representatives.  Kept as the reference the sweep must match at
     primes too large for the brute-force scan.
     """
     eqs = census_mod._as_prime_equations(eqs, p)
-    sqrt = census_mod._sqrt_table(p)
+    sqrt = _sqrt_table(p)
     failures = set()
     bases = base_order if base_order is not None else base_points(p)
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]

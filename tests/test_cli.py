@@ -230,6 +230,28 @@ def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, time
     assert message in doc["error"]
 
 
+def test_census_coefficient_past_int_digit_limit_is_one_json_error(tmp_path, capsys):
+    # int() refuses more than sys.get_int_max_str_digits() digits; the error
+    # names the monomial and the offset instead of that Python setting
+    path = tmp_path / "big.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
+          "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["Q"]["y"] = "t0^2 + " + "9" * 5000 + "*t1^2"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["census", "--in", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 1 and list(doc) == ["error"]
+    assert doc["error"].endswith("'Q' coefficient of 'y': integer with 5000 digits exceeds "
+                                 "the limit of 4300 digits (at byte 7)")
+
+
 def respaced_reordered(literal, rng):
     """`literal` with the factors of each term shuffled and random spaces around every operator."""
     spaces = lambda: " " * rng.randrange(3)
