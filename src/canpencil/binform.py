@@ -597,6 +597,14 @@ def _fp_root_multiplicity(u: list, a: int, p: int) -> int:
         m += 1
 
 
+def least_nonresidue(p: int) -> int:
+    """The least n > 0 that is not a square mod an odd prime p (Euler's criterion)."""
+    n = 2
+    while pow(n, (p - 1) // 2, p) == 1:
+        n += 1
+    return n
+
+
 def sqrt_mod(a: int, p: int) -> Optional[int]:
     """The least r in 0..p-1 with r^2 = a mod an odd prime p, or None if a is not a square.
 
@@ -610,10 +618,7 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    n = 2
-    while pow(n, (p - 1) // 2, p) == 1:
-        n += 1
-    z, x, b = pow(n, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    z, x, b = pow(least_nonresidue(p), q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
     while b != 1:
         m, b2 = 1, b * b % p
         while b2 != 1:

@@ -8,11 +8,11 @@ persist across several seeds.
 
 The fiber of the ambient bundle is the weighted projective space
 P(1:1:2:3); points are classes of (x0, x1, y, z) != 0 modulo
-(x0, x1, y, z) ~ (l*x0, l*x1, l^2*y, l^3*z).  The canonical representative
-normalizes the first nonzero coordinate to 1 whenever the weighted action
-allows it (always, for x0 or x1 nonzero) and otherwise takes the
-lexicographically smallest orbit element, which resolves the square/cube
-class ambiguity deterministically.
+(x0, x1, y, z) ~ (l*x0, l*x1, l^2*y, l^3*z).  The sweep reports each
+point by its canonical representative: the first nonzero coordinate is
+normalized to 1 whenever the weighted action allows it (always, for x0 or
+x1 nonzero), and otherwise the representative is the lexicographically
+smallest orbit element.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .binform import BinForm, roots, sqrt_mod
+from .binform import BinForm, least_nonresidue, roots, sqrt_mod
 from .fields import FieldSpec
 from .family import SurfaceEquations
 from .sections import GradedSection
@@ -37,25 +37,6 @@ class WPSPoint:
 
     def to_json_dict(self) -> dict:
         return {"base": list(self.base), "fiber": list(self.fiber)}
-
-
-def canonical_fiber_rep(p: int, v: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
-    x0, x1, y, z = (c % p for c in v)
-    if x0 == x1 == y == z == 0:
-        raise ValueError("the origin is not a point of the weighted fiber")
-    if x0 != 0:
-        l = pow(x0, -1, p)
-    elif x1 != 0:
-        l = pow(x1, -1, p)
-    else:
-        # only y and z survive; minimize (l^2 y, l^3 z) lexicographically
-        best = None
-        for l in range(1, p):
-            cand = (0, 0, l * l * y % p, pow(l, 3, p) * z % p)
-            if best is None or cand < best:
-                best = cand
-        return best
-    return (l * x0 % p, l * x1 % p, l * l * y % p, pow(l, 3, p) * z % p)
 
 
 def base_points(p: int) -> List[Tuple[int, int]]:
@@ -151,35 +132,24 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
         v^2 + q_x(t) w^2 + q_y(t) w = 0,
 
     so the singularity is an ordinary double point exactly when the
-    Hessian of that local equation is invertible, which happens exactly at
-    simple roots of q_y (the determinant is -2 * q_y'(t)^2).  The literal
-    3x3 Hessian is assembled and tested rather than shortcut.
+    Hessian of that local equation in (v, w, t) is invertible.  It is
+    ((2, 0, 0), (0, 2 q_x, q_y'), (0, q_y', 0)) at v = w = 0, q_y(t) = 0,
+    with determinant -2 q_y'(t)^2, so that is what is recorded: it is
+    nonzero exactly at the simple roots of q_y.
     """
     eqs = _as_prime_equations(eqs, p)
     qy = eqs.q_y
     if qy.is_zero:
         raise ValueError("q_y vanishes identically; the node census is undefined")
-    qx = eqs.q_x
     found = roots(qy)
     records = []
     for base in sorted(found):
-        mult = found[base]
-        qx_val, _ = _chart_value_and_derivative(qx, base, p)
-        _, qy_d = _chart_value_and_derivative(qy, base, p)
-        hess = (
-            (2, 0, 0),
-            (0, 2 * qx_val % p, qy_d % p),
-            (0, qy_d % p, 0),
-        )
-        det = (
-            hess[0][0] * (hess[1][1] * hess[2][2] - hess[1][2] * hess[2][1])
-            - hess[0][1] * (hess[1][0] * hess[2][2] - hess[1][2] * hess[2][0])
-            + hess[0][2] * (hess[1][0] * hess[2][1] - hess[1][1] * hess[2][0])
-        ) % p
+        qy_d = _chart_value_and_derivative(qy, base, p)[1]
+        det = -2 * qy_d * qy_d % p
         records.append(
             NodeRecord(
                 point=WPSPoint(base, (0, 0, 1, 0)),
-                multiplicity=mult,
+                multiplicity=found[base],
                 a1_ok=det != 0,
                 hessian_det=det,
             )
@@ -268,16 +238,19 @@ def _sextic_candidates(p: int, qx: int, qy: int, jk, gs) -> List[Tuple[int, int,
     return out
 
 
-def _fiber_candidates(p: int, qx: int) -> List[Tuple[int, int, range]]:
-    """(x0, x1, every y) of the cone points of Q = x0^2 + qx x1^2 = 0 over a root of q_y.
+def _fiber_candidates(p: int, qx: int) -> List[Tuple[int, int, Sequence[int]]]:
+    """(x0, x1, ys): one point per weighted orbit of Q = x0^2 + qx x1^2 = 0 over a root of q_y.
 
-    (x0, x1) runs over the orbit representatives (1, a) and (0, 1) on
-    Q = 0, and over (0, 0) with every y != 0, not only representatives.
+    (x0, x1) runs over the representatives (1, a) and (0, 1) on Q = 0, each
+    with every y.  With x0 = x1 = 0, l^2 scales every y != 0 to 1 or to the
+    least non-residue n, so y runs over (1, n); y = 0 is no point of X,
+    since there G = z^2.  Only l = ±1 fixes those y, so the points of one
+    such orbit differ in the sign of z alone.
     """
     out = [(1, a, range(p)) for a in range(p) if (1 + qx * a * a) % p == 0]
     if qx == 0:
         out.append((0, 1, range(p)))
-    return out + [(0, 0, range(1, p))]
+    return out + [(0, 0, (1, least_nonresidue(p)))]
 
 
 def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
@@ -299,14 +272,17 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
       the sextic beta = q_y^3 b and its (x0, x1)-partials vanish there, so
       only the points of `_sextic_candidates` are tested (one Horner value
       per a; all p + 1 when beta vanishes on the fiber).
-    * q_y(t) = 0: every cone point of `_fiber_candidates` is tested, and
-      the failures with x0 = x1 = 0 collapsed by `canonical_fiber_rep`.
-      Where b != 0 the roots z = ±sqrt(-b) are nonzero, the minors through
-      z are 2z times row_q, and the rank drops exactly when row_q = 0.
+    * q_y(t) = 0: one point per orbit of Q = 0, from `_fiber_candidates`,
+      is tested.  Where b != 0 the roots z = ±sqrt(-b) are nonzero, the
+      minors through z are 2z times row_q, and the rank drops exactly when
+      row_q = 0.  Both roots are reported at (0 : 1); with x0 = x1 = 0,
+      l = -1 maps z to -z, so only the least root r = `sqrt_mod(-b, p)`.
 
-    The t-derivatives of the coefficients and the powers of the fiber
-    coordinates are taken only over a base point with a candidate.  The
-    result is sorted and independent of the processing order.
+    Every point is listed in its canonical form, so none is normalized
+    afterwards.  The t-derivatives of the coefficients and the powers of
+    the fiber coordinates are taken only over a base point with a
+    candidate.  The result is sorted and independent of the processing
+    order.
     """
     eqs = _as_prime_equations(eqs, p)
     failures = set()
@@ -336,8 +312,10 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
                     if (x0 == 0 and qy == 0 and qx * x1 % p == 0
                             and (qx_d * x1 * x1 + qy_d * y) % p == 0):
                         r = sqrt_mod(-b_val, p)
-                        for z in (r, p - r) if r is not None else ():
-                            failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                        if r is not None:
+                            # at (0 : 0) l = -1 maps z to -z: the least root alone
+                            for z in (r, p - r) if x1 else (r,):
+                                failures.add(WPSPoint(base, (x0, x1, y, z)))
                     continue
                 b_x0 = b_x1 = b_y = b_t = 0
                 for (i, j, k, g, gd) in gl:
@@ -351,7 +329,7 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
                 row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
                 row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
                 if _rank_below_two(row_q, row_g, p):
-                    failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+                    failures.add(WPSPoint(base, (x0, x1, y, 0)))
     return sorted(failures)
 
 

@@ -20,6 +20,7 @@ from canpencil.binform import (
     divides,
     format_binform,
     gcd,
+    least_nonresidue,
     parse_binform,
     random_binform,
     random_split_squarefree,
@@ -269,6 +270,14 @@ def test_sqrt_mod_matches_table_of_squares():
         for a in range(p):
             assert sqrt_mod(a, p) == least.get(a), (a, p)
             assert sqrt_mod(a - p, p) == least.get(a)
+
+
+def test_least_nonresidue_is_least_non_square():
+    for p in range(5, 258, 2):
+        if any(p % d == 0 for d in range(3, int(p**0.5) + 1, 2)):
+            continue
+        squares = {r * r % p for r in range(p)}
+        assert least_nonresidue(p) == min(set(range(1, p)) - squares), p
 
 
 @pytest.mark.parametrize("p, s", [(65537, 16), (2**31 - 1, 1)])

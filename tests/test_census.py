@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
+from typing import Tuple
 
 import pytest
 
 import canpencil.binform as binform_mod
 import canpencil.census as census_mod
-from canpencil.binform import BinForm, parse_binform, random_binform, roots
+from canpencil.binform import BinForm, least_nonresidue, parse_binform, random_binform, roots
 from canpencil.census import (
     WPSPoint,
     base_points,
     branch_disjointness,
-    canonical_fiber_rep,
     node_census,
     quasi_smooth_sweep,
     run_census,
@@ -32,6 +32,25 @@ def member_2_0(seed, p=101, split=True):
 
 
 # -- point enumeration -----------------------------------------------------------
+
+
+def canonical_fiber_rep(p: int, v: Tuple[int, int, int, int]) -> Tuple[int, int, int, int]:
+    x0, x1, y, z = (c % p for c in v)
+    if x0 == x1 == y == z == 0:
+        raise ValueError("the origin is not a point of the weighted fiber")
+    if x0 != 0:
+        l = pow(x0, -1, p)
+    elif x1 != 0:
+        l = pow(x1, -1, p)
+    else:
+        # only y and z survive; minimize (l^2 y, l^3 z) lexicographically
+        best = None
+        for l in range(1, p):
+            cand = (0, 0, l * l * y % p, pow(l, 3, p) * z % p)
+            if best is None or cand < best:
+                best = cand
+        return best
+    return (l * x0 % p, l * x1 % p, l * l * y % p, pow(l, 3, p) * z % p)
 
 
 def test_fiber_class_count_vs_orbit_oracle():
@@ -69,6 +88,24 @@ def test_canonical_rep_conventions():
     assert canonical_fiber_rep(5, (0, 0, 3, 0)) == (0, 0, 2, 0)
     with pytest.raises(ValueError):
         canonical_fiber_rep(5, (0, 0, 0, 0))
+
+
+def test_canonical_rep_with_x0_x1_zero_has_listed_y():
+    """The orbit fact behind the sweep's (0 : 0) stratum, checked with the l-loop.
+
+    Every (0, 0, y, z) with y != 0 is canonically (0, 0, 1 or n, z*), n the
+    least non-residue, where z* is the smaller of z' and p - z' for the z'
+    that l^2 y = 1 or n gives: the only other l with that l^2 is -l.
+    """
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        n = least_nonresidue(p)
+        for y in range(1, p):
+            for z in range(p):
+                _, _, y_rep, z_rep = canonical_fiber_rep(p, (0, 0, y, z))
+                assert y_rep in (1, n), (p, y, z)
+                l = next(l for l in range(1, p) if l * l * y % p == y_rep)
+                z1 = pow(l, 3, p) * z % p
+                assert z_rep == min(z1, (p - z1) % p), (p, y, z)
 
 
 def test_enumerate_points_shape():
@@ -134,6 +171,35 @@ def test_node_census_double_root_fails_a1():
     assert len(out.nodes) == 1
     rec = out.nodes[0]
     assert rec.multiplicity == 2 and not rec.a1_ok and rec.hessian_det == 0
+
+
+@pytest.mark.parametrize("p", [101, 35027])
+def test_node_hessian_det_is_closed_form(p):
+    """hessian_det is -2 q_y'(t)^2 in the node's chart, and A1 means a simple root.
+
+    Checked against BinForm calculus on split members of three shapes, one
+    of them with q_y replaced by l^2 times a cofactor so that a double root
+    occurs next to simple ones.
+    """
+    field = FieldSpec.prime_field(p)
+    members = [generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=True)
+               for pg, theta in ((2, 0), (3, 2), (4, 4)) for seed in range(3)]
+    member = members[-1]
+    lin = _linear_factor(field, min(roots(member.q_y)))
+    terms = dict(member.Q.terms)
+    terms[FiberMonomial(0, 0, 1, 0)] = lin * lin * random_binform(
+        field, member.q_y.degree - 2, random.Random(p))
+    Q = GradedSection(member.bundle, field, member.Q.bidegree, terms)
+    members.append(SurfaceEquations(member.bundle, field, Q, member.G))
+    mults = set()
+    for eqs in members:
+        for rec in node_census(eqs, p).nodes:
+            t0, t1 = rec.point.base
+            d = (eqs.q_y.deriv_t0() if t1 else eqs.q_y.deriv_t1()).evaluate(t0, t1)
+            assert rec.hessian_det == -2 * d * d % p
+            assert rec.a1_ok == (rec.multiplicity == 1)
+            mults.add(rec.multiplicity)
+    assert {1, 2} <= mults
 
 
 def test_node_census_rejects_zero_qy():
@@ -378,12 +444,27 @@ def _brute_force_singular_points(eqs, p):
     return sorted(out)
 
 
-def _double_line_member(p, seed=2):
-    bundle = BundleData(2, 0)
+def _double_line_member(p, seed=2, theta=0):
+    bundle = BundleData(2, theta)
     field = FieldSpec.prime_field(p)
     Q = GradedSection(bundle, field, (2, -2), {FiberMonomial(2, 0, 0, 0): BinForm.one(field)})
-    member = generate_member(FamilyParams(2, 0, field, seed=seed))
+    member = generate_member(FamilyParams(2, theta, field, seed=seed))
     return SurfaceEquations(bundle, field, Q, member.G)
+
+
+def _both_classes_member(p):
+    """A (2, 2) double line whose y^3 coefficient is t0 t1.
+
+    q_y vanishes everywhere, so every base point can carry rank drops with
+    x0 = x1 = 0 and z != 0: at (0, 0, y) they need -b = -a y^3 to be a
+    square over (a : 1).  -a is a square for some a and not for others, so
+    the listed y = 1 and y = n both fail somewhere with z != 0.
+    """
+    member = _double_line_member(p, theta=2)
+    terms = dict(member.G.terms)
+    terms[FiberMonomial(0, 0, 3, 0)] = parse_binform("t0*t1", member.field)
+    G = GradedSection(member.bundle, member.field, member.G.bidegree, terms)
+    return SurfaceEquations(member.bundle, member.field, member.Q, G)
 
 
 def _linear_factor(field, base):
@@ -445,22 +526,31 @@ def _sweep_members(p, seeds):
         for seed in seeds
     ]
     members += [_shared_root_member(p, pg, theta, seed) for (pg, theta) in shapes for seed in seeds]
-    members += [_double_line_member(p), _flat_fiber_member(p)]
+    members += [_double_line_member(p), _both_classes_member(p), _flat_fiber_member(p)]
     return members
 
 
 def _tally(counts, eqs, expected, p):
-    """Count a member's rank drops by kind, and by the sweep branch over q_y = 0."""
+    """Count a member's rank drops by kind, and by the sweep branch over q_y = 0.
+
+    With x0 = x1 = 0 the count is split by the listed y (1 or the least
+    non-residue n) and by z = 0 or z != 0.
+    """
     counts["singular" if expected else "clean"] += 1
     counts["z != 0"] += any(pt.fiber[3] for pt in expected)
     for pt in expected:
         if census_mod._chart_value_and_derivative(eqs.q_y, pt.base, p)[0] == 0:
-            x0, x1 = pt.fiber[:2]
-            counts["x0 = 1" if x0 else "(0 : 1)" if x1 else "x0 = x1 = 0"] += 1
+            x0, x1, y, z = pt.fiber
+            if x0 or x1:
+                counts["x0 = 1" if x0 else "(0 : 1)"] += 1
+            else:
+                counts[f"(0 : 0), y = {'1' if y == 1 else 'n'}, z {'!=' if z else '='} 0"] += 1
 
 
 def _new_tally():
-    return dict.fromkeys(("clean", "singular", "z != 0", "x0 = 1", "(0 : 1)", "x0 = x1 = 0"), 0)
+    return dict.fromkeys(("clean", "singular", "z != 0", "x0 = 1", "(0 : 1)",
+                          "(0 : 0), y = 1, z = 0", "(0 : 0), y = 1, z != 0",
+                          "(0 : 0), y = n, z = 0", "(0 : 0), y = n, z != 0"), 0)
 
 
 @pytest.mark.oracle
@@ -635,12 +725,30 @@ def test_sweep_matches_orbit_sweep(p):
     rng = random.Random(p)
     members += [_sparsified(eqs, rng) for eqs in members]
     members += [_vanishing_fiber_member(p, power) for power in (1, 2)]
-    paths = set()
+    paths, counts = set(), _new_tally()
     for eqs in members:
         expected = _orbit_sweep(eqs, p)
-        assert quasi_smooth_sweep(eqs, p) == expected
+        found = quasi_smooth_sweep(eqs, p)
+        assert found == expected
+        assert all(canonical_fiber_rep(p, pt.fiber) == pt.fiber for pt in found)
         paths |= _sextic_paths(eqs, expected, p)
+        _tally(counts, eqs, expected, p)
     assert paths == {"beta = 0", "(0 : 1)", "z != 0"}
+    assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("p", [101, 257])
+def test_flat_fiber_sweep_reports_canonical_points(p, time_limit):
+    """The sweep lists one canonical point per orbit, so nothing needs normalizing.
+
+    The flat-fiber member fails at every z = 0 point over both roots of
+    q_y, on all three strata; at p = 257 that is over a thousand points.
+    """
+    time_limit(20)
+    found = quasi_smooth_sweep(_flat_fiber_member(p), p)
+    assert any(pt.fiber[:2] == (0, 0) for pt in found)
+    for pt in found:
+        assert canonical_fiber_rep(p, pt.fiber) == pt.fiber, pt
 
 
 def _cone_point_sweep(eqs, p, base_order=None):
