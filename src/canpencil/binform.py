@@ -28,8 +28,9 @@ a scalar: `_zgcd` is a primitive (content-removing) pseudo-remainder
 sequence, and `_zquotient` divides exactly by a primitive divisor (Knuth,
 TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p never
 enumerates the field: it takes the gcd with t^p - t and splits it by
-deterministic equal-degree splitting.  Powers mod f use Kronecker-packed
-slots of n(n + 1)/2 p^3, one big-int square and O(n) interpreted work per bit.
+deterministic equal-degree splitting, and a factor of degree <= 2 is solved
+by the quadratic formula.  Powers mod f use Kronecker-packed slots of
+n(n + 1)/2 p^3, one big-int square and O(n) interpreted work per bit.
 """
 
 from __future__ import annotations
@@ -565,16 +566,32 @@ def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
     return _trim(list(_unpack(x, n, k)))
 
 
+def _fp_small_roots(g: list, p: int) -> list:
+    """The distinct roots of a monic g of degree <= 2 over F_p, p >= 5, by the quadratic formula.
+
+    For t^2 + b t + c they are (-b +- r)/2 with r^2 = b^2 - 4c (`sqrt_mod`):
+    one root when the discriminant is zero, none when it is not a square.
+    """
+    if len(g) < 3:
+        return [-g[0] % p] if len(g) == 2 else []
+    b, r = g[1], sqrt_mod(g[1] * g[1] - 4 * g[0], p)
+    if r is None:
+        return []
+    half = (p + 1) // 2  # 1/2 mod p
+    return [(r - b) * half % p, (-r - b) * half % p] if r else [-b * half % p]
+
+
 def _fp_split(g: list, a: int, p: int, found: list) -> None:
     """Append the roots of g, a monic product of distinct linear factors.
 
-    Equal-degree splitting with shifts a, a+1, ...: gcd(g, (t+a)^((p-1)/2) - 1)
-    collects the roots r with r + a a nonzero square.  For p >= 5 any two
-    distinct roots are separated by some shift in 1..p-1, so this ends.
+    A g of degree <= 2 is solved by `_fp_small_roots`.  A larger one is
+    split by equal-degree splitting with shifts a, a+1, ...: gcd(g,
+    (t+a)^((p-1)/2) - 1) collects the roots r with r + a a nonzero square.
+    For p >= 5 any two distinct roots are separated by some shift in
+    1..p-1, so this ends.
     """
-    if len(g) <= 2:
-        if len(g) == 2:
-            found.append(-g[0] % p)
+    if len(g) <= 3:
+        found += _fp_small_roots(g, p)
         return
     while True:
         h = _fp_shift_power(a % p, (p - 1) // 2, g, p) or [0]
@@ -638,11 +655,13 @@ def roots(form: BinForm) -> dict:
     with the t1-multiplicity, then the finite roots by ascending a.
     Rational-root finding over QQ is out of scope and rejected.
 
-    Method: on the monic chart polynomial f of degree n, g = gcd(f, t^p - t)
-    is the product of the distinct roots, split by its gcds with the
+    Method: a monic chart polynomial f of degree n <= 2 is solved by the
+    quadratic formula (`_fp_small_roots`).  For a larger one, g = gcd(f,
+    t^p - t) is the product of the distinct roots, split by its gcds with the
     (t + a)^((p-1)/2) - 1 for a = 1, 2, ... (Cantor-Zassenhaus without
-    randomness, so results reproduce); multiplicities come from division by
-    t - a.  A power mod f is one int, k 64-bit words per coefficient slot.  A
+    randomness, so results reproduce) down to factors of degree <= 2, which
+    the formula finishes.  Multiplicities come from division by t - a.  A
+    power mod f is one int, k 64-bit words per coefficient slot.  A
     step is one big-int square, a shift-add for t + a, n products of a top slot
     mod p by a row t^j mod f (j = n..2n-1, kept unreduced) and one O(n) pass
     that packs the low slots again mod p; a slot must hold n(n + 1)/2 p^3.
@@ -660,10 +679,13 @@ def roots(form: BinForm) -> dict:
     if len(u) < 2:
         return out
     f = _monic(u, p)
-    h = _fp_shift_power(0, p, f, p) + [0, 0]
-    h[1] = (h[1] - 1) % p
-    found: list = []
-    _fp_split(_gcd(f, _trim(h), p), 1, p, found)
+    if len(f) <= 3:
+        found = _fp_small_roots(f, p)
+    else:
+        h = _fp_shift_power(0, p, f, p) + [0, 0]
+        h[1] = (h[1] - 1) % p
+        found = []
+        _fp_split(_gcd(f, _trim(h), p), 1, p, found)
     for a in sorted(found):
         out[(a, 1)] = _fp_root_multiplicity(f, a, p)
     return out

@@ -127,6 +127,20 @@ class SurfaceEquations:
     G: GradedSection
 
     def validate(self) -> "SurfaceEquations":
+        """Check the shape, then every term; return self.
+
+        The shape (`_check_shape`) is the x0^2 and z^2 coefficients, the
+        bidegrees of Q and G and their allowed monomials.  The per-term pass
+        is `GradedSection.validate` on Q and G, for sections built in code;
+        `from_json_dict` runs the shape checks alone, because
+        `section_terms_from_dict` has already checked each term it read.
+        """
+        self._check_shape()
+        self.Q.validate()
+        self.G.validate()
+        return self
+
+    def _check_shape(self) -> "SurfaceEquations":
         one = BinForm.one(self.field)
         if self.Q.coefficient(_X0SQ) != one:
             raise ValueError("Q must have x0^2-coefficient exactly 1")
@@ -143,8 +157,6 @@ class SurfaceEquations:
         for mono in self.G.terms:
             if mono != _ZSQ and (mono.l != 0 or mono.weight != 6):
                 raise ValueError(f"unexpected monomial {mono} in G")
-        self.Q.validate()
-        self.G.validate()
         return self
 
     @property
@@ -197,7 +209,7 @@ class SurfaceEquations:
                 sections[key] = section_terms_from_dict(bundle, field, bidegree, d[key])
             except ValueError as exc:
                 raise ValueError(f"{key!r} {exc}") from None
-        return SurfaceEquations(bundle, field, sections["Q"], sections["G"]).validate()
+        return SurfaceEquations(bundle, field, sections["Q"], sections["G"])._check_shape()
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

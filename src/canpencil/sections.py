@@ -16,6 +16,7 @@ adds the bundle and bidegree, and `relalg.YPoly` its own helpers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Dict, NamedTuple, Optional, Tuple
@@ -92,7 +93,11 @@ def monomial_str(m: FiberMonomial) -> str:
 
 
 def monomial_from_str(s: str) -> FiberMonomial:
-    """The monomial a key such as ``"x1^2*y"`` names; exponents are ASCII decimal integers."""
+    """The monomial a key such as ``"x1^2*y"`` names; exponents are ASCII decimal integers.
+
+    An exponent longer than `sys.get_int_max_str_digits()` is refused with
+    its variable, its digit count and the limit, as a literal's integer is.
+    """
     exps = {name: 0 for name in _VAR_NAMES}
     if s.strip() == "1":
         return FiberMonomial(0, 0, 0, 0)
@@ -103,7 +108,11 @@ def monomial_from_str(s: str) -> FiberMonomial:
         if caret and not (expo.isascii() and expo.isdigit()):
             raise ValueError(f"monomial {s!r}: exponent {expo!r} is not a non-negative "
                              "decimal integer")
-        exps[name] += int(expo) if caret else 1
+        try:
+            exps[name] += int(expo) if caret else 1
+        except ValueError:  # int() past sys.get_int_max_str_digits()
+            raise ValueError(f"monomial exponent of {name!r}: integer with {len(expo)} digits "
+                             f"exceeds the limit of {sys.get_int_max_str_digits()} digits") from None
     return FiberMonomial(*(exps[n] for n in _VAR_NAMES))
 
 
@@ -394,6 +403,13 @@ def normal_form(s: GradedSection, Q: GradedSection, G: GradedSection) -> GradedS
 # ---------------------------------------------------------------------------
 
 
+#: the monomials Q and G may hold, by their printed form: x0^2, x1^2 and y
+#: in Q; z^2 and the 16 z-free monomials of fiber weight 6 in G
+_KEYS = {monomial_str(m): m for m in [
+    _X0SQ, FiberMonomial(0, 2, 0, 0), FiberMonomial(0, 0, 1, 0), _ZSQ,
+    *(FiberMonomial(i, 6 - 2 * k - i, k, 0) for k in range(4) for i in range(7 - 2 * k))]}
+
+
 def section_terms_to_dict(s: GradedSection) -> Dict[str, str]:
     return {monomial_str(m): format_binform(c) for m, c in sorted(s.terms.items())}
 
@@ -404,15 +420,20 @@ def section_terms_from_dict(
     bidegree: Tuple[int, int],
     body: Dict[str, str],
 ) -> GradedSection:
-    """The section a JSON body describes.
+    """The section a JSON body describes, each nonzero term checked once by `_check_term`.
 
-    Each literal is scanned and its degree checked against its monomial's
-    slot before its dense form is built, so a literal such as
-    ``"t0^99999999999"`` is refused without allocating it.
+    A key is looked up in `_KEYS`, the printed forms of the 20 monomials
+    that Q or G may hold; any other spelling (``"y*x1^4"``, ``" x1^2 "``,
+    ``"x0*x0"``) is read by `monomial_from_str`, which also words every key
+    error.  Each literal is scanned and its degree checked against its
+    monomial's slot before its dense form is built, so a literal such as
+    ``"t0^99999999999"`` is refused without allocating it.  The section is
+    not validated again: `GradedSection.validate` would repeat the same
+    checks on the same terms.
     """
     terms = {}
     for mono_s, coeff_s in body.items():
-        mono = monomial_from_str(mono_s)
+        mono = _KEYS.get(mono_s) or monomial_from_str(mono_s)
         try:
             scanned = scan_binform(coeff_s, field)
         except ParseError as exc:

@@ -15,6 +15,7 @@ from canpencil.binform import (
     BinFormError,
     ParseError,
     _fp_shift_power,
+    _fp_split,
     count_distinct_roots,
     divexact,
     divides,
@@ -27,6 +28,7 @@ from canpencil.binform import (
     roots,
     sqrt_mod,
 )
+import canpencil.binform as binform_mod
 from canpencil.fields import QQ, FieldSpec
 
 import binform_reference
@@ -315,11 +317,14 @@ def brute_force_roots(f: BinForm) -> dict:
     return out
 
 
+ROOT_TEST_PRIMES = [5, 7, 11, 13, 101]
+
+
 @st.composite
 def root_finding_forms(draw):
     """Nonzero forms over small primes with repeated linear factors, t1
     powers and a random cofactor, of degree >= p for some draws."""
-    p = draw(st.sampled_from([5, 7, 11, 13, 101]))
+    p = draw(st.sampled_from(ROOT_TEST_PRIMES))
     fld = FieldSpec.prime_field(p)
     f = BinForm.constant(fld, draw(st.integers(min_value=1, max_value=p - 1)))
     linear = st.tuples(st.integers(min_value=0, max_value=p - 1), st.integers(1, 3))
@@ -345,6 +350,59 @@ def test_roots_match_brute_force_residue_loop(f):
     found = roots(f)
     assert found == expected
     assert list(found) == list(expected)
+
+
+@pytest.fixture
+def no_powering(monkeypatch):
+    """Fails the test if `_fp_shift_power` is called while it runs."""
+    calls, real = [], binform_mod._fp_shift_power
+    monkeypatch.setattr(binform_mod, "_fp_shift_power", lambda *args: calls.append(args) or real(*args))
+    yield
+    assert calls == []
+
+
+def _linear_pairs(p, rng):
+    """Every pair r < s of residues when p <= 13, else 40 random pairs."""
+    if p <= 13:
+        return [(r, s) for r in range(p) for s in range(r + 1, p)]
+    return [tuple(sorted(rng.sample(range(p), 2))) for _ in range(40)]
+
+
+@pytest.mark.parametrize("p", [*ROOT_TEST_PRIMES, 35027, 2**31 - 1])
+def test_roots_of_quadratics_by_formula(p, no_powering):
+    # zero, nonzero square and non-square discriminant, each with and
+    # without a t1 factor and with a scalar in front; no t^p powering
+    fld, rng = FieldSpec.prime_field(p), random.Random(p)
+    n, t1 = least_nonresidue(p), BinForm.t1(fld)
+    lin = lambda r: BinForm(fld, (1, -r))
+    cases = []
+    for r, s in _linear_pairs(p, rng):
+        c = rng.randrange(1, p)
+        cases.append((lin(r) ** 2 * BinForm.constant(fld, c), {(r, 1): 2}))
+        cases.append((lin(r) * lin(s) * BinForm.constant(fld, c), {(r, 1): 1, (s, 1): 1}))
+        # (t - r)^2 - n m^2 with m != 0: the discriminant 4 n m^2 is not a square
+        m = rng.randrange(1, p)
+        cases.append((lin(r) ** 2 - BinForm.constant(fld, n * m * m) * t1**2, {}))
+    cases.append((BinForm(fld, (1, 0, -n)), {}))  # t^2 - n
+    for f, expected in cases:
+        assert f.degree == 2
+        assert roots(f) == expected
+        assert roots(f * t1) == {(1, 0): 1, **expected}
+        assert list(roots(f * t1)) == [(1, 0), *expected]
+        if p <= 13:
+            assert roots(f) == brute_force_roots(f)
+
+
+@pytest.mark.parametrize("p", [*ROOT_TEST_PRIMES, 35027, 2**31 - 1])
+def test_split_of_two_linear_factors_by_formula(p, no_powering):
+    for r, s in _linear_pairs(p, random.Random(p)):
+        found = []
+        _fp_split([r * s % p, -(r + s) % p, 1], 1, p, found)
+        assert sorted(found) == [r, s]
+    for r in (0, 1, p - 1):
+        found = []
+        _fp_split([-r % p, 1], 1, p, found)
+        assert found == [r]
 
 
 SHIFT_POWER_PRIMES = [5, 7, 17, 23, 101, 35027, 45007, 1_000_003, 2**31 - 1]

@@ -9,9 +9,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from canpencil.cli import main, parse_field
+from canpencil.family import FamilyParams, generate_member
 from canpencil.fields import FieldSpec
+from canpencil.sections import _KEYS
+from test_family import _respelled
 
 
 def run_cli(capsys, *argv):
@@ -211,11 +216,14 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
      "'Q' coefficient of 'y': unexpected character '@' (at byte 100000)"),
     (lambda doc: {**doc, "Q": {**doc["Q"], "y": " + ".join(["3*t0*t1"] * 10**4) + "@"}},
      "'Q' coefficient of 'y': unexpected character '@' (at byte 99997)"),
+    # a key off the table of printed monomials is read by the fallback parser
+    (lambda doc: {**doc, "G": {**doc["G"], "x0" + " " * 10**5 + "@": "1"}},
+     "'G' monomial 'x0" + " " * 10**5 + "@': unknown fiber variable 'x0"),
 ], ids=["list", "field-string", "Q-list", "no-theta", "p_g-null", "p_g-list", "p_g-float",
         "p_g-string", "theta-bool", "p-null", "p-string", "no-p", "rationals-p",
         "coefficient-int", "over-degree-literal", "negative-exponent",
         "negative-exponent-G", "exponent-not-integer", "parse-error", "long-spaces-literal",
-        "long-terms-literal"])
+        "long-terms-literal", "long-spaces-key"])
 def test_census_malformed_equation_file_is_one_json_error(tmp_path, capsys, time_limit, edit,
                                                           message):
     time_limit(20)
@@ -252,6 +260,26 @@ def test_census_coefficient_past_int_digit_limit_is_one_json_error(tmp_path, cap
                                  "the limit of 4300 digits (at byte 7)")
 
 
+def test_census_key_exponent_past_int_digit_limit_is_one_json_error(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
+          "--seed", "1", "--out", str(path)])
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["G"]["x0^" + "9" * 5000] = "1"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["census", "--in", str(path)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    doc = json.loads(capsys.readouterr().out)  # exactly one JSON document
+    assert code == 1 and list(doc) == ["error"]
+    assert doc["error"].endswith("'G' monomial exponent of 'x0': integer with 5000 digits "
+                                 "exceeds the limit of 4300 digits")
+
+
 def respaced_reordered(literal, rng):
     """`literal` with the factors of each term shuffled and random spaces around every operator."""
     spaces = lambda: " " * rng.randrange(3)
@@ -284,6 +312,57 @@ def test_census_of_respaced_reordered_member_is_unchanged(tmp_path, capsys, memb
         del census["timings"]
         docs.append(census)
     assert docs[0] == docs[1]
+
+
+_MEMBER = generate_member(FamilyParams(2, 0, FieldSpec.prime_field(11), seed=1)).to_json_dict()
+_TABLE_KEYS = sorted(_KEYS)
+
+#: a key from the table of printed monomials, one spelled off it, garbage,
+#: or the key grammar's characters mixed with characters it never uses
+_keys = st.one_of(
+    st.sampled_from(_TABLE_KEYS),
+    st.builds(_respelled, st.sampled_from(_TABLE_KEYS), st.randoms(use_true_random=False)),
+    st.text(max_size=12),
+    st.text(alphabet="x01yz^* 9-@\u0663.", max_size=12),
+)
+#: a literal of the member, garbage, or the literal grammar's characters with others
+_literals = st.one_of(
+    st.sampled_from(sorted({c for s in ("Q", "G") for c in _MEMBER[s].values()})),
+    st.text(max_size=16),
+    st.text(alphabet="t01^*+-/ 0123456789@x\u0663", max_size=24),
+)
+
+
+@st.composite
+def mutated_members(draw):
+    """The fp:11 member with a few of its keys respelled, replaced, added or dropped, or
+    its literals replaced."""
+    doc = {**_MEMBER, "Q": dict(_MEMBER["Q"]), "G": dict(_MEMBER["G"])}
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        body = doc[draw(st.sampled_from(["Q", "G"]))]
+        action = draw(st.sampled_from(["respell"] * 3 + ["rekey", "relit", "add", "drop"]))
+        old = draw(st.sampled_from(sorted(body))) if body else None
+        if action == "add" or old is None:
+            body[draw(_keys)] = draw(_literals)
+        elif action == "respell" and old in _KEYS:  # the same monomial, which still loads
+            body[_respelled(old, draw(st.randoms(use_true_random=False)))] = body.pop(old)
+        elif action == "rekey":
+            body[draw(_keys)] = body.pop(old)
+        elif action == "relit":
+            body[old] = draw(_literals)
+        else:
+            del body[old]
+    return doc
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_members())
+def test_census_of_mutated_member_is_one_json_document(tmp_path, capsys, time_limit, doc):
+    time_limit(20)
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "census", "--in", str(path))  # one JSON document, no traceback
+    assert (code == 0 and "error" not in out) or (code != 0 and list(out) == ["error"])
 
 
 def test_pg_above_bound_is_refused_before_any_work(tmp_path, capsys):

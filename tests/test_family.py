@@ -22,8 +22,10 @@ from canpencil.family import (
     genus_feasibility,
     g_slot_degree,
 )
+import canpencil.sections as sections_mod
+from canpencil.binform import BinForm
 from canpencil.fields import QQ, FieldSpec
-from canpencil.sections import FiberMonomial
+from canpencil.sections import FiberMonomial, GradedSection, SectionDegreeError
 
 import bidouble_reference
 
@@ -185,6 +187,71 @@ def test_over_degree_literal_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def _counting_check_term(monkeypatch):
+    calls = []
+    real = sections_mod._check_term
+    monkeypatch.setattr(sections_mod, "_check_term", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_loading_checks_each_nonzero_term_once(monkeypatch):
+    doc = generate_member(FamilyParams(3, 1, QQ, seed=5)).to_json_dict()
+    doc["G"]["x0^6"] = "0"  # a forced-zero slot may hold a zero literal; it is not checked
+    literals = [c for s in ("Q", "G") for c in doc[s].values()]
+    calls = _counting_check_term(monkeypatch)
+    member = SurfaceEquations.from_json_dict(doc)
+    assert len(calls) == sum(c != "0" for c in literals) == len(member.Q.terms) + len(member.G.terms)
+
+
+def test_validate_of_member_built_in_code_checks_every_term(monkeypatch):
+    member = generate_member(FamilyParams(3, 1, QQ, seed=5))
+    calls = _counting_check_term(monkeypatch)
+    assert member.validate() is member
+    assert len(calls) == len(member.Q.terms) + len(member.G.terms)
+    terms = {**member.G.terms, FiberMonomial(0, 6, 0, 0): BinForm.t0(QQ)}  # slot degree 4
+    G = GradedSection(member.bundle, QQ, member.G.bidegree, terms)
+    with pytest.raises(SectionDegreeError, match=r"coefficient of x1\^6 has degree 1, expected 4"):
+        SurfaceEquations(member.bundle, QQ, member.Q, G).validate()
+
+
+def _respelled(key, rng):
+    """`key` with its factors shuffled, powers split into repeated factors and spaces added."""
+    factors = []
+    for piece in key.split("*"):
+        name, _, e = piece.partition("^")
+        e = int(e or 1)
+        while e:
+            k = rng.randint(1, e)
+            factors.append(name if k == 1 and rng.random() < 0.5 else f"{name}^{k}")
+            e -= k
+    rng.shuffle(factors)
+    return "*".join(" " * rng.randrange(2) + f + " " * rng.randrange(2) for f in factors)
+
+
+@pytest.mark.parametrize("shape", [(2, 0), (3, 2), (7, 3)])
+def test_off_table_key_spellings_load_equal(shape):
+    doc = generate_member(FamilyParams(*shape, QQ, seed=4)).to_json_dict()
+    canonical = SurfaceEquations.from_json_dict(doc)
+    named = {"x0^2": "x0*x0", "x1^2": " x1^2 ", "y": "y ", "x1^4*y": "y*x1^4",
+             "x1^2*y^2": "y^2*x1^2"}
+    rng = random.Random(str(shape))
+    for _ in range(5):
+        edited = {**doc, **{s: {named.get(k) or _respelled(k, rng): c for k, c in doc[s].items()}
+                            for s in ("Q", "G")}}
+        assert not set(edited["Q"]) & set(doc["Q"]) and set(edited["G"]) != set(doc["G"])
+        assert SurfaceEquations.from_json_dict(edited) == canonical
+
+
+@pytest.mark.parametrize("first, second", [("x1^2", " x1^2 "), ("x1 * x1", "x1^2")])
+def test_two_spellings_of_one_monomial_are_duplicate(first, second):
+    doc = generate_member(FamilyParams(2, 0, QQ, seed=4)).to_json_dict()
+    literal = doc["Q"].pop("x1^2")
+    doc["Q"] = {first: literal, **doc["Q"], second: literal}
+    with pytest.raises(ValueError) as err:
+        SurfaceEquations.from_json_dict(doc)
+    assert str(err.value) == f"'Q' duplicate monomial {second!r}"
 
 
 # -- canonical structure ------------------------------------------------------------

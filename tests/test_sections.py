@@ -8,6 +8,7 @@ from canpencil.binform import BinForm, parse_binform, random_binform
 from canpencil.fields import QQ, FieldSpec
 from canpencil.relalg import YPoly
 from canpencil.sections import (
+    _KEYS,
     BundleData,
     FiberMonomial,
     GradedSection,
@@ -389,6 +390,16 @@ def test_monomial_exponents_are_decimal_integers(key, expo):
         monomial_from_str(key)
     assert str(err.value) == (f"monomial {key!r}: exponent {expo!r} is not a non-negative "
                               "decimal integer")
+
+
+def test_key_table_holds_the_monomials_of_q_and_g_as_the_parser_reads_them():
+    weight_6 = {FiberMonomial(i, j, k, 0) for i in range(7) for j in range(7) for k in range(4)
+                if i + j + 2 * k == 6}
+    q_and_g = {FiberMonomial(2, 0, 0, 0), FiberMonomial(0, 2, 0, 0), FiberMonomial(0, 0, 1, 0),
+               FiberMonomial(0, 0, 0, 2), *weight_6}
+    assert len(_KEYS) == len(q_and_g) == 20 and set(_KEYS.values()) == q_and_g
+    for key, mono in _KEYS.items():
+        assert key == monomial_str(mono) and monomial_from_str(key) == mono
 
 
 def test_monomial_str_shows_negative_exponents():
