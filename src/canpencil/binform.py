@@ -628,6 +628,7 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     Tonelli-Shanks (Cohen, Alg. 1.5.1): with p - 1 = 2^s q, q odd, x = a^((q+1)/2)
     has x^2 = a b, b = a^q; each step multiplies x by a power of z = n^q, n a
     non-square, that lowers the order 2^m of b, until b = 1.  m = s shows a non-square.
+    z is computed at the first such step, so p = 3 mod 4 (s = 1) never needs it.
     """
     a %= p
     if a == 0:
@@ -635,13 +636,15 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     q, s = p - 1, 0
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z, x, b = pow(least_nonresidue(p), q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    z, x, b = None, pow(a, (q + 1) // 2, p), pow(a, q, p)
     while b != 1:
         m, b2 = 1, b * b % p
         while b2 != 1:
             m, b2 = m + 1, b2 * b2 % p
         if m == s:
             return None
+        if z is None:
+            z = pow(least_nonresidue(p), q, p)
         t = pow(z, 1 << (s - m - 1), p)
         z, s = t * t % p, m
         x, b = x * t % p, b * z % p

@@ -408,11 +408,13 @@ def run_census(
     A member over F_p is censused at p: None stands for p, and any other
     prime is a ValueError.  A rational member is reduced modulo p_nodes
     (None: 101) and p_sweep (None: 11).  A sweep above SWEEP_PRIME_MAX is
-    refused with a ValueError before any work is done.
+    refused with a ValueError before any work is done; a p_sweep that is not
+    a prime below 2**31 is reported as such first.
     """
     p_nodes = _census_prime(eqs, p_nodes, 101)
     p_sweep = _census_prime(eqs, p_sweep, 11)
     if not skip_sweep and p_sweep > SWEEP_PRIME_MAX:
+        FieldSpec.prime_field(p_sweep)  # rejects composites and p >= 2**31
         raise ValueError(
             f"sweep at p = {p_sweep} would visit {(p_sweep + 1) ** 2} fiber candidates "
             f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"

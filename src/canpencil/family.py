@@ -15,24 +15,21 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from .binform import BinForm, random_binform, random_split_squarefree
-from .chow import (
-    F,
-    IntersectionContext,
-    class_G,
-    class_Q,
-    class_fixed_part,
-    surface_invariants,
-    top_intersection,
-)
+from .chow import CLASS_Q, F, class_G, class_fixed_part, surface_invariants, top_intersection
 from .fields import FieldSpec, json_int
 from .sections import (
     _X0SQ,
+    _X1SQ,
+    _Y,
     _ZSQ,
+    BRANCH_MONOMIALS,
+    MEMBER_MONOMIALS,
     BundleData,
     FiberMonomial,
     GradedSection,
     section_terms_from_dict,
     section_terms_to_dict,
+    slot_degree,
 )
 
 
@@ -71,11 +68,6 @@ class FamilyParams:
 # ---------------------------------------------------------------------------
 
 
-def g_slot_degree(pg: int, theta: int, i: int, k: int) -> int:
-    """Prescribed degree of the branch coefficient at x0^i x1^j y^k."""
-    return -i * pg + (k - 2) * theta + (6 - 2 * k)
-
-
 @dataclass(frozen=True)
 class DegreeTable:
     pg: int
@@ -102,21 +94,22 @@ class DegreeTable:
 
 
 def degree_table(pg: int, theta: int) -> DegreeTable:
-    BundleData(pg, theta)
-    g = {}
-    for k in range(4):
-        for i in range(6 - 2 * k + 1):
-            j = 6 - 2 * k - i
-            g[(i, j, k)] = g_slot_degree(pg, theta, i, k)
-    return DegreeTable(pg, theta, 2 * pg, 2 * pg - 2 + theta, g)
+    """The slot degrees of a member: q_x, q_y and G's at every branch monomial.
+
+    Each is `slot_degree`, m + a(M), with m the F-degree of the class of Q
+    or G (Dolgachev, *Weighted projective varieties*, LNM 956, 1982); at
+    x0^i x1^j y^k of G that is -i*p_g + (k-2)*theta + 6 - 2k.  A negative
+    slot is forced to zero.
+    """
+    bundle = BundleData(pg, theta)
+    q_m, g_m = CLASS_Q.f, class_G(bundle).f
+    g = {mono[:3]: slot_degree(bundle, g_m, mono) for mono in BRANCH_MONOMIALS}
+    return DegreeTable(pg, theta, slot_degree(bundle, q_m, _X1SQ), slot_degree(bundle, q_m, _Y), g)
 
 
 # ---------------------------------------------------------------------------
 # surface equations and member generation
 # ---------------------------------------------------------------------------
-
-_X1SQ = FiberMonomial(0, 2, 0, 0)
-_Y = FiberMonomial(0, 0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -146,17 +139,16 @@ class SurfaceEquations:
             raise ValueError("Q must have x0^2-coefficient exactly 1")
         if self.G.coefficient(_ZSQ) != one:
             raise ValueError("G must have z^2-coefficient exactly 1")
-        if self.Q.bidegree != class_Q():
+        if self.Q.bidegree != CLASS_Q:
             raise ValueError("Q must live in |2H - 2F|")
         expected_G = class_G(self.bundle)
         if self.G.bidegree != expected_G:
             raise ValueError(f"G must live in |{expected_G}|")
-        for mono in self.Q.terms:
-            if mono not in (_X0SQ, _X1SQ, _Y):
-                raise ValueError(f"unexpected monomial {mono} in Q")
-        for mono in self.G.terms:
-            if mono != _ZSQ and (mono.l != 0 or mono.weight != 6):
-                raise ValueError(f"unexpected monomial {mono} in G")
+        for name, section in (("Q", self.Q), ("G", self.G)):
+            allowed = MEMBER_MONOMIALS[name]
+            if not allowed.issuperset(section.terms):
+                mono = next(m for m in section.terms if m not in allowed)
+                raise ValueError(f"unexpected monomial {mono} in {name}")
         return self
 
     @property
@@ -204,7 +196,7 @@ class SurfaceEquations:
         bundle = _member_bundle(json_int(d["p_g"], "'p_g'"), json_int(d["theta"], "'theta'"))
         field = FieldSpec.from_json(d["field"])
         sections = {}
-        for key, bidegree in (("Q", class_Q()), ("G", class_G(bundle))):
+        for key, bidegree in (("Q", CLASS_Q), ("G", class_G(bundle))):
             try:
                 sections[key] = section_terms_from_dict(bundle, field, bidegree, d[key])
             except ValueError as exc:
@@ -252,12 +244,14 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
     Q = GradedSection(
         bundle,
         field,
-        class_Q(),
+        CLASS_Q,
         {_X0SQ: one, _X1SQ: random_binform(field, table.q_x, rng), _Y: q_y},
     )
     g_terms = {_ZSQ: one}
-    for (i, j, k) in table.g_present():
-        g_terms[FiberMonomial(i, j, k, 0)] = random_binform(field, table.g[(i, j, k)], rng)
+    for mono in BRANCH_MONOMIALS:
+        degree = table.g[mono[:3]]
+        if degree >= 0:
+            g_terms[mono] = random_binform(field, degree, rng)
     G = GradedSection(bundle, field, class_G(bundle), g_terms)
     return SurfaceEquations(bundle, field, Q, G).validate()
 
@@ -279,9 +273,8 @@ def canonical_structure(eqs: SurfaceEquations) -> dict:
     eqs.validate()
     bundle = eqs.bundle
     pg = bundle.pg
-    ctx = IntersectionContext(bundle)
     fixed = class_fixed_part(bundle)
-    fiber_deg = top_intersection(ctx, fixed, F, class_Q(), class_G(bundle))
+    fiber_deg = top_intersection(bundle, fixed, F, CLASS_Q, class_G(bundle))
     if fiber_deg != 2:
         raise AssertionError(f"fixed part should meet every fibre twice, got {fiber_deg}")
     return {

@@ -116,6 +116,23 @@ def monomial_from_str(s: str) -> FiberMonomial:
     return FiberMonomial(*(exps[n] for n in _VAR_NAMES))
 
 
+_X0SQ = FiberMonomial(2, 0, 0, 0)
+_X1SQ = FiberMonomial(0, 2, 0, 0)
+_Y = FiberMonomial(0, 0, 1, 0)
+_ZSQ = FiberMonomial(0, 0, 0, 2)
+
+#: the z-free monomials x0^i x1^j y^k of fiber weight 6, ascending in (i, j, k):
+#: the branch slots of G, in the order a member draws their coefficients
+BRANCH_MONOMIALS = tuple(sorted(
+    FiberMonomial(i, 6 - 2 * k - i, k, 0) for k in range(4) for i in range(7 - 2 * k)))
+
+#: the monomials Q and G may hold: x0^2, x1^2 and y in Q; z^2 and the branch slots in G
+MEMBER_MONOMIALS = {"Q": frozenset((_X0SQ, _X1SQ, _Y)), "G": frozenset((_ZSQ, *BRANCH_MONOMIALS))}
+
+#: the monomials Q and G may hold, by their printed form
+_KEYS = {monomial_str(m): m for monos in MEMBER_MONOMIALS.values() for m in monos}
+
+
 class SectionDegreeError(ValueError):
     """Coefficient degree disagrees with the bidegree rule."""
 
@@ -124,6 +141,11 @@ class SectionDegreeError(ValueError):
         self.monomial = monomial
         self.expected = expected
         self.actual = actual
+
+
+def slot_degree(bundle: BundleData, m: int, mono: FiberMonomial) -> int:
+    """The degree m + a(M) of the coefficient at `mono` in a section of F-degree m."""
+    return m + mono.twist_sum(bundle)
 
 
 def _check_term(
@@ -142,7 +164,7 @@ def _check_term(
             mono, h, mono.weight,
             f"monomial {mono} has fiber weight {mono.weight}, section has H-degree {h}",
         )
-    expected = m + mono.twist_sum(bundle)
+    expected = slot_degree(bundle, m, mono)
     if expected < 0:
         raise SectionDegreeError(
             mono, expected, degree,
@@ -297,7 +319,7 @@ class GradedSection(SparsePoly):
         return GradedSection(self.bundle, self.field, bidegree, terms)
 
     def expected_coeff_degree(self, mono: FiberMonomial) -> int:
-        return self.m + mono.twist_sum(self.bundle)
+        return slot_degree(self.bundle, self.m, mono)
 
     def __repr__(self):
         body = " + ".join(
@@ -341,9 +363,6 @@ class GradedSection(SparsePoly):
 # ---------------------------------------------------------------------------
 # normal-form reduction modulo (Q, G)
 # ---------------------------------------------------------------------------
-
-_X0SQ = FiberMonomial(2, 0, 0, 0)
-_ZSQ = FiberMonomial(0, 0, 0, 2)
 
 
 def _check_monic_relation(rel: GradedSection, lead: FiberMonomial, name: str) -> None:
@@ -401,13 +420,6 @@ def normal_form(s: GradedSection, Q: GradedSection, G: GradedSection) -> GradedS
 # ---------------------------------------------------------------------------
 # JSON section bodies
 # ---------------------------------------------------------------------------
-
-
-#: the monomials Q and G may hold, by their printed form: x0^2, x1^2 and y
-#: in Q; z^2 and the 16 z-free monomials of fiber weight 6 in G
-_KEYS = {monomial_str(m): m for m in [
-    _X0SQ, FiberMonomial(0, 2, 0, 0), FiberMonomial(0, 0, 1, 0), _ZSQ,
-    *(FiberMonomial(i, 6 - 2 * k - i, k, 0) for k in range(4) for i in range(7 - 2 * k))]}
 
 
 def section_terms_to_dict(s: GradedSection) -> Dict[str, str]:

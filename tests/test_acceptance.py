@@ -38,6 +38,7 @@ from canpencil.relalg import (
     tau_of,
     validate_sigma2,
 )
+from canpencil.sections import BundleData
 
 F11 = FieldSpec.prime_field(11)
 F101 = FieldSpec.prime_field(101)
@@ -65,7 +66,7 @@ def test_criterion_01_invariant_closed_forms():
                 inv = surface_invariants(pg, theta)
                 assert inv["K2"] == 4 * pg - 6 + theta
                 assert inv["chi"] == pg + 1
-                assert adjunction_check(pg, theta) == H
+                assert adjunction_check(BundleData(pg, theta)) == H
 
 
 def test_criterion_02_tau_degree():

@@ -282,6 +282,21 @@ def test_least_nonresidue_is_least_non_square():
         assert least_nonresidue(p) == min(set(range(1, p)) - squares), p
 
 
+@pytest.mark.parametrize("p", [35027, 45007, 2**31 - 1])
+def test_sqrt_mod_finds_no_non_square_when_p_is_3_mod_4(p, monkeypatch):
+    # s = 1: the first step finds b = 1 or shows a non-square, so z = n^q is never needed
+    calls, real = [], binform_mod.least_nonresidue
+    monkeypatch.setattr(binform_mod, "least_nonresidue", lambda q: calls.append(q) or real(q))
+    for a in [0, 1, 2, p - 1] + random.Random(p).sample(range(p), 300):
+        r = sqrt_mod(a, p)
+        if a and pow(a, (p - 1) // 2, p) != 1:
+            assert r is None, a
+        else:
+            assert r * r % p == a and r <= p - r, a
+    assert calls == []
+    assert sqrt_mod(9, 65537) == 3 and calls == [65537]  # p = 1 mod 4: 9 needs a step
+
+
 @pytest.mark.parametrize("p, s", [(65537, 16), (2**31 - 1, 1)])
 def test_sqrt_mod_at_both_ends_of_the_two_power(p, s):
     # p - 1 = 2^s q with q odd: Tonelli-Shanks takes up to s - 1 steps at

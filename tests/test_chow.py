@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canpencil.chow import (
+    CLASS_K_SURFACE,
+    CLASS_Q,
     DivisorClass,
     F,
     H,
-    IntersectionContext,
     adjunction_check,
     class_G,
     class_K_relative,
     class_fixed_part,
-    class_K_surface,
-    class_Q,
     invariants_report,
     surface_invariants,
     top_intersection,
@@ -23,16 +22,12 @@ from canpencil.chow import (
 from canpencil.sections import BundleData
 
 
-def ctx(pg, theta):
-    return IntersectionContext(BundleData(pg, theta))
-
-
 def test_h3f_value():
     # oracle: the two primitives are the unique solution of the displayed
     # invariant chain 12*H^4 - 4*(3p+T+15)*H^3F = 2*(sum a_i/w_i) - 4*(3p+T+15)/6,
     # which pins H^3F = 1/6 and H^4 = (sum a_i/w_i)/6
     for pg, theta in [(2, 0), (5, 1), (7, 6)]:
-        c = ctx(pg, theta)
+        c = BundleData(pg, theta)
         assert top_intersection(c, H, H, H, F) == Fraction(1, 6)
         s = Fraction(1) + (pg + 1) + Fraction(2 * pg + theta, 2) + Fraction(3 * pg + theta, 3)
         lhs = 12 * top_intersection(c, H, H, H, H) - 4 * (3 * pg + theta + 15) * top_intersection(
@@ -43,15 +38,14 @@ def test_h3f_value():
 
 
 def test_ff_vanishes():
-    assert top_intersection(ctx(3, 2), F, F, H, H) == 0
+    assert top_intersection(BundleData(3, 2), F, F, H, H) == 0
 
 
 def test_k2_product():
     for pg, theta in [(2, 0), (5, 1), (6, 2), (11, 4)]:
-        c = ctx(pg, theta)
-        k = class_K_surface()
+        k = CLASS_K_SURFACE
         b = BundleData(pg, theta)
-        val = top_intersection(c, k, k, class_Q(), class_G(b))
+        val = top_intersection(b, k, k, CLASS_Q, class_G(b))
         assert val == 4 * pg - 6 + theta
 
 
@@ -61,7 +55,7 @@ def test_k2_product():
     st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5),
 )
 def test_symmetry_and_multilinearity(a1, b1, a2, b2, a3, b3, a4, b4):
-    c = ctx(4, 3)
+    c = BundleData(4, 3)
     cls = [DivisorClass(a1, b1), DivisorClass(a2, b2), DivisorClass(a3, b3), DivisorClass(a4, b4)]
     base = top_intersection(c, *cls)
     rng = random.Random(hash((a1, b1, a2, b2, a3, b3, a4, b4)) & 0xFFFF)
@@ -92,7 +86,7 @@ def fraction_top_intersection(bundle, classes) -> Fraction:
 
 
 def assert_matches_fraction_expansion(bundle, classes) -> None:
-    val = top_intersection(IntersectionContext(bundle), *classes)
+    val = top_intersection(bundle, *classes)
     assert type(val) is Fraction
     assert val == fraction_top_intersection(bundle, classes)
 
@@ -102,7 +96,7 @@ def test_top_intersection_matches_fraction_expansion_on_ledger_grid():
     for pg in range(2, 51):
         for theta in range(7):
             b = BundleData(pg, theta)
-            k, q, g = class_K_surface(), class_Q(), class_G(b)
+            k, q, g = CLASS_K_SURFACE, CLASS_Q, class_G(b)
             for classes in [(k, k, q, g), (class_fixed_part(b), F, q, g), (H, H, H, H),
                             (H, H, H, F), (class_K_relative(b), q, g, H), (F, F, H, H)]:
                 assert_matches_fraction_expansion(b, classes)
@@ -143,10 +137,10 @@ def test_closed_forms_sweep():
 
 def test_adjunction():
     for pg, theta in [(2, 0), (9, 5)]:
-        assert adjunction_check(pg, theta) == H
         b = BundleData(pg, theta)
+        assert adjunction_check(b) == H
         assert class_K_relative(b) == DivisorClass(-7, 6 * pg + 2 * theta + 2)
-    assert class_K_surface() == DivisorClass(1, -2)
+    assert CLASS_K_SURFACE == DivisorClass(1, -2)
 
 
 def test_invariants_report_shape():

@@ -183,6 +183,21 @@ def test_census_refuses_sweep_above_bound(tmp_path, capsys):
     assert code == 0 and doc["prime_nodes"] == 10007
 
 
+@pytest.mark.parametrize("prime, error", [
+    ("1000", "1000 is not prime"),
+    (str(10**40), f"prime modulus must satisfy 5 <= p < 2**31, got {10**40}"),
+])
+def test_census_names_a_bad_prime_above_the_sweep_bound(tmp_path, capsys, prime, error):
+    # a bad --prime is the error, not the sweep bound that --skip-sweep would lift
+    out = tmp_path / "member.json"
+    main(["generate", "--pg", "2", "--theta", "0", "--field", "qq", "--seed", "1",
+          "--out", str(out)])
+    capsys.readouterr()
+    for extra in ((), ("--skip-sweep",)):
+        code, doc = run_cli(capsys, "census", "--in", str(out), "--prime", prime, *extra)
+        assert code == 1 and doc == {"error": error}
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda doc: [], "an equation file holds a JSON object"),
     (lambda doc: {**doc, "field": "fp:11"}, "'field' must be a JSON object"),
@@ -472,8 +487,8 @@ def _k2_off_by_one_at_pg7(monkeypatch):
 
     exact = chow.top_intersection
 
-    def faulty(ctx, *classes):
-        return exact(ctx, *classes) + (ctx.bundle.pg == 7)
+    def faulty(bundle, *classes):
+        return exact(bundle, *classes) + (bundle.pg == 7)
 
     monkeypatch.setattr(chow, "top_intersection", faulty)
     # the bidouble cross-check recomputes K^2 too, and names the same fault
@@ -642,6 +657,16 @@ GOLDEN_STDOUT_SHA256 = {
         "d9d6dd20ae086b6eb277748581a1ca9478b66ba0d7a970a557e61828cf61d994",
     ("example",):
         "66d349d9437a4e0bbfbe51521272df36726ca01d6bad61d23d42df89ec75cce4",
+    ("degrees", "--pg", "2", "--theta", "0"):
+        "64e1826c1ce1bac88cdc31ce9c57a3e36b92f88e67980d34d38bb149dc81cd27",
+    ("degrees", "--pg", "7", "--theta", "4"):  # forced-zero slots
+        "f00e3fb9038c68f66104ad1fd877ce2ffb92196fc1fa9eda48f470a582906c10",
+    ("invariants", "--pg", "5", "--theta", "1"):
+        "7350aeeebc879a32eb0903fc59891fa775f7dfe99f2408dc429435bdc2370ff9",
+    ("bidouble", "--pg", "4", "--theta", "5"):
+        "a9a69e0ab8a52422802a1601dc861afb4415b89123c3a85135c9728949e92a5e",
+    ("generate", "--pg", "3", "--theta", "2", "--field", "qq", "--seed", "4"):
+        "96c4eea8422a9ba69ece9dbc5f253e17d633ad5127a2a5f7cccd02c30201f29a",
 }
 
 

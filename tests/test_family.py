@@ -20,7 +20,6 @@ from canpencil.family import (
     family_dimension,
     generate_member,
     genus_feasibility,
-    g_slot_degree,
 )
 import canpencil.sections as sections_mod
 from canpencil.binform import BinForm
@@ -418,13 +417,14 @@ def test_feasibility_monotone_below_my_line(chi, k2, bump, q):
 
 
 def test_g_slot_degree_formula():
-    # the three displayed forms of the degree formula agree
+    # the three displayed forms of the degree formula agree with the table
     for pg in range(2, 9):
         for theta in range(7):
+            g = degree_table(pg, theta).g
             for k in range(4):
                 for i in range(6 - 2 * k + 1):
                     j = 6 - 2 * k - i
-                    lhs = g_slot_degree(pg, theta, i, k)
+                    lhs = -i * pg + (k - 2) * theta + (6 - 2 * k)
                     middle = (j + 2 * k - 6) * pg + (k - 2) * theta + (i + j)
                     bracket = (i + (pg + 1) * j + (2 * pg + theta) * k) - 2 * (3 * pg + theta)
-                    assert lhs == middle == bracket
+                    assert g[(i, j, k)] == lhs == middle == bracket
