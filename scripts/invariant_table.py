@@ -17,8 +17,8 @@ print(f"{'p_g':>4} {'theta':>6} {'K^2':>5} {'chi':>4} {'base':>7}  branch classe
 for pg in range(2, pg_max + 1):
     for theta in range(7):
         # raises unless the bidouble formulas give the intersection-theory (K^2, chi)
-        inv = bidouble_cross_check(theta, pg)
-        row = bidouble_branch_data(theta, pg)
+        inv = bidouble_cross_check(pg, theta)
+        row = bidouble_branch_data(pg, theta)
         print(
             f"{pg:>4} {theta:>6} {inv['K2']:>5} {inv['chi']:>4} {row.base_name:>7}  "
             f"D1={row.d1} D2={row.d2} D3={row.d3}"

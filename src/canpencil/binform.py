@@ -528,7 +528,22 @@ def divexact(a: BinForm, b: BinForm) -> BinForm:
     return q
 
 
-def _unpack(x: int, n: int, k: int):
+def _pack(r, k: int = 1) -> int:
+    """The int whose slots of k 64-bit words hold 0 <= r[i] < 2^64 in their low words, low slot first.
+
+    `_unpack` reads it back; on a big-endian host both reverse the word order.
+    """
+    words = array("Q", r)
+    if k > 1:
+        slots = array("Q", bytes(8 * k * len(words)))
+        slots[::k] = words
+        words = slots
+    if _BIG_ENDIAN:
+        words.reverse()
+    return int.from_bytes(words, sys.byteorder)
+
+
+def _unpack(x: int, n: int, k: int = 1):
     """The n slots of k 64-bit words each of 0 <= x < 2^(64 k n), low slot first."""
     w = memoryview(x.to_bytes(8 * k * n, sys.byteorder)).cast("Q")
     if _BIG_ENDIAN:
@@ -545,12 +560,9 @@ def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
     """(t + a)^e mod a monic f of degree n >= 1, for 0 <= a < p, on packed slots."""
     n = len(f) - 1
     k = -(-(n * (n + 1) // 2 * p**3).bit_length() // 64)  # 64-bit words per slot
-    w, words = 64 * k, array("Q", bytes(8 * k * n))
+    w = 64 * k
     shift, mask = w * n, (1 << w * n) - 1
-    def pack(r) -> int:  # n residues in [0, p)
-        words[::k] = array("Q", r)
-        return int.from_bytes(words[::-1] if _BIG_ENDIAN else words, sys.byteorder)
-    rows = [pack([-c % p for c in f[:n]])]  # rows[j] = t^(n+j) mod f, slots below p + j p^2
+    rows = [_pack([-c % p for c in f[:n]], k)]  # rows[j] = t^(n+j) mod f, slots below p + j p^2
     while len(rows) < n:  # t * rows[-1], its top slot folded back through rows[0]
         rows.append(((rows[-1] << w) & mask) + (rows[-1] >> (shift - w)) % p * rows[0])
     x, t_plus_a = 1, (1 << w) + a
@@ -562,7 +574,7 @@ def _fp_shift_power(a: int, e: int, f: list, p: int) -> list:
             x &= mask
             for c, r in zip(_unpack(hi, n, k), rows):
                 x += c % p * r
-        x = pack([c % p for c in _unpack(x, n, k)])
+        x = _pack([c % p for c in _unpack(x, n, k)], k)
     return _trim(list(_unpack(x, n, k)))
 
 

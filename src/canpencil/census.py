@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .binform import BinForm, least_nonresidue, roots, sqrt_mod
+from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
 from .fields import FieldSpec
 from .family import SurfaceEquations
 from .sections import GradedSection
@@ -201,56 +201,107 @@ def branch_disjointness(
 # ---------------------------------------------------------------------------
 
 
-def _base_values(form: BinForm, p: int) -> List[int]:
-    """The form's residues at the base points (a : 1), a = 0..p-1, then at (1 : 0)."""
-    vals = [0] * p
-    for c in form.nums:
-        vals = [(v * a + c) % p for a, v in enumerate(vals)]
-    return vals + [form.nums[0] if form.nums else 0]
+def _power_rows(p: int, top: int) -> List[int]:
+    """Rows m = 0..top of a^m mod p, a = 0..p-1, packed one 64-bit slot per a.
+
+    a^m = a^((m - 1) mod (p - 1) + 1) for m >= 1, so a row past p - 1 is an earlier one.
+    """
+    rows, powers = [], [1] * p
+    for _ in range(min(top, p - 1) + 1):
+        rows.append(_pack(powers))
+        powers = [x * a % p for a, x in enumerate(powers)]
+    return rows + [rows[(m - 1) % (p - 1) + 1] for m in range(p, top + 1)]
 
 
-def _sextic_candidates(p: int, qx: int, qy: int, jk, gs) -> List[Tuple[int, int, tuple]]:
+def _base_values(form: BinForm, p: int, rows: List[int]) -> List[int]:
+    """The form's residues at the base points (a : 1), a = 0..p-1, then at (1 : 0).
+
+    The values at every (a : 1) are the slots of one int, sum c_i row[d - i]
+    over `_power_rows`; a slot holds at most (d + 1) (p - 1)^2 < 2^64.
+    """
+    c = form.nums
+    d = len(c) - 1
+    packed = sum(ci * rows[d - i] for i, ci in enumerate(c))
+    return [v % p for v in _unpack(packed, p)] + [c[0] if c else 0]
+
+
+def _sextic_residues(p: int, jk, values, qx_vals, qy_vals) -> List[List[int]]:
+    """c0..c6 of the sextic f(a) = beta(1, a) at every base, each a list indexed like the values.
+
+    A branch term g x0^i x1^j y^k ((j, k) in `jk`, g at each base in
+    `values`) adds g (-1)^k qy^(3-k) a^j (1 + qx a^2)^k, whose coefficient of
+    a^(j + 2l) is g times the weight w[k][l] below.  One list pass per
+    (term, l) over the bases, then one reduction mod p.
+    """
+    # (-1)^k qy^(3-k) (1 + qx a^2)^k: its coefficient of a^(2l) is w[k][l]
+    ws = list(zip(*[(qy**3, -qy * qy, -qy * qy * qx, qy, 2 * qy * qx, qy * qx * qx,
+                     -1, -3 * qx, -3 * qx * qx, -qx**3) for qx, qy in zip(qx_vals, qy_vals)]))
+    w = (ws[:1], ws[1:3], ws[3:6], ws[6:])
+    c = [[0] * len(qy_vals) for _ in range(7)]
+    for (j, k), gs in zip(jk, values):
+        if any(gs):
+            for l, wl in enumerate(w[k]):
+                c[j + 2 * l] = [cm + g * wm for cm, g, wm in zip(c[j + 2 * l], gs, wl)]
+    return [[cm % p for cm in cs] for cs in c]
+
+
+def _slot_test(p: int) -> Tuple[int, int, int, int]:
+    """(p^-1 mod 2^32, low, bias, top) for one packed test of p | s in every 64-bit slot.
+
+    For odd p and 0 <= s < 2^32, p | s exactly when s p^-1 mod 2^32 <=
+    L = floor((2^32 - 1) / p) (Granlund-Montgomery, PLDI 1994, section 9).
+    `low` masks the low 32 bits of each slot, `bias` holds 2^32 + L in each
+    and `top` bit 32 of each: bias - (x & low) keeps bit 32 exactly where
+    x p^-1 mod 2^32 <= L, and no slot borrows from the next.
+    """
+    bound = (1 << 32) - 1
+    return (pow(p, -1, 1 << 32), _pack([bound] * p), _pack([bound + 1 + bound // p] * p),
+            _pack([bound + 1] * p))
+
+
+def _sextic_candidates(p: int, qx: int, qy: int, c, rows, test) -> List[Tuple[int, int, tuple]]:
     """The (x0, x1, (y,)) of Q = 0 over a base with qy != 0 where beta and its partials vanish.
 
     On the graph y = -(x0^2 + qx x1^2)/qy of Q = 0 the branch form is the
-    sextic beta = qy^3 b(x0, x1, y); in the chart x0 = 1 it is f(a), where
-    a term g x0^i x1^j y^k ((j, k) in `jk`, g in `gs`) adds
-    g (-1)^k qy^(3-k) a^j (1 + qx a^2)^k.  The candidates are the a with
-    f(a) = f'(a) = 0, and (0, 1) when c6 = c5 = 0 (beta and its x0-partial).
+    sextic beta = qy^3 b(x0, x1, y); in the chart x0 = 1 it is f(a), with
+    the residues c = (c0, ..., c6) of `_sextic_residues`.  The candidates
+    are the a with f(a) = f'(a) = 0, and (0, 1) when c6 = c5 = 0 (beta and
+    its x0-partial).  f at every a is the slots of v = sum c_m rows[m],
+    each at most 7 (p - 1)^2 < 2^32, and one `_slot_test` of v finds the a
+    with p | f(a); f' is taken only there.
     """
-    qy2, qx2 = qy * qy, qx * qx
-    # (-1)^k qy^(3-k) (1 + qx a^2)^k: the coefficient of a^(2l) at l
-    w = ((qy2 * qy,), (-qy2, -qy2 * qx), (qy, 2 * qy * qx, qy * qx2),
-         (-1, -3 * qx, -3 * qx2, -qx2 * qx))
-    c = [0] * 7
-    for (j, k), g in zip(jk, gs):
-        if g:
-            for l, wl in enumerate(w[k]):
-                c[j + 2 * l] += g * wl
-    c0, c1, c2, c3, c4, c5, c6 = [x % p for x in c]
-    inv = pow(-qy, -1, p)
-    hits = [a for a in range(p)
-            if not ((((((c6 * a + c5) * a + c4) * a + c3) * a + c2) * a + c1) * a + c0) % p]
-    out = [(1, a, ((1 + qx * a * a) * inv % p,)) for a in hits
-           if not (((((6 * c6 * a + 5 * c5) * a + 4 * c4) * a + 3 * c3) * a + 2 * c2) * a + c1) % p]
+    c0, c1, c2, c3, c4, c5, c6 = c
+    r0, r1, r2, r3, r4, r5, r6 = rows
+    inv_p, low, bias, top = test
+    v = c0 * r0 + c1 * r1 + c2 * r2 + c3 * r3 + c4 * r4 + c5 * r5 + c6 * r6
+    hits = (bias - (v * inv_p & low)) & top
+    if not hits and (c6 or c5):
+        return []
+    inv, out = pow(-qy, -1, p), []
+    while hits:
+        bit = hits & -hits
+        hits ^= bit
+        a = bit.bit_length() >> 6  # the bit is bit 32 of slot a
+        if not (((((6 * c6 * a + 5 * c5) * a + 4 * c4) * a + 3 * c3) * a + 2 * c2) * a + c1) % p:
+            out.append((1, a, ((1 + qx * a * a) * inv % p,)))
     if not (c6 or c5):
         out.append((0, 1, (qx * inv % p,)))
     return out
 
 
-def _fiber_candidates(p: int, qx: int) -> List[Tuple[int, int, Sequence[int]]]:
+def _fiber_candidates(p: int, qx: int, n: int) -> List[Tuple[int, int, Sequence[int]]]:
     """(x0, x1, ys): one point per weighted orbit of Q = x0^2 + qx x1^2 = 0 over a root of q_y.
 
     (x0, x1) runs over the representatives (1, a) and (0, 1) on Q = 0, each
     with every y.  With x0 = x1 = 0, l^2 scales every y != 0 to 1 or to the
-    least non-residue n, so y runs over (1, n); y = 0 is no point of X,
-    since there G = z^2.  Only l = ±1 fixes those y, so the points of one
-    such orbit differ in the sign of z alone.
+    least non-residue n = `least_nonresidue(p)`, so y runs over (1, n);
+    y = 0 is no point of X, since there G = z^2.  Only l = ±1 fixes those
+    y, so the points of one such orbit differ in the sign of z alone.
     """
     out = [(1, a, range(p)) for a in range(p) if (1 + qx * a * a) % p == 0]
     if qx == 0:
         out.append((0, 1, range(p)))
-    return out + [(0, 0, (1, least_nonresidue(p)))]
+    return out + [(0, 0, (1, n))]
 
 
 def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
@@ -270,8 +321,12 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
     * q_y(t) != 0: the (y, z) minor 2 z q_y forces z = 0, so b = 0 and
       row_g = (b_y / q_y) row_q.  By the chain rule through y on Q = 0,
       the sextic beta = q_y^3 b and its (x0, x1)-partials vanish there, so
-      only the points of `_sextic_candidates` are tested (one Horner value
-      per a; all p + 1 when beta vanishes on the fiber).
+      only the points of `_sextic_candidates` are tested (all p + 1 when
+      beta vanishes on the fiber).  The sextic's seven residues come from
+      `_sextic_residues` at every base at once, and its values at every a
+      are the 64-bit slots of one int, tested for p | f with one multiply
+      by p^-1 mod 2^32; that needs 7 (p - 1)^2 < 2^32, so p <= 24771, and
+      a larger p is a ValueError.
     * q_y(t) = 0: one point per orbit of Q = 0, from `_fiber_candidates`,
       is tested.  Where b != 0 the roots z = ±sqrt(-b) are nonzero, the
       minors through z are 2z times row_q, and the rank drops exactly when
@@ -279,22 +334,31 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
       l = -1 maps z to -z, so only the least root r = `sqrt_mod(-b, p)`.
 
     Every point is listed in its canonical form, so none is normalized
-    afterwards.  The t-derivatives of the coefficients and the powers of
-    the fiber coordinates are taken only over a base point with a
-    candidate.  The result is sorted and independent of the processing
-    order.
+    afterwards.  The values of q_x, q_y and the branch coefficients at
+    every base come from one table of packed powers (`_power_rows`,
+    `_base_values`); their t-derivatives and the powers of the fiber
+    coordinates are taken only over a base point with a candidate.  The
+    result is sorted and independent of the processing order.
     """
     eqs = _as_prime_equations(eqs, p)
+    if 7 * (p - 1) ** 2 >> 32:
+        raise ValueError(f"sweep at p = {p}: its slot test needs 7 (p - 1)^2 < 2^32, so p <= 24771")
     failures = set()
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
+    forms = [eqs.q_x, eqs.q_y] + [c for *_, c in branch]
+    rows = _power_rows(p, max([6] + [len(f.nums) - 1 for f in forms]))
+    qx_vals, qy_vals, *values = [_base_values(f, p, rows) for f in forms]
     jk = [(j, k) for _, j, k, _ in branch]
-    values = list(zip(*[_base_values(c, p) for *_, c in branch])) or [()] * (p + 1)
-    qx_vals, qy_vals = _base_values(eqs.q_x, p), _base_values(eqs.q_y, p)
+    sextics = list(zip(*_sextic_residues(p, jk, values, qx_vals, qy_vals)))
+    low_rows, test, nonresidue = rows[:7], _slot_test(p), least_nonresidue(p)
 
     for base in base_points(p):
         n = base[0] if base[1] else p
         qx, qy = qx_vals[n], qy_vals[n]
-        cands = _sextic_candidates(p, qx, qy, jk, values[n]) if qy else _fiber_candidates(p, qx)
+        if qy:
+            cands = _sextic_candidates(p, qx, qy, sextics[n], low_rows, test)
+        else:
+            cands = _fiber_candidates(p, qx, nonresidue)
         if not cands:
             continue
         qx_d = _chart_value_and_derivative(eqs.q_x, base, p)[1]
@@ -379,9 +443,11 @@ class SingularReport:
 
 #: largest prime the sweep runs at, a conservative limit: the refusal quotes
 #: the (p + 1)^2 fiber candidates, one per point of the conic over each base
-#: point; the sweep takes one value of the branch sextic at each, about 30 ms
-#: at p = 257 for a (p_g, theta) = (2, 0) member under CPython 3.11 on a
-#: 2-core host, and grows as p^2.
+#: point.  The sweep still grows as p^2, but a base point costs a few big-int
+#: operations on p packed 64-bit slots: about 5 ms at p = 257 and 50 ms at
+#: p = 1009 for a (p_g, theta) = (2, 0) member under CPython 3.11 on a 2-core
+#: host.  Its slot test needs 7 (p - 1)^2 < 2^32, which caps any bound at
+#: p = 24771 (a test checks this).
 SWEEP_PRIME_MAX = 257
 
 

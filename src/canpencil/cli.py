@@ -78,7 +78,7 @@ def cmd_census(args) -> dict:
 
 
 def cmd_bidouble(args) -> dict:
-    data = family.bidouble_branch_data(args.theta, args.pg)
+    data = family.bidouble_branch_data(args.pg, args.theta)
     inv = family.bidouble_invariants(data)
     reference = chow.surface_invariants(args.pg, args.theta)
     return {
@@ -194,7 +194,7 @@ def _ledger_bidouble(rng, field, trials):
     # surface_invariants inside it raises on a fault in intersection theory
     for theta in range(7):
         for pg in range(2, 21):
-            family.bidouble_cross_check(theta, pg)
+            family.bidouble_cross_check(pg, theta)
     return [("bidouble/cross-check", True, {"failures": []})]
 
 

@@ -376,7 +376,7 @@ _BRANCH_ROWS = (
 )
 
 
-def bidouble_branch_data(theta: int, pg: int) -> BranchData:
+def bidouble_branch_data(pg: int, theta: int) -> BranchData:
     """Branch triple realizing (K^2, chi) = (4p_g - 6 + theta, p_g + 1).
 
     Rows 0..4 are the classified table; theta = 5 is the explicit extra
@@ -426,9 +426,9 @@ def bidouble_invariants(data: BranchData) -> dict:
     return {"K2": k2, "chi": twice_chi // 2}
 
 
-def bidouble_cross_check(theta: int, pg: int) -> dict:
+def bidouble_cross_check(pg: int, theta: int) -> dict:
     """Branch-data invariants vs intersection theory; raises on mismatch."""
-    data = bidouble_branch_data(theta, pg)
+    data = bidouble_branch_data(pg, theta)
     got = bidouble_invariants(data)
     want = surface_invariants(pg, theta)
     ok = got["K2"] == want["K2"] and got["chi"] == want["chi"]

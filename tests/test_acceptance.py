@@ -122,7 +122,7 @@ def test_criterion_06_bidouble_cross_check():
     with criterion(6, "bidouble invariants match intersection theory, theta 0..6, p_g 2..20"):
         for theta in range(7):
             for pg in range(2, 21):
-                inv = bidouble_invariants(bidouble_branch_data(theta, pg))
+                inv = bidouble_invariants(bidouble_branch_data(pg, theta))
                 assert inv["K2"] == 4 * pg - 6 + theta
                 assert inv["chi"] == pg + 1
                 ref = surface_invariants(pg, theta)

@@ -15,9 +15,9 @@ from canpencil.census import (
     quasi_smooth_sweep,
     run_census,
 )
-from canpencil.family import FamilyParams, SurfaceEquations, generate_member
+from canpencil.family import FamilyParams, SurfaceEquations, degree_table, generate_member
 from canpencil.fields import FieldSpec, QQ
-from canpencil.sections import BundleData, FiberMonomial, GradedSection
+from canpencil.sections import BRANCH_MONOMIALS, BundleData, FiberMonomial, GradedSection
 
 import binform_reference
 
@@ -749,6 +749,138 @@ def test_flat_fiber_sweep_reports_canonical_points(p, time_limit):
     assert any(pt.fiber[:2] == (0, 0) for pt in found)
     for pt in found:
         assert canonical_fiber_rep(p, pt.fiber) == pt.fiber, pt
+
+
+def test_sweep_finds_the_least_nonresidue_once(monkeypatch):
+    # the flat-fiber member's q_y has two rational roots, each with x0 = x1 = 0 candidates
+    calls, real = [], census_mod.least_nonresidue
+    monkeypatch.setattr(census_mod, "least_nonresidue", lambda q: calls.append(q) or real(q))
+    for p in (11, 101):
+        calls.clear()
+        found = quasi_smooth_sweep(_flat_fiber_member(p), p)
+        assert any(pt.fiber[:2] == (0, 0) for pt in found)
+        assert calls in ([], [p])
+
+
+# -- the packed sweep kernel against the list kernels it replaced ---------------------
+
+
+def _list_base_values(form: BinForm, p: int):
+    """The form's residues at the base points (a : 1), a = 0..p-1, then at (1 : 0)."""
+    vals = [0] * p
+    for c in form.nums:
+        vals = [(v * a + c) % p for a, v in enumerate(vals)]
+    return vals + [form.nums[0] if form.nums else 0]
+
+
+def _horner_sextic_candidates(p: int, qx: int, qy: int, jk, gs):
+    """The (x0, x1, (y,)) of Q = 0 over a base with qy != 0 where beta and its partials vanish.
+
+    On the graph y = -(x0^2 + qx x1^2)/qy of Q = 0 the branch form is the
+    sextic beta = qy^3 b(x0, x1, y); in the chart x0 = 1 it is f(a), where
+    a term g x0^i x1^j y^k ((j, k) in `jk`, g in `gs`) adds
+    g (-1)^k qy^(3-k) a^j (1 + qx a^2)^k.  The candidates are the a with
+    f(a) = f'(a) = 0, and (0, 1) when c6 = c5 = 0 (beta and its x0-partial).
+    """
+    qy2, qx2 = qy * qy, qx * qx
+    # (-1)^k qy^(3-k) (1 + qx a^2)^k: the coefficient of a^(2l) at l
+    w = ((qy2 * qy,), (-qy2, -qy2 * qx), (qy, 2 * qy * qx, qy * qx2),
+         (-1, -3 * qx, -3 * qx2, -qx2 * qx))
+    c = [0] * 7
+    for (j, k), g in zip(jk, gs):
+        if g:
+            for l, wl in enumerate(w[k]):
+                c[j + 2 * l] += g * wl
+    c0, c1, c2, c3, c4, c5, c6 = [x % p for x in c]
+    inv = pow(-qy, -1, p)
+    hits = [a for a in range(p)
+            if not ((((((c6 * a + c5) * a + c4) * a + c3) * a + c2) * a + c1) * a + c0) % p]
+    out = [(1, a, ((1 + qx * a * a) * inv % p,)) for a in hits
+           if not (((((6 * c6 * a + 5 * c5) * a + 4 * c4) * a + 3 * c3) * a + 2 * c2) * a + c1) % p]
+    if not (c6 or c5):
+        out.append((0, 1, (qx * inv % p,)))
+    return out
+
+
+SWEEP_SHAPES = ((2, 0), (2, 2), (3, 1), (4, 4), (6, 0))
+#: the degree of the tallest coefficient of any sweep shape (q_x of (6, 0))
+TALLEST = max(max(t.q_x, t.q_y, *t.g.values()) for t in (degree_table(*s) for s in SWEEP_SHAPES))
+BRANCH_JK = [(m.j, m.k) for m in BRANCH_MONOMIALS]
+PRIMES_TO_257 = [p for p in range(5, 258) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def _packed_sextic_candidates(p, qx, qy, jk, gs):
+    """`_sextic_candidates` at one base, with its residues from `_sextic_residues`."""
+    c = census_mod._sextic_residues(p, jk, [[g] for g in gs], [qx], [qy])
+    rows = census_mod._power_rows(p, 6)
+    return census_mod._sextic_candidates(p, qx, qy, [cm[0] for cm in c], rows[:7],
+                                         census_mod._slot_test(p))
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", PRIMES_TO_257)
+def test_packed_kernel_matches_list_kernels(p):
+    """Packed base values and the packed scan agree with the list kernels at every prime to 257.
+
+    Base values: the zero form, constant forms, forms whose every
+    coefficient is p - 1 (the largest slot sums) and random forms, up to
+    the tallest coefficient of any sweep shape, which is taller than p - 1
+    at the smallest primes.  Scan: random residues of c0..c6 (through the
+    seven y-free terms, c_j = g qy^3), random residues of all sixteen
+    branch terms, sextics with a planted double root, and the all-zero
+    sextic, where every a is a hit.
+    """
+    field, rng = FieldSpec.prime_field(p), random.Random(p)
+    rows = census_mod._power_rows(p, TALLEST)
+    forms = [BinForm.zero(field), BinForm.one(field), BinForm.from_numerators(field, [p - 1], 1)]
+    forms += [BinForm.from_numerators(field, [p - 1] * (d + 1), 1) for d in (6, TALLEST)]
+    forms += [random_binform(field, rng.randrange(TALLEST + 1), rng) for _ in range(20)]
+    forms += [random_binform(field, TALLEST, rng) for _ in range(5)]
+    for form in forms:
+        assert census_mod._base_values(form, p, rows) == _list_base_values(form, p), form
+
+    y_free = [(j, 0) for j in range(7)]
+    cases = [(y_free, [0] * 7), (BRANCH_JK, [0] * len(BRANCH_JK))]
+    for _ in range(30):
+        cases.append((y_free, [rng.randrange(p) for _ in range(7)]))
+        cases.append((BRANCH_JK, [rng.randrange(p) for _ in BRANCH_JK]))
+        r = rng.randrange(p)  # (a - r)^2 times a quartic: f(r) = f'(r) = 0
+        double = [0] * 7
+        for i, q in enumerate(rng.randrange(p) for _ in range(5)):
+            for e, m in enumerate((r * r, -2 * r, 1)):
+                double[i + e] = (double[i + e] + q * m) % p
+        cases.append((y_free, double))
+    for jk, gs in cases:
+        qx, qy = rng.randrange(p), rng.randrange(1, p)
+        if jk is y_free:  # g_j = c_j / qy^3 makes c_j the residue drawn
+            gs = [g * pow(qy, -3, p) % p for g in gs]
+        expected = _horner_sextic_candidates(p, qx, qy, jk, gs)
+        assert _packed_sextic_candidates(p, qx, qy, jk, gs) == expected, (qx, qy, gs)
+        if not any(gs):
+            assert len(expected) == p + 1
+
+
+def test_sweep_bound_keeps_slot_sums_below_two_to_the_32():
+    # every slot of the packed scan holds at most 7 (p - 1)^2 before its 32-bit test
+    assert 7 * (census_mod.SWEEP_PRIME_MAX - 1) ** 2 < 2**32
+
+
+def test_slot_test_at_the_largest_prime_it_holds_for():
+    p = 24767  # the largest prime with 7 (p - 1)^2 < 2^32
+    assert 7 * (p - 1) ** 2 < 2**32 <= 7 * (24781 - 1) ** 2  # 24781 is the next prime
+    inv_p, low, bias, top = census_mod._slot_test(p)
+    top_sum, rng = 7 * (p - 1) ** 2, random.Random(1)
+    slots = [0, p, top_sum, top_sum - 1, top_sum // p * p, 2**32 - 1]
+    slots += [rng.randrange(top_sum + 1) for _ in range(p - len(slots) - 200)]
+    slots += [rng.randrange(top_sum // p + 1) * p for _ in range(200)]
+    hits = (bias - (binform_mod._pack(slots) * inv_p & low)) & top
+    assert [s >> 32 for s in binform_mod._unpack(hits, p)] == [s % p == 0 for s in slots]
+
+
+def test_sweep_refuses_a_prime_past_the_slot_bound():
+    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    with pytest.raises(ValueError, match="p <= 24771"):
+        quasi_smooth_sweep(member, 24781)
 
 
 def _cone_point_sweep(eqs, p, base_order=None):

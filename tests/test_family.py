@@ -295,26 +295,33 @@ def test_family_dimension_hypotheses():
 
 
 def test_branch_rows_match_table():
-    row0 = bidouble_branch_data(0, 5)
+    row0 = bidouble_branch_data(5, 0)
     assert (row0.base_name, row0.d1, row0.d2, row0.d3) == ("F2", (1, 10), (3, 6), (1, 0))
-    row2 = bidouble_branch_data(2, 5)
+    row2 = bidouble_branch_data(5, 2)
     assert (row2.base_name, row2.d1, row2.d2, row2.d3) == ("P1xP1", (1, 10), (3, 2), (1, 0))
     row5 = bidouble_branch_data(5, 5)
     assert (row5.base_name, row5.d1, row5.d2, row5.d3) == ("F1", (1, 12), (3, 2), (1, 2))
-    assert bidouble_branch_data(6, 5).source == "external-source row"
+    assert bidouble_branch_data(5, 6).source == "external-source row"
     with pytest.raises(ValueError):
-        bidouble_branch_data(7, 5)
+        bidouble_branch_data(5, 7)
 
 
 def test_bidouble_invariants_match_chow():
     for theta in range(7):
         for pg in range(2, 21):
-            data = bidouble_branch_data(theta, pg)
+            data = bidouble_branch_data(pg, theta)
             inv = bidouble_invariants(data)
             want = surface_invariants(pg, theta)
             assert inv["K2"] == want["K2"] == 4 * pg - 6 + theta
             assert inv["chi"] == want["chi"] == pg + 1
-            bidouble_cross_check(theta, pg)
+            bidouble_cross_check(pg, theta)
+
+
+def test_bidouble_cross_check_takes_pg_then_theta():
+    # the order of surface_invariants(pg, theta): (2, 0) is p_g = 2, theta = 0
+    row = bidouble_cross_check(2, 0)
+    assert (row["p_g"], row["theta"], row["K2"], row["chi"]) == (2, 0, 2, 3)
+    assert bidouble_branch_data(2, 0) == bidouble_reference.bidouble_branch_data(0, 2)
 
 
 def test_bidouble_rejects_odd_pair_sum():
@@ -341,7 +348,7 @@ def test_bidouble_rows_and_invariants_match_reference():
     for theta in range(7):
         for pg in range(2, 201):
             want = bidouble_reference.bidouble_branch_data(theta, pg)
-            got = bidouble_branch_data(theta, pg)
+            got = bidouble_branch_data(pg, theta)
             assert (got, got.source) == (want, want.source)
             assert bidouble_invariants(got) == bidouble_reference.bidouble_invariants(want)
 
@@ -349,7 +356,7 @@ def test_bidouble_rows_and_invariants_match_reference():
 @pytest.mark.oracle
 @pytest.mark.parametrize("theta, pg", [(7, 5), (-1, 5), (0, 1), (6, 1), (7, 1)])
 def test_bidouble_refusals_match_reference(theta, pg):
-    got = _value_or_refusal(bidouble_branch_data, theta, pg)
+    got = _value_or_refusal(bidouble_branch_data, pg, theta)
     assert got[0] == "ValueError"
     assert got == _value_or_refusal(bidouble_reference.bidouble_branch_data, theta, pg)
 
