@@ -1,0 +1,63 @@
+"""Package code as it stood before the packed matrix product, kept as test references.
+
+`mat_mul` is the matrix product as one BinForm product and one BinForm sum
+per term, in k order.  `s6prime_rows`, `relation_matrix` and `columns` (the
+body of `LiftingCertificate.columns`, taking the certificate) build every
+product they need anew, each of f0^2, f0 f1 and f1^2 several times.
+`canpencil.relalg` must match them; the oracle tests in test_relalg.py
+compare the two.
+"""
+
+from canpencil.binform import BinForm
+
+BinMatrix = list
+
+
+def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
+    rows, inner, cols = len(a), len(b), len(b[0])
+    if not all(len(r) == inner for r in a):
+        raise AssertionError("matrix shapes do not chain")
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = BinForm.zero(a[i][0].field)
+            for k in range(inner):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def s6prime_rows(f0: BinForm, f1: BinForm) -> tuple:
+    field = f0.field
+    zero = BinForm.zero(field)
+    three = BinForm.constant(field, 3)
+    m2 = BinForm.constant(field, -2)
+    row0 = (three * f1 * f1, m2 * f0 * f1, f0 * f0, zero)
+    row1 = (zero, f1 * f1, m2 * f0 * f1, three * f0 * f0)
+    return (row0, row1)
+
+
+def relation_matrix(f0: BinForm, f1: BinForm) -> BinMatrix:
+    field = f0.field
+    zero = BinForm.zero(field)
+    two = BinForm.constant(field, 2)
+    return [
+        [f0 * f0, zero],
+        [two * f0 * f1, f0 * f0],
+        [f1 * f1, two * f0 * f1],
+        [zero, f1 * f1],
+    ]
+
+
+def columns(self) -> BinMatrix:
+    f0, f1, g0 = self.data.f0, self.data.f1, self.data.g0
+    field = self.data.field
+    zero = BinForm.zero(field)
+    two = BinForm.constant(field, 2)
+    return [
+        [f0 * f0, zero, zero],
+        [two * f0 * f1, f0 * f0, zero],
+        [-g0, zero, f0 * f0],
+    ]

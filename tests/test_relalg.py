@@ -5,12 +5,22 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from canpencil.binform import BinForm, divexact, format_binform, parse_binform, random_binform
+from canpencil.binform import (
+    BinForm,
+    BinFormError,
+    divexact,
+    format_binform,
+    parse_binform,
+    random_binform,
+)
 from canpencil.fields import QQ, FieldSpec
 from canpencil.relalg import (
     EXAMPLE_KEYS,
     DeltaRestriction,
+    LiftingCertificate,
     SigmaError,
     SigmaTwoData,
     SplitType,
@@ -26,12 +36,15 @@ from canpencil.relalg import (
     random_sigma_data,
     relation_matrix,
     s6prime_matrix,
+    s6prime_rows,
     s_algebra_degrees,
     tau_of,
     validate_sigma2,
     xiao_bound,
 )
 from canpencil.sections import BundleData, FiberMonomial, GradedSection
+
+import relalg_reference
 
 F10007 = FieldSpec.prime_field(10007)
 
@@ -488,3 +501,141 @@ def test_ypoly_twist_offset():
     rel = q_relation(data)
     st = SplitType.from_params(5, 1, 1)
     assert rel.twist_offset(st.twists) == -(2 * 5 + 4)
+
+
+# -- matrix products and shared quadratics against the code they replaced ----------------------
+
+ORACLE_PRIMES = (5, 10007, 2**31 - 1)
+
+
+def _outcome(mul, a, b):
+    """The product, or the message of the BinFormError it raises."""
+    try:
+        return mul(a, b)
+    except BinFormError as exc:
+        return str(exc)
+
+
+@st.composite
+def chained_matrices(draw, fld):
+    """A rows x inner and an inner x cols matrix of forms, 1 <= each size <= 4.
+
+    Entry (i, k) of a has degree u_i + v_k and entry (k, j) of b degree
+    w_j - v_k, so every product of an output entry has degree u_i + w_j.
+    Entries are zero, all p - 1, or random; in a skewed pair some entries
+    take another degree, so products of one output entry differ in degree.
+    """
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    u = [draw(st.integers(0, 4)) for _ in range(rows)]
+    v = [draw(st.integers(0, 3)) for _ in range(inner)]
+    w = [draw(st.integers(3, 7)) for _ in range(cols)]
+    skewed = draw(st.booleans())
+    top = fld.p - 1
+    scalars = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
+
+    def entry(degree):
+        kind = draw(st.sampled_from(["zero", "top", "random", "random", "other"]))
+        if kind == "other" and skewed:
+            degree = draw(st.integers(0, 9))
+        if kind == "zero":
+            return BinForm.zero(fld)
+        if kind == "top":
+            return BinForm(fld, [top] * (degree + 1))
+        return BinForm(fld, draw(st.lists(scalars, min_size=degree + 1, max_size=degree + 1)))
+
+    a = [[entry(u[i] + v[k]) for k in range(inner)] for i in range(rows)]
+    b = [[entry(w[j] - v[k]) for j in range(cols)] for k in range(inner)]
+    return a, b
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_the_loop(p, data):
+    fld = FieldSpec.prime_field(p)
+    a, b = data.draw(chained_matrices(fld))
+    got = _outcome(mat_mul, a, b)
+    assert got == _outcome(relalg_reference.mat_mul, a, b)
+    if not isinstance(got, str):
+        assert all(type(e.nums) is tuple for row in got for e in row)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("inner, n", [(4, 1), (1, 4), (2, 2), (1, 5), (4, 2), (4, 16)])
+def test_mat_mul_of_all_top_entries_at_the_slot_width_boundary(inner, n):
+    # a middle coefficient of the product is inner * n * (p - 1)^2, the bound
+    # that sizes the slots: one 64-bit word up to inner * n = 4, two from 5 on
+    p = 2**31 - 1
+    assert 4 * (p - 1) ** 2 < 2**64 <= 5 * (p - 1) ** 2
+    fld = FieldSpec.prime_field(p)
+    top = BinForm(fld, [p - 1] * n)
+    a, b = [[top] * inner] * 2, [[top] * 3] * inner
+    assert mat_mul(a, b) == relalg_reference.mat_mul(a, b)
+    middle = inner * n * (p - 1) ** 2 % p
+    assert mat_mul(a, b)[0][0].nums[n - 1] == middle
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [*ORACLE_PRIMES, None])
+def test_mat_mul_cancelled_partial_sum_takes_a_product_of_another_degree(p):
+    fld = QQ if p is None else FieldSpec.prime_field(p)
+    f, g = parse_binform("t0^2 + 3*t0*t1", fld), parse_binform("t0 - t1", fld)
+    h, h2 = parse_binform("t1^3 + 2*t0^3", fld), parse_binform("t0", fld)
+    a = [[f, -f, g], [f, f, BinForm.zero(fld)]]
+    b = [[h], [h], [h2]]
+    # row 0: f h - f h cancels to zero before g h2, of degree 2 against 5
+    assert mat_mul(a, b) == relalg_reference.mat_mul(a, b) == [[g * h2], [(f * h).scale(2)]]
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [*ORACLE_PRIMES, None])
+def test_mat_mul_degree_mismatch_raises_the_loop_message(p):
+    fld = QQ if p is None else FieldSpec.prime_field(p)
+    f, g, h = parse_binform("t0^2", fld), parse_binform("t0 + t1", fld), parse_binform("t1", fld)
+    a, b = [[f, f], [f, g]], [[h], [h]]
+    with pytest.raises(BinFormError) as old:
+        relalg_reference.mat_mul(a, b)
+    with pytest.raises(BinFormError, match="^degree mismatch in sum: 3 vs 2$") as new:
+        mat_mul(a, b)
+    assert str(new.value) == str(old.value)
+
+
+def _off_by_one(form: BinForm, index: int) -> BinForm:
+    return BinForm(form.field, [c + (i == index) for i, c in enumerate(form.coeffs)])
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_lifting_verify_rejects_a_coefficient_off_by_one(p):
+    rng = random.Random(p)
+    fld = FieldSpec.prime_field(p)
+    for _ in range(3):
+        cert = lifting_annihilator(random_sigma_data(fld, rng))
+        assert cert.verify()
+        for i, sol in enumerate(cert.solutions):
+            for r, form in enumerate(sol):
+                for index in range(len(form.coeffs)):
+                    changed = list(sol)
+                    changed[r] = _off_by_one(form, index)
+                    sols = list(cert.solutions)
+                    sols[i] = tuple(changed)
+                    assert not LiftingCertificate(cert.data, tuple(sols)).verify(), (i, r, index)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [*ORACLE_PRIMES, None])
+def test_quadratic_builders_match_the_old_ones(p):
+    fld = QQ if p is None else FieldSpec.prime_field(p)
+    rng = random.Random(11 if p is None else p)
+    datas = [random_sigma_data(fld, rng) for _ in range(40)]
+    one, zero = BinForm.one(fld), BinForm.zero(fld)
+    f0, f1 = datas[0].f0, datas[0].f1
+    datas += [SigmaTwoData(2, 0, 0, f0, f1, g0, g1, zero) for f0, f1, g0, g1 in
+              ((zero, f1, f0, f1), (f0, zero, f1, f0), (one, one, zero, zero), (zero, zero, one, one))]
+    for data in datas:
+        f0, f1 = data.f0, data.f1
+        assert s6prime_rows(f0, f1) == relalg_reference.s6prime_rows(f0, f1)
+        assert relation_matrix(f0, f1) == relalg_reference.relation_matrix(f0, f1)
+        cert = LiftingCertificate(data, ())
+        assert cert.columns() == relalg_reference.columns(cert)
