@@ -282,7 +282,7 @@ class BinForm:
             return False
         return self.monic() == other.monic()
 
-    # -- evaluation and calculus ------------------------------------------
+    # -- evaluation -------------------------------------------------------
 
     def evaluate(self, a, b) -> Scalar:
         """Value at (t0, t1) = (a, b): Horner in t0, the powers of t1 folded in.
@@ -306,22 +306,7 @@ class BinForm:
             val, b_pow = val * a + n * b_pow, b_pow * b
         return Fraction(val, self.den * (ad * bd) ** (len(self.nums) - 1))
 
-    def deriv_t0(self) -> "BinForm":
-        """Formal partial derivative with respect to t0."""
-        d = len(self.nums) - 1
-        nums = [(d - i) * n for i, n in enumerate(self.nums[:-1])]
-        return BinForm.from_numerators(self.field, nums, self.den)
-
-    def deriv_t1(self) -> "BinForm":
-        """Formal partial derivative with respect to t1."""
-        nums = [i * n for i, n in enumerate(self.nums[1:], 1)]
-        return BinForm.from_numerators(self.field, nums, self.den)
-
     # -- chart t1 = 1 ------------------------------------------------------
-
-    def dehomogenize(self) -> list:
-        """Coefficients of f(x, 1) ascending in x; exact length deg+1."""
-        return list(self.coeffs[::-1])
 
     def _chart(self) -> list:
         """Numerators of f(x, 1) ascending in x, trimmed: the factor t1^e is dropped."""

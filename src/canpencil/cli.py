@@ -224,11 +224,11 @@ LEDGERS = {
 }
 
 
-#: largest --trials that verify runs: `verify all` costs about 1.5 ms per
-#: trial over F_10007 and 1.3 ms over QQ (1000 trials, median of 5
-#: in-process runs, CPython 3.11 on a 2-core host) and grows linearly in
-#: the trials, so a run at the limit takes about 15 s over F_10007 and 13 s
-#: over QQ.
+#: largest --trials that verify runs: `verify all` costs about 0.6-0.8 ms
+#: per trial over F_10007 and over QQ, and 0.8-1.0 ms over F_(2^31 - 1)
+#: (1000 trials, median of 5 in-process runs, four sessions, CPython 3.11.7
+#: on a shared 2-core host) and grows linearly in the trials, so a run at
+#: the limit takes about 8 s over F_10007 or QQ and 10 s over F_(2^31 - 1).
 TRIALS_MAX = 10_000
 
 

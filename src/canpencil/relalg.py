@@ -31,6 +31,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .binform import (
     BinForm,
+    _pack,
+    _unpack,
     count_distinct_roots,
     divexact,
     divides,
@@ -104,19 +106,47 @@ BinMatrix = List[List[BinForm]]
 
 
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    if not all(len(r) == inner for r in a):
+    """The product a b.
+
+    Over F_p each entry is packed once into slots of k 64-bit words, the
+    fewest that hold inner * n * (p - 1)^2 for entries of at most n
+    coefficients (Kronecker substitution, von zur Gathen-Gerhard §8.4): an
+    output entry is one sum of big-int products, unpacked and reduced once.
+    Over QQ, for mixed fields, and where its nonzero products differ in
+    degree, an entry is their BinForm sum in k order, which raises on the
+    mismatch unless the partial sum has cancelled to zero first.
+    """
+    inner, cols = len(b), len(b[0])
+    if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
         raise AssertionError("matrix shapes do not chain")
+    entries = [e for r in (*a, *b) for e in r]
+    field = entries[0].field if entries else QQ  # no entry: the loop's empty product
+    if (p := field.p) is None or any(e.field is not field and e.field != field for e in entries):
+        return [[_sum_of_products(r, b, j) for j in range(cols)] for r in a]
+    n = max([len(e.nums) for e in entries]) or 1
+    k = -(-(inner * n * (p - 1) ** 2).bit_length() // 64)
+    columns = [[(len(e.nums), _pack(e.nums, k) if e.nums else 0) for e in c] for c in zip(*b)]
     out = []
-    for i in range(rows):
+    for r in a:
+        packed = [(len(e.nums), _pack(e.nums, k) if e.nums else 0) for e in r]
         row = []
-        for j in range(cols):
-            acc = BinForm.zero(a[i][0].field)
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
+        for j, col in enumerate(columns):
+            lengths = {la + lb - 1 for (la, x), (lb, y) in zip(packed, col) if x and y}
+            if len(lengths) > 1:
+                row.append(_sum_of_products(r, b, j))
+            else:
+                acc = sum([x * y for (_, x), (_, y) in zip(packed, col)])
+                row.append(BinForm.from_numerators(field, _unpack(acc, max(lengths, default=0), k)))
         out.append(row)
     return out
+
+
+def _sum_of_products(row: List[BinForm], b: BinMatrix, j: int) -> BinForm:
+    """Entry j of the row times b, summed one BinForm product at a time."""
+    acc = BinForm.zero(row[0].field)
+    for x, b_row in zip(row, b):
+        acc = acc + x * b_row[j]
+    return acc
 
 
 def mat_is_zero(a: BinMatrix) -> bool:
@@ -264,13 +294,9 @@ def s6prime_rows(f0: BinForm, f1: BinForm) -> tuple:
         ( 3 f1^2   -2 f0 f1    f0^2      0     )
         ( 0         f1^2      -2 f0 f1   3 f0^2 )
     """
-    field = f0.field
-    zero = BinForm.zero(field)
-    three = BinForm.constant(field, 3)
-    m2 = BinForm.constant(field, -2)
-    row0 = (three * f1 * f1, m2 * f0 * f1, f0 * f0, zero)
-    row1 = (zero, f1 * f1, m2 * f0 * f1, three * f0 * f0)
-    return (row0, row1)
+    f00, m2f01, f11 = f0 * f0, (f0 * f1).scale(-2), f1 * f1
+    zero = BinForm.zero(f0.field)
+    return ((f11.scale(3), m2f01, f00, zero), (zero, f11, m2f01, f00.scale(3)))
 
 
 def s6prime_matrix(data: SigmaTwoData) -> S6Prime:
@@ -289,15 +315,9 @@ def relation_matrix(f0: BinForm, f1: BinForm) -> BinMatrix:
     Columns are (f0 y0 + f1 y1)^2 * y0 and (f0 y0 + f1 y1)^2 * y1 written in
     the cubic monomial basis (y0^3, y0^2 y1, y0 y1^2, y1^3).
     """
-    field = f0.field
-    zero = BinForm.zero(field)
-    two = BinForm.constant(field, 2)
-    return [
-        [f0 * f0, zero],
-        [two * f0 * f1, f0 * f0],
-        [f1 * f1, two * f0 * f1],
-        [zero, f1 * f1],
-    ]
+    f00, two_f01, f11 = f0 * f0, (f0 * f1).scale(2), f1 * f1
+    zero = BinForm.zero(f0.field)
+    return [[f00, zero], [two_f01, f00], [f11, two_f01], [zero, f11]]
 
 
 # ---------------------------------------------------------------------------
@@ -324,19 +344,14 @@ class LiftingCertificate:
 
     def columns(self) -> BinMatrix:
         f0, f1, g0 = self.data.f0, self.data.f1, self.data.g0
-        field = self.data.field
-        zero = BinForm.zero(field)
-        two = BinForm.constant(field, 2)
-        return [
-            [f0 * f0, zero, zero],
-            [two * f0 * f1, f0 * f0, zero],
-            [-g0, zero, f0 * f0],
-        ]
+        f02, zero = f0 * f0, BinForm.zero(self.data.field)
+        return [[f02, zero, zero], [(f0 * f1).scale(2), f02, zero], [-g0, zero, f02]]
 
     def verify(self) -> bool:
-        f04 = self.data.f0 ** 4
+        columns = self.columns()
+        f04 = columns[0][0] * columns[0][0]  # (f0^2)^2
         zero = BinForm.zero(self.data.field)
-        prod = mat_mul(self.columns(), [list(row) for row in zip(*self.solutions)])
+        prod = mat_mul(columns, [list(row) for row in zip(*self.solutions)])
         return all(
             prod[r][i] == (f04 if r == i else zero) for r in range(3) for i in range(3)
         )
@@ -352,16 +367,15 @@ def lifting_annihilator(data: SigmaTwoData) -> LiftingCertificate:
     if data.f0.is_zero:
         raise SigmaError("f0 must be nonzero for the annihilator")
     f0, f1, g0 = data.f0, data.f1, data.g0
-    field = data.field
     f02 = f0 * f0
     f04 = f02 * f02
-    two = BinForm.constant(field, 2)
-    zero = BinForm.zero(field)
+    two_f01 = (f0 * f1).scale(2)
+    zero = BinForm.zero(data.field)
     sols = []
     for i in range(3):
         rhs = [f04 if r == i else zero for r in range(3)]
         x0 = divexact(rhs[0], f02)
-        x1 = divexact(rhs[1] - two * f0 * f1 * x0, f02)
+        x1 = divexact(rhs[1] - two_f01 * x0, f02)
         x2 = divexact(rhs[2] + g0 * x0, f02)
         sols.append((x0, x1, x2))
     cert = LiftingCertificate(data, tuple(sols))

@@ -10,6 +10,11 @@ packed-slot kernel: one schoolbook square and one schoolbook `_divmod` per
 exponent bit.  `canpencil.binform._fp_shift_power` must match it.
 
 The oracle tests in test_binform.py and test_census.py compare the two.
+
+`deriv_t0`, `deriv_t1` and `dehomogenize` are the formal partial
+derivatives and the chart t1 = 1 of a form, as `BinForm` methods had them.
+No package code uses them; the tests use them to state what the census
+computes in its charts.
 """
 
 from fractions import Fraction
@@ -144,6 +149,24 @@ def parse_binform(text: str, field: FieldSpec) -> BinForm:
     for c, e0, e1, _ in live:
         coeffs[e1] = field.add(coeffs[e1], c)
     return BinForm(field, coeffs)
+
+
+def deriv_t0(f: BinForm) -> BinForm:
+    """Formal partial derivative with respect to t0."""
+    d = len(f.nums) - 1
+    nums = [(d - i) * n for i, n in enumerate(f.nums[:-1])]
+    return BinForm.from_numerators(f.field, nums, f.den)
+
+
+def deriv_t1(f: BinForm) -> BinForm:
+    """Formal partial derivative with respect to t1."""
+    nums = [i * n for i, n in enumerate(f.nums[1:], 1)]
+    return BinForm.from_numerators(f.field, nums, f.den)
+
+
+def dehomogenize(f: BinForm) -> list:
+    """Coefficients of f(x, 1) ascending in x; exact length deg+1."""
+    return list(f.coeffs[::-1])
 
 
 def shift_power_schoolbook(a: int, e: int, f: list, p: int) -> list:

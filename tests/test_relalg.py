@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from canpencil.binform import (
@@ -577,6 +577,15 @@ def test_mat_mul_of_all_top_entries_at_the_slot_width_boundary(inner, n):
 
 
 @pytest.mark.oracle
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+def test_mat_mul_of_zero_forms_only(p):
+    z = BinForm.zero(FieldSpec.prime_field(p))
+    a, b = [[z, z], [z, z]], [[z], [z]]
+    assert mat_mul(a, b) == relalg_reference.mat_mul(a, b) == [[z], [z]]
+    assert mat_mul([], [[]]) == relalg_reference.mat_mul([], [[]]) == []
+
+
+@pytest.mark.oracle
 @pytest.mark.parametrize("p", [*ORACLE_PRIMES, None])
 def test_mat_mul_cancelled_partial_sum_takes_a_product_of_another_degree(p):
     fld = QQ if p is None else FieldSpec.prime_field(p)
@@ -599,6 +608,27 @@ def test_mat_mul_degree_mismatch_raises_the_loop_message(p):
     with pytest.raises(BinFormError, match="^degree mismatch in sum: 3 vs 2$") as new:
         mat_mul(a, b)
     assert str(new.value) == str(old.value)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("first", [F10007, QQ], ids=str)
+def test_mat_mul_mixed_fields_raise_the_loop_message(first):
+    other = QQ if first is F10007 else F10007
+    a = [[parse_binform("t0", first), parse_binform("t1", other)]]
+    b = [[parse_binform("t0", first)], [parse_binform("t1", first)]]
+    with pytest.raises(BinFormError) as old:
+        relalg_reference.mat_mul(a, b)
+    with pytest.raises(BinFormError, match="^mixed coefficient fields") as new:
+        mat_mul(a, b)
+    assert str(new.value) == str(old.value)
+
+
+@pytest.mark.parametrize("field", [F10007, QQ], ids=str)
+def test_mat_mul_refuses_a_ragged_right_factor(field):
+    x = parse_binform("t0", field)
+    for b in ([[x, x], [x]], [[x], [x, x]]):
+        with pytest.raises(AssertionError, match="do not chain"):
+            mat_mul([[x, x]], b)
 
 
 def _off_by_one(form: BinForm, index: int) -> BinForm:
