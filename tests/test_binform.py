@@ -26,6 +26,7 @@ from canpencil.binform import (
     random_binform,
     random_split_squarefree,
     roots,
+    scan_binform,
     sqrt_mod,
 )
 import canpencil.binform as binform_mod
@@ -1033,6 +1034,26 @@ def expected_outcome(text, field):
     return outcome
 
 
+def _printed_scalars(fld):
+    """Printer coefficients: residues over F_p; over QQ, integers of one digit and of up to 31
+    digits, of either sign, and small rationals."""
+    if not fld.is_rational:
+        return oracle_scalars(fld)
+    return st.one_of(st.integers(-9, 9), st.integers(-10**30, 10**30), oracle_scalars(fld))
+
+
+@st.composite
+def printed_forms(draw):
+    """A form over QQ, F_5 or F_35027 at degree 0..40, and a field to parse its print over."""
+    printed_over = draw(st.sampled_from([QQ, F5, F35027]))
+    f = draw(oracle_forms(printed_over, draw(st.integers(0, 40)), _printed_scalars(printed_over)))
+    return f, draw(st.sampled_from([printed_over, QQ, F5, F35027]))
+
+
+#: `format_binform` output exactly as printed, and a field to parse it over
+printer_literals = printed_forms().map(lambda case: (format_binform(case[0]), case[1]))
+
+
 @st.composite
 def spaced_printer_literals(draw):
     """`format_binform` output over QQ, F_5 or F_35027 at degree 0..40, with random
@@ -1051,6 +1072,7 @@ def spaced_printer_literals(draw):
     st.tuples(st.one_of(literal_soup, near_valid_literals).filter(_short_digit_runs),
               st.sampled_from(PARSE_FIELDS)),
     spaced_printer_literals(),
+    printer_literals,
 ))
 @example(("t0 + 1/5*t1", F5))
 @example(("7*t1 - t0 + 2/10", F5))
@@ -1078,6 +1100,67 @@ def spaced_printer_literals(draw):
 def test_parse_matches_reference_parser(case):
     text, field = case
     assert parse_outcome(parse_binform, text, field) == expected_outcome(text, field)
+
+
+_EDIT_CHARS = "0123456789t^*+- /@"
+
+
+@st.composite
+def edited_printer_literals(draw):
+    """`format_binform` output, two in three with one edit: a character replaced, inserted or
+    deleted, or a term inserted at a term boundary (a copy of a printed term or a monomial of a
+    nearby degree, with either sign, so that it may repeat a t1 exponent, cancel a term or
+    break homogeneity)."""
+    f, field = draw(printed_forms())
+    text = format_binform(f)
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete", "term"]))
+    if edit in ("replace", "delete"):
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + (draw(st.sampled_from(_EDIT_CHARS)) if edit == "replace" else "") + text[i + 1:]
+    elif edit == "insert":
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(_EDIT_CHARS)) + text[i:]
+    elif edit == "term":
+        if draw(st.booleans()):
+            body = draw(st.sampled_from(re.split(r" [-+] ", text.lstrip("-"))))
+        else:
+            degree = max(0, (f.degree or 0) + draw(st.integers(-1, 1)))
+            coeff = draw(st.sampled_from([1, 2, 4, 5, 12, 35027, 10**20]))
+            body = format_binform(BinForm.monomial(QQ, degree, draw(st.integers(0, degree)), coeff))
+        i = draw(st.sampled_from([m.start() for m in re.finditer(r" [-+] ", text)] + [len(text)]))
+        text = text[:i] + draw(st.sampled_from([" + ", " - "])) + body + text[i:]
+    return text, field
+
+
+def scan_outcome(text, field):
+    """What `scan_binform` makes of `text`: its value with the order and types of its
+    coefficients, or the error's message and offset."""
+    try:
+        degree, nums, den = scan_binform(text, field)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+    return degree, list(nums.items()), [type(n) for n in nums.values()], den, type(den)
+
+
+@pytest.mark.oracle
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edited_printer_literals(), printer_literals))
+@example(("-3*t0^2*t1 + 12*t0*t1^2 - t1^3", QQ))
+@example(("t0 + t1 - t1", F5))  # a repeated t1 exponent that cancels
+@example(("5*t0 + t1", F5))  # a coefficient that is 0 mod p
+@example(("4*t0^2 + 3*t1", F5))  # a term of another degree
+@example(("t0^2 + 3*t0^0*t1^2", QQ))
+@example(("07*t0 + t1", QQ))
+@example(("3/2*t0 + t1", F5))
+@example(("0", QQ))
+@example(("9" * 5000 + "*t0 + t1", QQ))  # past int()'s digit limit
+def test_scan_is_the_same_without_the_printed_lane(case):
+    """The printed-literal lane of `scan_binform` changes no value, message or offset."""
+    text, field = case
+    fast = scan_outcome(text, field)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binform_mod, "_scan_printed", lambda text, p: None, raising=False)
+        assert fast == scan_outcome(text, field)
 
 
 # A literal must scan in time linear in its length, also when it is refused.
