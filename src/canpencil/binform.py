@@ -775,6 +775,18 @@ _FACTOR = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s
 _BAD = re.compile(r"(?!t[01])[^\W\d]\w*|[^\w\s*/^+-]")
 _SPACE = re.compile(r"\s*")
 
+# A literal exactly as `format_binform` prints a form with integral
+# coefficients: terms N, N*M or M joined by " + " or " - ", the first with an
+# optional "-", where M is t0[^e][*t1[^e]] or t1[^e], and N and e have no
+# leading zero.  The next character decides each piece, so a match that fails
+# does so in linear time.
+_NUMBER = r"[1-9]\d*"
+_MONO = rf"(?:t0(?:\^{_NUMBER})?(?:\*t1(?:\^{_NUMBER})?)?|t1(?:\^{_NUMBER})?)"
+_TERM = rf"(?:{_NUMBER}(?:\*{_MONO})?|{_MONO})"
+_PRINTED = re.compile(rf"-?{_TERM}(?: [-+] {_TERM})*")
+# (sign, N, t0, e0, t1, e1) per term of a literal that `_PRINTED` matched
+_PRINTED_TERM = re.compile(r"(?:^| )([-+]?) ?(\d*)\*?(t0)?(?:\^(\d+))?\*?(t1)?(?:\^(\d+))?")
+
 
 def _read_terms(text: str) -> list:
     """``[numerator, denominator, e0, e1, offset]`` per term of a literal, one `_FACTOR` match per factor.
@@ -848,6 +860,33 @@ def _syntax_error(text: str, pos: int, prev) -> ParseError:
     return ParseError("expected '+' or '-' between terms", pos)
 
 
+def _scan_printed(text: str, p: Optional[int]):
+    """`scan_binform`'s value for a literal that `_PRINTED` matches, or None.
+
+    None also where the back half would drop or merge a term, or word an
+    error: a coefficient that is 0 mod p, a repeated t1 exponent, a term of
+    another degree, or an integer past `sys.get_int_max_str_digits()`.
+    """
+    if not _PRINTED.fullmatch(text):
+        return None
+    degree, coeffs = None, {}
+    try:
+        for sign, num, t0, e0, t1, e1 in _PRINTED_TERM.findall(text):
+            c = -int(num or 1) if sign == "-" else int(num or 1)
+            if p:
+                c %= p
+                if not c:
+                    return None
+            j = int(e1 or 1) if t1 else 0
+            d = j + (int(e0 or 1) if t0 else 0)
+            if j in coeffs or (coeffs and d != degree):
+                return None
+            degree, coeffs[j] = d, c
+    except ValueError:  # int() past sys.get_int_max_str_digits()
+        return None
+    return degree, coeffs, 1
+
+
 def scan_binform(text: str, field: FieldSpec):
     """Read a literal as ``(degree, {t1 exponent: numerator}, den)`` without building the form.
 
@@ -866,7 +905,19 @@ def scan_binform(text: str, field: FieldSpec):
     invertible in `field` (at its own term), and a nonzero term whose
     degree differs from the first nonzero term's.  Both halves take time
     linear in the length of the text, also on a literal they refuse.
+
+    A literal exactly as `format_binform` prints a form with integral
+    coefficients, as every equation file that `generate` or
+    `SurfaceEquations.save` writes holds, takes a shorter lane first:
+    `_scan_printed` checks its shape with one `_PRINTED` match, reads it
+    with one `_PRINTED_TERM.findall`, and returns the same value.  Any
+    other text, and any printed literal whose terms the back half would
+    drop, merge or refuse, goes both halves' way, so every error is worded
+    there.
     """
+    printed = _scan_printed(text, field.p)
+    if printed is not None:
+        return printed
     terms = _read_terms(text)
     p, live, coeffs = field.p, [], {}
     for num, den, e0, e1, off in terms:

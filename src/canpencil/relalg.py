@@ -362,21 +362,23 @@ def lifting_annihilator(data: SigmaTwoData) -> LiftingCertificate:
 
     The matrix is lower triangular with diagonal f0^2, so each step is one
     exact division by f0^2; failure of any division would signal corrupt
-    data and raises.
+    data and raises.  Step i of solve i divides f0^4 itself, since the
+    entries above it are zero, so f0^4 / f0^2 is computed once for all three.
     """
     if data.f0.is_zero:
         raise SigmaError("f0 must be nonzero for the annihilator")
     f0, f1, g0 = data.f0, data.f1, data.g0
     f02 = f0 * f0
     f04 = f02 * f02
+    diag = divexact(f04, f02)
     two_f01 = (f0 * f1).scale(2)
     zero = BinForm.zero(data.field)
     sols = []
     for i in range(3):
         rhs = [f04 if r == i else zero for r in range(3)]
-        x0 = divexact(rhs[0], f02)
-        x1 = divexact(rhs[1] - two_f01 * x0, f02)
-        x2 = divexact(rhs[2] + g0 * x0, f02)
+        x0 = diag if i == 0 else divexact(rhs[0], f02)
+        x1 = diag if i == 1 else divexact(rhs[1] - two_f01 * x0, f02)
+        x2 = diag if i == 2 else divexact(rhs[2] + g0 * x0, f02)
         sols.append((x0, x1, x2))
     cert = LiftingCertificate(data, tuple(sols))
     if not cert.verify():

@@ -155,8 +155,13 @@ def _check_term(
 
     The monomial's exponents must be non-negative with fiber weight equal to
     the H-degree, and the coefficient's degree must equal m + a(M) >= 0.
+    A term that meets all three returns after one test; any other is
+    refused by the first check it fails, in that order.
     """
     h, m = bidegree
+    expected = slot_degree(bundle, m, mono)
+    if degree == expected >= 0 and mono.weight == h and min(mono) >= 0:
+        return
     if any(e < 0 for e in mono):
         raise SectionDegreeError(mono, 0, None, f"negative exponent in monomial {mono}")
     if mono.weight != h:
@@ -164,7 +169,6 @@ def _check_term(
             mono, h, mono.weight,
             f"monomial {mono} has fiber weight {mono.weight}, section has H-degree {h}",
         )
-    expected = slot_degree(bundle, m, mono)
     if expected < 0:
         raise SectionDegreeError(
             mono, expected, degree,
@@ -439,9 +443,12 @@ def section_terms_from_dict(
     ``"x0*x0"``) is read by `monomial_from_str`, which also words every key
     error.  Each literal is scanned and its degree checked against its
     monomial's slot before its dense form is built, so a literal such as
-    ``"t0^99999999999"`` is refused without allocating it.  The section is
-    not validated again: `GradedSection.validate` would repeat the same
-    checks on the same terms.
+    ``"t0^99999999999"`` is refused without allocating it.  A literal
+    exactly as `format_binform` prints it with integral coefficients, as
+    every file that `generate` or `SurfaceEquations.save` writes holds it,
+    is read a term at a time by `scan_binform`'s printed lane; other text
+    is read a factor at a time.  The section is not validated again:
+    `GradedSection.validate` would repeat the same checks on the same terms.
     """
     terms = {}
     for mono_s, coeff_s in body.items():

@@ -1169,6 +1169,7 @@ def test_scan_is_the_same_without_the_printed_lane(case):
 # that into a failure instead of a hang.
 _SPACES = " " * 10**5
 _N = len(_SPACES)
+_TALL = [(-1) ** i * (i % 97 + 1) for i in range(5001)]  # a degree-5000 form, no zero term
 LONG_LITERALS = {  # id: (literal, the outcome of parsing it over QQ)
     "leading": (_SPACES + "@", _parse_error("unexpected character '@'", _N)),
     "after-sign": ("-" + _SPACES + "@", _parse_error("unexpected character '@'", _N + 1)),
@@ -1194,6 +1195,11 @@ LONG_LITERALS = {  # id: (literal, the outcome of parsing it over QQ)
                                     _parse_error("unexpected character '@'", _N + 3)),
     "valid": (_SPACES + "t0" + _SPACES + "+" + _SPACES + "t1" + _SPACES,
               parse_outcome(parse_binform, "t0 + t1", QQ)),
+    # printed shape up to the last character, so the printed lane's match fails only there
+    "printed-many-terms": (" + ".join(["3*t0^2*t1"] * 10**4) + "@",
+                           _parse_error("unexpected character '@'", 10**4 * 12 - 3)),
+    "printed-degree-5000": (format_binform(BinForm(QQ, _TALL)),
+                            ("form", QQ, tuple(map(Fraction, _TALL)), (Fraction,) * 5001)),
 }
 
 

@@ -21,6 +21,7 @@ from canpencil.family import (
     generate_member,
     genus_feasibility,
 )
+import canpencil.binform as binform_mod
 import canpencil.sections as sections_mod
 from canpencil.binform import BinForm
 from canpencil.fields import QQ, FieldSpec
@@ -186,6 +187,24 @@ def test_over_degree_literal_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.filterwarnings("ignore:theta = ")
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime_field(11), FieldSpec.prime_field(35027)],
+                         ids=["qq", "fp:11", "fp:35027"])
+def test_every_printed_coefficient_takes_the_printed_lane(field, monkeypatch):
+    """Loading reads each literal the toolkit writes with `binform._scan_printed`, and its value
+    is the one `scan_binform` reads without it."""
+    lane = binform_mod._scan_printed
+    literals = [(pg, theta, c) for pg in (2, 3, 10, 40) for theta in range(7)
+                for s in ("Q", "G")
+                for c in generate_member(FamilyParams(pg, theta, field, seed=pg + theta))
+                .to_json_dict()[s].values()]
+    fast = [lane(c, field.p) for _, _, c in literals]
+    monkeypatch.setattr(binform_mod, "_scan_printed", lambda text, p: None)
+    for (pg, theta, c), value in zip(literals, fast):
+        assert value is not None, (pg, theta, c)
+        assert value == binform_mod.scan_binform(c, field), (pg, theta, c)
 
 
 def _counting_check_term(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from canpencil.binform import BinForm, parse_binform, random_binform
 from canpencil.fields import QQ, FieldSpec
+import canpencil.sections as sections_mod
 from canpencil.relalg import YPoly
 from canpencil.sections import (
     _KEYS,
@@ -128,6 +130,56 @@ def test_wrong_fiber_weight_rejected():
     s = GradedSection(b, QQ, (2, 0), {FiberMonomial(1, 0, 1, 0): BinForm.constant(QQ, 1)})
     with pytest.raises(SectionDegreeError):
         s.validate()
+
+
+def _ordered_check_term(bundle, bidegree, mono, degree):
+    """`sections._check_term` as it was before its accept path: the four checks in order."""
+    h, m = bidegree
+    if any(e < 0 for e in mono):
+        raise SectionDegreeError(mono, 0, None, f"negative exponent in monomial {mono}")
+    if mono.weight != h:
+        raise SectionDegreeError(
+            mono, h, mono.weight,
+            f"monomial {mono} has fiber weight {mono.weight}, section has H-degree {h}",
+        )
+    expected = m + mono.twist_sum(bundle)
+    if expected < 0:
+        raise SectionDegreeError(
+            mono, expected, degree,
+            f"monomial {mono} has prescribed degree {expected} < 0 and must carry the zero form",
+        )
+    if degree != expected:
+        raise SectionDegreeError(
+            mono, expected, degree, f"coefficient of {mono} has degree {degree}, expected {expected}"
+        )
+
+
+_VERDICTS = ("negative exponent", "fiber weight", "prescribed degree", "expected")  # by check
+
+
+def _check_outcome(check, *args):
+    try:
+        check(*args)
+    except SectionDegreeError as exc:
+        return str(exc), exc.monomial, exc.expected, exc.actual
+    return None
+
+
+def test_check_term_accepts_and_refuses_as_the_ordered_checks_do():
+    """Every term, valid or not, meets the same verdict and message as under the ordered checks,
+    also where a negative exponent leaves the weight and the slot degree right."""
+    verdicts = set()
+    for bundle in (BundleData(2, 0), BundleData(5, 3)):
+        for exps in itertools.product(range(-1, 3), repeat=4):
+            mono = FiberMonomial(*exps)
+            for bidegree in ((2, -2 * bundle.pg), (6, -2), (mono.weight, -3)):
+                expected = bidegree[1] + mono.twist_sum(bundle)
+                for degree in {expected - 1, expected, expected + 1, 0}:
+                    args = (bundle, bidegree, mono, degree)
+                    outcome = _check_outcome(sections_mod._check_term, *args)
+                    assert outcome == _check_outcome(_ordered_check_term, *args), args
+                    verdicts.add(outcome and next(k for k in _VERDICTS if k in outcome[0]))
+    assert verdicts == {None, *_VERDICTS}
 
 
 # -- multiplication ---------------------------------------------------------------
