@@ -1107,7 +1107,7 @@ _EDIT_CHARS = "0123456789t^*+- /@"
 
 @st.composite
 def edited_printer_literals(draw):
-    """`format_binform` output, two in three with one edit: a character replaced, inserted or
+    """`format_binform` output, four in five with one edit: a character replaced, inserted or
     deleted, or a term inserted at a term boundary (a copy of a printed term or a monomial of a
     nearby degree, with either sign, so that it may repeat a t1 exponent, cancel a term or
     break homogeneity)."""
