@@ -155,20 +155,16 @@ def _check_term(
 
     The monomial's exponents must be non-negative with fiber weight equal to
     the H-degree, and the coefficient's degree must equal m + a(M) >= 0.
-    A term that meets all three returns after one test; any other is
-    refused by the first check it fails, in that order.
     """
     h, m = bidegree
-    expected = slot_degree(bundle, m, mono)
-    if degree == expected >= 0 and mono.weight == h and min(mono) >= 0:
-        return
-    if any(e < 0 for e in mono):
+    if min(mono) < 0:
         raise SectionDegreeError(mono, 0, None, f"negative exponent in monomial {mono}")
     if mono.weight != h:
         raise SectionDegreeError(
             mono, h, mono.weight,
             f"monomial {mono} has fiber weight {mono.weight}, section has H-degree {h}",
         )
+    expected = slot_degree(bundle, m, mono)
     if expected < 0:
         raise SectionDegreeError(
             mono, expected, degree,

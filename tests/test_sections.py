@@ -133,7 +133,7 @@ def test_wrong_fiber_weight_rejected():
 
 
 def _ordered_check_term(bundle, bidegree, mono, degree):
-    """`sections._check_term` as it was before its accept path: the four checks in order."""
+    """A reference for `sections._check_term`: the four checks in order, the first with `any`."""
     h, m = bidegree
     if any(e < 0 for e in mono):
         raise SectionDegreeError(mono, 0, None, f"negative exponent in monomial {mono}")
