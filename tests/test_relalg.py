@@ -286,6 +286,25 @@ def test_lifting_requires_nonzero_f0():
         lifting_annihilator(data)
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("p", [None, 5, 10007, 2**31 - 1])
+def test_lifting_annihilator_matches_back_substitution(p):
+    fld = QQ if p is None else FieldSpec.prime_field(p)
+    rng = random.Random(23 if p is None else p)
+    datas = [random_sigma_data(fld, rng) for _ in range(200)]
+    if p is None:
+        datas += [example_data(key) for key in EXAMPLE_KEYS]
+    for data in datas:
+        if data.f0.is_zero:
+            for solve in (lifting_annihilator, relalg_reference.lifting_annihilator):
+                with pytest.raises(SigmaError, match="f0 must be nonzero"):
+                    solve(data)
+            continue
+        got = lifting_annihilator(data)
+        assert got.solutions == relalg_reference.lifting_annihilator(data).solutions
+        assert got.verify()
+
+
 # -- the induced branch map ---------------------------------------------------------
 
 
