@@ -56,45 +56,50 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _bad_modulus(p) -> ValueError:
+    return ValueError(f"prime modulus must satisfy {PRIME_MIN} <= p < 2**31, got {p!r}")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Either the rationals or a prime field F_p with 5 <= p < 2**31."""
+    """The rationals (p is None) or a prime field F_p with 5 <= p < 2**31."""
 
-    kind: str  # "rationals" | "prime_field"
     p: int | None = None
 
     def __post_init__(self):
-        if self.kind == "rationals":
-            if self.p is not None:
-                raise ValueError("rationals carry no modulus")
-        elif self.kind == "prime_field":
-            p = self.p
-            if not isinstance(p, int) or not (PRIME_MIN <= p < PRIME_MAX):
-                raise ValueError(f"prime modulus must satisfy {PRIME_MIN} <= p < 2**31, got {p!r}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
+        p = self.p
+        if p is None:
+            return
+        if not isinstance(p, int) or not (PRIME_MIN <= p < PRIME_MAX):
+            raise _bad_modulus(p)
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rationals() -> "FieldSpec":
-        return FieldSpec("rationals")
+        return FieldSpec()
 
     @staticmethod
     def prime_field(p: int) -> "FieldSpec":
-        return FieldSpec("prime_field", p)
+        if p is None:  # FieldSpec(None) is the rationals
+            raise _bad_modulus(p)
+        return FieldSpec(p)
 
     # -- predicates ----------------------------------------------------
 
     @property
+    def kind(self) -> str:
+        return "rationals" if self.p is None else "prime_field"
+
+    @property
     def is_rational(self) -> bool:
-        return self.kind == "rationals"
+        return self.p is None
 
     @property
     def is_prime_field(self) -> bool:
-        return self.kind == "prime_field"
+        return self.p is not None
 
     # -- arithmetic on canonical scalars -------------------------------
 
@@ -132,14 +137,12 @@ class FieldSpec:
     def inv(self, a: Scalar) -> Scalar:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p) if self.is_prime_field else 1 / a
+        return pow(a, -1, self.p) if self.is_prime_field else Fraction(1) / a
 
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
-        if self.is_rational:
-            return {"kind": "rationals"}
-        return {"kind": "prime_field", "p": self.p}
+        return {"kind": self.kind} if self.is_rational else {"kind": self.kind, "p": self.p}
 
     @staticmethod
     def from_json(d: dict) -> "FieldSpec":

@@ -63,6 +63,20 @@ def test_rational_field_json_roundtrip():
         assert FieldSpec.from_json(fld.to_json()) == fld
 
 
+def test_rational_inverse_is_exact():
+    for a in (2, Fraction(2), Fraction(-3, 7)):
+        inverse = QQ.inv(a)
+        assert type(inverse) is Fraction and inverse * a == 1
+    assert F101.inv(2) == 51
+
+
+def test_field_kind_follows_the_modulus():
+    assert (QQ.kind, F101.kind) == ("rationals", "prime_field")
+    assert FieldSpec() == QQ and FieldSpec(101) == F101
+    with pytest.raises(ValueError, match="^prime modulus must satisfy 5 <= p < 2\\*\\*31, got None$"):
+        FieldSpec.prime_field(None)
+
+
 # -- arithmetic: spec examples ------------------------------------------------
 
 
