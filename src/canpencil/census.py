@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
@@ -61,13 +61,12 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
 
     A member over F_p itself is returned at once: its `FieldSpec` checked p
     when it was built, so the primality test does not run again.  A member
-    over another prime field is refused once p itself has been checked.
+    over another prime field is refused by `_census_prime`, and for a
+    rational member p is checked before anything is reduced.
     """
-    if isinstance(p, int) and eqs.field.p == p:
+    if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
         return eqs
-    spec = FieldSpec.prime_field(p)  # rejects 2, 3, composites
-    if eqs.field.is_prime_field:
-        raise ValueError(f"member lives over F_{eqs.field.p}, cannot census at p = {p}")
+    spec = FieldSpec.prime_field(p)  # rejects None, 2, 3, composites
     def reduce_section(s: GradedSection) -> GradedSection:
         terms = {m: _reduce_form(coeff, spec) for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)
@@ -83,8 +82,11 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
 class NodeRecord:
     point: WPSPoint
     multiplicity: int
-    a1_ok: bool
     hessian_det: int
+
+    @property
+    def a1_ok(self) -> bool:
+        return self.hessian_det != 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,8 +101,14 @@ class NodeRecord:
 class NodeCensus:
     nodes: Tuple[NodeRecord, ...]
     bound: int  # 2 p_g - 2 + theta, the count over the algebraic closure
-    rational_multiplicity_total: int
-    roots_outside_field: bool
+
+    @property
+    def rational_multiplicity_total(self) -> int:
+        return sum(r.multiplicity for r in self.nodes)
+
+    @property
+    def roots_outside_field(self) -> bool:
+        return self.rational_multiplicity_total < self.bound
 
 
 def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int], p: int) -> Tuple[int, int]:
@@ -145,23 +153,8 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     records = []
     for base in sorted(found):
         qy_d = _chart_value_and_derivative(qy, base, p)[1]
-        det = -2 * qy_d * qy_d % p
-        records.append(
-            NodeRecord(
-                point=WPSPoint(base, (0, 0, 1, 0)),
-                multiplicity=found[base],
-                a1_ok=det != 0,
-                hessian_det=det,
-            )
-        )
-    total = sum(found.values())
-    bound = 2 * eqs.bundle.pg - 2 + eqs.bundle.theta
-    return NodeCensus(
-        nodes=tuple(records),
-        bound=bound,
-        rational_multiplicity_total=total,
-        roots_outside_field=total < bound,
-    )
+        records.append(NodeRecord(WPSPoint(base, (0, 0, 1, 0)), found[base], -2 * qy_d * qy_d % p))
+    return NodeCensus(tuple(records), 2 * eqs.bundle.pg - 2 + eqs.bundle.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +165,13 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
 @dataclass(frozen=True)
 class BranchViolation:
     point: WPSPoint
-    branch_value: int  # always 0: recorded for the report schema
+
+    @property
+    def branch_value(self) -> int:
+        return 0  # the branch form vanishes at every violation
 
     def to_json_dict(self) -> dict:
-        return {"point": self.point.to_json_dict(), "branch_value": self.branch_value}
+        return {"point": self.point.to_json_dict(), "branch_value": 0}
 
 
 def branch_disjointness(
@@ -192,7 +188,7 @@ def branch_disjointness(
     if census is None:
         census = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
-    return [BranchViolation(rec.point, 0) for rec in census.nodes
+    return [BranchViolation(rec.point) for rec in census.nodes
             if g003.evaluate(*rec.point.base) == 0]
 
 
@@ -410,15 +406,18 @@ def _rank_below_two(r1, r2, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularReport:
     p_nodes: int
-    p_sweep: Optional[int]
-    nodes: NodeCensus = None
-    branch_hits: List[BranchViolation] = dc_field(default_factory=list)
-    cone_singularities: List[WPSPoint] = dc_field(default_factory=list)
-    sweep_skipped: bool = False
-    timings: Dict[str, float] = dc_field(default_factory=dict)
+    p_sweep: Optional[int]  # None: the sweep was skipped
+    nodes: NodeCensus
+    branch_hits: List[BranchViolation]
+    cone_singularities: List[WPSPoint]
+    timings: Dict[str, float]
+
+    @property
+    def sweep_skipped(self) -> bool:
+        return self.p_sweep is None
 
     @property
     def clean(self) -> bool:
@@ -451,16 +450,18 @@ class SingularReport:
 SWEEP_PRIME_MAX = 257
 
 
-def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: int) -> int:
-    """p, or `default` when p is None, for a rational member; else the member's prime."""
-    if not eqs.field.is_prime_field:
+def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: Optional[int]) -> int:
+    """p, or `default` when p is None, for a rational member; else the member's prime.
+
+    A member over F_q is censused at q alone: any other p is a ValueError.
+    """
+    q = eqs.field.p
+    if q is None:
         return default if p is None else p
-    if p is not None and p != eqs.field.p:
-        raise ValueError(
-            f"member lives over F_{eqs.field.p}; censusing at --prime {p} "
-            "would cross characteristics"
-        )
-    return eqs.field.p
+    if p is not None and p != q:
+        raise ValueError(f"member lives over F_{q}; censusing at --prime {p} "
+                         "would cross characteristics")
+    return q
 
 
 def run_census(
@@ -485,16 +486,16 @@ def run_census(
             f"sweep at p = {p_sweep} would visit {(p_sweep + 1) ** 2} fiber candidates "
             f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"
         )
-    report = SingularReport(p_nodes=p_nodes, p_sweep=None if skip_sweep else p_sweep)
     t0 = time.perf_counter()
     reduced = _as_prime_equations(eqs, p_nodes)
-    report.nodes = node_census(reduced, p_nodes)
-    report.branch_hits = branch_disjointness(reduced, p_nodes, report.nodes)
-    report.timings["nodes_s"] = round(time.perf_counter() - t0, 6)
-    if not skip_sweep:
-        t1 = time.perf_counter()
-        report.cone_singularities = quasi_smooth_sweep(eqs, p_sweep)
-        report.timings["sweep_s"] = round(time.perf_counter() - t1, 6)
+    nodes = node_census(reduced, p_nodes)
+    branch_hits = branch_disjointness(reduced, p_nodes, nodes)
+    timings = {"nodes_s": round(time.perf_counter() - t0, 6)}
+    cone_singularities = []
+    if skip_sweep:
+        p_sweep = None
     else:
-        report.sweep_skipped = True
-    return report
+        t1 = time.perf_counter()
+        cone_singularities = quasi_smooth_sweep(eqs, p_sweep)
+        timings["sweep_s"] = round(time.perf_counter() - t1, 6)
+    return SingularReport(p_nodes, p_sweep, nodes, branch_hits, cone_singularities, timings)

@@ -1077,6 +1077,16 @@ def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
     assert str(err.value) == "bad reduction mod 11: denominator 33 not invertible mod 11"
 
 
+def test_one_rule_refuses_a_prime_member_at_another_prime():
+    member = generate_member(FamilyParams(2, 0, F11, seed=1))
+    message = "^member lives over F_11; censusing at --prime 13 would cross characteristics$"
+    for census in (node_census, branch_disjointness, quasi_smooth_sweep, run_census):
+        with pytest.raises(ValueError, match=message):
+            census(member, 13)
+    with pytest.raises(ValueError, match="^prime modulus must satisfy 5 <= p < 2\\*\\*31, got None$"):
+        node_census(member, None)
+
+
 def test_census_prime_mismatch_rejected():
     member = member_2_0(seed=20260808)
     with pytest.raises(ValueError, match="F_101"):
