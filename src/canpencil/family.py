@@ -448,8 +448,11 @@ def bidouble_cross_check(pg: int, theta: int) -> dict:
 @dataclass(frozen=True)
 class GenusVerdict:
     genus: int
-    feasible: bool
     conditions: Tuple[Tuple[str, bool], ...]
+
+    @property
+    def feasible(self) -> bool:
+        return all(ok for _, ok in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -458,7 +461,10 @@ class FeasibilityReport:
     chi: int
     q: int
     verdicts: Tuple[GenusVerdict, ...]
-    classification_complete: bool  # the filter is sharp only for chi > 20
+
+    @property
+    def classification_complete(self) -> bool:
+        return self.chi > 20  # the filter is sharp only for chi > 20
 
     @property
     def feasible_genera(self) -> set:
@@ -507,5 +513,5 @@ def genus_feasibility(k2: int, chi: int, q: int) -> FeasibilityReport:
             conds.append(("genus4_linear", 7 * k2 >= 48 * pg - 134))
         else:
             conds.append(("genus5_linear", 9 * k2 >= 80 * pg - 262))
-        verdicts.append(GenusVerdict(g, all(ok for _, ok in conds), tuple(conds)))
-    return FeasibilityReport(k2, chi, q, tuple(verdicts), chi > 20)
+        verdicts.append(GenusVerdict(g, tuple(conds)))
+    return FeasibilityReport(k2, chi, q, tuple(verdicts))
