@@ -358,29 +358,19 @@ class LiftingCertificate:
 
 
 def lifting_annihilator(data: SigmaTwoData) -> LiftingCertificate:
-    """Solve M x = f0^4 e_i for each i by back-substitution.
+    """The solutions of M x = f0^4 e_i, in closed form.
 
-    The matrix is lower triangular with diagonal f0^2, so each step is one
-    exact division by f0^2; failure of any division would signal corrupt
-    data and raises.  Step i of solve i divides f0^4 itself, since the
-    entries above it are zero, so f0^4 / f0^2 is computed once for all three.
+    M = f0^2 I + N, where N is nonzero only below the diagonal of column 0,
+    so N^2 = 0 and M (f0^2 I - N) = f0^4 I: the columns of f0^2 I - N,
+    (f0^2, -2 f0 f1, g0), (0, f0^2, 0) and (0, 0, f0^2), are the solutions.
+    The certificate is re-expanded before it is returned.
     """
     if data.f0.is_zero:
         raise SigmaError("f0 must be nonzero for the annihilator")
-    f0, f1, g0 = data.f0, data.f1, data.g0
-    f02 = f0 * f0
-    f04 = f02 * f02
-    diag = divexact(f04, f02)
-    two_f01 = (f0 * f1).scale(2)
-    zero = BinForm.zero(data.field)
-    sols = []
-    for i in range(3):
-        rhs = [f04 if r == i else zero for r in range(3)]
-        x0 = diag if i == 0 else divexact(rhs[0], f02)
-        x1 = diag if i == 1 else divexact(rhs[1] - two_f01 * x0, f02)
-        x2 = diag if i == 2 else divexact(rhs[2] + g0 * x0, f02)
-        sols.append((x0, x1, x2))
-    cert = LiftingCertificate(data, tuple(sols))
+    f0 = data.f0
+    f02, zero = f0 * f0, BinForm.zero(data.field)
+    sols = ((f02, (f0 * data.f1).scale(-2), data.g0), (zero, f02, zero), (zero, zero, f02))
+    cert = LiftingCertificate(data, sols)
     if not cert.verify():
         raise SigmaError("annihilator certificate failed to verify")  # arithmetic bug
     return cert
@@ -476,8 +466,8 @@ def xiao_bound(k2: int, chi: int, q: int, deg_tau: int, deg_tau_prime: int) -> X
 EXAMPLE_KEYS = ((1, 1, 15, 5), (1, 2, 12, 4), (2, 2, 20, 6))
 
 
-def example_data(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> SigmaTwoData:
-    """Rebuild the exceptional family with invariants (alpha, theta, K^2, p_g).
+def example_data(key: Tuple[int, int, int, int]) -> SigmaTwoData:
+    """Rebuild the exceptional family with invariants (alpha, theta, K^2, p_g) over QQ.
 
     Affine shorthand is homogenized once and for all: the degree-2 factor
     "t0 - 2" becomes t0 - 2*t1.
@@ -485,16 +475,12 @@ def example_data(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Sigma
     if key not in EXAMPLE_KEYS:
         raise ValueError(f"unknown example {key}; choose one of {EXAMPLE_KEYS}")
     alpha, theta, k2, pg = key
-    t0 = BinForm.t0(field)
-    t1 = BinForm.t1(field)
-    if alpha == 1:
-        f0 = t0
-    else:
-        f0 = t0 * (t0 - t1.scale(2))
+    t0, t1 = BinForm.t0(QQ), BinForm.t1(QQ)
+    f0 = t0 if alpha == 1 else t0 * (t0 - t1.scale(2))
     exp = (pg + 2) // alpha
     if alpha * exp != pg + 2:
         raise AssertionError(f"alpha = {alpha} does not divide p_g + 2 = {pg + 2}")
-    data = SigmaTwoData(
+    return SigmaTwoData(
         pg=pg,
         theta=theta,
         alpha=alpha,
@@ -502,9 +488,8 @@ def example_data(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Sigma
         f1=t1**(alpha + 2),
         g0=t1**(pg + alpha),
         g1=f0**(exp + 1),
-        g2=BinForm.zero(field),
+        g2=BinForm.zero(QQ),
     )
-    return data
 
 
 @dataclass(frozen=True)
@@ -539,7 +524,7 @@ def _ypoly_divisible(poly: YPoly, divisor: BinForm) -> bool:
     return all(divides(divisor, c) for c in poly.terms.values())
 
 
-def example_verify(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> ExampleReport:
+def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
     """Recompute and check every displayed identity of one exceptional family.
 
     (a) cleared congruence: f1^3 * E == (sum b_i y_i) * Q modulo f0^4, where
@@ -550,7 +535,7 @@ def example_verify(key: Tuple[int, int, int, int], field: FieldSpec = QQ) -> Exa
         equals t1^(theta-alpha) * f0 up to a unit and has exactly theta
         distinct roots.
     """
-    data = example_data(key, field)
+    data = example_data(key)
     split = validate_sigma2(data)
     checks: Dict[str, bool] = {}
     details: Dict[str, object] = {"split_type": split.twists}
