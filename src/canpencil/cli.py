@@ -116,8 +116,6 @@ def cmd_example(args) -> dict:
             }
         )
         out["all_passed"] = out["all_passed"] and rep.passed
-    if not out["all_passed"]:
-        raise CliError(json.dumps(out, sort_keys=True))
     return out
 
 
@@ -247,16 +245,13 @@ def cmd_verify(args) -> dict:
         checks += [{"name": name, "passed": passed, "details": details}
                    for name, passed, details in found]
     checks.sort(key=lambda c: c["name"])
-    doc = {
+    return {
         "field": str(field),
         "seed": args.seed,
         "trials": trials,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
-    if not doc["all_passed"]:
-        raise CliError(json.dumps(doc, sort_keys=True, indent=2))
-    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -345,19 +340,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        emit(_DISPATCH[args.command](args), getattr(args, "out", None))
+        doc = _DISPATCH[args.command](args)
+        emit(doc, getattr(args, "out", None))
     except CliError as exc:
-        msg = str(exc)
-        # ledger failures already carry a JSON document; wrap plain messages
-        if msg.startswith("{"):
-            print(msg)
-        else:
-            print(json.dumps({"error": msg}, sort_keys=True))
+        print(json.dumps({"error": str(exc)}, sort_keys=True))
         return exc.code
     except ValueError as exc:  # SigmaError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
         return 1
-    return 0
+    # verify and example report a failed check in their document
+    return 0 if doc.get("all_passed", True) else 1
 
 
 if __name__ == "__main__":

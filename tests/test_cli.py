@@ -531,6 +531,37 @@ def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
         assert message in failed[ledger]["error"]
 
 
+def _one_indented_document(printed):
+    doc = json.loads(printed)
+    assert printed == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
+def test_failing_verify_writes_to_out_the_document_it_prints(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "ledger.json"
+    _certificate_never_verifies(monkeypatch)
+    code = main(["verify", "lifting", "--seed", "1", "--trials", "3", "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 1 and _one_indented_document(printed)["all_passed"] is False
+    assert out.read_text() == printed
+
+
+def test_failing_example_prints_one_indented_document(capsys, monkeypatch):
+    from canpencil import relalg
+
+    exact = relalg.example_verify
+
+    def failing(key):
+        rep = exact(key)
+        return relalg.ExampleReport(rep.key, {**rep.checks, "tau-shape": False}, rep.details)
+
+    monkeypatch.setattr(relalg, "example_verify", failing)
+    code = main(["example"])
+    doc = _one_indented_document(capsys.readouterr().out)
+    assert code == 1 and doc["all_passed"] is False
+    assert [e["checks"]["tau-shape"] for e in doc["examples"]] == [False] * 3
+
+
 def test_verify_recomputes_every_closed_form_on_every_run(capsys, monkeypatch):
     from canpencil import chow, family
 
