@@ -7,6 +7,9 @@ is sanity evidence, not proof: a singular draw means "regenerate", and
 only a persistent failure across seeds would flag the family logic.
 
 Usage: python scripts/census_experiment.py [N_SEEDS]
+
+The survey goes to stdout and is the same on every run; the wall times go
+to stderr.
 """
 
 import sys
@@ -34,7 +37,6 @@ for theta in (0, 2):
         else:
             clean += 1
     elapsed = time.perf_counter() - start
-    print(
-        f"theta = {theta}: {clean}/{n_seeds} clean members "
-        f"({elapsed:.2f}s total); singular draws: {singular_seeds}"
-    )
+    print(f"theta = {theta}: {clean}/{n_seeds} clean members; singular draws: {singular_seeds}")
+    # the wall time goes to stderr, so that stdout repeats byte for byte
+    print(f"theta = {theta}: {elapsed:.2f}s total", file=sys.stderr)
