@@ -38,5 +38,4 @@ for theta in (0, 2):
             clean += 1
     elapsed = time.perf_counter() - start
     print(f"theta = {theta}: {clean}/{n_seeds} clean members; singular draws: {singular_seeds}")
-    # the wall time goes to stderr, so that stdout repeats byte for byte
     print(f"theta = {theta}: {elapsed:.2f}s total", file=sys.stderr)

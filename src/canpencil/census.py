@@ -60,9 +60,10 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
     """Equations over F_p: a rational member reduced mod p.
 
     A member over F_p itself is returned at once: its `FieldSpec` checked p
-    when it was built, so the primality test does not run again.  A member
-    over another prime field is refused by `_census_prime`, and for a
-    rational member p is checked before anything is reduced.
+    when it was built, so the primality test does not run again.  At any
+    other prime `_census_prime` refuses a member over a prime field, and
+    p = None falls through to the modulus check.  For a rational member p
+    is checked before anything is reduced.
     """
     if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
         return eqs
