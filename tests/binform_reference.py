@@ -11,6 +11,11 @@ exponent bit.  `canpencil.binform._fp_shift_power` must match it.
 
 The oracle tests in test_binform.py and test_census.py compare the two.
 
+`random_binform` is the draw as it stood before the `getrandbits` loop:
+one `randrange(p)` or `randint(-9, 9)` per coefficient, then
+`BinForm.from_numerators`.  `canpencil.binform.random_binform` must build
+the same form and leave the generator in the same state.
+
 `deriv_t0`, `deriv_t1` and `dehomogenize` are the formal partial
 derivatives and the chart t1 = 1 of a form, as `BinForm` methods had them.
 No package code uses them; the tests use them to state what the census
@@ -184,3 +189,16 @@ def shift_power_schoolbook(a: int, e: int, f: list, p: int) -> list:
             sq[0] *= a
         r = _divmod(sq, f, p)[1]
     return r
+
+
+def random_binform(field: FieldSpec, degree: int, rng) -> BinForm:
+    """Uniform coefficients over F_p; bounded integers in [-9, 9] over QQ.
+
+    A negative requested degree yields the zero form, matching the
+    forced-zero convention of the degree tables.
+    """
+    if degree < 0:
+        return BinForm.zero(field)
+    if field.p is None:
+        return BinForm.from_numerators(field, [rng.randint(-9, 9) for _ in range(degree + 1)])
+    return BinForm.from_numerators(field, [rng.randrange(field.p) for _ in range(degree + 1)])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -14,6 +15,7 @@ from canpencil.binform import (
     BinForm,
     BinFormError,
     ParseError,
+    build_binform,
     _fp_shift_power,
     _fp_split,
     count_distinct_roots,
@@ -1232,6 +1234,65 @@ def test_random_binform_respects_degree_and_seed():
     b = random_binform(QQ, 4, rng2)
     assert a == b
     assert random_binform(QQ, -3, rng1).is_zero
+
+
+def assert_same_build(got: BinForm, want: BinForm) -> None:
+    """Equal field, numerators and denominator, with equal types throughout."""
+    assert (got.field, got.nums, got.den) == (want.field, want.nums, want.den)
+    assert type(got.nums) is tuple
+    assert [type(n) for n in got.nums] == [type(n) for n in want.nums]
+    assert type(got.den) is type(want.den)
+
+
+#: F_5 rejects 3 of 8 three-bit draws, F_65537 nearly half of its 17-bit draws
+DRAW_FIELDS = [QQ] + [FieldSpec.prime_field(p) for p in (5, 7, 10007, 65537, 2**31 - 1)]
+
+
+def assert_draws_match_reference(field, degrees, seed) -> None:
+    rng, ref = random.Random(seed), random.Random(seed)
+    for degree in degrees:
+        got = random_binform(field, degree, rng)
+        assert_same_build(got, binform_reference.random_binform(field, degree, ref))
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("field", DRAW_FIELDS, ids=str)
+def test_random_binform_matches_reference_at_every_degree(field):
+    assert_draws_match_reference(field, range(-1, 41), 1)
+    assert_draws_match_reference(field, range(40, -2, -1), 2)
+
+
+@pytest.mark.oracle
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**64), st.lists(st.integers(-1, 40), min_size=1, max_size=10))
+def test_random_binform_matches_reference_on_any_seed(seed, degrees):
+    for field in DRAW_FIELDS:
+        assert_draws_match_reference(field, degrees, seed)
+
+
+@pytest.mark.parametrize("field, degree", [(QQ, 1), (F5, 2)], ids=str)
+def test_random_binform_all_zero_draw_is_the_zero_form(field, degree):
+    seed = next(s for s in itertools.count()
+                if binform_reference.random_binform(field, degree, random.Random(s)).is_zero)
+    assert random_binform(field, degree, random.Random(seed)).is_zero
+    assert_draws_match_reference(field, [degree, degree], seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(printed_forms())
+def test_build_binform_matches_the_from_numerators_build(case):
+    text = format_binform(case[0])
+    for field in (QQ, F5, F35027):
+        try:
+            scanned = scan_binform(text, field)
+        except ParseError:  # a denominator p divides
+            continue
+        degree, nums, den = scanned
+        dense = [0] * (degree + 1 if nums else 0)
+        for e1, n in nums.items():
+            dense[e1] = n
+        assert_same_build(build_binform(scanned, field), BinForm.from_numerators(field, dense, den))
 
 
 def test_derivatives():

@@ -21,6 +21,9 @@ from canpencil.chow import (
 )
 from canpencil.sections import BundleData
 
+import chow_reference
+from canpencil import chow
+
 
 def test_h3f_value():
     # oracle: the two primitives are the unique solution of the displayed
@@ -150,3 +153,60 @@ def test_invariants_report_shape():
     assert rep["classes"]["G"] == [6, -32]
     assert rep["classes"]["K_rel"] == [-7, 34]
     assert rep["classes"]["K"] == [1, -2]
+
+
+# -- the package against its reference copy -------------------------------------------------
+
+
+def assert_same_value(got, want) -> None:
+    """Equal values of equal types, down to the components of a class or a report."""
+    assert (type(got), got) == (type(want), want)
+    parts = got.values() if isinstance(got, dict) else got if isinstance(got, tuple) else ()
+    wants = want.values() if isinstance(want, dict) else want if isinstance(want, tuple) else ()
+    assert [type(v) for v in parts] == [type(v) for v in wants]
+
+
+@pytest.mark.oracle
+def test_closed_forms_match_reference_on_grid():
+    for pg in range(2, 201):
+        for theta in range(7):
+            b = BundleData(pg, theta)
+            k, g = CLASS_K_SURFACE, class_G(b)
+            assert_same_value(top_intersection(b, k, k, CLASS_Q, g),
+                              chow_reference.top_intersection(b, k, k, CLASS_Q, g))
+            assert_same_value(adjunction_check(b), chow_reference.adjunction_check(b))
+            assert_same_value(surface_invariants(pg, theta),
+                              chow_reference.surface_invariants(pg, theta))
+
+
+divisor_classes = st.builds(DivisorClass, st.integers(-40, 40), st.integers(-400, 400))
+
+
+@pytest.mark.oracle
+@settings(max_examples=300)
+@given(st.integers(2, 300), st.integers(0, 6), st.lists(divisor_classes, min_size=4, max_size=4))
+def test_top_intersection_matches_reference_on_random_classes(pg, theta, classes):
+    b = BundleData(pg, theta)
+    assert_same_value(top_intersection(b, *classes), chow_reference.top_intersection(b, *classes))
+    total = classes[0] + classes[1]
+    assert_same_value(total, DivisorClass(classes[0].h + classes[1].h, classes[0].f + classes[1].f))
+
+
+def _patch_both(monkeypatch, name, value):
+    monkeypatch.setattr(chow, name, value)
+    monkeypatch.setattr(chow_reference, name, value)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("CLASS_Q", DivisorClass(1, 0), "K^2 not integral: 5/2"),
+    ("CLASS_Q", DivisorClass(2, -1), "K^2 cross-check failed: 4 vs 3"),
+    ("CLASS_K_SURFACE", DivisorClass(1, -1), "K^2 cross-check failed: 7 vs 3"),
+    ("class_K_relative", lambda b: DivisorClass(-7, 6 * b.pg + 2 * b.theta + 3),
+     "adjunction failed: 1H+1F"),
+])
+def test_faults_raise_the_reference_messages(monkeypatch, name, value, message):
+    _patch_both(monkeypatch, name, value)
+    for fn in (surface_invariants, chow_reference.surface_invariants):
+        with pytest.raises(AssertionError) as exc:
+            fn(2, 1)
+        assert str(exc.value) == message

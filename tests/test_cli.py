@@ -623,19 +623,23 @@ def test_example_unknown(capsys):
 # -- module entry point -------------------------------------------------------------------
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def test_python_dash_m_entry():
+    # the subprocess sees `src` without PYTHONPATH set by the caller, as conftest.py does
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "canpencil", "invariants", "--pg", "2", "--theta", "0"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["K2"] == 2
 
-
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_in_fresh_process(argv):
@@ -698,6 +702,10 @@ GOLDEN_STDOUT_SHA256 = {
         "a9a69e0ab8a52422802a1601dc861afb4415b89123c3a85135c9728949e92a5e",
     ("generate", "--pg", "3", "--theta", "2", "--field", "qq", "--seed", "4"):
         "96c4eea8422a9ba69ece9dbc5f253e17d633ad5127a2a5f7cccd02c30201f29a",
+    ("generate", "--pg", "5", "--theta", "1", "--field", "fp:10007", "--seed", "1"):
+        "28bdd1b0a6d01c880d96c0f902d5d932cdc67e228d29ef06e5ac2e370830ccd4",
+    ("generate", "--pg", "5", "--theta", "1", "--field", "fp:2147483647", "--seed", "1"):
+        "7bf7197f0d9ded260c07da28cd6d295bd1e6d8f1e08dcdc4c7def8bd90735fae",
 }
 
 
