@@ -729,12 +729,26 @@ def random_binform(field: FieldSpec, degree: int, rng) -> BinForm:
 
     A negative requested degree yields the zero form, matching the
     forced-zero convention of the degree tables.
+
+    Each coefficient is drawn the way CPython's `random.Random` draws
+    `randrange(p)` and `randint(-9, 9)` (3.10 to 3.13): `getrandbits(k)`,
+    k = n.bit_length(), until the value is below n, with n = p, or n = 19
+    and the value shifted by -9.  So the form and the generator's state
+    afterwards are those of one `randrange` or `randint` call per
+    coefficient, without their argument handling.
     """
     if degree < 0:
         return BinForm.zero(field)
-    if field.p is None:
-        return BinForm.from_numerators(field, [rng.randint(-9, 9) for _ in range(degree + 1)])
-    return BinForm.from_numerators(field, [rng.randrange(field.p) for _ in range(degree + 1)])
+    p = field.p
+    low, n = (0, p) if p else (-9, 19)
+    k, getrandbits, nums = n.bit_length(), rng.getrandbits, []
+    for _ in range(degree + 1):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        nums.append(r + low)
+    # residues over F_p, integers over the denominator 1 over QQ: canonical as drawn
+    return _new(field, tuple(nums), 1) if any(nums) else _new(field, (), 1)
 
 
 def random_split_squarefree(field: FieldSpec, degree: int, rng) -> BinForm:
@@ -942,12 +956,19 @@ def scan_binform(text: str, field: FieldSpec):
 
 
 def build_binform(scanned, field: FieldSpec) -> BinForm:
-    """The form `scan_binform` read, with dense numerators of t0^(d-i)*t1^i."""
+    """The form `scan_binform` read, with dense numerators of t0^(d-i)*t1^i.
+
+    Nonzero residues over F_p and integers over the denominator 1 over QQ
+    are already canonical, so only a QQ literal with another denominator
+    goes through `BinForm.from_numerators`, for its one gcd.
+    """
     degree, nums, den = scanned
     dense = [0] * (degree + 1 if nums else 0)
     for e1, n in nums.items():
         dense[e1] = n
-    return BinForm.from_numerators(field, dense, den)
+    if den != 1:
+        return BinForm.from_numerators(field, dense, den)
+    return _new(field, tuple(dense), 1)
 
 
 def parse_binform(text: str, field: FieldSpec) -> BinForm:

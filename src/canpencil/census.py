@@ -441,14 +441,16 @@ class SingularReport:
         }
 
 
-#: largest prime the sweep runs at, a conservative limit: the refusal quotes
-#: the (p + 1)^2 fiber candidates, one per point of the conic over each base
-#: point.  The sweep still grows as p^2, but a base point costs a few big-int
-#: operations on p packed 64-bit slots: about 5 ms at p = 257 and 50 ms at
-#: p = 1009 for a (p_g, theta) = (2, 0) member under CPython 3.11 on a 2-core
-#: host.  Its slot test needs 7 (p - 1)^2 < 2^32, which caps any bound at
-#: p = 24771 (a test checks this).
-SWEEP_PRIME_MAX = 257
+#: largest prime the sweep runs at: the refusal quotes the (p + 1)^2 fiber
+#: candidates, one per point of the conic over each base point.  The sweep
+#: still grows as p^2, but a base point costs a few big-int operations on p
+#: packed 64-bit slots.  At p = 1009 a whole census took 28 ms for the seed-9
+#: (p_g, theta) = (2, 0) member, and 0.28 s (theta = 0) and 0.52 s
+#: (theta = 6) for the seed-1 p_g = 1000 members, the largest measured
+#: (in-process, best of 3, CPython 3.11.7 on a shared 2-core host).  Its
+#: slot test needs 7 (p - 1)^2 < 2^32, which caps any bound at p = 24771
+#: (a test checks this).
+SWEEP_PRIME_MAX = 1009
 
 
 def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: Optional[int]) -> int:

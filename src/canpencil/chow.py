@@ -14,7 +14,10 @@ rationals; only the final surface invariants are asserted integral.
 
 `verify` recomputes the invariants of every (p_g, theta) on every run, with no
 cache: the classes of Q and K_X are constants, and only `top_intersection`
-builds a Fraction.
+builds a Fraction.  The rest is plain int arithmetic on unpacked classes:
+`top_intersection` and `adjunction_check` read each class's two components
+once, and a class is built by `tuple.__new__`, without the `NamedTuple`
+constructor's argument handling.
 """
 
 from __future__ import annotations
@@ -35,7 +38,11 @@ class DivisorClass(NamedTuple):
         return f"{self.h}H{self.f:+d}F"
 
     def __add__(self, other):
-        return DivisorClass._make((self.h + other.h, self.f + other.f))
+        return _new_class(DivisorClass, (self.h + other.h, self.f + other.f))
+
+
+#: ``_new_class(DivisorClass, (h, f))`` builds h*H + f*F from two ints
+_new_class = tuple.__new__
 
 
 H = DivisorClass(1, 0)
@@ -47,7 +54,7 @@ CLASS_K_SURFACE = DivisorClass(1, -2)
 
 
 def class_G(bundle: BundleData) -> DivisorClass:
-    return DivisorClass(6, -(6 * bundle.pg + 2 * bundle.theta))
+    return _new_class(DivisorClass, (6, -(6 * bundle.pg + 2 * bundle.theta)))
 
 
 def class_K_relative(bundle: BundleData) -> DivisorClass:
@@ -56,7 +63,7 @@ def class_K_relative(bundle: BundleData) -> DivisorClass:
     With weights (1,1,2,3) and the standard relative Euler sequence this is
     (6p_g + 2*theta + 2)F - 7H.
     """
-    return DivisorClass(-7, 6 * bundle.pg + 2 * bundle.theta + 2)
+    return _new_class(DivisorClass, (-7, 6 * bundle.pg + 2 * bundle.theta + 2))
 
 
 def class_fixed_part(bundle: BundleData) -> DivisorClass:
@@ -73,19 +80,20 @@ def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
     twists a_i, and 36 * H^3.F = 6.
     """
     a0, a1, a2, a3 = bundle.twists
-    coeff_h4 = c1.h * c2.h * c3.h * c4.h
-    coeff_h3f = (
-        c1.f * c2.h * c3.h * c4.h
-        + c1.h * c2.f * c3.h * c4.h
-        + c1.h * c2.h * c3.f * c4.h
-        + c1.h * c2.h * c3.h * c4.f
-    )
+    h1, f1 = c1
+    h2, f2 = c2
+    h3, f3 = c3
+    h4, f4 = c4
+    h12, h34 = h1 * h2, h3 * h4
+    coeff_h4 = h12 * h34
+    coeff_h3f = (f1 * h2 + h1 * f2) * h34 + h12 * (f3 * h4 + h3 * f4)
     return Fraction(coeff_h4 * (6 * a0 + 6 * a1 + 3 * a2 + 2 * a3) + coeff_h3f * 6, 36)
 
 
 def adjunction_check(bundle: BundleData) -> DivisorClass:
-    """K_{P|P^1} + Q + G, asserted to be exactly H."""
-    total = class_K_relative(bundle) + CLASS_Q + class_G(bundle)
+    """K_{P|P^1} + Q + G, asserted to be exactly H; summed componentwise in ints."""
+    (kh, kf), (qh, qf), (gh, gf) = class_K_relative(bundle), CLASS_Q, class_G(bundle)
+    total = _new_class(DivisorClass, (kh + qh + gh, kf + qf + gf))
     if total != H:  # library bug if this trips
         raise AssertionError(f"adjunction failed: {total}")
     return total
@@ -103,7 +111,7 @@ def surface_invariants(pg: int, theta: int) -> dict:
     k2 = top_intersection(bundle, k, k, CLASS_Q, class_G(bundle))
     if k2.denominator != 1:
         raise AssertionError(f"K^2 not integral: {k2}")
-    k2 = int(k2)
+    k2 = k2.numerator
     if k2 != bundle.k2:
         raise AssertionError(f"K^2 cross-check failed: {k2} vs {bundle.k2}")
     adjunction_check(bundle)

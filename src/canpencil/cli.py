@@ -222,11 +222,12 @@ LEDGERS = {
 }
 
 
-#: largest --trials that verify runs: `verify all` costs about 0.6-0.8 ms
-#: per trial over F_10007 and over QQ, and 0.8-1.0 ms over F_(2^31 - 1)
-#: (1000 trials, median of 5 in-process runs, four sessions, CPython 3.11.7
-#: on a shared 2-core host) and grows linearly in the trials, so a run at
-#: the limit takes about 8 s over F_10007 or QQ and 10 s over F_(2^31 - 1).
+#: largest --trials that verify runs: `verify all` costs about 0.27-0.28 ms
+#: per trial over F_10007 and over QQ, and 0.35 ms over F_(2^31 - 1)
+#: (1000 trials, median of 3 in-process runs, CPython 3.11.7 on a shared
+#: 2-core host; 200 trials take 56-58 ms and 73 ms) and grows linearly in
+#: the trials, so a run at the limit took 2.7-2.8 s over F_10007 or QQ and
+#: 3.5 s over F_(2^31 - 1), as one fresh process each.
 TRIALS_MAX = 10_000
 
 

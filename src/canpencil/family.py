@@ -393,11 +393,6 @@ def bidouble_branch_data(pg: int, theta: int) -> BranchData:
     return BranchData(r, (1, 2 * pg + d1_offset), d2, d3, source)
 
 
-def _hirzebruch_product(r: int, a: Tuple[int, int], b: Tuple[int, int]) -> int:
-    # (u1 Ginf + v1 G) . (u2 Ginf + v2 G) with Ginf^2 = -r, Ginf.G = 1, G^2 = 0
-    return -r * a[0] * b[0] + a[0] * b[1] + a[1] * b[0]
-
-
 def bidouble_invariants(data: BranchData) -> dict:
     """Invariants of the smooth bidouble cover with the given branch triple.
 
@@ -406,21 +401,22 @@ def bidouble_invariants(data: BranchData) -> dict:
     These are the standard smooth-bidouble formulas; the package treats
     them as self-verifying through the cross-check against the
     intersection-theory invariants rather than as trusted inputs.
-    Both are summed in ints, chi as 2*chi, which must come out even.
+    Both are summed in ints on the (u, v) components, chi as 2*chi, which
+    must come out even.  On F_r, (u1 Ginf + v1 G).(u2 Ginf + v2 G) is
+    -r u1 u2 + u1 v2 + v1 u2, since Ginf^2 = -r, Ginf.G = 1 and G^2 = 0.
     """
     r = data.base_r
-    ky = (-2, -(r + 2))
-    d1, d2, d3 = data.divisors()
-    total = (2 * ky[0] + d1[0] + d2[0] + d3[0], 2 * ky[1] + d1[1] + d2[1] + d3[1])
-    k2 = _hirzebruch_product(r, total, total)
+    ku, kv = -2, -(r + 2)  # K_Y
+    (u1, v1), (u2, v2), (u3, v3) = data.d1, data.d2, data.d3
+    tu, tv = 2 * ku + u1 + u2 + u3, 2 * kv + v1 + v2 + v3
+    k2 = -r * tu * tu + 2 * tu * tv
     twice_chi = 8  # 2 * 4 * chi(O) of a Hirzebruch surface
-    for dj, dk in ((d2, d3), (d1, d3), (d1, d2)):
-        s = (dj[0] + dk[0], dj[1] + dk[1])
-        if s[0] % 2 or s[1] % 2:
-            raise ValueError(f"branch pair sum {s} is not 2-divisible; no square root exists")
-        li = (s[0] // 2, s[1] // 2)
-        li_plus_k = (li[0] + ky[0], li[1] + ky[1])
-        twice_chi += _hirzebruch_product(r, li, li_plus_k)
+    for su, sv in ((u2 + u3, v2 + v3), (u1 + u3, v1 + v3), (u1 + u2, v1 + v2)):
+        if su % 2 or sv % 2:
+            raise ValueError(
+                f"branch pair sum {(su, sv)} is not 2-divisible; no square root exists")
+        lu, lv = su // 2, sv // 2
+        twice_chi += -r * lu * (lu + ku) + lu * (lv + kv) + lv * (lu + ku)
     if twice_chi % 2:
         raise AssertionError("chi of a bidouble cover must be integral")
     return {"K2": k2, "chi": twice_chi // 2}

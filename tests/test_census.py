@@ -819,9 +819,10 @@ def _packed_sextic_candidates(p, qx, qy, jk, gs):
 
 
 @pytest.mark.oracle
-@pytest.mark.parametrize("p", PRIMES_TO_257)
+@pytest.mark.parametrize("p", PRIMES_TO_257 + [509, 1009])
 def test_packed_kernel_matches_list_kernels(p):
-    """Packed base values and the packed scan agree with the list kernels at every prime to 257.
+    """Packed base values and the packed scan agree with the list kernels at every prime to 257,
+    at 509 and at the sweep bound 1009.
 
     Base values: the zero form, constant forms, forms whose every
     coefficient is p - 1 (the largest slot sums) and random forms, up to
@@ -1049,7 +1050,8 @@ def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(census_mod, "node_census", lambda eqs, p: calls.append(p))
     member = generate_member(FamilyParams(2, 0, QQ, seed=6))
-    p = census_mod.SWEEP_PRIME_MAX + 6  # 263, the next prime
+    p = next(q for q in range(census_mod.SWEEP_PRIME_MAX + 1, 2**31)
+             if all(q % d for d in range(2, int(q**0.5) + 1)))  # 1013, the next prime
     with pytest.raises(ValueError, match=f"sweep at p = {p} would visit"):
         run_census(member, p_nodes=101, p_sweep=p)
     assert calls == []
