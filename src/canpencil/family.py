@@ -353,9 +353,6 @@ class BranchData:
     def base_name(self) -> str:
         return "P1xP1" if self.base_r == 0 else f"F{self.base_r}"
 
-    def divisors(self):
-        return (self.d1, self.d2, self.d3)
-
     def __post_init__(self):
         if self.base_r < 0:
             raise ValueError("Hirzebruch index must be non-negative")

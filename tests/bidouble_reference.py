@@ -3,7 +3,8 @@
 Kept verbatim as the reference that `canpencil.family.bidouble_branch_data`
 and `bidouble_invariants` must match (see the oracle tests in
 test_family.py): all seven `BranchData` rows are built and validated on
-every call, and chi is summed in `Fraction`s.
+every call, and chi is summed in `Fraction`s.  The one edit: the branch
+classes are read as `d1, d2, d3`, since `BranchData.divisors()` is gone.
 """
 
 from fractions import Fraction
@@ -53,7 +54,7 @@ def bidouble_invariants(data: BranchData) -> dict:
     """
     r = data.base_r
     ky = (-2, -(r + 2))
-    d1, d2, d3 = data.divisors()
+    d1, d2, d3 = data.d1, data.d2, data.d3
     total = (2 * ky[0] + d1[0] + d2[0] + d3[0], 2 * ky[1] + d1[1] + d2[1] + d3[1])
     k2 = _hirzebruch_product(r, total, total)
     chi = Fraction(4)  # 4 * chi(O) of a Hirzebruch surface

@@ -192,11 +192,6 @@ def test_top_intersection_matches_reference_on_random_classes(pg, theta, classes
     assert_same_value(total, DivisorClass(classes[0].h + classes[1].h, classes[0].f + classes[1].f))
 
 
-def _patch_both(monkeypatch, name, value):
-    monkeypatch.setattr(chow, name, value)
-    monkeypatch.setattr(chow_reference, name, value)
-
-
 @pytest.mark.parametrize("name, value, message", [
     ("CLASS_Q", DivisorClass(1, 0), "K^2 not integral: 5/2"),
     ("CLASS_Q", DivisorClass(2, -1), "K^2 cross-check failed: 4 vs 3"),
@@ -205,7 +200,8 @@ def _patch_both(monkeypatch, name, value):
      "adjunction failed: 1H+1F"),
 ])
 def test_faults_raise_the_reference_messages(monkeypatch, name, value, message):
-    _patch_both(monkeypatch, name, value)
+    monkeypatch.setattr(chow, name, value)
+    monkeypatch.setattr(chow_reference, name, value)
     for fn in (surface_invariants, chow_reference.surface_invariants):
         with pytest.raises(AssertionError) as exc:
             fn(2, 1)
