@@ -8,16 +8,19 @@ top products matter:
 
 hard-coded for this one family rather than derived from a general toric
 engine.  Every weight divides prod(w) = 6, so 36 * H^3.F = 6 and
-36 * H^4 = 6a0 + 6a1 + 3a2 + 2a3 are integers: `top_intersection` expands
-a product in ints and divides by 36 once.  Intersection numbers are exact
+36 * H^4 = 6a0 + 6a1 + 3a2 + 2a3 are integers: `top_intersection_numerator`
+expands a product in ints into 36 times its value, and `top_intersection`
+divides it by 36 into an exact Fraction.  Intersection numbers are exact
 rationals; only the final surface invariants are asserted integral.
 
 `verify` recomputes the invariants of every (p_g, theta) on every run, with no
-cache: the classes of Q and K_X are constants, and only `top_intersection`
-builds a Fraction.  The rest is plain int arithmetic on unpacked classes:
-`top_intersection` and `adjunction_check` read each class's two components
-once, and a class is built by `tuple.__new__`, without the `NamedTuple`
-constructor's argument handling.
+cache: the classes of Q and K_X are constants, and `surface_invariants`
+checks K^2 on the int numerator (divisible by 36, quotient equal to the
+closed form), so it builds no Fraction unless K^2 fails to be integral.
+The rest is plain int arithmetic on unpacked classes: the expansion and
+`adjunction_check` read each class's two components once, and a class is
+built by `tuple.__new__`, without the `NamedTuple` constructor's argument
+handling.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def class_fixed_part(bundle: BundleData) -> DivisorClass:
     return DivisorClass(1, -(bundle.pg + 1))
 
 
-def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
-    """Exact top intersection number of four divisor classes on `bundle`.
+def top_intersection_numerator(bundle: BundleData, c1, c2, c3, c4) -> int:
+    """36 times the top intersection number of four divisor classes on `bundle`.
 
     Multilinear expansion in which every monomial containing F^2 dies, so
     only H^4 and H^3.F survive.  Their coefficients are integers, and so are
@@ -87,7 +90,12 @@ def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
     h12, h34 = h1 * h2, h3 * h4
     coeff_h4 = h12 * h34
     coeff_h3f = (f1 * h2 + h1 * f2) * h34 + h12 * (f3 * h4 + h3 * f4)
-    return Fraction(coeff_h4 * (6 * a0 + 6 * a1 + 3 * a2 + 2 * a3) + coeff_h3f * 6, 36)
+    return coeff_h4 * (6 * a0 + 6 * a1 + 3 * a2 + 2 * a3) + coeff_h3f * 6
+
+
+def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
+    """Exact top intersection number of four divisor classes on `bundle`."""
+    return Fraction(top_intersection_numerator(bundle, c1, c2, c3, c4), 36)
 
 
 def adjunction_check(bundle: BundleData) -> DivisorClass:
@@ -108,10 +116,10 @@ def surface_invariants(pg: int, theta: int) -> dict:
     """
     bundle = BundleData(pg, theta)
     k = CLASS_K_SURFACE
-    k2 = top_intersection(bundle, k, k, CLASS_Q, class_G(bundle))
-    if k2.denominator != 1:
-        raise AssertionError(f"K^2 not integral: {k2}")
-    k2 = k2.numerator
+    n = top_intersection_numerator(bundle, k, k, CLASS_Q, class_G(bundle))
+    if n % 36:
+        raise AssertionError(f"K^2 not integral: {Fraction(n, 36)}")
+    k2 = n // 36
     if k2 != bundle.k2:
         raise AssertionError(f"K^2 cross-check failed: {k2} vs {bundle.k2}")
     adjunction_check(bundle)

@@ -192,7 +192,7 @@ class SparsePoly:
         key = self._key
         clean = {}
         for exps, coeff in terms.items():
-            if coeff.field != field:
+            if coeff.field is not field and coeff.field != field:
                 raise ValueError("coefficient field disagrees with the polynomial field")
             if not coeff.is_zero:
                 clean[key(exps)] = coeff
@@ -216,6 +216,9 @@ class SparsePoly:
         return None if self.field == other.field else "mismatched coefficient fields"
 
     def _compat(self, other: "SparsePoly") -> None:
+        """Refuse `other` unless it is of this type and in this ring, before reading a term."""
+        if type(other) is not type(self):
+            raise ValueError("mismatched polynomial rings")
         reason = self._mismatch(other)
         if reason:
             raise ValueError(reason)
@@ -229,7 +232,17 @@ class SparsePoly:
         return None
 
     def _like(self, terms: dict, grading) -> "SparsePoly":
-        return type(self)(self.field, terms)
+        """A ring result in this ring, from `terms` that the operation built.
+
+        Built the way `BinForm._new` builds a form: `_compat` and the
+        `BinForm` operations have checked the operands, and every key
+        already has the key type, so only zero coefficients are dropped;
+        `__init__`'s field test and re-keying are skipped.
+        """
+        poly = object.__new__(type(self))
+        _setattr(poly, "field", self.field)
+        _setattr(poly, "terms", {m: c for m, c in terms.items() if c.nums})
+        return poly
 
     # -- ring structure --------------------------------------------------
 
@@ -316,7 +329,11 @@ class GradedSection(SparsePoly):
         return (self.h, self.m + coeff.degree)
 
     def _like(self, terms: dict, bidegree: Tuple[int, int]) -> "GradedSection":
-        return GradedSection(self.bundle, self.field, bidegree, terms)
+        section = super()._like(terms, bidegree)
+        _setattr(section, "bundle", self.bundle)
+        _setattr(section, "h", bidegree[0])
+        _setattr(section, "m", bidegree[1])
+        return section
 
     def expected_coeff_degree(self, mono: FiberMonomial) -> int:
         return slot_degree(self.bundle, self.m, mono)

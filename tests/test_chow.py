@@ -18,6 +18,7 @@ from canpencil.chow import (
     invariants_report,
     surface_invariants,
     top_intersection,
+    top_intersection_numerator,
 )
 from canpencil.sections import BundleData
 
@@ -166,6 +167,14 @@ def assert_same_value(got, want) -> None:
     assert [type(v) for v in parts] == [type(v) for v in wants]
 
 
+def assert_numerator_matches_reference(bundle, classes) -> None:
+    """The int numerator is 36 times the reference value; `top_intersection` is it over 36."""
+    n = top_intersection_numerator(bundle, *classes)
+    assert type(n) is int
+    assert Fraction(n, 36) == chow_reference.top_intersection(bundle, *classes)
+    assert_same_value(top_intersection(bundle, *classes), Fraction(n, 36))
+
+
 @pytest.mark.oracle
 def test_closed_forms_match_reference_on_grid():
     for pg in range(2, 201):
@@ -174,6 +183,8 @@ def test_closed_forms_match_reference_on_grid():
             k, g = CLASS_K_SURFACE, class_G(b)
             assert_same_value(top_intersection(b, k, k, CLASS_Q, g),
                               chow_reference.top_intersection(b, k, k, CLASS_Q, g))
+            assert_numerator_matches_reference(b, (k, k, CLASS_Q, g))
+            assert_numerator_matches_reference(b, (class_fixed_part(b), F, CLASS_Q, g))
             assert_same_value(adjunction_check(b), chow_reference.adjunction_check(b))
             assert_same_value(surface_invariants(pg, theta),
                               chow_reference.surface_invariants(pg, theta))
@@ -188,6 +199,7 @@ divisor_classes = st.builds(DivisorClass, st.integers(-40, 40), st.integers(-400
 def test_top_intersection_matches_reference_on_random_classes(pg, theta, classes):
     b = BundleData(pg, theta)
     assert_same_value(top_intersection(b, *classes), chow_reference.top_intersection(b, *classes))
+    assert_numerator_matches_reference(b, classes)
     total = classes[0] + classes[1]
     assert_same_value(total, DivisorClass(classes[0].h + classes[1].h, classes[0].f + classes[1].f))
 

@@ -485,12 +485,12 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
 def _k2_off_by_one_at_pg7(monkeypatch):
     from canpencil import chow
 
-    exact = chow.top_intersection
+    exact = chow.top_intersection_numerator
 
     def faulty(bundle, *classes):
-        return exact(bundle, *classes) + (bundle.pg == 7)
+        return exact(bundle, *classes) + 36 * (bundle.pg == 7)
 
-    monkeypatch.setattr(chow, "top_intersection", faulty)
+    monkeypatch.setattr(chow, "top_intersection_numerator", faulty)
     # the bidouble cross-check recomputes K^2 too, and names the same fault
     return {"invariants": "K^2 cross-check failed", "bidouble": "K^2 cross-check failed"}
 

@@ -251,6 +251,66 @@ def test_mul_convolution_oracle(factors):
         prod.validate()
 
 
+@pytest.mark.parametrize("mix", [
+    lambda y, g: y * g, lambda y, g: y + g, lambda y, g: g * y, lambda y, g: g + y,
+], ids=["YPoly*GradedSection", "YPoly+GradedSection", "GradedSection*YPoly",
+        "GradedSection+YPoly"])
+def test_mixed_polynomial_rings_rejected(mix):
+    y = YPoly.variable(QQ, 0)
+    g = GradedSection.variable(BundleData(2, 0), QQ, 0)
+    with pytest.raises(ValueError, match="^mismatched polynomial rings$"):
+        mix(y, g)
+
+
+def rebuilt(poly, terms=None):
+    """`terms`, by default `poly`'s, passed through the validating constructor of its type."""
+    terms = poly.terms if terms is None else terms
+    if isinstance(poly, GradedSection):
+        return GradedSection(poly.bundle, poly.field, poly.bidegree, terms)
+    return YPoly(poly.field, terms)
+
+
+def assert_built_as_validated(poly, key_type):
+    # == compares type, ring, grading and terms, so no zero coefficient may be kept
+    assert poly == rebuilt(poly)
+    assert all(type(m) is key_type for m in poly.terms)
+
+
+def ring_results(s1, s2, coeff):
+    """Every ring operation on `s1` and `s2`, with sums and products that cancel."""
+    half = rebuilt(s1, {m: -c for m, c in list(s1.terms.items())[::2]})
+    return [s1 + s2, s1 - s2, s1 - s1, s1 + (-s1), s1 + half, -s1, s1 * s2,
+            (s1 + s2) * (s1 - s2), s1.scale(coeff), s1.scale(BinForm.zero(s1.field))]
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from([QQ, F101]))
+def test_ring_results_equal_their_validated_terms(seed, field):
+    rng = random.Random(seed)
+    b = BundleData(rng.randint(2, 5), rng.randint(0, 6))
+    bidegree = (rng.randint(0, 3), rng.randint(-2, 2))
+    s1, s2 = (random_section(b, field, bidegree, rng) for _ in range(2))
+    coeff = random_binform(field, rng.randint(0, 3), rng)
+    for result in ring_results(s1, s2, coeff):
+        assert_built_as_validated(result, FiberMonomial)
+    offset = rng.randint(0, 2)
+    y1, y2 = random_ypoly(field, offset, rng), random_ypoly(field, offset, rng)
+    for result in ring_results(y1, y2, coeff):
+        assert_built_as_validated(result, tuple)
+
+
+def test_cancelling_sums_and_products_drop_their_zero_terms():
+    b = BundleData(2, 0)
+    x0, x1 = (GradedSection.variable(b, QQ, i) for i in (0, 1))
+    t = GradedSection(b, QQ, (0, b.pg), {FiberMonomial(0, 0, 0, 0): parse_binform("t0^2", QQ)})
+    x1t = x1 * t  # x1 * t0^2 shares x0's bidegree (1, -1)
+    assert (x0 - x0).terms == {}
+    assert set(((x0 + x1t) * (x0 - x1t)).terms) == {FiberMonomial(2, 0, 0, 0),
+                                                    FiberMonomial(0, 2, 0, 0)}
+    y0, y1 = YPoly.variable(QQ, 0), YPoly.variable(QQ, 1)
+    assert set(((y0 + y1) * (y0 - y1)).terms) == {(2, 0, 0), (0, 2, 0)}
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_homogeneity_closure_under_mul(seed):
