@@ -26,10 +26,13 @@ ints.  Over F_p, `_monic`, `_divmod` (by a monic divisor), `_gcd` and
 QQ the kernel works over Z on the numerators, since a denominator is only
 a scalar: `_zgcd` is a primitive (content-removing) pseudo-remainder
 sequence, and `_zquotient` divides exactly by a primitive divisor (Knuth,
-TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p never
-enumerates the field: it takes the gcd with t^p - t and splits it by
-deterministic equal-degree splitting, and a factor of degree <= 2 is solved
-by the quadratic formula.  Powers mod f use Kronecker-packed slots of
+TAOCP vol. 2, 4.6.1; Brown, J. ACM 18, 1971).  Root finding over F_p solves
+a chart polynomial of degree n <= 2 by the quadratic formula.  A larger one
+is evaluated at every residue when p < max(100, floor(3n/2)), where that
+is the cheaper exact method (`EVALUATION_PRIME_FLOOR` holds the measured
+table).  Otherwise the field is never enumerated: the gcd with t^p - t is
+split by deterministic equal-degree splitting, and a factor of degree <= 2
+is solved by the quadratic formula.  Powers mod f use Kronecker-packed slots of
 n(n + 1)/2 p^3, one big-int square and O(n) interpreted work per bit.
 """
 
@@ -648,6 +651,56 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     return min(x, p - x)
 
 
+#: `roots` evaluates a monic chart polynomial of degree n >= 3 at every
+#: residue when p < max(EVALUATION_PRIME_FLOOR, floor(3n/2)), and takes the
+#: gcd with t^p - t and splits it otherwise.  Evaluation costs about n p list steps,
+#: splitting about n^2 log p word operations plus a fixed cost per call.
+#: Per call, evaluation / splitting, on random monic forms (120 forms per
+#: cell, best of 5, for n <= 40; 40 forms, best of 3, at n = 100; 10, best
+#: of 3, at n = 400; 3, best of 2, at n = 1998; CPython 3.11.7 on a shared
+#: 2-core host):
+#:
+#:     n     below the crossover          above it                    crossover
+#:     3     p = 97:   15 / 22 us         p = 151:  22 / 24 us        > 151
+#:     4     p = 101:  21 / 23 us         p = 127:  25 / 24 us        ~ 120
+#:     6     p = 89:   27 / 29 us         p = 113:  34 / 31 us        ~ 100
+#:     10    p = 79:   41 / 45 us         p = 97:   48 / 45 us        ~ 85
+#:     20    p = 89:   89 / 94 us         p = 101:  100 / 94 us       ~ 95
+#:     40    p = 101:  197 / 235 us       p = 127:  246 / 235 us      ~ 120
+#:     100   p = 199:  0.93 / 1.01 ms     p = 251:  1.17 / 1.07 ms    ~ 220
+#:     400   p = 601:  15.0 / 16.3 ms     p = 701:  17.4 / 16.0 ms    ~ 650
+#:     1998  p = 3001: 363 / 388 ms       p = 4001: 477 / 395 ms      ~ 3300
+#:
+#: Both methods are exact and give the same roots, so the rule moves only
+#: cost: the node census of a member over F_p, p < 100, evaluates; one at
+#: p >= 101 splits unless q_y has degree 68 or more.
+EVALUATION_PRIME_FLOOR = 100
+
+
+def _fp_roots_by_evaluation(f: list, p: int) -> list:
+    """The distinct roots of a monic f over F_p, ascending, by evaluating f at every residue.
+
+    Horner's rule on all p residues at once: one list pass per coefficient.
+    """
+    values = [1] * p
+    for c in reversed(f[:-1]):
+        values = [(v * a + c) % p for a, v in enumerate(values)]
+    return [a for a, v in enumerate(values) if not v]
+
+
+def _fp_roots_by_splitting(f: list, p: int) -> list:
+    """The distinct roots of a monic f of degree >= 1 over F_p, p >= 5, in no set order.
+
+    g = gcd(f, t^p - t) is the product of the distinct roots; `_fp_split`
+    splits it down to factors of degree <= 2.
+    """
+    h = _fp_shift_power(0, p, f, p) + [0, 0]
+    h[1] = (h[1] - 1) % p
+    found = []
+    _fp_split(_gcd(f, _trim(h), p), 1, p, found)
+    return found
+
+
 def roots(form: BinForm) -> dict:
     """All roots of a nonzero form in P^1(F_p), with multiplicities.
 
@@ -656,15 +709,20 @@ def roots(form: BinForm) -> dict:
     Rational-root finding over QQ is out of scope and rejected.
 
     Method: a monic chart polynomial f of degree n <= 2 is solved by the
-    quadratic formula (`_fp_small_roots`).  For a larger one, g = gcd(f,
-    t^p - t) is the product of the distinct roots, split by its gcds with the
-    (t + a)^((p-1)/2) - 1 for a = 1, 2, ... (Cantor-Zassenhaus without
-    randomness, so results reproduce) down to factors of degree <= 2, which
-    the formula finishes.  Multiplicities come from division by t - a.  A
-    power mod f is one int, k 64-bit words per coefficient slot.  A
-    step is one big-int square, a shift-add for t + a, n products of a top slot
-    mod p by a row t^j mod f (j = n..2n-1, kept unreduced) and one O(n) pass
-    that packs the low slots again mod p; a slot must hold n(n + 1)/2 p^3.
+    quadratic formula (`_fp_small_roots`).  A larger one is solved by one of
+    two exact methods, chosen by cost (`EVALUATION_PRIME_FLOOR` holds the
+    rule and its measured table).  Below p = max(100, floor(3n/2)),
+    `_fp_roots_by_evaluation` evaluates f at every residue, n list passes of
+    length p.  At or above it, `_fp_roots_by_splitting` never enumerates the
+    field: g = gcd(f, t^p - t) is the product of the distinct roots, split by
+    its gcds with the (t + a)^((p-1)/2) - 1 for a = 1, 2, ...
+    (Cantor-Zassenhaus without randomness, so results reproduce) down to
+    factors of degree <= 2, which the formula finishes.  A power mod f is one
+    int, k 64-bit words per coefficient slot.  A step is one big-int square,
+    a shift-add for t + a, n products of a top slot mod p by a row t^j mod f
+    (j = n..2n-1, kept unreduced) and one O(n) pass that packs the low slots
+    again mod p; a slot must hold n(n + 1)/2 p^3.  Multiplicities come from
+    division by t - a.
     """
     if not form.field.is_prime_field:
         raise BinFormError("root finding requires a prime field")
@@ -681,11 +739,10 @@ def roots(form: BinForm) -> dict:
     f = _monic(u, p)
     if len(f) <= 3:
         found = _fp_small_roots(f, p)
+    elif p < max(EVALUATION_PRIME_FLOOR, 3 * (len(f) - 1) // 2):
+        found = _fp_roots_by_evaluation(f, p)
     else:
-        h = _fp_shift_power(0, p, f, p) + [0, 0]
-        h[1] = (h[1] - 1) % p
-        found = []
-        _fp_split(_gcd(f, _trim(h), p), 1, p, found)
+        found = _fp_roots_by_splitting(f, p)
     for a in sorted(found):
         out[(a, 1)] = _fp_root_multiplicity(f, a, p)
     return out

@@ -26,7 +26,7 @@ handling.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from .sections import BundleData
 
@@ -98,9 +98,13 @@ def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
     return Fraction(top_intersection_numerator(bundle, c1, c2, c3, c4), 36)
 
 
-def adjunction_check(bundle: BundleData) -> DivisorClass:
-    """K_{P|P^1} + Q + G, asserted to be exactly H; summed componentwise in ints."""
-    (kh, kf), (qh, qf), (gh, gf) = class_K_relative(bundle), CLASS_Q, class_G(bundle)
+def adjunction_check(bundle: BundleData, g: Optional[DivisorClass] = None) -> DivisorClass:
+    """K_{P|P^1} + Q + G, asserted to be exactly H; summed componentwise in ints.
+
+    `g` is class_G(bundle), passed by a caller that has already computed it.
+    """
+    (kh, kf), (qh, qf) = class_K_relative(bundle), CLASS_Q
+    gh, gf = class_G(bundle) if g is None else g
     total = _new_class(DivisorClass, (kh + qh + gh, kf + qf + gf))
     if total != H:  # library bug if this trips
         raise AssertionError(f"adjunction failed: {total}")
@@ -115,14 +119,14 @@ def surface_invariants(pg: int, theta: int) -> dict:
     chi = p_g + 1 is the degree count of the direct image O(1) + O(p_g+1).
     """
     bundle = BundleData(pg, theta)
-    k = CLASS_K_SURFACE
-    n = top_intersection_numerator(bundle, k, k, CLASS_Q, class_G(bundle))
+    k, g = CLASS_K_SURFACE, class_G(bundle)
+    n = top_intersection_numerator(bundle, k, k, CLASS_Q, g)
     if n % 36:
         raise AssertionError(f"K^2 not integral: {Fraction(n, 36)}")
     k2 = n // 36
     if k2 != bundle.k2:
         raise AssertionError(f"K^2 cross-check failed: {k2} vs {bundle.k2}")
-    adjunction_check(bundle)
+    adjunction_check(bundle, g)
     return {"K2": k2, "chi": bundle.chi, "pg": pg, "q": 0}
 
 

@@ -82,6 +82,17 @@ class DegreeTable:
     def g_forced_zero(self) -> List[Tuple[int, int, int]]:
         return sorted(s for s, d in self.g.items() if d < 0)
 
+    def branch_in_y_squared(self) -> bool:
+        """True when every branch slot left has k >= 2, so the branch form b lies in (y^2).
+
+        Then z^2 + b and all its partials vanish at y = z = 0, and every
+        member is singular along the curve {y = z = 0, x0^2 + q_x x1^2 = 0},
+        whatever its seed and prime.  For p_g <= PG_MAX this holds exactly
+        when theta >= 5, where G_041 and G_060 are forced to zero (a test
+        checks this).
+        """
+        return all(k >= 2 for _, _, k in self.g_present())
+
     def to_json_dict(self) -> dict:
         return {
             "p_g": self.pg,
@@ -218,22 +229,25 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
     """Random member of the family, a pure function of (params, seed).
 
     Coefficients are drawn uniformly over a prime field and as bounded
-    integers over the rationals, at the prescribed degrees.  Smoothness of
-    the general member is only guaranteed for theta <= 4; larger offsets
-    are permitted with a warning.  `split_qy` forces q_y to be a product
-    of distinct rational linear forms, which pins the whole node census
-    inside the base field.  A q_y that comes out identically zero (possible
+    integers over the rationals, at the prescribed degrees.  At theta >= 5
+    every member is singular along a curve
+    (`DegreeTable.branch_in_y_squared`); such offsets are permitted with a
+    warning that says so.  `split_qy` forces q_y to be a product of
+    distinct rational linear forms, which pins the whole node census inside
+    the base field.  A q_y that comes out identically zero (possible
     over a small prime) is redrawn, so every member has a node census.
     """
-    if params.theta > 4:
+    table = degree_table(params.pg, params.theta)
+    if table.branch_in_y_squared():
         warnings.warn(
-            f"theta = {params.theta} > 4: generic smoothness is not guaranteed",
+            f"theta = {params.theta}: every member is singular along the curve "
+            "y = z = 0, x0^2 + q_x*x1^2 = 0, since every branch slot left has "
+            "a factor y^2",
             stacklevel=2,
         )
     rng = Random(params.seed)
     bundle = BundleData(params.pg, params.theta)
     field = params.field
-    table = degree_table(params.pg, params.theta)
     one = BinForm.one(field)
     if split_qy:
         q_y = random_split_squarefree(field, table.q_y, rng)

@@ -12,10 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from canpencil.binform import (
+    EVALUATION_PRIME_FLOOR,
     BinForm,
     BinFormError,
     ParseError,
     build_binform,
+    _fp_roots_by_evaluation,
+    _fp_roots_by_splitting,
     _fp_shift_power,
     _fp_split,
     count_distinct_roots,
@@ -371,6 +374,14 @@ def root_finding_forms(draw):
     return f
 
 
+def roots_by(method, f: BinForm) -> dict:
+    """`roots(f)` with `method` finding the distinct roots of every chart polynomial of degree >= 3."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(binform_mod, "_fp_roots_by_evaluation", method)
+        mp.setattr(binform_mod, "_fp_roots_by_splitting", method)
+        return roots(f)
+
+
 @pytest.mark.oracle
 @settings(max_examples=150, deadline=None)
 @given(root_finding_forms())
@@ -379,19 +390,66 @@ def root_finding_forms(draw):
 @example(form("t0 - t1", F5) ** 3 * form("t0 + 2*t1", F5) ** 2 * form("t0^2 + 2*t1^2", F5))
 @example(form("t0^5*t1 - t0*t1^5", F5) ** 2 * form("t0 - 3*t1", F5))
 def test_roots_match_brute_force_residue_loop(f):
+    # roots picks one method per (p, n); each method must also match on its own
     expected = brute_force_roots(f)
-    found = roots(f)
-    assert found == expected
-    assert list(found) == list(expected)
+    for found in (roots(f), roots_by(_fp_roots_by_splitting, f), roots_by(_fp_roots_by_evaluation, f)):
+        assert found == expected
+        assert list(found) == list(expected)
 
 
 @pytest.fixture
-def no_powering(monkeypatch):
-    """Fails the test if `_fp_shift_power` is called while it runs."""
+def powering_calls(monkeypatch):
+    """The arguments of every `_fp_shift_power` call made while the test runs."""
     calls, real = [], binform_mod._fp_shift_power
     monkeypatch.setattr(binform_mod, "_fp_shift_power", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.fixture
+def no_powering(powering_calls):
+    """Fails the test if `_fp_shift_power` is called while it runs."""
     yield
-    assert calls == []
+    assert powering_calls == []
+
+
+def forms_with_roots(fld, n, rng, count):
+    """`count` forms whose chart polynomial has degree n: repeated linear factors of
+    total degree at most n/2, a random cofactor and up to two factors of t1."""
+    p, out = fld.p, []
+    for _ in range(count):
+        f = BinForm.constant(fld, 1)
+        for _ in range(n // 4):
+            f = f * BinForm(fld, (1, -rng.randrange(p))) ** rng.randint(1, 2)
+        cofactor = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - f.degree)]
+        out.append(f * BinForm(fld, cofactor) * BinForm.t1(fld) ** rng.randrange(3))
+    return out
+
+
+@pytest.mark.parametrize("p", [5, 13, 23, 97])
+def test_roots_below_the_crossover_evaluate_without_powering(p, no_powering):
+    fld, rng = FieldSpec.prime_field(p), random.Random(p)
+    for n in (3, 4, 10, p - 1, p + 3):
+        for f in forms_with_roots(fld, n, rng, 4):
+            assert roots(f) == brute_force_roots(f)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize(
+    "p, n, evaluates",
+    [(97, 3, True), (97, 40, True), (97, 120, True), (101, 3, False), (101, 40, False),
+     (101, 68, True), (149, 100, True), (151, 100, False), (599, 400, True), (601, 400, False)],
+)
+def test_root_methods_agree_at_the_crossover(p, n, evaluates, powering_calls):
+    # primes just below and just above max(EVALUATION_PRIME_FLOOR, floor(3n/2)), and n > p
+    assert (p < max(EVALUATION_PRIME_FLOOR, 3 * n // 2)) == evaluates
+    fld = FieldSpec.prime_field(p)
+    for f in forms_with_roots(fld, n, random.Random(p * 1000 + n), 3):
+        del powering_calls[:]
+        found = roots(f)
+        assert bool(powering_calls) != evaluates
+        by_splitting, by_evaluation = roots_by(_fp_roots_by_splitting, f), roots_by(_fp_roots_by_evaluation, f)
+        assert found == by_splitting == by_evaluation == brute_force_roots(f)
+        assert list(found) == list(by_splitting) == list(by_evaluation)
 
 
 def _linear_pairs(p, rng):

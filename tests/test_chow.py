@@ -147,6 +147,14 @@ def test_adjunction():
     assert CLASS_K_SURFACE == DivisorClass(1, -2)
 
 
+def test_surface_invariants_computes_class_G_once(monkeypatch):
+    # K^2 and the adjunction check share one class_G per call
+    calls, real = [], chow.class_G
+    monkeypatch.setattr(chow, "class_G", lambda b: calls.append(b) or real(b))
+    assert surface_invariants(5, 2)["K2"] == 16
+    assert calls == [BundleData(5, 2)]
+
+
 def test_invariants_report_shape():
     rep = invariants_report(5, 1)
     assert rep["K2"] == 15 and rep["chi"] == 6

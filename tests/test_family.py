@@ -1,11 +1,13 @@
 import json
 import random
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from canpencil.census import WPSPoint, base_points, quasi_smooth_sweep
 from canpencil.chow import surface_invariants
 from canpencil.family import (
     BranchData,
@@ -98,8 +100,38 @@ def test_generate_member_theta4_divisible_by_y():
 
 
 def test_generate_member_warns_above_theta4():
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match=r"^theta = 5: every member is singular along the curve"):
         generate_member(FamilyParams(3, 5, QQ, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        generate_member(FamilyParams(3, 4, QQ, seed=1))
+
+
+@pytest.mark.parametrize("theta", range(7))
+def test_branch_form_in_y_squared_exactly_at_theta_5_and_6(theta):
+    # at theta >= 5 the table leaves only G_003, G_022 and (p_g = 2) G_112
+    for pg in range(2, PG_MAX + 1):
+        table = degree_table(pg, theta)
+        assert table.branch_in_y_squared() == (theta >= 5), pg
+        if theta >= 5:
+            assert set(table.g_present()) <= {(0, 0, 3), (0, 2, 2), (1, 1, 2)}
+
+
+@pytest.mark.parametrize("theta", [5, 6])
+def test_theta_5_and_6_members_are_singular_along_the_curve(theta):
+    # every F_p-point of {y = z = 0, x0^2 + q_x x1^2 = 0}, in canonical form, fails the sweep
+    p = 13
+    with pytest.warns(UserWarning, match="singular along the curve"):
+        member = generate_member(FamilyParams(2, theta, FieldSpec.prime_field(p), seed=1))
+    fibers = [(1, a, 0, 0) for a in range(p)] + [(0, 1, 0, 0)]
+    curve = {
+        WPSPoint(base, fiber)
+        for base in base_points(p)
+        for fiber in fibers
+        if (fiber[0] ** 2 + member.q_x.evaluate(*base) * fiber[1] ** 2) % p == 0
+    }
+    assert len(curve) >= p // 2
+    assert curve <= set(quasi_smooth_sweep(member, p))
 
 
 def test_generate_member_split_qy():
