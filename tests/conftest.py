@@ -25,6 +25,16 @@ def member_over_11():
 
 
 @pytest.fixture
+def branch_over_11():
+    """A rational member whose only denominator 11 divides is in G's x1^4*y slot (1/33 of it)."""
+    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    terms = dict(member.G.terms)
+    terms[FiberMonomial(0, 4, 1, 0)] = terms[FiberMonomial(0, 4, 1, 0)].scale(Fraction(1, 33))
+    G = GradedSection(member.bundle, QQ, member.G.bidegree, terms)
+    return SurfaceEquations(member.bundle, QQ, member.Q, G).validate()
+
+
+@pytest.fixture
 def time_limit():
     """``time_limit(seconds)`` fails the test, instead of hanging it, once it runs that long."""
     def expire(signum, frame):

@@ -35,7 +35,7 @@ from canpencil.binform import (
     sqrt_mod,
 )
 import canpencil.binform as binform_mod
-from canpencil.fields import QQ, FieldSpec
+from canpencil.fields import QQ, FieldSpec, is_prime
 
 import binform_reference
 from binform_reference import dehomogenize, deriv_t0, deriv_t1
@@ -61,6 +61,61 @@ def test_bad_prime_moduli_rejected(p):
 def test_good_primes_accepted():
     for p in (5, 7, 11, 101, 10007, 2**31 - 1):
         assert FieldSpec.prime_field(p).p == p
+
+
+_MR_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, bases):
+    """Whether odd n > 2 passes the strong (Miller-Rabin) test to every base in `bases`."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (0, 1, n - 1):  # 0: the base is a multiple of n
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _twelve_base_is_prime(n):
+    """The primality test with trial division and Miller-Rabin over the first twelve primes."""
+    if n < 2 or any(n % q == 0 for q in _MR_PRIMES):
+        return n in _MR_PRIMES
+    return _strong_probable_prime(n, _MR_PRIMES)
+
+
+def test_is_prime_matches_trial_division_below_200000():
+    sieve = bytearray([1]) * 200_000
+    sieve[0] = sieve[1] = 0
+    for q in range(2, 448):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, 200_000, q)))
+    assert [n for n in range(200_000) if is_prime(n)] == [n for n in range(200_000) if sieve[n]]
+
+
+def test_is_prime_at_the_bases_and_past_the_bound_of_three_bases():
+    assert is_prime(7) and is_prime(61) and is_prime(2**31 - 1)
+    # the least strong pseudoprime to the bases 2, 7 and 61 (Jaeschke 1993)
+    n = 4_759_123_141
+    assert n == 48_781 * 97_561 and _strong_probable_prime(n, (2, 7, 61))
+    assert not is_prime(n) and is_prime(4_759_123_151)
+
+
+def test_is_prime_matches_twelve_bases_below_2_31():
+    rng = random.Random(28)
+    draws = [rng.randrange(2**31) for _ in range(3000)]
+    primes = [q for q in (rng.randrange(2**15, 2**16) for _ in range(3000)) if is_prime(q)]
+    draws += [a * b for a, b in zip(primes[::2], primes[1::2])]  # planted semiprimes
+    draws += [q | 1 for q in draws[:1000]]
+    assert len(draws) > 4000
+    assert [is_prime(n) for n in draws] == [_twelve_base_is_prime(n) for n in draws]
 
 
 def test_rational_field_json_roundtrip():

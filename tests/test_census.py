@@ -1079,6 +1079,24 @@ def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
     assert str(err.value) == "bad reduction mod 11: denominator 33 not invertible mod 11"
 
 
+def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_over_11):
+    # q_y and the y^3-coefficient reduce mod 11, but x1^4*y does not: the census still refuses
+    message = "^bad reduction mod 11: denominator 33 not invertible mod 11$"
+    for census in (node_census, branch_disjointness):
+        with pytest.raises(ValueError, match=message):
+            census(branch_over_11, 11)
+    with pytest.raises(ValueError, match=message):
+        run_census(branch_over_11, p_nodes=11, skip_sweep=True)
+    # a second bad slot later in G does not change which one is reported
+    terms = dict(branch_over_11.G.terms)
+    terms[FiberMonomial(0, 6, 0, 0)] = terms[FiberMonomial(0, 6, 0, 0)].scale(Fraction(1, 22))
+    G = GradedSection(branch_over_11.bundle, QQ, branch_over_11.G.bidegree, terms)
+    member = SurfaceEquations(branch_over_11.bundle, QQ, branch_over_11.Q, G).validate()
+    assert list(G.terms).index(FiberMonomial(0, 4, 1, 0)) < list(G.terms).index(FiberMonomial(0, 6, 0, 0))
+    with pytest.raises(ValueError, match=message):
+        run_census(member, p_nodes=11, skip_sweep=True)
+
+
 def test_one_rule_refuses_a_prime_member_at_another_prime():
     member = generate_member(FamilyParams(2, 0, F11, seed=1))
     message = "^member lives over F_11; censusing at --prime 13 would cross characteristics$"

@@ -158,6 +158,15 @@ def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
     assert doc["error"] == "bad reduction mod 11: denominator 11 not invertible mod 11"
 
 
+def test_census_bad_reduction_in_a_branch_slot_is_json_error(tmp_path, capsys, branch_over_11):
+    out = tmp_path / "member.json"
+    branch_over_11.save(str(out))
+    code = main(["census", "--in", str(out), "--prime", "11", "--skip-sweep"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code != 0
+    assert doc == {"error": "bad reduction mod 11: denominator 33 not invertible mod 11"}
+
+
 def test_census_rational_member_at_largest_prime(tmp_path, capsys):
     out = tmp_path / "member.json"
     main(["generate", "--pg", "3", "--theta", "1", "--field", "qq",

@@ -25,9 +25,9 @@ from canpencil.family import (
 )
 import canpencil.binform as binform_mod
 import canpencil.sections as sections_mod
-from canpencil.binform import BinForm
+from canpencil.binform import BinForm, parse_binform
 from canpencil.fields import QQ, FieldSpec
-from canpencil.sections import FiberMonomial, GradedSection, SectionDegreeError
+from canpencil.sections import FiberMonomial, GradedSection, SectionDegreeError, monomial_from_str
 
 import bidouble_reference
 
@@ -292,6 +292,25 @@ def test_off_table_key_spellings_load_equal(shape):
                             for s in ("Q", "G")}}
         assert not set(edited["Q"]) & set(doc["Q"]) and set(edited["G"]) != set(doc["G"])
         assert SurfaceEquations.from_json_dict(edited) == canonical
+
+
+@pytest.mark.parametrize("field", [QQ, FieldSpec.prime_field(11)], ids=["qq", "fp:11"])
+def test_mixed_body_loads_as_its_literals_parse(field):
+    """Printed literals next to a zero, a respelled key and literals the printed lane does not take."""
+    doc = generate_member(FamilyParams(2, 0, field, seed=4)).to_json_dict()
+    doc["Q"]["y"] = "1/2*t0^2"
+    doc["G"]["y^2*x1^2"] = " t0^2 "
+    del doc["G"]["x1^2*y^2"]
+    doc["G"]["x0^6"] = "0"  # a forced-zero slot
+    member = SurfaceEquations.from_json_dict(doc)
+    for name, bidegree in (("Q", member.Q.bidegree), ("G", member.G.bidegree)):
+        section = getattr(member, name)
+        expected = GradedSection(member.bundle, field, bidegree, {
+            monomial_from_str(k): parse_binform(c, field) for k, c in doc[name].items()})
+        assert section == expected and list(section.terms.items()) == list(expected.terms.items())
+        assert section.validate() is section
+    assert FiberMonomial(6, 0, 0, 0) not in member.G.terms
+    assert member.q_y == parse_binform("1/2*t0^2", field)
 
 
 @pytest.mark.parametrize("first, second", [("x1^2", " x1^2 "), ("x1 * x1", "x1^2")])
