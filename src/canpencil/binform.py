@@ -846,17 +846,16 @@ _FACTOR = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s
 _BAD = re.compile(r"(?!t[01])[^\W\d]\w*|[^\w\s*/^+-]")
 _SPACE = re.compile(r"\s*")
 
-# A literal exactly as `format_binform` prints a form with integral
-# coefficients: terms N, N*M or M joined by " + " or " - ", the first with an
-# optional "-", where M is t0[^e][*t1[^e]] or t1[^e], and N and e have no
-# leading zero.  The next character decides each piece, so a match that fails
-# does so in linear time.
+# A term of a literal exactly as `format_binform` prints a form with integral
+# coefficients, after its opener: "" or "-" at the start, " + " or " - " after
+# a term.  A term is N, N*M or M, where M is t0[^e][*t1[^e]] or t1[^e], and N
+# and e have no leading zero.  From the first character that opens no such
+# term, the rest of the text is one last match: one `findall` reads the text
+# once, in linear time, and the last group is set exactly where the shape is off.
 _NUMBER = r"[1-9]\d*"
-_MONO = rf"(?:t0(?:\^{_NUMBER})?(?:\*t1(?:\^{_NUMBER})?)?|t1(?:\^{_NUMBER})?)"
-_TERM = rf"(?:{_NUMBER}(?:\*{_MONO})?|{_MONO})"
-_PRINTED = re.compile(rf"-?{_TERM}(?: [-+] {_TERM})*")
-# (sign, N, t0, e0, t1, e1) per term of a literal that `_PRINTED` matched
-_PRINTED_TERM = re.compile(r"(?:^| )([-+]?) ?(\d*)\*?(t0)?(?:\^(\d+))?\*?(t1)?(?:\^(\d+))?")
+_PRINTED_TERM = re.compile(rf"(^-?|(?<=\d) [-+] )(?:({_NUMBER})(?:\*(?=t)|(?![t*]))|(?=t))"
+                           rf"(?:(t0)(?:\^({_NUMBER}))?(?:\*(?=t1)|(?!t1)))?"
+                           rf"(?:(t1)(?:\^({_NUMBER}))?)?|(.+)", re.S)
 
 
 def _read_terms(text: str) -> list:
@@ -932,27 +931,29 @@ def _syntax_error(text: str, pos: int, prev) -> ParseError:
 
 
 def _scan_printed(text: str, p: Optional[int]):
-    """`scan_binform`'s value for a literal that `_PRINTED` matches, or None.
+    """`scan_binform`'s value for a literal in the shape `format_binform` prints, or None.
 
-    None also where the back half would drop or merge a term, or word an
-    error: a coefficient that is 0 mod p, a repeated t1 exponent, a term of
-    another degree, or an integer past `sys.get_int_max_str_digits()`.
+    None also where the terms do not come in ascending t1-exponent order, as
+    the printer writes them, or where the back half would drop a term or
+    word an error: a coefficient that is 0 mod p, a term of another degree,
+    or an integer past `sys.get_int_max_str_digits()`.
     """
-    if not _PRINTED.fullmatch(text):
+    terms = _PRINTED_TERM.findall(text)
+    if not terms or terms[-1][-1]:
         return None
-    degree, coeffs = None, {}
+    degree, last, coeffs = None, -1, {}
     try:
-        for sign, num, t0, e0, t1, e1 in _PRINTED_TERM.findall(text):
-            c = -int(num or 1) if sign == "-" else int(num or 1)
+        for opener, num, t0, e0, t1, e1, _ in terms:
+            c = -int(num or 1) if "-" in opener else int(num or 1)
             if p:
                 c %= p
                 if not c:
                     return None
             j = int(e1 or 1) if t1 else 0
             d = j + (int(e0 or 1) if t0 else 0)
-            if j in coeffs or (coeffs and d != degree):
+            if j <= last or (coeffs and d != degree):
                 return None
-            degree, coeffs[j] = d, c
+            degree, last, coeffs[j] = d, j, c
     except ValueError:  # int() past sys.get_int_max_str_digits()
         return None
     return degree, coeffs, 1
@@ -980,11 +981,11 @@ def scan_binform(text: str, field: FieldSpec):
     A literal exactly as `format_binform` prints a form with integral
     coefficients, as every equation file that `generate` or
     `SurfaceEquations.save` writes holds, takes a shorter lane first:
-    `_scan_printed` checks its shape with one `_PRINTED` match, reads it
-    with one `_PRINTED_TERM.findall`, and returns the same value.  Any
-    other text, and any printed literal whose terms the back half would
-    drop, merge or refuse, goes both halves' way, so every error is worded
-    there.
+    `_scan_printed` reads it once, with one `findall`, and returns the same
+    value.  Any other text, and any printed literal whose terms the back
+    half would drop, merge or refuse, goes both halves' way, so every error
+    is worded there.  Either way the terms come in ascending t1-exponent
+    order.
     """
     printed = _scan_printed(text, field.p)
     if printed is not None:
@@ -1007,7 +1008,7 @@ def scan_binform(text: str, field: FieldSpec):
             raise ParseError(f"inhomogeneous literal: term of degree {degree} "
                              f"in a degree-{live[0][2]} form", off)
         coeffs[e1] = coeffs.get(e1, 0) + (num if d == den else num * (den // d))
-    coeffs = {e1: c % p if p else c for e1, c in coeffs.items()}
+    coeffs = {e1: c % p if p else c for e1, c in sorted(coeffs.items())}
     coeffs = {e1: c for e1, c in coeffs.items() if c}
     return (live[0][2] if coeffs else None), coeffs, den
 
@@ -1020,6 +1021,8 @@ def build_binform(scanned, field: FieldSpec) -> BinForm:
     goes through `BinForm.from_numerators`, for its one gcd.
     """
     degree, nums, den = scanned
+    if den == 1 and nums and len(nums) > degree:  # every coefficient, in ascending order
+        return _new(field, tuple(nums.values()), 1)
     dense = [0] * (degree + 1 if nums else 0)
     for e1, n in nums.items():
         dense[e1] = n

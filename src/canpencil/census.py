@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
 from .fields import FieldSpec
 from .family import SurfaceEquations
-from .sections import GradedSection
+from .sections import _Y, FiberMonomial, GradedSection, _section
 
 
 @dataclass(frozen=True, order=True)
@@ -63,7 +63,8 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
     when it was built, so the primality test does not run again.  At any
     other prime `_census_prime` refuses a member over a prime field, and
     p = None falls through to the modulus check.  For a rational member p
-    is checked before anything is reduced.
+    is checked before anything is reduced: 5 <= p < 2**31, then `is_prime`
+    by the bases (2, 7, 61), which decide every n < 4 759 123 141.
     """
     if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
         return eqs
@@ -72,6 +73,24 @@ def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
         terms = {m: _reduce_form(coeff, spec) for m, coeff in s.terms.items()}
         return GradedSection(s.bundle, spec, s.bidegree, terms)
     return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
+
+
+def _node_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
+    """`_as_prime_equations` cut to what the node census and branch check read: q_y and G_003.
+
+    Every denominator is tested first, in the order `_as_prime_equations`
+    reduces them, so a bad reduction is refused as it refuses it.  The Q and
+    G returned hold the two reduced forms alone, so they are no member.
+    """
+    if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
+        return eqs
+    spec = FieldSpec.prime_field(p)  # rejects None, 2, 3, composites
+    for coeff in (*eqs.Q.terms.values(), *eqs.G.terms.values()):
+        if coeff.den % p == 0:
+            _reduce_form(coeff, spec)  # words the bad reduction
+    Q, G = (_section(eqs.bundle, spec, s.bidegree, {m: _reduce_form(s.coefficient(m), spec)})
+            for s, m in ((eqs.Q, _Y), (eqs.G, FiberMonomial(0, 0, 3, 0))))
+    return SurfaceEquations(eqs.bundle, spec, Q, G)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +165,7 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     with determinant -2 q_y'(t)^2, so that is what is recorded: it is
     nonzero exactly at the simple roots of q_y.
     """
-    eqs = _as_prime_equations(eqs, p)
+    eqs = _node_equations(eqs, p)
     qy = eqs.q_y
     if qy.is_zero:
         raise ValueError("q_y vanishes identically; the node census is undefined")
@@ -185,7 +204,7 @@ def branch_disjointness(
     the member, not an error.  `census` is the member's node census at p
     when the caller already has it; otherwise it is computed here.
     """
-    eqs = _as_prime_equations(eqs, p)
+    eqs = _node_equations(eqs, p)
     if census is None:
         census = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
@@ -490,7 +509,7 @@ def run_census(
             f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"
         )
     t0 = time.perf_counter()
-    reduced = _as_prime_equations(eqs, p_nodes)
+    reduced = _node_equations(eqs, p_nodes)
     nodes = node_census(reduced, p_nodes)
     branch_hits = branch_disjointness(reduced, p_nodes, nodes)
     timings = {"nodes_s": round(time.perf_counter() - t0, 6)}

@@ -329,14 +329,7 @@ class GradedSection(SparsePoly):
         return (self.h, self.m + coeff.degree)
 
     def _like(self, terms: dict, bidegree: Tuple[int, int]) -> "GradedSection":
-        section = super()._like(terms, bidegree)
-        _setattr(section, "bundle", self.bundle)
-        _setattr(section, "h", bidegree[0])
-        _setattr(section, "m", bidegree[1])
-        return section
-
-    def expected_coeff_degree(self, mono: FiberMonomial) -> int:
-        return slot_degree(self.bundle, self.m, mono)
+        return _section(self.bundle, self.field, bidegree, terms)
 
     def __repr__(self):
         body = " + ".join(
@@ -375,6 +368,16 @@ class GradedSection(SparsePoly):
         for mono, coeff in self.terms.items():
             _check_term(self.bundle, self.bidegree, mono, coeff.degree)
         return self
+
+
+def _section(bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
+             terms: Dict[FiberMonomial, BinForm]) -> GradedSection:
+    """A section of checked terms keyed by `FiberMonomial`, built as `SparsePoly._like` builds one."""
+    section = object.__new__(GradedSection)
+    for name, value in zip(("bundle", "field", "h", "m", "terms"),
+                           (bundle, field, *bidegree, {m: c for m, c in terms.items() if c.nums})):
+        _setattr(section, name, value)
+    return section
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +457,12 @@ def section_terms_from_dict(
     A key is looked up in `_KEYS`, the printed forms of the 20 monomials
     that Q or G may hold; any other spelling (``"y*x1^4"``, ``" x1^2 "``,
     ``"x0*x0"``) is read by `monomial_from_str`, which also words every key
-    error.  Each literal is scanned and its degree checked against its
-    monomial's slot before its dense form is built, so a literal such as
-    ``"t0^99999999999"`` is refused without allocating it.  A literal
-    exactly as `format_binform` prints it with integral coefficients, as
-    every file that `generate` or `SurfaceEquations.save` writes holds it,
-    is read a term at a time by `scan_binform`'s printed lane; other text
-    is read a factor at a time.  The section is not validated again:
-    `GradedSection.validate` would repeat the same checks on the same terms.
+    error.  Each literal is read once, by `scan_binform`, and its degree
+    checked against its monomial's slot before its dense form is built, so a
+    literal such as ``"t0^99999999999"`` is refused without allocating it.
+    The section is built from the checked terms as `SparsePoly._like` builds
+    a ring result, without `GradedSection.validate` or the constructor's
+    walk over the same terms.
     """
     terms = {}
     for mono_s, coeff_s in body.items():
@@ -476,4 +477,4 @@ def section_terms_from_dict(
         if mono in terms:
             raise ValueError(f"duplicate monomial {mono_s!r}")
         terms[mono] = build_binform(scanned, field)
-    return GradedSection(bundle, field, bidegree, terms)
+    return _section(bundle, field, bidegree, terms)

@@ -20,6 +20,7 @@ from canpencil.sections import (
     normal_form,
     section_terms_from_dict,
     section_terms_to_dict,
+    slot_degree,
 )
 from test_census import evaluate_section
 
@@ -105,7 +106,7 @@ def test_qy_slot_degree():
     s = GradedSection(
         b, QQ, (2, -2), {FiberMonomial(0, 0, 1, 0): parse_binform("t0^2+t1^2", QQ)}
     )
-    assert s.expected_coeff_degree(FiberMonomial(0, 0, 1, 0)) == 2
+    assert slot_degree(b, s.m, FiberMonomial(0, 0, 1, 0)) == 2
     s.validate()
     bad = GradedSection(b, QQ, (2, -2), {FiberMonomial(0, 0, 1, 0): parse_binform("t0", QQ)})
     with pytest.raises(SectionDegreeError):
@@ -118,7 +119,7 @@ def test_g600_forced_zero_at_pg2():
     s = GradedSection(
         b, QQ, (6, -12), {FiberMonomial(6, 0, 0, 0): BinForm.one(QQ)}
     )
-    assert s.expected_coeff_degree(FiberMonomial(6, 0, 0, 0)) == -6
+    assert slot_degree(b, s.m, FiberMonomial(6, 0, 0, 0)) == -6
     with pytest.raises(SectionDegreeError) as err:
         s.validate()
     assert err.value.monomial == FiberMonomial(6, 0, 0, 0)
