@@ -846,14 +846,14 @@ _FACTOR = re.compile(r"([-+*]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?|t([01])\s*(?:\^\s
 _BAD = re.compile(r"(?!t[01])[^\W\d]\w*|[^\w\s*/^+-]")
 _SPACE = re.compile(r"\s*")
 
-# A term of a literal exactly as `format_binform` prints a form with integral
-# coefficients, after its opener: "" or "-" at the start, " + " or " - " after
-# a term.  A term is N, N*M or M, where M is t0[^e][*t1[^e]] or t1[^e], and N
-# and e have no leading zero.  From the first character that opens no such
-# term, the rest of the text is one last match: one `findall` reads the text
-# once, in linear time, and the last group is set exactly where the shape is off.
+# A term as `format_binform` prints it with an integral coefficient, after its
+# opener: "" or "-" at the start, or " + " or " - ", each read as the factor
+# reader reads it.  A term is N, N*M or M, where M is t0[^e][*t1[^e]] or t1[^e],
+# and N and e have no leading zero.  From the first character that opens no such
+# term, the rest of the text is one last match, set exactly when the text has
+# another shape, so one `findall` reads the text once, in linear time.
 _NUMBER = r"[1-9]\d*"
-_PRINTED_TERM = re.compile(rf"(^-?|(?<=\d) [-+] )(?:({_NUMBER})(?:\*(?=t)|(?![t*]))|(?=t))"
+_PRINTED_TERM = re.compile(rf"(^-?| [-+] )(?:({_NUMBER})(?:\*(?=t)|(?![t*]))|(?=t))"
                            rf"(?:(t0)(?:\^({_NUMBER}))?(?:\*(?=t1)|(?!t1)))?"
                            rf"(?:(t1)(?:\^({_NUMBER}))?)?|(.+)", re.S)
 
@@ -964,7 +964,8 @@ def scan_binform(text: str, field: FieldSpec):
 
     The coefficient of t1^e is ``numerator / den``: nonzero residues and
     ``den`` = 1 over F_p, nonzero integers over one common denominator over
-    QQ (not yet reduced).  The zero form reads as ``(None, {}, 1)``.
+    QQ (not yet reduced), keyed in ascending order of e.  The zero form
+    reads as ``(None, {}, 1)``.
 
     The front half, `_read_terms`, turns the text into one record
     ``[numerator, denominator, e0, e1, offset]`` per term.  It reads the
@@ -984,8 +985,7 @@ def scan_binform(text: str, field: FieldSpec):
     `_scan_printed` reads it once, with one `findall`, and returns the same
     value.  Any other text, and any printed literal whose terms the back
     half would drop, merge or refuse, goes both halves' way, so every error
-    is worded there.  Either way the terms come in ascending t1-exponent
-    order.
+    is worded there.
     """
     printed = _scan_printed(text, field.p)
     if printed is not None:
@@ -1021,7 +1021,7 @@ def build_binform(scanned, field: FieldSpec) -> BinForm:
     goes through `BinForm.from_numerators`, for its one gcd.
     """
     degree, nums, den = scanned
-    if den == 1 and nums and len(nums) > degree:  # every coefficient, in ascending order
+    if den == 1 and nums and len(nums) > degree:  # every coefficient, keyed in ascending order
         return _new(field, tuple(nums.values()), 1)
     dense = [0] * (degree + 1 if nums else 0)
     for e1, n in nums.items():

@@ -50,7 +50,7 @@ def is_prime(n: int) -> bool:
         s += 1
     for a in (2, 7, 61) if n < 4_759_123_141 else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
-        if x in (0, 1, n - 1):  # 0 only where n = 61 divides the base
+        if x in (0, 1, n - 1):  # 0 only at n = 61, itself a base
             continue
         for _ in range(s - 1):
             x = x * x % n

@@ -374,9 +374,11 @@ def _section(bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
              terms: Dict[FiberMonomial, BinForm]) -> GradedSection:
     """A section of checked terms keyed by `FiberMonomial`, built as `SparsePoly._like` builds one."""
     section = object.__new__(GradedSection)
-    for name, value in zip(("bundle", "field", "h", "m", "terms"),
-                           (bundle, field, *bidegree, {m: c for m, c in terms.items() if c.nums})):
-        _setattr(section, name, value)
+    _setattr(section, "bundle", bundle)
+    _setattr(section, "field", field)
+    _setattr(section, "h", bidegree[0])
+    _setattr(section, "m", bidegree[1])
+    _setattr(section, "terms", {m: c for m, c in terms.items() if c.nums})
     return section
 
 

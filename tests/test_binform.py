@@ -1042,6 +1042,17 @@ def test_parse_prime_field_reduces():
     assert f.coefficient(0) == 2
 
 
+@pytest.mark.parametrize("field", [QQ, F5, F35027], ids=str)
+def test_parse_reads_terms_in_any_order(field):
+    # the printer writes ascending t1 exponents; any other order, with gaps, reads the same form
+    printed = format_binform(BinForm(field, (3, 0, -2, 7, 0, 1)))
+    terms = re.split(r" (?=[-+] )", "+ " + printed)
+    for order in itertools.permutations(range(len(terms))):
+        text = " ".join(terms[i] for i in order).lstrip("+ ")
+        assert parse_binform(text, field) == BinForm(field, (3, 0, -2, 7, 0, 1)), text
+    assert parse_binform("t1 + 2*t0", field) == BinForm(field, (2, 1))
+
+
 def test_parse_rational_over_prime_field():
     f = form("1/2*t0", F5)
     assert f.coefficient(0) == 3  # 2^-1 = 3 mod 5
