@@ -690,6 +690,59 @@ def test_usage_errors_and_help_unchanged_with_a_reused_parser(capsys, monkeypatc
         assert (exc.value.code, captured.out, captured.err) == run_in_fresh_process(argv)
 
 
+#: SHA-256 of json.dumps([exit code, stdout, stderr]) under COLUMNS=80 for every
+#: line that ends in argparse's help or usage text.  argparse words some of them
+#: differently across CPython releases, so each digest is the text of one or more
+#: of 3.10.13, 3.11.7, 3.12.1, 3.13.0 and 3.13.13; on a release with yet another
+#: wording, check that the new text comes from argparse before adding its digest.
+HELP_AND_USAGE_SHA256 = {
+    ("--help",): (
+        "78a84e397241c76c24e55775aef95230087f045053726fda2b64622a745f83b1",  # 3.10-3.12
+        "bb0f432858071710695ff237baa846b203a2f43f46c1b9c267e41384fc1d0250"),  # 3.13
+    ("invariants", "--help"): ("1a37ce1fbbba8469ed10870bd3692e07b88da283e07dde05d80ea07bfcee21f9",),
+    ("degrees", "--help"): ("4a900512a5f4d70326b16a531b878028b6e6da18d2093712b919ca9ecdfb6e57",),
+    ("generate", "--help"): ("912885642ee21eca97faeacf4cd6c5030d25039a907f0c55c68b15f309655aa3",),
+    ("census", "--help"): ("5a43319f00ea603fca7457fa002642a98db280a66b4e305990e79258ddcb0dec",),
+    ("verify", "--help"): ("c2e886e228529695664b9fb8d45d0c1e514116bcb80a6fc87ed967ffa5882cb0",),
+    ("bidouble", "--help"): ("7dbf6a26d9a457648b649740c9c27f11e016dfa169db4b727d1fdccb2e1fc7b3",),
+    ("feasibility", "--help"): ("24e485f2b7947ac9f564f37cde0eb1f66227fdc8f205255f21c3f7f06d71cb0e",),
+    ("example", "--help"): ("ff4222f9eb9f6c934515862ab04048e30b4acd00eb7ad18572c98d31d0819bda",),
+    ("verify", "--trials", "3"): ("89f2efcad1cd8276179dae656e98cc8b6b87c8ae987c18c3bc07767dbd89e094",),
+    ("nosuch",): (
+        "d178eee83235a94bbad965ddf6aeb7ce5548be855f34ec0943ae34a249ccf223",  # 3.10-3.12
+        "acc052909fffc00afe21be0f44419416b9f955101e7ab5d284a5e98e47cadb9c",  # 3.13.0
+        "b8df39c05076954dfea9c96ed2237e029a516c63ab5583e91d6aba1168e3695e"),  # 3.13.13
+    ("census",): ("69eac89e19a3583b9b6c38e3495799e0f1f99c0171b5b5a624999b49c5ca61a3",),
+    ("verify", "--seed", "x"): ("3a2d7c5599cd926a4f0305c62c80cad31af7e638493f555262e6aa2cb9a3da34",),
+    ("example", "--which", "1", "2"): ("1c4bce3cac7cd74aaf9683213d91a5a7ebf46591111aae563613bcc9ea65d5ba",),
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_AND_USAGE_SHA256), ids=" ".join)
+def test_help_and_usage_text_is_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")  # help is wrapped to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    text = json.dumps([exc.value.code, captured.out, captured.err])
+    assert hashlib.sha256(text.encode()).hexdigest() in HELP_AND_USAGE_SHA256[argv]
+
+
+@pytest.mark.parametrize("argv, plain", [
+    (["verify", "sigma2", "--tri", "2", "--seed", "3"], ["verify", "sigma2", "--trials", "2", "--seed", "3"]),
+    (["verify", "sigma2", "--trials=2", "--seed", "3"], ["verify", "sigma2", "--trials", "2", "--seed", "3"]),
+    (["verify", "sigma2", "--seed", "-3", "--trials", "2"], None),
+])
+def test_other_spellings_argparse_accepts_print_the_plain_document(capsys, argv, plain):
+    code = main(argv)
+    out = capsys.readouterr().out
+    if plain is None:  # a negative value: against the same line in a fresh process
+        assert (code, out) == run_in_fresh_process(argv)[:2]
+    else:
+        assert (code, out) == (main(plain), capsys.readouterr().out)
+    assert code == 0 and json.loads(out)["all_passed"] is True
+
+
 # -- golden outputs -------------------------------------------------------------------
 
 #: SHA-256 of the full stdout; the ledgers must stay byte-identical across
