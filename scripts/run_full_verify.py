@@ -7,13 +7,12 @@ status 0 only when every check passes.  This is the one-shot "everything
 the package claims, recomputed" script.
 """
 
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from canpencil.cli import main as cli_main  # noqa: E402
+from canpencil.cli import emit, main as cli_main  # noqa: E402
 from canpencil.census import run_census  # noqa: E402
 from canpencil.family import FamilyParams, generate_member  # noqa: E402
 from canpencil.fields import FieldSpec  # noqa: E402
@@ -31,7 +30,7 @@ def run():
         FamilyParams(2, 0, FieldSpec.prime_field(101), seed=20260808), split_qy=True
     )
     report = run_census(member, skip_sweep=False)
-    print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+    emit(report.to_json_dict(), None)
     if not report.clean:
         print("census found singularities; regenerate with another seed", file=sys.stderr)
         return 1

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from random import Random
 from typing import List, Optional
 
@@ -38,9 +40,48 @@ def parse_field(text: str) -> FieldSpec:
     raise CliError(f"field must be 'qq' or 'fp:P', got {text!r}")
 
 
+#: how json writes each leaf type (json.dumps for NaN and the infinities);
+#: bool comes before its base class int
+_LEAVES = {str: encode_basestring_ascii, type(None): lambda _: "null",
+           bool: ("false", "true").__getitem__, int: int.__repr__,
+           float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x)}
+
+
+def _dumps(obj, newline: str = "\n") -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, without json's pure-Python encoder.
+
+    Takes str-keyed dicts, lists, tuples, str, int, float, bool and None, and
+    writes them as json does; anything else raises TypeError.  `newline` is
+    the line break and indentation of the enclosing level.
+    """
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        for key, value in sorted(obj.items()):
+            leaf = _LEAVES.get(type(value))
+            text = leaf(value) if leaf else _dumps(value, inner)
+            parts.append(encode_basestring_ascii(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = []
+        for value in obj:
+            leaf = _LEAVES.get(type(value))
+            parts.append(leaf(value) if leaf else _dumps(value, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    for kind, leaf in _LEAVES.items():  # a leaf at the top, or of a subclass such as IntEnum
+        if isinstance(obj, kind):
+            return leaf(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def emit(doc: dict, out: Optional[str]) -> None:
     """Write `doc` to `out` first, so an --out that cannot be written prints only the error."""
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = _dumps(doc)
     if out:
         try:
             with open(out, "w") as fh:
@@ -261,61 +302,114 @@ def cmd_verify(args) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `canpencil` parser.  For `read_exact`, `parser.commands` maps each
+    command to {option string: action} and its positional action or None,
+    from the actions that its add_argument calls returned."""
     parser = argparse.ArgumentParser(
         prog="canpencil",
         description="exact-arithmetic toolkit for surfaces with a canonical genus-2 pencil",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    actions = {}
 
-    def add_common(p, pg=False, theta=False, out=True):
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        return lambda *flags, **kw: actions.setdefault(name, []).append(p.add_argument(*flags, **kw))
+
+    def add_common(add, pg=False, theta=False, out=True):
         if pg:
-            p.add_argument("--pg", type=int, required=True)
+            add("--pg", type=int, required=True)
         if theta:
-            p.add_argument("--theta", type=int, required=True)
+            add("--theta", type=int, required=True)
         if out:
-            p.add_argument("--out", type=str, default=None)
+            add("--out", type=str, default=None)
 
-    p = sub.add_parser("invariants", help="K^2, chi and the divisor classes")
-    add_common(p, pg=True, theta=True)
+    add = command("invariants", help="K^2, chi and the divisor classes")
+    add_common(add, pg=True, theta=True)
 
-    p = sub.add_parser("degrees", help="prescribed coefficient degrees")
-    add_common(p, pg=True, theta=True)
+    add = command("degrees", help="prescribed coefficient degrees")
+    add_common(add, pg=True, theta=True)
 
-    p = sub.add_parser("generate", help="seeded random family member")
-    add_common(p, pg=True, theta=True)
-    p.add_argument("--field", type=str, required=True, help="qq or fp:P")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--split-qy", action="store_true", dest="split_qy",
-                   help="force q_y to split with distinct rational roots")
+    add = command("generate", help="seeded random family member")
+    add_common(add, pg=True, theta=True)
+    add("--field", type=str, required=True, help="qq or fp:P")
+    add("--seed", type=int, required=True)
+    add("--split-qy", action="store_true", dest="split_qy",
+        help="force q_y to split with distinct rational roots")
 
-    p = sub.add_parser("census", help="finite-field singularity census")
-    p.add_argument("--in", dest="infile", type=str, required=True)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--skip-sweep", action="store_true", dest="skip_sweep")
-    p.add_argument("--out", type=str, default=None)
+    add = command("census", help="finite-field singularity census")
+    add("--in", dest="infile", type=str, required=True)
+    add("--prime", type=int, default=None)
+    add("--skip-sweep", action="store_true", dest="skip_sweep")
+    add("--out", type=str, default=None)
 
-    p = sub.add_parser("verify", help="run the identity ledger")
-    p.add_argument("what", nargs="?", default="all", choices=list(LEDGERS))
-    p.add_argument("--field", type=str, default="fp:10007")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
+    add = command("verify", help="run the identity ledger")
+    add("what", nargs="?", default="all", choices=list(LEDGERS))
+    add("--field", type=str, default="fp:10007")
+    add("--seed", type=int, required=True)
+    add("--trials", type=int, default=None)
+    add("--out", type=str, default=None)
 
-    p = sub.add_parser("bidouble", help="branch data on the Hirzebruch base")
-    add_common(p, pg=True, theta=True)
+    add = command("bidouble", help="branch data on the Hirzebruch base")
+    add_common(add, pg=True, theta=True)
 
-    p = sub.add_parser("feasibility", help="genus feasibility filter")
-    p.add_argument("--k2", type=int, required=True)
-    p.add_argument("--chi", type=int, required=True)
-    p.add_argument("--q", type=int, default=0)
-    p.add_argument("--out", type=str, default=None)
+    add = command("feasibility", help="genus feasibility filter")
+    add("--k2", type=int, required=True)
+    add("--chi", type=int, required=True)
+    add("--q", type=int, default=0)
+    add("--out", type=str, default=None)
 
-    p = sub.add_parser("example", help="verify the exceptional families")
-    p.add_argument("--which", type=int, nargs=4, default=None,
-                   metavar=("ALPHA", "THETA", "K2", "PG"))
-    p.add_argument("--out", type=str, default=None)
+    add = command("example", help="verify the exceptional families")
+    add("--which", type=int, nargs=4, default=None, metavar=("ALPHA", "THETA", "K2", "PG"))
+    add("--out", type=str, default=None)
 
+    parser.commands = {name: ({s: a for a in acts for s in a.option_strings},
+                              next((a for a in acts if not a.option_strings), None))
+                       for name, acts in actions.items()}
     return parser
+
+
+def read_exact(argv: List[str], commands) -> Optional[argparse.Namespace]:
+    """The Namespace that `parse_args(argv)` returns, for a line in exact options.
+
+    argv[0] must be a command, verify's `what` may follow from its choices,
+    and every later token must be one of the command's option strings, given
+    at most once, with its nargs values, none starting with '-' or failing its
+    type; every required option must be there.  Any other line gives None for
+    argparse to read: help, abbreviations, --opt=value, '--', negative
+    numbers and every usage error.
+    """
+    if not argv or argv[0] not in commands:
+        return None
+    options, positional = commands[argv[0]]
+    values, i, n = {}, 1, len(argv)
+    if positional is not None:
+        given = n > 1 and argv[1] in positional.choices
+        values[positional.dest] = argv[1] if given else positional.default
+        i += given
+    while i < n:
+        action = options.get(argv[i])
+        if action is None or action.dest in values:
+            return None
+        end = i + 1 + (1 if action.nargs is None else action.nargs)
+        tokens = argv[i + 1:end]
+        if end > n or any(t[:1] == "-" for t in tokens):
+            return None
+        try:
+            got = [action.type(t) for t in tokens]
+        except (TypeError, ValueError):
+            return None
+        if action.nargs == 0:  # store_true
+            values[action.dest] = action.const
+        else:
+            values[action.dest] = got if action.nargs else got[0]
+        i = end
+    for action in options.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=argv[0], **values)
 
 
 _DISPATCH = {
@@ -339,16 +433,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_exact(argv, _parser.commands)
+    if args is None:
+        args = _parser.parse_args(argv)
     try:
         doc = _DISPATCH[args.command](args)
         emit(doc, getattr(args, "out", None))
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # SigmaError included
         print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return exc.code
-    except ValueError as exc:  # SigmaError included
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return 1
+        return getattr(exc, "code", 1)
     # verify and example report a failed check in their document
     return 0 if doc.get("all_passed", True) else 1
 

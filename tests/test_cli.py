@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -9,9 +10,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import canpencil.cli as cli
 from canpencil.cli import main, parse_field
 from canpencil.family import FamilyParams, generate_member
 from canpencil.fields import FieldSpec
@@ -741,6 +743,173 @@ def test_other_spellings_argparse_accepts_print_the_plain_document(capsys, argv,
     else:
         assert (code, out) == (main(plain), capsys.readouterr().out)
     assert code == 0 and json.loads(out)["all_passed"] is True
+
+
+# -- the exact-option reader ---------------------------------------------------------
+
+PARSER = cli.build_parser()
+COMMANDS = PARSER.commands
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+#: value tokens: ints argparse and int() read, ints they refuse, paths, choices and dashes
+_VALUES = ["0", "7", "35027", "-3", "-0", "+5", " 4", "1_000", "\u0663", "9" * 5000, "3.5", "x", "",
+           "-", "--", "-h", "qq", "fp:101", "member.json", "dir/a b.json", "all", "sigma2", "census"]
+_values = st.one_of(*[st.integers(0, 10**6).map(str)] * 4, st.sampled_from(_VALUES))
+
+
+@st.composite
+def command_lines(draw):
+    """A command, maybe its positional, and some of its options, each spelled exactly,
+    abbreviated or as --opt=value with random values, plus a few stray tokens."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    options, positional = COMMANDS[name]
+    line = [name]
+    if positional is not None and draw(st.booleans()):
+        line.append(draw(st.sampled_from([*positional.choices, "nosuch"])))
+    flags = draw(st.permutations(sorted(options)))
+    for flag in flags[:draw(st.sampled_from([len(flags)] * 4 + list(range(len(flags)))))]:
+        nargs = options[flag].nargs
+        values = draw(st.lists(_values, min_size=1 if nargs is None else nargs,
+                               max_size=1 if nargs is None else nargs))
+        spelling = draw(st.sampled_from(["exact"] * 12 + ["prefix", "equals"]))
+        if spelling == "equals" and values:
+            line += [f"{flag}={values[0]}", *values[1:]]
+        else:
+            line += [flag[:draw(st.integers(2, len(flag)))] if spelling == "prefix" else flag, *values]
+    everywhere = sorted({f for opts, _ in COMMANDS.values() for f in opts} | {"--", "-h", "--help"})
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        line.insert(draw(st.integers(0, len(line))), draw(st.sampled_from(everywhere + _VALUES)))
+    return line
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_reader_returns_only_what_argparse_returns(line):
+    args = cli.read_exact(line, COMMANDS)
+    if args is not None:
+        assert PARSER.parse_args(line) == args
+
+
+@pytest.mark.parametrize("line, read", [
+    ([], False), (["-h"], False), (["--help"], False), (["nosuch"], False),
+    (["verify", "-h"], False), (["verify", "--seed", "1", "--help"], False),
+    (["verify", "--tri", "2", "--seed", "3"], False), (["verify", "--trials=2", "--seed", "3"], False),
+    (["verify", "--seed", "-3"], False), (["verify", "--", "--seed", "3"], False),
+    (["verify", "--seed", "3", "--"], False), (["verify", "--seed", "x"], False),
+    (["verify", "--seed", "1", "--seed", "2"], False), (["verify", "--seed", "1", "sigma2"], False),
+    (["verify", "nosuch", "--seed", "1"], False), (["verify", "--field", "-", "--seed", "1"], False),
+    (["census"], False), (["census", "--in"], False), (["census", "--skip-sweep"], False),
+    (["census", "--in", "m.json", "--prime", "9" * 5000], False),
+    (["example", "--which", "1", "2"], False), (["example", "--which", "1", "2", "3", "4", "5"], False),
+    (["invariants", "--pg", "2", "--theta", "0", "--k2", "3"], False),
+    (["invariants", "--pg", "", "--theta", "0"], False),
+    (["generate", "--pg", "2", "--theta", "0", "--field", "qq", "--seed", "1", "--split-qy", "x"], False),
+    (["verify", "--field", "", "--seed", "1"], True),
+    (["verify", "sigma2", "--seed", "0", "--trials", "2"], True),
+    (["invariants", "--theta", "1_0", "--pg", " 7"], True),
+    (["invariants", "--pg", "\u0663", "--theta", "0"], True),
+    (["census", "--skip-sweep", "--in", "dir/a b.json"], True),
+    (["example", "--which", "1", "2", "12", "4"], True),
+    (["generate", "--seed", "1", "--split-qy", "--field", "qq", "--pg", "2", "--theta", "0"], True),
+], ids=repr)
+def test_reader_edge_lines(line, read):
+    args = cli.read_exact(line, COMMANDS)
+    assert (args is not None) == read
+    if read:
+        assert PARSER.parse_args(line) == args
+
+
+def readme_lines():
+    """The README's command-line block, once with the [...] parts dropped and once with
+    each taken, its first alternative chosen and the placeholder P made 101."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        dropped = re.sub(r" \[[^]]*\]", "", line)
+        taken = re.sub(r"\[([^]|]*)[^]]*\]", r"\1", line).replace(" P", " 101")
+        for text in (dropped, taken):
+            yield text.split()[1:]  # after `canpencil`
+
+
+def perfbench_lines():
+    """Every op and every member `generate` of each perfbench workload at its default
+    seed, with a stand-in for the CLI that answers every `generate` with a member."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    lines = []
+
+    def run_cli(argv):
+        lines.append(list(argv))
+        return 0, json.dumps({"Q": {"y": "t0"}})
+
+    for workload in workloads.WORKLOADS.values():
+        lines += [list(op.argv) for op in workload.ops(workloads.DEFAULT_SEED, "work", run_cli)]
+    return lines
+
+
+def test_reader_takes_every_readme_line_and_perfbench_op():
+    lines = [*readme_lines(), *perfbench_lines()]
+    assert {line[0] for line in lines} == set(COMMANDS)
+    for line in lines:
+        args = cli.read_exact(line, COMMANDS)
+        assert args is not None, line
+        assert PARSER.parse_args(line) == args
+
+
+def test_main_reads_sys_argv_when_given_no_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["canpencil", "invariants", "--pg", "2", "--theta", "0"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["K2"] == 2
+
+
+# -- the indented writer ----------------------------------------------------------------
+
+_leaves = st.one_of(
+    st.none(), st.booleans(), st.text(), st.text(alphabet='"\\\x00\x1f\x7f\xe9\u2028\U0001f600 /'),
+    st.integers(), st.integers(-2**200, 2**200), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 1e16, 1e-7, 1.5, -2.0, 10**400]),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e16, 1e-7, -10**30, True, None])
+@example({"\xe9\n\"": ({"": []}, (), {}), "\x00": "\U0001f600\x7f"})
+def test_writer_prints_json_indented_bytes(doc):
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"a": object()}, {"a": {1, 2}}, {"a": b"x"}, {(1,): 2}, [{1: 2}]],
+                         ids=repr)
+def test_writer_refuses_other_types(doc):
+    # json refuses these too, except the int key, which it would print as "1"
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+
+
+def test_writer_prints_every_subcommand_document_as_json_does(tmp_path):
+    member = str(tmp_path / "member.json")
+    lines = [
+        ["invariants", "--pg", "5", "--theta", "1"], ["degrees", "--pg", "7", "--theta", "4"],
+        ["generate", "--pg", "2", "--theta", "0", "--field", "fp:101", "--seed", "9", "--out", member],
+        ["census", "--in", member], ["verify", "--seed", "1", "--trials", "2"],
+        ["bidouble", "--pg", "4", "--theta", "5"], ["feasibility", "--k2", "112", "--chi", "30"],
+        ["example", "--which", "1", "2", "12", "4"],
+    ]
+    assert {line[0] for line in lines} == set(COMMANDS)
+    for line in lines:
+        args = cli.read_exact(line, COMMANDS)
+        doc = cli._DISPATCH[args.command](args)
+        assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+        if args.out:
+            cli.emit(doc, args.out)
 
 
 # -- golden outputs -------------------------------------------------------------------
