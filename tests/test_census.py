@@ -1082,7 +1082,7 @@ def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
 def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_over_11):
     # q_y and the y^3-coefficient reduce mod 11, but x1^4*y does not: the census still refuses
     message = "^bad reduction mod 11: denominator 33 not invertible mod 11$"
-    for census in (node_census, branch_disjointness):
+    for census in (node_census, branch_disjointness, quasi_smooth_sweep):
         with pytest.raises(ValueError, match=message):
             census(branch_over_11, 11)
     with pytest.raises(ValueError, match=message):
@@ -1095,6 +1095,38 @@ def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_ove
     assert list(G.terms).index(FiberMonomial(0, 4, 1, 0)) < list(G.terms).index(FiberMonomial(0, 6, 0, 0))
     with pytest.raises(ValueError, match=message):
         run_census(member, p_nodes=11, skip_sweep=True)
+
+
+def _doctored_rational_member():
+    """A seed-1 rational member with denominators 3 and 7 whose y^3-coefficient is 0 mod 11."""
+    member = generate_member(FamilyParams(2, 0, QQ, seed=1))
+    terms = dict(member.G.terms)
+    terms[FiberMonomial(0, 0, 3, 0)] = terms[FiberMonomial(0, 0, 3, 0)].scale(Fraction(11, 3))
+    terms[FiberMonomial(0, 4, 1, 0)] = terms[FiberMonomial(0, 4, 1, 0)].scale(Fraction(1, 7))
+    G = GradedSection(member.bundle, QQ, member.G.bidegree, terms)
+    return SurfaceEquations(member.bundle, QQ, member.Q, G).validate()
+
+
+@pytest.mark.parametrize("p", [11, 101, 35027])
+def test_reduction_matches_the_coefficientwise_oracle(p):
+    # every coefficient reduced on its own by BinForm's scalar rule, zero forms dropped
+    spec = FieldSpec.prime_field(p)
+    members = [generate_member(FamilyParams(pg, theta, QQ, seed=seed))
+               for pg, theta, seed in ((2, 0, 1), (3, 2, 5), (7, 3, 5))]
+    for member in members + [_doctored_rational_member()]:
+        expected = [{m: f for m, c in s.terms.items() if not (f := BinForm(spec, c.coeffs)).is_zero}
+                    for s in (member.Q, member.G)]
+        full = census_mod._as_prime_equations(member, p)
+        assert full.field == spec and full.bundle == member.bundle
+        assert [full.Q.terms, full.G.terms] == expected
+        assert (full.Q.bidegree, full.G.bidegree) == (member.Q.bidegree, member.G.bidegree)
+        node = census_mod._node_equations(member, p)
+        assert node.field == spec
+        assert node.Q.terms == {m: f for m, f in expected[0].items() if m == FiberMonomial(0, 0, 1, 0)}
+        assert node.G.terms == {m: f for m, f in expected[1].items() if m == FiberMonomial(0, 0, 3, 0)}
+        assert node.q_y == full.q_y and node.g_coefficient(0, 0, 3) == full.g_coefficient(0, 0, 3)
+    # the doctored y^3-coefficient 3 * 11/3 = 11 vanishes mod 11 alone
+    assert (FiberMonomial(0, 0, 3, 0) in expected[1]) == (p != 11)
 
 
 def test_one_rule_refuses_a_prime_member_at_another_prime():

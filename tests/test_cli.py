@@ -955,6 +955,15 @@ GOLDEN_CENSUS_SHA256 = {
         "ccf0ac5cb1aeb1e67bcdad8024d33cc7054fb53a1406c65248bcceb007a7ce66",
     (("--pg", "7", "--theta", "3", "--field", "qq", "--seed", "5"), ("--prime", "35027", "--skip-sweep")):
         "20637ca6f91f7621c5e0dee4e70cb6b2caad83b951f243501f617eca0891f065",
+    # a whole rational member reduced for the sweep: at the default primes
+    # (nodes 101, sweep 11), and at 101 for both
+    (("--pg", "2", "--theta", "0", "--field", "qq", "--seed", "1"), ()):
+        "4c576f2ccb9612cd100fdccbc1766f0c19508ff7890d640592850c4e2b90c988",
+    (("--pg", "2", "--theta", "0", "--field", "qq", "--seed", "1"), ("--prime", "101")):
+        "ccf0ac5cb1aeb1e67bcdad8024d33cc7054fb53a1406c65248bcceb007a7ce66",
+    # 2 branch hits and 4 cone singularities
+    (("--pg", "2", "--theta", "0", "--field", "fp:17", "--seed", "17"), ()):
+        "f6955cc3f443b70e8245344fded8af802e540eda70f8825e2cc6f472b61fb2b7",
 }
 
 
