@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
 from .fields import FieldSpec
 from .family import SurfaceEquations
-from .sections import _Y, FiberMonomial, GradedSection, _section
+from .sections import _Y, FiberMonomial, _section
 
 
 @dataclass(frozen=True, order=True)
@@ -56,31 +56,24 @@ def _reduce_form(form: BinForm, spec: FieldSpec) -> BinForm:
     return BinForm.from_numerators(spec, form.nums, den)
 
 
-def _as_prime_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """Equations over F_p: a rational member reduced mod p.
+#: the slots the node census and the branch check read: q_y and G_003
+_NODE_MONOMIALS = frozenset((_Y, FiberMonomial(0, 0, 3, 0)))
+
+
+def _over_prime(eqs: SurfaceEquations, p: int,
+                monomials: Optional[frozenset] = None) -> SurfaceEquations:
+    """Equations over F_p: a rational member reduced mod p, in the slots `monomials` (None: all).
 
     A member over F_p itself is returned at once: its `FieldSpec` checked p
     when it was built, so the primality test does not run again.  At any
     other prime `_census_prime` refuses a member over a prime field, and
     p = None falls through to the modulus check.  For a rational member p
     is checked before anything is reduced: 5 <= p < 2**31, then `is_prime`
-    by the bases (2, 7, 61), which decide every n < 4 759 123 141.
-    """
-    if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
-        return eqs
-    spec = FieldSpec.prime_field(p)  # rejects None, 2, 3, composites
-    def reduce_section(s: GradedSection) -> GradedSection:
-        terms = {m: _reduce_form(coeff, spec) for m, coeff in s.terms.items()}
-        return GradedSection(s.bundle, spec, s.bidegree, terms)
-    return SurfaceEquations(eqs.bundle, spec, reduce_section(eqs.Q), reduce_section(eqs.G))
-
-
-def _node_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
-    """`_as_prime_equations` cut to what the node census and branch check read: q_y and G_003.
-
-    Every denominator is tested first, in the order `_as_prime_equations`
-    reduces them, so a bad reduction is refused as it refuses it.  The Q and
-    G returned hold the two reduced forms alone, so they are no member.
+    by the bases (2, 7, 61), which decide every n < 4 759 123 141.  Every
+    denominator, Q's then G's, is tested before any slot is reduced, so a
+    bad reduction is refused whichever slots are asked for.  A slot that
+    reduces to zero is dropped; with `monomials` given, Q and G hold those
+    slots alone, so they are no member.
     """
     if eqs.field.is_prime_field and _census_prime(eqs, p, None) == p:
         return eqs
@@ -88,8 +81,10 @@ def _node_equations(eqs: SurfaceEquations, p: int) -> SurfaceEquations:
     for coeff in (*eqs.Q.terms.values(), *eqs.G.terms.values()):
         if coeff.den % p == 0:
             _reduce_form(coeff, spec)  # words the bad reduction
-    Q, G = (_section(eqs.bundle, spec, s.bidegree, {m: _reduce_form(s.coefficient(m), spec)})
-            for s, m in ((eqs.Q, _Y), (eqs.G, FiberMonomial(0, 0, 3, 0))))
+    Q, G = (_section(eqs.bundle, spec, s.bidegree,
+                     {m: _reduce_form(c, spec) for m, c in s.terms.items()
+                      if monomials is None or m in monomials})
+            for s in (eqs.Q, eqs.G))
     return SurfaceEquations(eqs.bundle, spec, Q, G)
 
 
@@ -165,7 +160,7 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     with determinant -2 q_y'(t)^2, so that is what is recorded: it is
     nonzero exactly at the simple roots of q_y.
     """
-    eqs = _node_equations(eqs, p)
+    eqs = _over_prime(eqs, p, _NODE_MONOMIALS)
     qy = eqs.q_y
     if qy.is_zero:
         raise ValueError("q_y vanishes identically; the node census is undefined")
@@ -182,21 +177,9 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchViolation:
-    point: WPSPoint
-
-    @property
-    def branch_value(self) -> int:
-        return 0  # the branch form vanishes at every violation
-
-    def to_json_dict(self) -> dict:
-        return {"point": self.point.to_json_dict(), "branch_value": 0}
-
-
 def branch_disjointness(
     eqs: SurfaceEquations, p: int, census: Optional[NodeCensus] = None
-) -> List[BranchViolation]:
+) -> List[WPSPoint]:
     """Nodes where the branch curve passes through the branch point set.
 
     The branch form is the z-free part of G; at a node x0 = x1 = 0, y = 1
@@ -204,12 +187,11 @@ def branch_disjointness(
     the member, not an error.  `census` is the member's node census at p
     when the caller already has it; otherwise it is computed here.
     """
-    eqs = _node_equations(eqs, p)
+    eqs = _over_prime(eqs, p, _NODE_MONOMIALS)
     if census is None:
         census = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
-    return [BranchViolation(rec.point) for rec in census.nodes
-            if g003.evaluate(*rec.point.base) == 0]
+    return [rec.point for rec in census.nodes if g003.evaluate(*rec.point.base) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +338,7 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
     coordinates are taken only over a base point with a candidate.  The
     result is sorted and independent of the processing order.
     """
-    eqs = _as_prime_equations(eqs, p)
+    eqs = _over_prime(eqs, p)
     if 7 * (p - 1) ** 2 >> 32:
         raise ValueError(f"sweep at p = {p}: its slot test needs 7 (p - 1)^2 < 2^32, so p <= 24771")
     failures = set()
@@ -431,7 +413,7 @@ class SingularReport:
     p_nodes: int
     p_sweep: Optional[int]  # None: the sweep was skipped
     nodes: NodeCensus
-    branch_hits: List[BranchViolation]
+    branch_hits: List[WPSPoint]  # the branch form vanishes at each
     cone_singularities: List[WPSPoint]
     timings: Dict[str, float]
 
@@ -452,7 +434,8 @@ class SingularReport:
             "node_count": len(self.nodes.nodes),
             "roots_outside_field": self.nodes.roots_outside_field,
             "nodes": [r.to_json_dict() for r in self.nodes.nodes],
-            "branch_hits": [v.to_json_dict() for v in self.branch_hits],
+            "branch_hits": [{"point": q.to_json_dict(), "branch_value": 0}
+                            for q in self.branch_hits],
             "cone_singularities": [q.to_json_dict() for q in self.cone_singularities],
             "sweep_skipped": self.sweep_skipped,
             "clean": self.clean,
@@ -486,22 +469,19 @@ def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: Optional[int
     return q
 
 
-def run_census(
-    eqs: SurfaceEquations,
-    p_nodes: Optional[int] = None,
-    p_sweep: Optional[int] = None,
-    skip_sweep: bool = False,
-) -> SingularReport:
+def run_census(eqs: SurfaceEquations, prime: Optional[int] = None,
+               skip_sweep: bool = False) -> SingularReport:
     """Node census plus branch check, and optionally the full sweep.
 
     A member over F_p is censused at p: None stands for p, and any other
-    prime is a ValueError.  A rational member is reduced modulo p_nodes
-    (None: 101) and p_sweep (None: 11).  A sweep above SWEEP_PRIME_MAX is
-    refused with a ValueError before any work is done; a p_sweep that is not
-    a prime below 2**31 is reported as such first.
+    prime is a ValueError.  A rational member is reduced modulo `prime`
+    for both; None stands for 101 for the nodes and 11 for the sweep.  A
+    sweep above SWEEP_PRIME_MAX is refused with a ValueError before any
+    work is done; a `prime` that is no prime below 2**31 is reported as
+    such first.
     """
-    p_nodes = _census_prime(eqs, p_nodes, 101)
-    p_sweep = _census_prime(eqs, p_sweep, 11)
+    p_nodes = _census_prime(eqs, prime, 101)
+    p_sweep = _census_prime(eqs, prime, 11)
     if not skip_sweep and p_sweep > SWEEP_PRIME_MAX:
         FieldSpec.prime_field(p_sweep)  # rejects composites and p >= 2**31
         raise ValueError(
@@ -509,7 +489,7 @@ def run_census(
             f"(limit p <= {SWEEP_PRIME_MAX}); pass --skip-sweep"
         )
     t0 = time.perf_counter()
-    reduced = _node_equations(eqs, p_nodes)
+    reduced = _over_prime(eqs, p_nodes, _NODE_MONOMIALS)
     nodes = node_census(reduced, p_nodes)
     branch_hits = branch_disjointness(reduced, p_nodes, nodes)
     timings = {"nodes_s": round(time.perf_counter() - t0, 6)}

@@ -114,7 +114,7 @@ def cmd_generate(args) -> dict:
 
 def cmd_census(args) -> dict:
     eqs = load_equations(args.infile)
-    report = census_mod.run_census(eqs, args.prime, args.prime, args.skip_sweep)
+    report = census_mod.run_census(eqs, args.prime, args.skip_sweep)
     return report.to_json_dict()
 
 

@@ -274,10 +274,10 @@ def test_branch_disjointness_doctored_member():
     G = GradedSection(member22.bundle, F101, member22.G.bidegree, terms)
     doctored = SurfaceEquations(member22.bundle, F101, member22.Q, G).validate()
     hits = branch_disjointness(doctored, 101)
-    assert any(v.point.base == (a, b) for v in hits)
+    assert any(v.base == (a, b) for v in hits)
     # independent recheck: the full branch section vanishes at each hit
     for v in hits:
-        t0, t1 = v.point.base
+        t0, t1 = v.base
         value = sum(
             c.evaluate(t0, t1)
             for m, c in doctored.branch_terms().items()
@@ -615,7 +615,7 @@ def _orbit_sweep(eqs, p):
     `quasi_smooth_sweep`, which tests only the points where q_y = 0 or the
     branch sextic is singular.
     """
-    eqs = census_mod._as_prime_equations(eqs, p)
+    eqs = census_mod._over_prime(eqs, p)
     sqrt = _sqrt_table(p)
     failures = set()
     branch = [(m.i, m.j, m.k, c) for m, c in eqs.branch_terms().items()]
@@ -893,7 +893,7 @@ def _cone_point_sweep(eqs, p, base_order=None):
     representatives.  Kept as the reference the sweep must match at
     primes too large for the brute-force scan.
     """
-    eqs = census_mod._as_prime_equations(eqs, p)
+    eqs = census_mod._over_prime(eqs, p)
     sqrt = _sqrt_table(p)
     failures = set()
     bases = base_order if base_order is not None else base_points(p)
@@ -992,7 +992,7 @@ def test_node_census_matches_schoolbook_powering(p, monkeypatch):
 
 def test_run_census_rational_member_reduces():
     member = generate_member(FamilyParams(2, 0, QQ, seed=6), split_qy=False)
-    report = run_census(member, p_nodes=101, p_sweep=11)
+    report = run_census(member)
     doc = report.to_json_dict()
     assert doc["prime_nodes"] == 101
     assert doc["prime_sweep"] == 11
@@ -1002,12 +1002,12 @@ def test_run_census_rational_member_reduces():
 
 def test_run_census_prime_member_uses_own_prime():
     member = generate_member(FamilyParams(2, 0, F11, seed=1))
-    for primes in ((None, None), (11, None), (None, 11), (11, 11)):
-        report = run_census(member, *primes)
+    for prime in (None, 11):
+        report = run_census(member, prime)
         assert report.p_nodes == 11 and report.p_sweep == 11
-    for primes in ((101, None), (None, 13), (101, 11), (11, 13)):
+    for prime in (101, 13):
         with pytest.raises(ValueError, match="would cross characteristics"):
-            run_census(member, *primes, skip_sweep=True)
+            run_census(member, prime, skip_sweep=True)
 
 
 def test_run_census_skip_sweep():
@@ -1042,7 +1042,7 @@ def test_run_census_builds_one_prime_field(monkeypatch):
 
     member = generate_member(FamilyParams(3, 2, QQ, seed=5))
     monkeypatch.setattr(FieldSpec, "__post_init__", counting)
-    run_census(member, p_nodes=35027, skip_sweep=True)
+    run_census(member, 35027, skip_sweep=True)
     assert built == [35027]
 
 
@@ -1053,15 +1053,15 @@ def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):
     p = next(q for q in range(census_mod.SWEEP_PRIME_MAX + 1, 2**31)
              if all(q % d for d in range(2, int(q**0.5) + 1)))  # 1013, the next prime
     with pytest.raises(ValueError, match=f"sweep at p = {p} would visit"):
-        run_census(member, p_nodes=101, p_sweep=p)
+        run_census(member, p)
     assert calls == []
 
 
 def test_census_bad_reduction_is_value_error(member_over_11):
     with pytest.raises(ValueError, match="bad reduction mod 11"):
-        run_census(member_over_11, p_nodes=11, skip_sweep=True)
+        run_census(member_over_11, 11, skip_sweep=True)
     # any other prime reduces fine
-    assert run_census(member_over_11, p_nodes=13, skip_sweep=True).p_nodes == 13
+    assert run_census(member_over_11, 13, skip_sweep=True).p_nodes == 13
 
 
 def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
@@ -1075,7 +1075,7 @@ def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
     member = SurfaceEquations(member_over_11.bundle, QQ, Q, member_over_11.G).validate()
     assert member.q_x.coefficient(0) == Fraction(8, 33)
     with pytest.raises(ValueError) as err:
-        run_census(member, p_nodes=11, skip_sweep=True)
+        run_census(member, 11, skip_sweep=True)
     assert str(err.value) == "bad reduction mod 11: denominator 33 not invertible mod 11"
 
 
@@ -1086,7 +1086,7 @@ def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_ove
         with pytest.raises(ValueError, match=message):
             census(branch_over_11, 11)
     with pytest.raises(ValueError, match=message):
-        run_census(branch_over_11, p_nodes=11, skip_sweep=True)
+        run_census(branch_over_11, 11, skip_sweep=True)
     # a second bad slot later in G does not change which one is reported
     terms = dict(branch_over_11.G.terms)
     terms[FiberMonomial(0, 6, 0, 0)] = terms[FiberMonomial(0, 6, 0, 0)].scale(Fraction(1, 22))
@@ -1094,7 +1094,7 @@ def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_ove
     member = SurfaceEquations(branch_over_11.bundle, QQ, branch_over_11.Q, G).validate()
     assert list(G.terms).index(FiberMonomial(0, 4, 1, 0)) < list(G.terms).index(FiberMonomial(0, 6, 0, 0))
     with pytest.raises(ValueError, match=message):
-        run_census(member, p_nodes=11, skip_sweep=True)
+        run_census(member, 11, skip_sweep=True)
 
 
 def _doctored_rational_member():
@@ -1116,11 +1116,11 @@ def test_reduction_matches_the_coefficientwise_oracle(p):
     for member in members + [_doctored_rational_member()]:
         expected = [{m: f for m, c in s.terms.items() if not (f := BinForm(spec, c.coeffs)).is_zero}
                     for s in (member.Q, member.G)]
-        full = census_mod._as_prime_equations(member, p)
+        full = census_mod._over_prime(member, p)
         assert full.field == spec and full.bundle == member.bundle
         assert [full.Q.terms, full.G.terms] == expected
         assert (full.Q.bidegree, full.G.bidegree) == (member.Q.bidegree, member.G.bidegree)
-        node = census_mod._node_equations(member, p)
+        node = census_mod._over_prime(member, p, census_mod._NODE_MONOMIALS)
         assert node.field == spec
         assert node.Q.terms == {m: f for m, f in expected[0].items() if m == FiberMonomial(0, 0, 1, 0)}
         assert node.G.terms == {m: f for m, f in expected[1].items() if m == FiberMonomial(0, 0, 3, 0)}
