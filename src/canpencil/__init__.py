@@ -6,7 +6,7 @@ Subpackage map:
   binary forms on the base line, with the literal parser;
 - :mod:`canpencil.sections` -- the sparse-polynomial core and, on it, the
   bigraded section ring of the weighted bundle P(1:1:2:3) over P^1, with
-  normal-form reduction;
+  the JSON bodies of its sections;
 - :mod:`canpencil.chow` -- intersection numbers and surface invariants;
 - :mod:`canpencil.family` -- degree tables, seeded members, bidouble-cover
   branch data, genus feasibility;

@@ -980,8 +980,8 @@ def scan_binform(text: str, field: FieldSpec):
     linear in the length of the text, also on a literal they refuse.
 
     A literal exactly as `format_binform` prints a form with integral
-    coefficients, as every equation file that `generate` or
-    `SurfaceEquations.save` writes holds, takes a shorter lane first:
+    coefficients, as is every literal of every equation file `generate`
+    writes, takes a shorter lane first:
     `_scan_printed` reads it once, with one `findall`, and returns the same
     value.  Any other text, and any printed literal whose terms the back
     half would drop, merge or refuse, goes both halves' way, so every error

@@ -9,9 +9,9 @@ top products matter:
 hard-coded for this one family rather than derived from a general toric
 engine.  Every weight divides prod(w) = 6, so 36 * H^3.F = 6 and
 36 * H^4 = 6a0 + 6a1 + 3a2 + 2a3 are integers: `top_intersection_numerator`
-expands a product in ints into 36 times its value, and `top_intersection`
-divides it by 36 into an exact Fraction.  Intersection numbers are exact
-rationals; only the final surface invariants are asserted integral.
+expands a product in ints into 36 times its value, so intersection
+numbers stay exact; only the final surface invariants are asserted
+integral.
 
 `verify` recomputes the invariants of every (p_g, theta) on every run, with no
 cache: the classes of Q and K_X are constants, and `surface_invariants`
@@ -69,11 +69,6 @@ def class_K_relative(bundle: BundleData) -> DivisorClass:
     return _new_class(DivisorClass, (-7, 6 * bundle.pg + 2 * bundle.theta + 2))
 
 
-def class_fixed_part(bundle: BundleData) -> DivisorClass:
-    """Divisor of x1, the fixed part of the canonical system."""
-    return DivisorClass(1, -(bundle.pg + 1))
-
-
 def top_intersection_numerator(bundle: BundleData, c1, c2, c3, c4) -> int:
     """36 times the top intersection number of four divisor classes on `bundle`.
 
@@ -91,11 +86,6 @@ def top_intersection_numerator(bundle: BundleData, c1, c2, c3, c4) -> int:
     coeff_h4 = h12 * h34
     coeff_h3f = (f1 * h2 + h1 * f2) * h34 + h12 * (f3 * h4 + h3 * f4)
     return coeff_h4 * (6 * a0 + 6 * a1 + 3 * a2 + 2 * a3) + coeff_h3f * 6
-
-
-def top_intersection(bundle: BundleData, c1, c2, c3, c4) -> Fraction:
-    """Exact top intersection number of four divisor classes on `bundle`."""
-    return Fraction(top_intersection_numerator(bundle, c1, c2, c3, c4), 36)
 
 
 def adjunction_check(bundle: BundleData, g: Optional[DivisorClass] = None) -> DivisorClass:

@@ -1,9 +1,9 @@
 """Construction and analysis of the classified families.
 
-Covers the coefficient degree tables, seeded random members, the structure
-of the canonical system, moduli dimension bookkeeping, the bidouble-cover
-branch data over Hirzebruch surfaces, and the genus feasibility filter
-driven by the classical numeric inequalities.
+Covers the coefficient degree tables, seeded random members and their
+equation files, the bidouble-cover branch data over Hirzebruch surfaces,
+and the genus feasibility filter driven by the classical numeric
+inequalities.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from .binform import BinForm, random_binform, random_split_squarefree
-from .chow import CLASS_Q, F, class_G, class_fixed_part, surface_invariants, top_intersection
+from .chow import CLASS_Q, class_G, surface_invariants
 from .fields import FieldSpec, json_int
 from .sections import (
     _X0SQ,
@@ -214,11 +214,6 @@ class SurfaceEquations:
                 raise ValueError(f"{key!r} {exc}") from None
         return SurfaceEquations(bundle, field, sections["Q"], sections["G"])._check_shape()
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @staticmethod
     def load(path: str) -> "SurfaceEquations":
         with open(path) as fh:
@@ -268,80 +263,6 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
             g_terms[mono] = random_binform(field, degree, rng)
     G = GradedSection(bundle, field, class_G(bundle), g_terms)
     return SurfaceEquations(bundle, field, Q, G).validate()
-
-
-# ---------------------------------------------------------------------------
-# the canonical system
-# ---------------------------------------------------------------------------
-
-
-def canonical_structure(eqs: SurfaceEquations) -> dict:
-    """Shape of |K|: fixed part, moving pencil, and the canonical image.
-
-    The fixed part is cut by x1 = 0; the moving sections are h * x1 with
-    deg h = p_g - 1, so there are p_g of them and the canonical image is
-    the rational normal curve of degree p_g - 1.  The horizontal fiber
-    degree of the fixed part is recomputed by intersection theory and must
-    equal 2.
-    """
-    eqs.validate()
-    bundle = eqs.bundle
-    pg = bundle.pg
-    fixed = class_fixed_part(bundle)
-    fiber_deg = top_intersection(bundle, fixed, F, CLASS_Q, class_G(bundle))
-    if fiber_deg != 2:
-        raise AssertionError(f"fixed part should meet every fibre twice, got {fiber_deg}")
-    return {
-        "fixed_part": {
-            "divisor": "x1 = 0",
-            "class": list(fixed),
-            "fiber_degree": int(fiber_deg),
-        },
-        "moving_part": {
-            "shape": "h * x1 with deg h = p_g - 1",
-            "h_degree": pg - 1,
-        },
-        "section_count": pg,
-        "pencil_degree": pg - 1,
-        "canonical_image": f"rational normal curve of degree {pg - 1} in P^{pg - 1}",
-    }
-
-
-# ---------------------------------------------------------------------------
-# moduli dimension bookkeeping
-# ---------------------------------------------------------------------------
-
-
-def family_dimension(pg: int, theta: int) -> dict:
-    """Dimension count in the regime theta <= 2, p_g > 6 - 2*theta.
-
-    `dimension` is the moduli dimension 4*p_g + 9 - 2*theta.
-    `parameter_count` sums (degree + 1) over the surviving coefficient
-    slots, which is 4*p_g + 16 - theta here.  Their difference is reported
-    as the dimension of the symmetry group absorbed by the family map; it
-    is bookkeeping output, not an independently established value.
-    """
-    if theta > 2:
-        raise ValueError("dimension count requires theta <= 2")
-    if pg <= 6 - 2 * theta:
-        raise ValueError(f"dimension count requires p_g > {6 - 2 * theta}")
-    table = degree_table(pg, theta)
-    count = (table.q_x + 1) + (table.q_y + 1)
-    for slot in table.g_present():
-        i = slot[0]
-        if i != 0:
-            raise AssertionError("x0-slots must be forced to zero in this regime")
-        count += table.g[slot] + 1
-    moduli_dim = 4 * pg + 9 - 2 * theta
-    if count != 4 * pg + 16 - theta:
-        raise AssertionError(f"parameter count {count} != {4 * pg + 16 - theta}")
-    return {
-        "p_g": pg,
-        "theta": theta,
-        "dimension": moduli_dim,
-        "parameter_count": count,
-        "symmetry_delta": count - moduli_dim,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -377,89 +377,6 @@ def lifting_annihilator(data: SigmaTwoData) -> LiftingCertificate:
 
 
 # ---------------------------------------------------------------------------
-# the induced map on the rank-2 quotient
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DeltaRestriction:
-    """The pair representing the branch map on the rank-2 quotient.
-
-    ``entries = (F120/f0^2, 3 F030/f0^2 - 2 f1 F120/f0^3)``.  A zero pair is
-    flagged: the branch curve cannot contain the section, so the map must
-    be nonzero for data coming from an actual surface.
-    """
-
-    entries: Tuple[BinForm, BinForm]
-
-    @property
-    def is_zero_map(self) -> bool:
-        return all(e.is_zero for e in self.entries)
-
-
-def delta_on_s6prime(F120: BinForm, F030: BinForm, data: SigmaTwoData) -> DeltaRestriction:
-    f0 = data.f0
-    f02 = f0 * f0
-    f03 = f02 * f0
-    if not divides(f02, F120):
-        raise SigmaError("f0^2 does not divide F120")
-    first = divexact(F120, f02)
-    three = BinForm.constant(data.field, 3)
-    two = BinForm.constant(data.field, 2)
-    cleared = three * F030 * f0 - two * data.f1 * F120
-    if not divides(f03, cleared):
-        raise SigmaError("3*F030/f0^2 - 2*f1*F120/f0^3 is not a polynomial")
-    second = divexact(cleared, f03)
-    return DeltaRestriction((first, second))
-
-
-def s_algebra_degrees(deg_s1: int, tau_prime: BinForm, d_max: int) -> List[int]:
-    """Degrees of the graded pieces: deg S_d = d*deg S_1 + floor(d/2)*deg tau'.
-
-    The zero form counts as the empty divisor of degree 0.
-    """
-    if d_max < 1:
-        raise ValueError("d_max >= 1 required")
-    dt = 0 if tau_prime.is_zero else tau_prime.degree
-    return [d * deg_s1 + (d // 2) * dt for d in range(1, d_max + 1)]
-
-
-# ---------------------------------------------------------------------------
-# the slope bound with the correction term
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class XiaoVerdict:
-    satisfied: bool
-    margin: int
-    forced_equality_broken: bool
-    message: str
-
-
-def xiao_bound(k2: int, chi: int, q: int, deg_tau: int, deg_tau_prime: int) -> XiaoVerdict:
-    """K^2 >= 4*chi + 6q - 10 + 3*deg(tau - tau'), with the low-K^2 corollary.
-
-    Inputs must be consistent: deg tau = K^2 - 2*chi + 6 and
-    0 <= deg tau' <= deg tau.  When K^2 <= 4*chi - 8 the bound forces
-    q = 0 and tau = tau'; a violation of that clause is flagged.
-    """
-    if deg_tau != k2 - 2 * chi + 6:
-        raise ValueError(f"deg tau must equal K^2 - 2*chi + 6 = {k2 - 2 * chi + 6}")
-    if not 0 <= deg_tau_prime <= deg_tau:
-        raise ValueError("need 0 <= deg tau' <= deg tau")
-    if q not in (0, 1):
-        raise ValueError("q must be 0 or 1")
-    rhs = 4 * chi + 6 * q - 10 + 3 * (deg_tau - deg_tau_prime)
-    margin = k2 - rhs
-    forced = k2 <= 4 * chi - 8 and (q != 0 or deg_tau_prime != deg_tau)
-    msg = "satisfied" if margin >= 0 else "violated"
-    if forced:
-        msg += "; K^2 <= 4*chi - 8 forces q = 0 and tau = tau', which fails here"
-    return XiaoVerdict(margin >= 0, margin, forced, msg)
-
-
-# ---------------------------------------------------------------------------
 # the three exceptional families
 # ---------------------------------------------------------------------------
 

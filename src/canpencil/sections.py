@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .binform import BinForm, ParseError, build_binform, format_binform, scan_binform
@@ -45,10 +45,6 @@ class BundleData:
     @property
     def twists(self) -> Tuple[int, int, int, int]:
         return (1, self.pg + 1, 2 * self.pg + self.theta, 3 * self.pg + self.theta)
-
-    @property
-    def weights(self) -> Tuple[int, int, int, int]:
-        return WEIGHTS
 
     @property
     def chi(self) -> int:
@@ -380,63 +376,6 @@ def _section(bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
     _setattr(section, "m", bidegree[1])
     _setattr(section, "terms", {m: c for m, c in terms.items() if c.nums})
     return section
-
-
-# ---------------------------------------------------------------------------
-# normal-form reduction modulo (Q, G)
-# ---------------------------------------------------------------------------
-
-
-def _check_monic_relation(rel: GradedSection, lead: FiberMonomial, name: str) -> None:
-    c = rel.terms.get(lead)
-    if c is None or c.degree != 0 or c.lead_coeff != 1:
-        raise ValueError(f"relation {name} must have {monomial_str(lead)}-coefficient exactly 1")
-
-
-def _order_key(m: FiberMonomial):
-    # reduction order: lexicographic on (l, i), ties broken by (k, j)
-    return (m.l, m.i, m.k, m.j)
-
-
-def normal_form(s: GradedSection, Q: GradedSection, G: GradedSection) -> GradedSection:
-    """Reduce modulo the ideal (Q, G) for the monic normal shape.
-
-    Q must have x0^2-coefficient exactly 1 and G z^2-coefficient exactly 1.
-    The result has every monomial with x0-exponent <= 1 and z-exponent <= 1
-    and is congruent to s.  The leading monomials x0^2 and z^2 are coprime,
-    so the rewriting system is confluent and the fixed reduction order is a
-    determinism choice, not a correctness one.
-    """
-    _check_monic_relation(Q, _X0SQ, "Q")
-    _check_monic_relation(G, _ZSQ, "G")
-    s._compat(Q)
-    s._compat(G)
-
-    work: Dict[FiberMonomial, BinForm] = dict(s.terms)
-    while True:
-        reducible = [m for m in work if m.l >= 2 or m.i >= 2]
-        if not reducible:
-            break
-        target = max(reducible, key=_order_key)
-        coeff = work.pop(target)
-        if target.l >= 2:
-            rel, lead = G, _ZSQ
-        else:
-            rel, lead = Q, _X0SQ
-        stub = FiberMonomial._make(map(sub, target, lead))
-        # c * target == c * stub * rel  -  c * stub * (tail of rel)   (mod ideal)
-        for mono, relc in rel.terms.items():
-            if mono == lead:
-                continue
-            dest = FiberMonomial._make(map(add, stub, mono))
-            delta = coeff * relc
-            acc = work.get(dest)
-            new = -delta if acc is None else acc - delta
-            if new.is_zero:
-                work.pop(dest, None)
-            else:
-                work[dest] = new
-    return GradedSection(s.bundle, s.field, s.bidegree, work)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Intersection numbers and surface invariants as they stood before the int closed forms.
 
-Kept verbatim as the reference that `canpencil.chow.top_intersection`,
+Kept verbatim as the reference that `canpencil.chow.top_intersection_numerator` (over 36),
 `adjunction_check` and `surface_invariants` must match (see the oracle
 tests in test_chow.py): the expansion reads each class through its
 attributes, and adjunction sums three `DivisorClass`es.  The classes and

@@ -1,3 +1,4 @@
+import json
 import signal
 import sys
 from pathlib import Path
@@ -12,6 +13,11 @@ import pytest  # noqa: E402
 from canpencil.family import FamilyParams, SurfaceEquations, generate_member  # noqa: E402
 from canpencil.fields import QQ  # noqa: E402
 from canpencil.sections import FiberMonomial, GradedSection  # noqa: E402
+
+
+def save_equations(eqs: SurfaceEquations, path: Path) -> None:
+    """Write the equation file of `eqs` to `path`: sorted keys, two-space indent, one final newline."""
+    path.write_text(json.dumps(eqs.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @pytest.fixture

@@ -867,6 +867,7 @@ def check_ring_operations(data, fld, scalars) -> None:
     check_against(operator.neg, ref_neg, a)
     c = data.draw(st.one_of(scalars, st.integers(-50, 50), st.fractions(-9, 9, max_denominator=4)))
     check_against(BinForm.scale, ref_scale, a, c)
+    assert_coeffs(BinForm.constant(fld, c), fld, ref_canonical(fld, [c]))
     check_against(operator.pow, ref_pow, a, data.draw(st.integers(0, 4)))
 
 

@@ -14,13 +14,11 @@ from canpencil.chow import (
     adjunction_check,
     class_G,
     class_K_relative,
-    class_fixed_part,
     invariants_report,
     surface_invariants,
-    top_intersection,
     top_intersection_numerator,
 )
-from canpencil.sections import BundleData
+from canpencil.sections import WEIGHTS, BundleData
 
 import chow_reference
 from canpencil import chow
@@ -32,25 +30,24 @@ def test_h3f_value():
     # which pins H^3F = 1/6 and H^4 = (sum a_i/w_i)/6
     for pg, theta in [(2, 0), (5, 1), (7, 6)]:
         c = BundleData(pg, theta)
-        assert top_intersection(c, H, H, H, F) == Fraction(1, 6)
+        assert top_intersection_numerator(c, H, H, H, F) == 6  # 36 * H^3.F = 36 / 6
         s = Fraction(1) + (pg + 1) + Fraction(2 * pg + theta, 2) + Fraction(3 * pg + theta, 3)
-        lhs = 12 * top_intersection(c, H, H, H, H) - 4 * (3 * pg + theta + 15) * top_intersection(
-            c, H, H, H, F
-        )
+        lhs = Fraction(12 * top_intersection_numerator(c, H, H, H, H)
+                       - 4 * (3 * pg + theta + 15) * top_intersection_numerator(c, H, H, H, F), 36)
         rhs = 2 * s - Fraction(4 * (3 * pg + theta + 15), 6)
         assert lhs == rhs
 
 
 def test_ff_vanishes():
-    assert top_intersection(BundleData(3, 2), F, F, H, H) == 0
+    assert top_intersection_numerator(BundleData(3, 2), F, F, H, H) == 0
 
 
 def test_k2_product():
     for pg, theta in [(2, 0), (5, 1), (6, 2), (11, 4)]:
         k = CLASS_K_SURFACE
         b = BundleData(pg, theta)
-        val = top_intersection(b, k, k, CLASS_Q, class_G(b))
-        assert val == 4 * pg - 6 + theta
+        val = top_intersection_numerator(b, k, k, CLASS_Q, class_G(b))
+        assert val == 36 * (4 * pg - 6 + theta)
 
 
 @settings(max_examples=50)
@@ -61,21 +58,21 @@ def test_k2_product():
 def test_symmetry_and_multilinearity(a1, b1, a2, b2, a3, b3, a4, b4):
     c = BundleData(4, 3)
     cls = [DivisorClass(a1, b1), DivisorClass(a2, b2), DivisorClass(a3, b3), DivisorClass(a4, b4)]
-    base = top_intersection(c, *cls)
+    base = top_intersection_numerator(c, *cls)
     rng = random.Random(hash((a1, b1, a2, b2, a3, b3, a4, b4)) & 0xFFFF)
     perm = cls[:]
     rng.shuffle(perm)
-    assert top_intersection(c, *perm) == base
+    assert top_intersection_numerator(c, *perm) == base
     # linearity in the first slot
     extra = DivisorClass(rng.randint(-4, 4), rng.randint(-4, 4))
-    lhs = top_intersection(c, cls[0] + extra, cls[1], cls[2], cls[3])
-    assert lhs == base + top_intersection(c, extra, cls[1], cls[2], cls[3])
+    lhs = top_intersection_numerator(c, cls[0] + extra, cls[1], cls[2], cls[3])
+    assert lhs == base + top_intersection_numerator(c, extra, cls[1], cls[2], cls[3])
 
 
 
 def fraction_top_intersection(bundle, classes) -> Fraction:
     """The expansion on Fraction scalars: H^4 = (sum a_i/w_i)/6, H^3.F = 1/6."""
-    h4 = sum(Fraction(ai, wi) for ai, wi in zip(bundle.twists, bundle.weights)) / 6
+    h4 = sum(Fraction(ai, wi) for ai, wi in zip(bundle.twists, WEIGHTS)) / 6
     coeff_h4 = Fraction(1)
     for c in classes:
         coeff_h4 *= c.h
@@ -90,9 +87,9 @@ def fraction_top_intersection(bundle, classes) -> Fraction:
 
 
 def assert_matches_fraction_expansion(bundle, classes) -> None:
-    val = top_intersection(bundle, *classes)
-    assert type(val) is Fraction
-    assert val == fraction_top_intersection(bundle, classes)
+    n = top_intersection_numerator(bundle, *classes)
+    assert type(n) is int
+    assert Fraction(n, 36) == fraction_top_intersection(bundle, classes)
 
 
 @pytest.mark.oracle
@@ -101,7 +98,7 @@ def test_top_intersection_matches_fraction_expansion_on_ledger_grid():
         for theta in range(7):
             b = BundleData(pg, theta)
             k, q, g = CLASS_K_SURFACE, CLASS_Q, class_G(b)
-            for classes in [(k, k, q, g), (class_fixed_part(b), F, q, g), (H, H, H, H),
+            for classes in [(k, k, q, g), (DivisorClass(1, -(b.pg + 1)), F, q, g), (H, H, H, H),
                             (H, H, H, F), (class_K_relative(b), q, g, H), (F, F, H, H)]:
                 assert_matches_fraction_expansion(b, classes)
 
@@ -176,11 +173,10 @@ def assert_same_value(got, want) -> None:
 
 
 def assert_numerator_matches_reference(bundle, classes) -> None:
-    """The int numerator is 36 times the reference value; `top_intersection` is it over 36."""
+    """The int numerator is 36 times the reference value."""
     n = top_intersection_numerator(bundle, *classes)
     assert type(n) is int
-    assert Fraction(n, 36) == chow_reference.top_intersection(bundle, *classes)
-    assert_same_value(top_intersection(bundle, *classes), Fraction(n, 36))
+    assert_same_value(Fraction(n, 36), chow_reference.top_intersection(bundle, *classes))
 
 
 @pytest.mark.oracle
@@ -189,10 +185,8 @@ def test_closed_forms_match_reference_on_grid():
         for theta in range(7):
             b = BundleData(pg, theta)
             k, g = CLASS_K_SURFACE, class_G(b)
-            assert_same_value(top_intersection(b, k, k, CLASS_Q, g),
-                              chow_reference.top_intersection(b, k, k, CLASS_Q, g))
             assert_numerator_matches_reference(b, (k, k, CLASS_Q, g))
-            assert_numerator_matches_reference(b, (class_fixed_part(b), F, CLASS_Q, g))
+            assert_numerator_matches_reference(b, (DivisorClass(1, -(b.pg + 1)), F, CLASS_Q, g))
             assert_same_value(adjunction_check(b), chow_reference.adjunction_check(b))
             assert_same_value(surface_invariants(pg, theta),
                               chow_reference.surface_invariants(pg, theta))
@@ -206,7 +200,6 @@ divisor_classes = st.builds(DivisorClass, st.integers(-40, 40), st.integers(-400
 @given(st.integers(2, 300), st.integers(0, 6), st.lists(divisor_classes, min_size=4, max_size=4))
 def test_top_intersection_matches_reference_on_random_classes(pg, theta, classes):
     b = BundleData(pg, theta)
-    assert_same_value(top_intersection(b, *classes), chow_reference.top_intersection(b, *classes))
     assert_numerator_matches_reference(b, classes)
     total = classes[0] + classes[1]
     assert_same_value(total, DivisorClass(classes[0].h + classes[1].h, classes[0].f + classes[1].f))

@@ -18,6 +18,7 @@ from canpencil.cli import main, parse_field
 from canpencil.family import FamilyParams, generate_member
 from canpencil.fields import FieldSpec
 from canpencil.sections import _KEYS
+from conftest import save_equations
 from test_family import _respelled
 
 
@@ -150,7 +151,7 @@ def test_census_of_member_whose_first_q_y_draw_vanished(tmp_path, capsys):
 
 def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
     out = tmp_path / "member.json"
-    member_over_11.save(str(out))
+    save_equations(member_over_11, out)
     assert "/11" in out.read_text()
     code = main(["census", "--in", str(out), "--prime", "11", "--skip-sweep"])
     text = capsys.readouterr().out
@@ -162,7 +163,7 @@ def test_census_bad_reduction_is_json_error(tmp_path, capsys, member_over_11):
 
 def test_census_bad_reduction_in_a_branch_slot_is_json_error(tmp_path, capsys, branch_over_11):
     out = tmp_path / "member.json"
-    branch_over_11.save(str(out))
+    save_equations(branch_over_11, out)
     code = main(["census", "--in", str(out), "--prime", "11", "--skip-sweep"])
     doc = json.loads(capsys.readouterr().out)
     assert code != 0

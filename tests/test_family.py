@@ -17,9 +17,7 @@ from canpencil.family import (
     bidouble_branch_data,
     bidouble_cross_check,
     bidouble_invariants,
-    canonical_structure,
     degree_table,
-    family_dimension,
     generate_member,
     genus_feasibility,
 )
@@ -30,6 +28,7 @@ from canpencil.fields import QQ, FieldSpec
 from canpencil.sections import FiberMonomial, GradedSection, SectionDegreeError, monomial_from_str
 
 import bidouble_reference
+from conftest import save_equations
 
 F101 = FieldSpec.prime_field(101)
 
@@ -167,12 +166,12 @@ def test_generate_member_redraws_only_a_zero_q_y():
 
 def assert_equation_file_roundtrip(member, tmp_path):
     path = tmp_path / "member.json"
-    member.save(str(path))
+    save_equations(member, path)
     back = SurfaceEquations.load(str(path))
     assert back == member
     # byte-identical on re-save
     path2 = tmp_path / "member2.json"
-    back.save(str(path2))
+    save_equations(back, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -321,44 +320,6 @@ def test_two_spellings_of_one_monomial_are_duplicate(first, second):
     with pytest.raises(ValueError) as err:
         SurfaceEquations.from_json_dict(doc)
     assert str(err.value) == f"'Q' duplicate monomial {second!r}"
-
-
-# -- canonical structure ------------------------------------------------------------
-
-
-def test_canonical_structure_counts():
-    member = generate_member(FamilyParams(4, 0, QQ, seed=11))
-    out = canonical_structure(member)
-    assert out["section_count"] == 4
-    assert out["pencil_degree"] == 3
-    assert out["fixed_part"]["fiber_degree"] == 2
-    assert out["moving_part"]["h_degree"] == 3
-    assert "degree 3" in out["canonical_image"]
-
-
-# -- dimension bookkeeping ------------------------------------------------------------
-
-
-def test_family_dimension_values():
-    out = family_dimension(7, 0)
-    assert out["dimension"] == 37
-    assert out["parameter_count"] == 44
-    assert out["symmetry_delta"] == 7
-    assert family_dimension(6, 1)["dimension"] == 31
-    assert family_dimension(5, 2)["dimension"] == 25
-
-
-def test_family_dimension_delta_is_definitional():
-    for pg, theta in [(7, 0), (6, 1), (5, 2), (10, 1)]:
-        out = family_dimension(pg, theta)
-        assert out["symmetry_delta"] == out["parameter_count"] - out["dimension"]
-
-
-def test_family_dimension_hypotheses():
-    with pytest.raises(ValueError):
-        family_dimension(5, 3)
-    with pytest.raises(ValueError):
-        family_dimension(6, 0)  # needs p_g > 6
 
 
 # -- bidouble covers ---------------------------------------------------------------------

@@ -19,14 +19,12 @@ from canpencil.binform import (
 from canpencil.fields import QQ, FieldSpec
 from canpencil.relalg import (
     EXAMPLE_KEYS,
-    DeltaRestriction,
     LiftingCertificate,
     SigmaError,
     SigmaTwoData,
     SplitType,
     YPoly,
     alpha_feasible,
-    delta_on_s6prime,
     example_data,
     example_verify,
     lifting_annihilator,
@@ -37,10 +35,8 @@ from canpencil.relalg import (
     relation_matrix,
     s6prime_matrix,
     s6prime_rows,
-    s_algebra_degrees,
     tau_of,
     validate_sigma2,
-    xiao_bound,
 )
 from canpencil.sections import BundleData, FiberMonomial, GradedSection
 
@@ -305,41 +301,6 @@ def test_lifting_annihilator_matches_back_substitution(p):
         assert got.verify()
 
 
-# -- the induced branch map ---------------------------------------------------------
-
-
-def test_delta_restriction_classified_regime():
-    data = example_data((1, 1, 15, 5))
-    h = qq("2*t0 - 3*t1")
-    f02 = data.f0 * data.f0
-    out = delta_on_s6prime(BinForm.zero(QQ), h * f02, data)
-    assert out.entries[0].is_zero
-    assert out.entries[1] == h.scale(3)
-    assert not out.is_zero_map
-
-
-def test_delta_restriction_example_degree():
-    data = example_data((1, 1, 15, 5))
-    from canpencil.relalg import _branch_cubic
-
-    E = _branch_cubic(data)
-    out = delta_on_s6prime(E.coefficient((1, 2, 0)), E.coefficient((0, 3, 0)), data)
-    assert out.entries[0].is_zero
-    assert out.entries[1].degree == data.theta - data.alpha  # 0: a nonzero constant
-
-
-def test_delta_restriction_zero_map_flag():
-    data = example_data((1, 1, 15, 5))
-    out = delta_on_s6prime(BinForm.zero(QQ), BinForm.zero(QQ), data)
-    assert out.is_zero_map
-
-
-def test_delta_restriction_divisibility_guard():
-    data = example_data((1, 1, 15, 5))
-    with pytest.raises(SigmaError):
-        delta_on_s6prime(qq("t1^2"), BinForm.zero(QQ), data)
-
-
 # -- the three exceptional families ----------------------------------------------------
 
 
@@ -448,21 +409,6 @@ def test_stalk_model_guards():
 # -- graded piece degrees -------------------------------------------------------------------
 
 
-def test_s_algebra_degrees():
-    pg, theta = 3, 1
-    tau = qq("t0") ** (2 * pg + theta - 2)
-    degs = s_algebra_degrees(1, tau, 6)
-    assert degs[0] == 1
-    assert degs[1] == 2 + (2 * pg + theta - 2) == 2 * pg + theta
-    assert degs[5] == 6 + 3 * (2 * pg + theta - 2) == 6 * pg + 3 * theta
-
-
-def test_s_algebra_degrees_zero_tau():
-    assert s_algebra_degrees(1, BinForm.zero(QQ), 4) == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        s_algebra_degrees(1, BinForm.zero(QQ), 0)
-
-
 def test_z_summand_degree():
     # the rank-1 odd summand generated by z has degree det(rank-2 piece) +
     # deg tau = (1 + (p_g + 1)) + (2 p_g + theta - 2) = 3 p_g + theta
@@ -470,38 +416,6 @@ def test_z_summand_degree():
     for _ in range(20):
         data = random_sigma_data(F10007, rng)
         assert 1 + (data.pg + 1) + tau_of(data).degree == 3 * data.pg + data.theta
-
-
-# -- the slope bound --------------------------------------------------------------------------
-
-
-def test_xiao_horikawa_equality_case():
-    v = xiao_bound(2, 3, 0, 2, 2)
-    assert v.satisfied and v.margin == 0 and not v.forced_equality_broken
-
-
-def test_xiao_forced_equality_clause():
-    # K^2 = 4 chi - 8 with tau' < tau: bound may hold numerically but the
-    # corollary clause is violated
-    chi = 10
-    k2 = 4 * chi - 8
-    deg_tau = k2 - 2 * chi + 6
-    v = xiao_bound(k2, chi, 0, deg_tau, deg_tau - 1)
-    assert v.forced_equality_broken
-
-
-def test_xiao_irregular_equality():
-    chi = 5
-    k2 = 4 * chi - 4
-    v = xiao_bound(k2, chi, 1, k2 - 2 * chi + 6, k2 - 2 * chi + 6)
-    assert v.satisfied and v.margin == 0
-
-
-def test_xiao_consistency_guards():
-    with pytest.raises(ValueError):
-        xiao_bound(2, 3, 0, 3, 3)  # deg tau must be K^2 - 2 chi + 6
-    with pytest.raises(ValueError):
-        xiao_bound(2, 3, 0, 2, 5)
 
 
 # -- YPoly basics ------------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from canpencil.sections import (
     SectionDegreeError,
     monomial_from_str,
     monomial_str,
-    normal_form,
     section_terms_from_dict,
     section_terms_to_dict,
     slot_degree,
@@ -233,8 +232,12 @@ def random_ypoly(field, offset, rng):
 @pytest.mark.parametrize("factors", [
     lambda rng: (random_section(BundleData(2, 1), QQ, (2, -2), rng),
                  random_section(BundleData(2, 1), QQ, (2, -3), rng)),
+    lambda rng: (make_equations(BundleData(2, 1), QQ, rng)[0],
+                 random_section(BundleData(2, 1), QQ, (2, 1), rng)),
+    lambda rng: (make_equations(BundleData(2, 1), QQ, rng)[1],
+                 random_section(BundleData(2, 1), QQ, (1, -1), rng)),
     lambda rng: (random_ypoly(QQ, 0, rng), random_ypoly(QQ, 1, rng)),
-], ids=["GradedSection", "YPoly"])
+], ids=["GradedSection", "Q*w", "G*v", "YPoly"])
 def test_mul_convolution_oracle(factors):
     # oracle: brute-force convolution over expanded term lists
     s1, s2 = factors(random.Random(2))
@@ -298,6 +301,12 @@ def test_ring_results_equal_their_validated_terms(seed, field):
     y1, y2 = random_ypoly(field, offset, rng), random_ypoly(field, offset, rng)
     for result in ring_results(y1, y2, coeff):
         assert_built_as_validated(result, tuple)
+    # Q*w and G*v: multiples of the two relations, in one bidegree
+    Q, G = make_equations(b, field, rng)
+    w = random_section(b, field, (4, rng.randint(-2, 2)), rng)
+    v = random_section(b, field, (0, Q.m + w.m - G.m), rng)
+    for result in ring_results(Q * w, G * v, coeff):
+        assert_built_as_validated(result, FiberMonomial)
 
 
 def test_cancelling_sums_and_products_drop_their_zero_terms():
@@ -320,120 +329,6 @@ def test_homogeneity_closure_under_mul(seed):
     s1 = random_section(b, QQ, (rng.randint(0, 3), rng.randint(-2, 2)), rng)
     s2 = random_section(b, QQ, (rng.randint(0, 3), rng.randint(-2, 2)), rng)
     (s1 * s2).validate()
-
-
-# -- normal form --------------------------------------------------------------------
-
-
-def test_normal_form_rewrites_x0_square():
-    rng = random.Random(3)
-    b = BundleData(2, 0)
-    Q, G = make_equations(b, QQ, rng)
-    x0sq = GradedSection(b, QQ, (2, -2), {FiberMonomial(2, 0, 0, 0): BinForm.one(QQ)})
-    red = normal_form(x0sq, Q, G)
-    qx = Q.coefficient(FiberMonomial(0, 2, 0, 0))
-    qy = Q.coefficient(FiberMonomial(0, 0, 1, 0))
-    assert red.coefficient(FiberMonomial(0, 2, 0, 0)) == -qx
-    assert red.coefficient(FiberMonomial(0, 0, 1, 0)) == -qy
-    assert len(red.terms) == 2
-
-
-def test_normal_form_rewrites_z_square():
-    rng = random.Random(4)
-    b = BundleData(2, 0)
-    Q, G = make_equations(b, QQ, rng)
-    zsq = GradedSection(
-        b, QQ, (6, -(6 * b.pg + 2 * b.theta)), {FiberMonomial(0, 0, 0, 2): BinForm.one(QQ)}
-    )
-    red = normal_form(zsq, Q, G)
-    assert all(m.l <= 1 and m.i <= 1 for m in red.terms)
-    # residue must equal -(G - z^2) reduced by Q
-    tail = GradedSection(
-        b, QQ, zsq.bidegree, {m: c for m, c in G.terms.items() if m != FiberMonomial(0, 0, 0, 2)}
-    )
-    assert red == normal_form(-tail, Q, G)
-
-
-def test_normal_form_kills_ideal_members():
-    rng = random.Random(5)
-    b = BundleData(2, 1)
-    Q, G = make_equations(b, QQ, rng)
-    for _ in range(5):
-        w = random_section(b, QQ, (2, rng.randint(-1, 1)), rng)
-        assert normal_form(Q * w, Q, G).is_zero
-        v = random_section(b, QQ, (1, rng.randint(-1, 1)), rng)
-        assert normal_form(G * v, Q, G).is_zero
-    # mixed combination: bidegrees of Q*w and G*v must agree for the sum
-    w = random_section(b, QQ, (4, 0), rng)
-    v = random_section(b, QQ, (0, 12), rng)
-    member = Q * w + G * v
-    assert normal_form(member, Q, G).is_zero
-
-
-def test_normal_form_nonmembers_survive():
-    rng = random.Random(6)
-    b = BundleData(2, 0)
-    Q, G = make_equations(b, QQ, rng)
-    # fiber degree 1 sections cannot lie in an ideal generated in degrees 2 and 6
-    x0 = GradedSection.variable(b, QQ, 0)
-    assert not normal_form(x0, Q, G).is_zero
-    one = GradedSection(b, QQ, (0, 0), {FiberMonomial(0, 0, 0, 0): BinForm.one(QQ)})
-    assert not normal_form(one, Q, G).is_zero
-
-
-def _normal_form_random_order(s, Q, G, rng):
-    """Reduction picking targets at random; oracle for confluence."""
-    work = dict(s.terms)
-    lead_Q = FiberMonomial(2, 0, 0, 0)
-    lead_G = FiberMonomial(0, 0, 0, 2)
-    while True:
-        reducible = sorted([m for m in work if m.l >= 2 or m.i >= 2])
-        if not reducible:
-            break
-        target = rng.choice(reducible)
-        coeff = work.pop(target)
-        rel, lead = (G, lead_G) if target.l >= 2 else (Q, lead_Q)
-        stub = FiberMonomial(
-            target.i - lead.i, target.j - lead.j, target.k - lead.k, target.l - lead.l
-        )
-        for mono, relc in rel.terms.items():
-            if mono == lead:
-                continue
-            dest = FiberMonomial(
-                stub.i + mono.i, stub.j + mono.j, stub.k + mono.k, stub.l + mono.l
-            )
-            delta = coeff * relc
-            acc = work.get(dest)
-            new = -delta if acc is None else acc - delta
-            if new.is_zero:
-                work.pop(dest, None)
-            else:
-                work[dest] = new
-    return GradedSection(s.bundle, s.field, s.bidegree, work)
-
-
-@settings(max_examples=15, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_normal_form_confluence(seed):
-    rng = random.Random(seed)
-    b = BundleData(2, rng.randint(0, 2))
-    Q, G = make_equations(b, QQ, rng)
-    s = random_section(b, QQ, (rng.randint(2, 7), rng.randint(-2, 1)), rng)
-    reference = normal_form(s, Q, G)
-    for trial in range(3):
-        assert _normal_form_random_order(s, Q, G, random.Random(seed + trial)) == reference
-
-
-def test_normal_form_requires_monic_relations():
-    rng = random.Random(7)
-    b = BundleData(2, 0)
-    Q, G = make_equations(b, QQ, rng)
-    badQ = GradedSection(
-        b, QQ, (2, -2), {FiberMonomial(2, 0, 0, 0): BinForm.constant(QQ, 2)}
-    )
-    s = GradedSection.zero(b, QQ, (2, -2))
-    with pytest.raises(ValueError):
-        normal_form(s, badQ, G)
 
 
 # -- evaluation -----------------------------------------------------------------------
