@@ -6,10 +6,10 @@ that name, in any module.  It never flags live code; what it flags no user
 path can call.
 
 Roots: every module-level statement of the package except imports and
-definitions (so `cli._DISPATCH`, `cli.LEDGERS` and the constants), the
-bodies of classes apart from their methods, the bases, decorators and
-defaults of every definition, `__main__.py`, every statement of
-`scripts/*.py`, and `canpencil.__all__` with the public methods of the
+definitions (so `cli._DISPATCH`, `cli.LEDGERS`, the constants and the
+call in `__main__.py`), the bodies of classes apart from their methods,
+the bases, decorators and defaults of every definition, every statement
+of `scripts/*.py`, and `canpencil.__all__` with the public methods of the
 classes it names.  Dunder methods are reached with their class, since
 Python calls them without naming them.
 """
@@ -52,23 +52,15 @@ def _import_time(defn):
 
 
 def _package():
-    """(definitions, root names, `__all__`): definitions as (module, qualname, node)."""
-    defs, roots, exported = [], set(), []
+    """(definitions, root names): definitions as (module, qualname, node)."""
+    defs, roots = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
-        tree = ast.parse(path.read_text(), str(path))
-        if module == "__main__":
-            roots |= _names(tree.body)
-            continue
-        for stmt in tree.body:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             if not isinstance(stmt, DEFS):
                 roots |= _names([stmt])
-                if module == "__init__" and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in getattr(stmt, "targets", ())
-                ):
-                    exported = ast.literal_eval(stmt.value)
                 continue
             defs.append((module, stmt.name, stmt))
             roots |= _names(_import_time(stmt))
@@ -77,15 +69,16 @@ def _package():
                     if isinstance(member, DEFS):
                         defs.append((module, f"{stmt.name}.{member.name}", member))
                         roots |= _names(_import_time(member))
-    return defs, roots, exported
+    return defs, roots
 
 
 def unreached():
     """Qualified names (module.qualname) of the definitions no root reaches."""
-    defs, roots, exported = _package()
+    defs, roots = _package()
     for path in sorted(SCRIPTS.glob("*.py")):
         roots |= _names([ast.parse(path.read_text(), str(path))])
-    roots |= set(exported)
+    exported = set(canpencil.__all__)
+    roots |= exported
     by_name = {}  # the name that reaches a definition: its own, or its class's for a dunder
     for module, qualname, node in defs:
         cls, _, short = qualname.rpartition(".")
