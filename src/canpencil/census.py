@@ -19,21 +19,35 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import total_ordering
+from typing import List, Optional, Sequence, Tuple
 
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
-from .fields import FieldSpec
+from .fields import FieldSpec, Record, _setattr
 from .family import SurfaceEquations
 from .sections import _Y, FiberMonomial, _section
 
 
-@dataclass(frozen=True, order=True)
-class WPSPoint:
-    """A point of the bundle over F_p: base in P^1, fiber in P(1:1:2:3)."""
+@total_ordering
+class WPSPoint(Record):
+    """A point of the bundle over F_p: base in P^1, fiber in P(1:1:2:3); sorted by (base, fiber)."""
 
-    base: Tuple[int, int]
-    fiber: Tuple[int, int, int, int]
+    __slots__ = ("base", "fiber")
+
+    def __init__(self, base: Tuple[int, int], fiber: Tuple[int, int, int, int]):
+        _setattr(self, "base", base)
+        _setattr(self, "fiber", fiber)
+
+    def __eq__(self, other):
+        return type(other) is WPSPoint and self.base == other.base and self.fiber == other.fiber
+
+    def __lt__(self, other):
+        if type(other) is not WPSPoint:
+            return NotImplemented
+        return (self.base, self.fiber) < (other.base, other.fiber)
+
+    def __hash__(self):
+        return hash((self.base, self.fiber))
 
     def to_json_dict(self) -> dict:
         return {"base": list(self.base), "fiber": list(self.fiber)}
@@ -93,11 +107,8 @@ def _over_prime(eqs: SurfaceEquations, p: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    point: WPSPoint
-    multiplicity: int
-    hessian_det: int
+class NodeRecord(Record):
+    __slots__ = ("point", "multiplicity", "hessian_det")
 
     @property
     def a1_ok(self) -> bool:
@@ -112,10 +123,8 @@ class NodeRecord:
         }
 
 
-@dataclass(frozen=True)
-class NodeCensus:
-    nodes: Tuple[NodeRecord, ...]
-    bound: int  # 2 p_g - 2 + theta, the count over the algebraic closure
+class NodeCensus(Record):
+    __slots__ = ("nodes", "bound")  # bound: 2 p_g - 2 + theta, the count over the algebraic closure
 
     @property
     def rational_multiplicity_total(self) -> int:
@@ -408,14 +417,8 @@ def _rank_below_two(r1, r2, p: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularReport:
-    p_nodes: int
-    p_sweep: Optional[int]  # None: the sweep was skipped
-    nodes: NodeCensus
-    branch_hits: List[WPSPoint]  # the branch form vanishes at each
-    cone_singularities: List[WPSPoint]
-    timings: Dict[str, float]
+class SingularReport(Record):
+    __slots__ = ("p_nodes", "p_sweep", "nodes", "branch_hits", "cone_singularities", "timings")
 
     @property
     def sweep_skipped(self) -> bool:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 from random import Random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .binform import BinForm, random_binform, random_split_squarefree
 from .chow import CLASS_Q, class_G, surface_invariants
-from .fields import FieldSpec, json_int
+from .fields import FieldSpec, Record, _setattr, json_int
 from .sections import (
     _X0SQ,
     _X1SQ,
@@ -52,15 +51,12 @@ def _member_bundle(pg: int, theta: int) -> BundleData:
     return bundle
 
 
-@dataclass(frozen=True)
-class FamilyParams:
-    pg: int
-    theta: int
-    field: FieldSpec
-    seed: int
+class FamilyParams(Record):
+    __slots__ = ("pg", "theta", "field", "seed")
 
-    def __post_init__(self):
-        _member_bundle(self.pg, self.theta)  # range checks
+    def __init__(self, pg: int, theta: int, field: FieldSpec, seed: int):
+        _member_bundle(pg, theta)
+        Record.__init__(self, pg, theta, field, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +64,11 @@ class FamilyParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeTable:
-    pg: int
-    theta: int
-    q_x: int
-    q_y: int
-    g: Dict[Tuple[int, int, int], int]  # (i, j, k) with i + j + 2k = 6
+class DegreeTable(Record):
+    __slots__ = ("pg", "theta", "q_x", "q_y", "g")  # g: (i, j, k) with i + j + 2k = 6 -> degree
 
     def g_present(self) -> List[Tuple[int, int, int]]:
         return sorted(s for s, d in self.g.items() if d >= 0)
-
-    def g_forced_zero(self) -> List[Tuple[int, int, int]]:
-        return sorted(s for s, d in self.g.items() if d < 0)
 
     def branch_in_y_squared(self) -> bool:
         """True when every branch slot left has k >= 2, so the branch form b lies in (y^2).
@@ -100,7 +88,7 @@ class DegreeTable:
             "q_x": self.q_x,
             "q_y": self.q_y,
             "G": {f"G_{i}{j}{k}": d for (i, j, k), d in sorted(self.g.items())},
-            "forced_zero": [f"G_{i}{j}{k}" for (i, j, k) in self.g_forced_zero()],
+            "forced_zero": [f"G_{i}{j}{k}" for (i, j, k), d in sorted(self.g.items()) if d < 0],
         }
 
 
@@ -123,12 +111,8 @@ def degree_table(pg: int, theta: int) -> DegreeTable:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceEquations:
-    bundle: BundleData
-    field: FieldSpec
-    Q: GradedSection
-    G: GradedSection
+class SurfaceEquations(Record):
+    __slots__ = ("bundle", "field", "Q", "G")
 
     def validate(self) -> "SurfaceEquations":
         """Check the shape, then every term; return self.
@@ -270,31 +254,30 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchData:
+class BranchData(Record):
     """Three branch classes on F_r: pairs (u, v) in the basis (G_inf, G_fib).
 
     On the quadric (r = 0) the basis is the two rulings.  Each pairwise sum
     D_j + D_k must be even so the square roots L_i exist.
     """
 
-    base_r: int
-    d1: Tuple[int, int]
-    d2: Tuple[int, int]
-    d3: Tuple[int, int]
-    source: str = "table row"
+    __slots__ = ("base_r", "d1", "d2", "d3", "source")
+
+    def __init__(self, base_r: int, d1: tuple, d2: tuple, d3: tuple, source: str = "table row"):
+        if base_r < 0:
+            raise ValueError("Hirzebruch index must be non-negative")
+        for d in (d1, d2, d3):
+            if d[0] < 0 or d[1] < 0:
+                raise ValueError(f"branch class {d} is not effective on F_{base_r}")
+        _setattr(self, "base_r", base_r)
+        _setattr(self, "d1", d1)
+        _setattr(self, "d2", d2)
+        _setattr(self, "d3", d3)
+        _setattr(self, "source", source)
 
     @property
     def base_name(self) -> str:
         return "P1xP1" if self.base_r == 0 else f"F{self.base_r}"
-
-    def __post_init__(self):
-        if self.base_r < 0:
-            raise ValueError("Hirzebruch index must be non-negative")
-        for d in (self.d1, self.d2, self.d3):
-            if d[0] < 0 or d[1] < 0:
-                raise ValueError(f"branch class {d} is not effective on F_{self.base_r}")
-
 
 #: theta -> (r, D1 offset past 2p_g, D2, D3, source) of the branch triple on F_r
 _BRANCH_ROWS = (
@@ -373,22 +356,16 @@ def bidouble_cross_check(pg: int, theta: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenusVerdict:
-    genus: int
-    conditions: Tuple[Tuple[str, bool], ...]
+class GenusVerdict(Record):
+    __slots__ = ("genus", "conditions")  # conditions: (name, holds) pairs
 
     @property
     def feasible(self) -> bool:
         return all(ok for _, ok in self.conditions)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    k2: int
-    chi: int
-    q: int
-    verdicts: Tuple[GenusVerdict, ...]
+class FeasibilityReport(Record):
+    __slots__ = ("k2", "chi", "q", "verdicts")
 
     @property
     def classification_complete(self) -> bool:

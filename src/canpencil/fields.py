@@ -13,11 +13,11 @@ over one denominator (residues over 1 for F_p), its operations branch on
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 Scalar = Union[int, Fraction]
+_setattr = object.__setattr__  # the setter a record's own guard does not block
 
 #: smallest admissible prime modulus; 2 and 3 are excluded because the
 #: fiber variables carry weights 2 and 3, which must stay invertible
@@ -65,20 +65,55 @@ def _bad_modulus(p) -> ValueError:
     return ValueError(f"prime modulus must satisfy {PRIME_MIN} <= p < 2**31, got {p!r}")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Record:
+    """Immutable record of the fields its `__slots__` name, in order; ``==``, hash and repr by value.
+
+    Never equal to another class's record; those built or compared on every op have direct methods.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) + len(kwargs) != len(names) or kwargs and not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            _setattr(self, name, value)
+
+    def __setattr__(self, *a):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FieldSpec(Record):
     """The rationals (p is None) or a prime field F_p with 5 <= p < 2**31."""
 
-    p: int | None = None
+    __slots__ = ("p",)
+    __hash__ = Record.__hash__  # a class that defines __eq__ names its hash
 
-    def __post_init__(self):
-        p = self.p
-        if p is None:
-            return
-        if not isinstance(p, int) or not (PRIME_MIN <= p < PRIME_MAX):
+    def __init__(self, p: int | None = None):
+        if p is not None and not (isinstance(p, int) and PRIME_MIN <= p < PRIME_MAX):
             raise _bad_modulus(p)
-        if not is_prime(p):
+        if p is not None and not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        _setattr(self, "p", p)
+
+    def __eq__(self, other):
+        return type(other) is FieldSpec and self.p == other.p
 
     # -- constructors -------------------------------------------------
 

@@ -26,7 +26,6 @@ for every slot where the check is used; asserted at run time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .binform import (
@@ -40,7 +39,7 @@ from .binform import (
     gcd,
     random_binform,
 )
-from .fields import QQ, FieldSpec
+from .fields import QQ, FieldSpec, Record, _setattr
 from .sections import SparsePoly
 
 
@@ -158,16 +157,18 @@ def mat_is_zero(a: BinMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaTwoData:
-    pg: int
-    theta: int
-    alpha: int
-    f0: BinForm
-    f1: BinForm
-    g0: BinForm
-    g1: BinForm
-    g2: BinForm
+class SigmaTwoData(Record):
+    __slots__ = ("pg", "theta", "alpha", "f0", "f1", "g0", "g1", "g2")  # ints, then BinForms
+
+    def __init__(self, pg, theta, alpha, f0, f1, g0, g1, g2):
+        _setattr(self, "pg", pg)
+        _setattr(self, "theta", theta)
+        _setattr(self, "alpha", alpha)
+        _setattr(self, "f0", f0)
+        _setattr(self, "f1", f1)
+        _setattr(self, "g0", g0)
+        _setattr(self, "g1", g1)
+        _setattr(self, "g2", g2)
 
     @property
     def field(self) -> FieldSpec:
@@ -185,13 +186,15 @@ def degree_slots(pg: int, theta: int, alpha: int) -> Dict[str, int]:
     }
 
 
-@dataclass(frozen=True)
-class SplitType:
+class SplitType(Record):
     """Splitting degrees (d0, d1, d2) of the rank-3 bundle."""
 
-    d0: int
-    d1: int
-    d2: int
+    __slots__ = ("d0", "d1", "d2")
+
+    def __init__(self, d0: int, d1: int, d2: int):
+        _setattr(self, "d0", d0)
+        _setattr(self, "d1", d1)
+        _setattr(self, "d2", d2)
 
     @staticmethod
     def from_params(pg: int, theta: int, alpha: int) -> "SplitType":
@@ -280,12 +283,10 @@ def q_relation(data: SigmaTwoData) -> YPoly:
     return rel
 
 
-@dataclass(frozen=True)
-class S6Prime:
+class S6Prime(Record):
     """The rank-2 quotient of cubics in (y0, y1) and its summand degrees."""
 
-    matrix: tuple  # 2 x 4 of BinForm, acting on (y0^3, y0^2 y1, y0 y1^2, y1^3)
-    summand_degrees: Tuple[int, int]
+    __slots__ = ("matrix", "summand_degrees")  # matrix: 2 x 4 of BinForm on the cubic monomials
 
 
 def s6prime_rows(f0: BinForm, f1: BinForm) -> tuple:
@@ -325,8 +326,7 @@ def relation_matrix(f0: BinForm, f1: BinForm) -> BinMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftingCertificate:
+class LiftingCertificate(Record):
     """Explicit witnesses that f0^4 annihilates the obstruction cokernel.
 
     For each standard basis vector e_i the triple `solutions[i]` combines the
@@ -339,8 +339,7 @@ class LiftingCertificate:
     into f0^4 * e_i.  `verify` re-expands every combination literally.
     """
 
-    data: SigmaTwoData
-    solutions: tuple  # 3 triples of BinForm
+    __slots__ = ("data", "solutions")  # solutions: 3 triples of BinForm
 
     def columns(self) -> BinMatrix:
         f0, f1, g0 = self.data.f0, self.data.f1, self.data.g0
@@ -409,11 +408,8 @@ def example_data(key: Tuple[int, int, int, int]) -> SigmaTwoData:
     )
 
 
-@dataclass(frozen=True)
-class ExampleReport:
-    key: Tuple[int, int, int, int]
-    checks: Dict[str, bool]
-    details: Dict[str, object]
+class ExampleReport(Record):
+    __slots__ = ("key", "checks", "details")
 
     @property
     def passed(self) -> bool:
@@ -435,10 +431,6 @@ def _branch_cubic(data: SigmaTwoData) -> YPoly:
     cubic = (first * second).scale(data.f0)
     corr = (y0 * y1 * y2).scale((data.f0 * data.f0).scale(4))
     return cubic - corr
-
-
-def _ypoly_divisible(poly: YPoly, divisor: BinForm) -> bool:
-    return all(divides(divisor, c) for c in poly.terms.values())
 
 
 def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
@@ -479,7 +471,7 @@ def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
     b2 = (g0 * divexact(F030, f0)).scale(-2)
     rhs = YPoly.from_linear(b0, b1, b2) * Q
     diff = E.scale(f1 ** 3) - rhs
-    checks["congruence-mod-f0^4"] = _ypoly_divisible(diff, f04)
+    checks["congruence-mod-f0^4"] = all(divides(f04, c) for c in diff.terms.values())
 
     # (b) the F111 coefficient
     F111 = E.coefficient((1, 1, 1))

@@ -17,30 +17,27 @@ adds the bundle and bidegree, and `relalg.YPoly` its own helpers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from operator import add
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .binform import BinForm, ParseError, build_binform, format_binform, scan_binform
-from .fields import FieldSpec
+from .fields import FieldSpec, Record, _setattr
 
 WEIGHTS = (1, 1, 2, 3)
 
-_setattr = object.__setattr__
 
-
-@dataclass(frozen=True)
-class BundleData:
+class BundleData(Record):
     """The pair (p_g, theta) and the derived rank-4 bundle twists."""
 
-    pg: int
-    theta: int
+    __slots__ = ("pg", "theta")
 
-    def __post_init__(self):
-        if self.pg < 2:
+    def __init__(self, pg: int, theta: int):
+        if pg < 2:
             raise ValueError("p_g >= 2 required")
-        if not 0 <= self.theta <= 6:
+        if not 0 <= theta <= 6:
             raise ValueError("theta must lie in [0, 6]")
+        _setattr(self, "pg", pg)
+        _setattr(self, "theta", theta)
 
     @property
     def twists(self) -> Tuple[int, int, int, int]:
@@ -334,10 +331,6 @@ class GradedSection(SparsePoly):
         return f"GradedSection({self.h}H{self.m:+d}F: {body or '0'})"
 
     # -- construction helpers --------------------------------------------
-
-    @staticmethod
-    def zero(bundle, field, bidegree) -> "GradedSection":
-        return GradedSection(bundle, field, bidegree, {})
 
     @staticmethod
     def variable(bundle: BundleData, field: FieldSpec, index: int) -> "GradedSection":

@@ -6,6 +6,7 @@ import pytest
 
 import canpencil.binform as binform_mod
 import canpencil.census as census_mod
+import canpencil.fields as fields_mod
 from canpencil.binform import BinForm, least_nonresidue, parse_binform, random_binform, roots
 from canpencil.census import (
     WPSPoint,
@@ -1033,17 +1034,17 @@ def test_run_census_computes_node_census_once(monkeypatch):
 def test_run_census_builds_one_prime_field(monkeypatch):
     # the reduced member carries F_p, so node_census and branch_disjointness
     # take it as it is instead of testing p for primality again
-    built = []
-    original = FieldSpec.__post_init__
+    tested = []
+    original = fields_mod.is_prime
 
-    def counting(self):
-        built.append(self.p)
-        original(self)
+    def counting(n):
+        tested.append(n)
+        return original(n)
 
     member = generate_member(FamilyParams(3, 2, QQ, seed=5))
-    monkeypatch.setattr(FieldSpec, "__post_init__", counting)
+    monkeypatch.setattr(fields_mod, "is_prime", counting)
     run_census(member, 35027, skip_sweep=True)
-    assert built == [35027]
+    assert tested == [35027]
 
 
 def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):

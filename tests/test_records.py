@@ -4,8 +4,14 @@ Each record is built in the forms `src/`, `scripts/` and `tests/` use
 (positional, keyword, mixed, with and without defaults), and its fields
 are listed here in their positional order.  Two records are equal, with
 equal hashes, exactly when they are of one class with equal fields; a
-record with an unhashable field is unhashable.
+record with an unhashable field is unhashable.  Importing the package
+loads no dataclass code generator.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +279,12 @@ def test_branch_data_effectivity(args, message):
     with pytest.raises(ValueError) as info:
         BranchData(*args)
     assert str(info.value) == message
+
+
+def test_the_package_import_loads_no_code_generator():
+    # -S: the package and the stdlib modules it imports, not what a site .pth loads at start-up
+    code = "import sys, canpencil.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert proc.stdout == "[]\n"
