@@ -42,9 +42,8 @@ class WPSPoint(Record):
         return type(other) is WPSPoint and self.base == other.base and self.fiber == other.fiber
 
     def __lt__(self, other):
-        if type(other) is not WPSPoint:
-            return NotImplemented
-        return (self.base, self.fiber) < (other.base, other.fiber)
+        return ((self.base, self.fiber) < (other.base, other.fiber) if type(other) is WPSPoint
+                else NotImplemented)
 
     def __hash__(self):
         return hash((self.base, self.fiber))

@@ -54,9 +54,8 @@ def _member_bundle(pg: int, theta: int) -> BundleData:
 class FamilyParams(Record):
     __slots__ = ("pg", "theta", "field", "seed")
 
-    def __init__(self, pg: int, theta: int, field: FieldSpec, seed: int):
-        _member_bundle(pg, theta)
-        Record.__init__(self, pg, theta, field, seed)
+    def __init__(self, pg: int, theta: int, field: FieldSpec, seed: int):  # p_g, theta range-checked
+        Record.__init__(self, _member_bundle(pg, theta).pg, theta, field, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,11 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
-        if len(args) + len(kwargs) != len(names) or kwargs and not kwargs.keys() <= set(names[len(args):]):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in (*zip(names, args), *kwargs.items()):
+        if kwargs or len(args) != len(names):
+            if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            args += tuple(map(kwargs.__getitem__, names[len(args):]))
+        for name, value in zip(names, args):
             _setattr(self, name, value)
 
     def __setattr__(self, *a):  # immutability guard
@@ -85,14 +87,14 @@ class Record:
 
     __delattr__ = __setattr__
 
-    def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+    def __reduce__(self):  # (class, fields): what pickle and copy rebuild from, and == and hash read
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
-        return type(other) is type(self) and self._fields() == other._fields()
+        return type(other) is type(self) and self.__reduce__() == other.__reduce__()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

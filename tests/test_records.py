@@ -8,7 +8,9 @@ record with an unhashable field is unhashable.  Importing the package
 loads no dataclass code generator.
 """
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +198,17 @@ def test_records_of_different_classes_never_compare_equal():
         assert a != fields and fields != a
     # equal field values in two classes
     assert BundleData(5, 2) != FieldSpec(5) and SplitType(5, 7, 8) != WPSPoint(5, 7)
+
+
+@CLASSES
+def test_copy_and_pickle_rebuild_an_equal_record(cls):
+    rec = _build(cls)
+    assert copy.copy(rec) == rec and type(copy.copy(rec)) is cls
+    try:
+        pickle.loads(pickle.dumps(RECORDS[cls][1]()))
+    except AttributeError:  # a field that does not unpickle, such as a BinForm
+        return
+    assert pickle.loads(pickle.dumps(rec)) == rec
 
 
 @CLASSES
