@@ -41,9 +41,9 @@ class WPSPoint(Record):
     def __eq__(self, other):
         return type(other) is WPSPoint and self.base == other.base and self.fiber == other.fiber
 
-    def __lt__(self, other):
-        return ((self.base, self.fiber) < (other.base, other.fiber) if type(other) is WPSPoint
-                else NotImplemented)
+    def __lt__(self, other):  # (base, fiber) in tuple order, without building the tuples
+        return NotImplemented if type(other) is not WPSPoint else (
+            self.base < other.base if self.base != other.base else self.fiber < other.fiber)
 
     def __hash__(self):
         return hash((self.base, self.fiber))
