@@ -198,6 +198,8 @@ def test_records_of_different_classes_never_compare_equal():
         assert a != fields and fields != a
     # equal field values in two classes
     assert BundleData(5, 2) != FieldSpec(5) and SplitType(5, 7, 8) != WPSPoint(5, 7)
+    same = [cls(2, ()) for cls in (WPSPoint, NodeCensus, GenusVerdict, S6Prime, LiftingCertificate)]
+    assert [a == b for a in same for b in same] == [a is b for a in same for b in same]
 
 
 @CLASSES
