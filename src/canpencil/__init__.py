@@ -4,9 +4,9 @@ Subpackage map:
 
 - :mod:`canpencil.fields`, :mod:`canpencil.binform` -- exact scalars and
   binary forms on the base line, with the literal parser;
-- :mod:`canpencil.sections` -- the sparse-polynomial core and, on it, the
-  bigraded section ring of the weighted bundle P(1:1:2:3) over P^1, with
-  the JSON bodies of its sections;
+- :mod:`canpencil.sections` -- the sections of the weighted bundle
+  P(1:1:2:3) over P^1 as checked records, with their JSON bodies, and
+  the one sparse polynomial ring, which :mod:`canpencil.relalg` uses;
 - :mod:`canpencil.chow` -- intersection numbers and surface invariants;
 - :mod:`canpencil.family` -- degree tables, seeded members, bidouble-cover
   branch data, genus feasibility;

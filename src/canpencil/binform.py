@@ -110,6 +110,9 @@ class BinForm:
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("BinForm is immutable")
 
+    def __reduce__(self):  # what copy and pickle rebuild from, past the guard
+        return _new, (self.field, self.nums, self.den)
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod

@@ -10,8 +10,8 @@ normalized so its third column is (0, 0, 1):
 
 Everything downstream of that matrix is symbolic and exact: the
 determinant divisor tau, the conic relation in the three bundle
-coordinates (y0, y1, y2) (a `YPoly`, whose ring operations are the shared
-`sections.SparsePoly` ones), the rank-2 quotient acting on cubics, the
+coordinates (y0, y1, y2) (a `YPoly`, on the one sparse ring
+`sections.SparsePoly`), the rank-2 quotient acting on cubics, the
 f0^4 annihilator certificates, and the three exceptional low-invariant
 families, which are rebuilt from scratch and checked coefficient by
 coefficient.
@@ -53,9 +53,11 @@ class SigmaError(ValueError):
 
 
 class YPoly(SparsePoly):
-    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2, keyed by exponents."""
+    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2, keyed by exponents.
 
-    __slots__ = ()
+    No `__slots__` of its own: `Record` reads the fields from `__slots__`,
+    so YPoly inherits `SparsePoly`'s.
+    """
 
     @staticmethod
     def variable(field: FieldSpec, index: int) -> "YPoly":

@@ -1,4 +1,4 @@
-"""The bigraded section ring of the weighted bundle P over P^1.
+"""Sections of the bigraded line bundles on the weighted bundle P over P^1.
 
 P is Proj(Sym V) for V = O(1)x0 + O(p_g+1)x1 + O(2p_g+T)y + O(3p_g+T)z,
 graded with deg x_i = 1, deg y = 2, deg z = 3 (T is the offset `theta`).
@@ -10,20 +10,20 @@ which the sparse representation stores as absence; the bidegree is explicit
 and never inferred, so a forced zero stays distinguishable from an
 accidental one.
 
-The sparse ring operations live once, in `SparsePoly`; `GradedSection`
-adds the bundle and bidegree, and `relalg.YPoly` its own helpers.
+A `GradedSection` is a plain record of bundle, field, bidegree and terms:
+the toolkit builds, loads, reduces and checks the sections Q and G but
+never adds or multiplies them.  The one sparse ring is `SparsePoly`, with
+tuple keys and no grading; `relalg.YPoly` adds its own helpers to it.
 """
 
 from __future__ import annotations
 
 import sys
 from operator import add
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .binform import BinForm, ParseError, build_binform, format_binform, scan_binform
 from .fields import FieldSpec, Record, _setattr
-
-WEIGHTS = (1, 1, 2, 3)
 
 
 class BundleData(Record):
@@ -169,126 +169,90 @@ def _check_term(
         )
 
 
-class SparsePoly:
+def _checked_terms(field: FieldSpec, terms: dict, key) -> dict:
+    """`terms` keyed by `key(exps)` without zero coefficients; refuse one of another field."""
+    clean = {}
+    for exps, coeff in terms.items():
+        if coeff.field is not field and coeff.field != field:
+            raise ValueError("coefficient field disagrees with the polynomial field")
+        if coeff.nums:
+            clean[key(exps)] = coeff
+    return clean
+
+
+class SparsePoly(Record):
     """Immutable sparse polynomial: exponent tuples -> nonzero BinForms over one field.
 
-    The one home of ``+``, ``-``, ``*``, `scale` and ``==``.  A subclass names
-    its key type in `_key` and refines the hooks for its ring and grading,
-    which here are the field alone and no grading.
+    The one sparse ring: ``+``, ``-``, ``*`` and `scale` take operands of
+    one type and field, and ``==`` is `Record`'s, by type, field and terms.
     """
 
     __slots__ = ("field", "terms")
 
-    _key = tuple  # builds a key from an iterable of exponents
-
     def __init__(self, field: FieldSpec, terms: Dict[tuple, BinForm]):
-        key = self._key
-        clean = {}
-        for exps, coeff in terms.items():
-            if coeff.field is not field and coeff.field != field:
-                raise ValueError("coefficient field disagrees with the polynomial field")
-            if not coeff.is_zero:
-                clean[key(exps)] = coeff
-        _setattr(self, "field", field)
-        _setattr(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        super().__init__(field, _checked_terms(field, terms, tuple))
 
     def coefficient(self, exps) -> BinForm:
-        return self.terms.get(self._key(exps), BinForm.zero(self.field))
-
-    # -- hooks -----------------------------------------------------------
-
-    def _mismatch(self, other: "SparsePoly") -> Optional[str]:
-        """Why `other` lies in another ring, or None."""
-        return None if self.field == other.field else "mismatched coefficient fields"
+        return self.terms.get(tuple(exps), BinForm.zero(self.field))
 
     def _compat(self, other: "SparsePoly") -> None:
-        """Refuse `other` unless it is of this type and in this ring, before reading a term."""
+        """Refuse `other` unless it is of this type and over this field, before reading a term."""
         if type(other) is not type(self):
             raise ValueError("mismatched polynomial rings")
-        reason = self._mismatch(other)
-        if reason:
-            raise ValueError(reason)
+        if self.field != other.field:
+            raise ValueError("mismatched coefficient fields")
 
-    _grading = None  # summands must share it
-
-    def _product_grading(self, other: "SparsePoly"):
-        return None
-
-    def _scaled_grading(self, coeff: BinForm):
-        return None
-
-    def _like(self, terms: dict, grading) -> "SparsePoly":
-        """A ring result in this ring, from `terms` that the operation built.
+    def _like(self, terms: dict) -> "SparsePoly":
+        """A ring result of this type and field, from `terms` that the operation built.
 
         Built the way `BinForm._new` builds a form: `_compat` and the
-        `BinForm` operations have checked the operands, and every key
-        already has the key type, so only zero coefficients are dropped;
-        `__init__`'s field test and re-keying are skipped.
+        `BinForm` operations have checked the operands, and every key is
+        already a tuple, so only zero coefficients are dropped.
         """
         poly = object.__new__(type(self))
         _setattr(poly, "field", self.field)
         _setattr(poly, "terms", {m: c for m, c in terms.items() if c.nums})
         return poly
 
-    # -- ring structure --------------------------------------------------
-
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._compat(other)
-        if self._grading != other._grading:
-            raise ValueError(f"grading mismatch in sum: {self._grading} vs {other._grading}")
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
             acc = terms.get(mono)
             terms[mono] = coeff if acc is None else acc + coeff
-        return self._like(terms, self._grading)
+        return self._like(terms)
 
     def __neg__(self) -> "SparsePoly":
-        return self._like({m: -c for m, c in self.terms.items()}, self._grading)
+        return self._like({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._compat(other)
-        key = self._key
         terms: Dict[tuple, BinForm] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = key(map(add, m1, m2))
+                mono = tuple(map(add, m1, m2))
                 prod = c1 * c2
                 acc = terms.get(mono)
                 terms[mono] = prod if acc is None else acc + prod
-        return self._like(terms, self._product_grading(other))
+        return self._like(terms)
 
     def scale(self, coeff: BinForm) -> "SparsePoly":
         """Multiply every coefficient by one base form."""
-        if coeff.is_zero:
-            return self._like({}, self._grading)
-        terms = {m: coeff * c for m, c in self.terms.items()}
-        return self._like(terms, self._scaled_grading(coeff))
-
-    def __eq__(self, other) -> bool:
-        return (type(other) is type(self) and self._mismatch(other) is None
-                and self._grading == other._grading and self.terms == other.terms)
+        return self._like({m: coeff * c for m, c in self.terms.items()})
 
 
-class GradedSection(SparsePoly):
-    """Sparse section of O_P(d*H + m*F), keyed by `FiberMonomial`; immutable.
+class GradedSection(Record):
+    """Section of O_P(h*H + m*F), `FiberMonomial` -> nonzero BinForm over one field; immutable.
 
-    Sections of different bundles never mix; a product adds bidegrees, and
-    scaling by a base form raises the F-twist by its degree.
+    `bidegree` is the plain pair (h, m).  A record, not a ring: the
+    sections Q and G are built, loaded, reduced and checked, never
+    added or multiplied.
     """
 
-    __slots__ = ("bundle", "h", "m")
-
-    _key = staticmethod(FiberMonomial._make)
+    __slots__ = ("bundle", "field", "bidegree", "terms")
 
     def __init__(
         self,
@@ -297,55 +261,18 @@ class GradedSection(SparsePoly):
         bidegree: Tuple[int, int],
         terms: Dict[FiberMonomial, BinForm],
     ):
-        _setattr(self, "bundle", bundle)
-        _setattr(self, "h", bidegree[0])
-        _setattr(self, "m", bidegree[1])
-        super().__init__(field, terms)
+        super().__init__(bundle, field, tuple(bidegree),
+                         _checked_terms(field, terms, FiberMonomial._make))
 
-    # -- basics --------------------------------------------------------
-
-    @property
-    def bidegree(self) -> Tuple[int, int]:
-        return (self.h, self.m)
-
-    _grading = bidegree
-
-    def _mismatch(self, other: "GradedSection") -> Optional[str]:
-        if self.bundle != other.bundle:
-            return "mismatched bundle data"
-        return super()._mismatch(other)
-
-    def _product_grading(self, other: "GradedSection") -> Tuple[int, int]:
-        return (self.h + other.h, self.m + other.m)
-
-    def _scaled_grading(self, coeff: BinForm) -> Tuple[int, int]:
-        return (self.h, self.m + coeff.degree)
-
-    def _like(self, terms: dict, bidegree: Tuple[int, int]) -> "GradedSection":
-        return _section(self.bundle, self.field, bidegree, terms)
+    def coefficient(self, mono: FiberMonomial) -> BinForm:
+        return self.terms.get(mono, BinForm.zero(self.field))
 
     def __repr__(self):
         body = " + ".join(
             f"[{format_binform(c)}]*{monomial_str(m)}" for m, c in sorted(self.terms.items())
         )
-        return f"GradedSection({self.h}H{self.m:+d}F: {body or '0'})"
-
-    # -- construction helpers --------------------------------------------
-
-    @staticmethod
-    def variable(bundle: BundleData, field: FieldSpec, index: int) -> "GradedSection":
-        """The tautological section x0, x1, y or z of bidegree (w_i, -a_i)."""
-        exps = [0, 0, 0, 0]
-        exps[index] = 1
-        mono = FiberMonomial(*exps)
-        return GradedSection(
-            bundle,
-            field,
-            (WEIGHTS[index], -bundle.twists[index]),
-            {mono: BinForm.one(field)},
-        )
-
-    # -- validation --------------------------------------------------------
+        h, m = self.bidegree
+        return f"GradedSection({h}H{m:+d}F: {body or '0'})"
 
     def validate(self) -> "GradedSection":
         """Check fiber weights and the coefficient degree rule; return self.
@@ -361,13 +288,10 @@ class GradedSection(SparsePoly):
 
 def _section(bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
              terms: Dict[FiberMonomial, BinForm]) -> GradedSection:
-    """A section of checked terms keyed by `FiberMonomial`, built as `SparsePoly._like` builds one."""
+    """A section of checked terms keyed by `FiberMonomial`; only zero coefficients are dropped."""
     section = object.__new__(GradedSection)
-    _setattr(section, "bundle", bundle)
-    _setattr(section, "field", field)
-    _setattr(section, "h", bidegree[0])
-    _setattr(section, "m", bidegree[1])
-    _setattr(section, "terms", {m: c for m, c in terms.items() if c.nums})
+    Record.__init__(section, bundle, field, tuple(bidegree),
+                    {m: c for m, c in terms.items() if c.nums})
     return section
 
 
@@ -394,9 +318,8 @@ def section_terms_from_dict(
     error.  Each literal is read once, by `scan_binform`, and its degree
     checked against its monomial's slot before its dense form is built, so a
     literal such as ``"t0^99999999999"`` is refused without allocating it.
-    The section is built from the checked terms as `SparsePoly._like` builds
-    a ring result, without `GradedSection.validate` or the constructor's
-    walk over the same terms.
+    The section is built from the checked terms by `_section`, without
+    `GradedSection.validate` or the constructor's walk over the same terms.
     """
     terms = {}
     for mono_s, coeff_s in body.items():

@@ -18,7 +18,13 @@ from canpencil.census import (
 )
 from canpencil.family import FamilyParams, SurfaceEquations, degree_table, generate_member
 from canpencil.fields import FieldSpec, QQ
-from canpencil.sections import BRANCH_MONOMIALS, BundleData, FiberMonomial, GradedSection
+from canpencil.sections import (
+    BRANCH_MONOMIALS,
+    BundleData,
+    FiberMonomial,
+    GradedSection,
+    SparsePoly,
+)
 
 import binform_reference
 from binform_reference import deriv_t0, deriv_t1
@@ -224,23 +230,26 @@ def test_node_census_count_bounded():
         assert len(out.nodes) <= out.bound == 2 * 3 - 2 + 2
 
 
+def fiber_variables(field):
+    """x0, x1, y and z as `SparsePoly`s keyed by their exponents (i, j, k, l)."""
+    one = BinForm.one(field)
+    return [SparsePoly(field, {tuple(int(i == n) for i in range(4)): one}) for n in range(4)]
+
+
 def test_node_local_model_identity():
     """The quotient-chart equation behind the A1 test is exact.
 
     With v = x0*x1/y and w = x1^2/y, the local equation of C in the chart
     y != 0 is v^2 + q_x w^2 + q_y w; clearing y^2 this must equal x1^2 * Q
-    identically in the section ring, for any member.
+    identically as polynomials in (x0, x1, y, z), for any member.
     """
     for seed in (1, 2, 3):
         member = generate_member(FamilyParams(3, 2, QQ, seed=seed))
-        b, f = member.bundle, member.field
-        x0 = GradedSection.variable(b, f, 0)
-        x1 = GradedSection.variable(b, f, 1)
-        y = GradedSection.variable(b, f, 2)
+        x0, x1, y, _ = fiber_variables(member.field)
         v = x0 * x1
         w = x1 * x1
         lhs = v * v + (w * w).scale(member.q_x) + (w * y).scale(member.q_y)
-        assert lhs == (x1 * x1) * member.Q
+        assert lhs == (x1 * x1) * SparsePoly(member.field, member.Q.terms)
 
 
 def test_node_count_matches_root_count():

@@ -18,7 +18,7 @@ from canpencil.chow import (
     surface_invariants,
     top_intersection_numerator,
 )
-from canpencil.sections import WEIGHTS, BundleData
+from canpencil.sections import BundleData
 
 import chow_reference
 from canpencil import chow
@@ -71,8 +71,11 @@ def test_symmetry_and_multilinearity(a1, b1, a2, b2, a3, b3, a4, b4):
 
 
 def fraction_top_intersection(bundle, classes) -> Fraction:
-    """The expansion on Fraction scalars: H^4 = (sum a_i/w_i)/6, H^3.F = 1/6."""
-    h4 = sum(Fraction(ai, wi) for ai, wi in zip(bundle.twists, WEIGHTS)) / 6
+    """The expansion on Fraction scalars: H^4 = (sum a_i/w_i)/6, H^3.F = 1/6.
+
+    The fiber weights (w_i) of (x0, x1, y, z) are (1, 1, 2, 3).
+    """
+    h4 = sum(Fraction(ai, wi) for ai, wi in zip(bundle.twists, (1, 1, 2, 3))) / 6
     coeff_h4 = Fraction(1)
     for c in classes:
         coeff_h4 *= c.h

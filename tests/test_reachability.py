@@ -3,7 +3,12 @@
 The walk matches definitions by name, so it over-approximates what is
 reached: a name read anywhere in reached code reaches every definition of
 that name, in any module.  It never flags live code; what it flags no user
-path can call.
+path can call.  What it passes may still be dead.  A dunder is reached
+whenever its class is, and a method name reached anywhere reaches every
+override of it: `GradedSection` once carried a graded ring (``+``, ``*``,
+`scale`, `variable` and the hooks of `SparsePoly`) that no command used,
+kept alive by `YPoly.variable`, `BinForm.scale` and `SparsePoly`'s own
+hook calls.
 
 Roots: every module-level statement of the package except imports and
 definitions (so `cli._DISPATCH`, `cli.LEDGERS`, the constants and the

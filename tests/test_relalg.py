@@ -38,9 +38,9 @@ from canpencil.relalg import (
     tau_of,
     validate_sigma2,
 )
-from canpencil.sections import BundleData, FiberMonomial, GradedSection
 
 import relalg_reference
+from test_census import fiber_variables
 
 F10007 = FieldSpec.prime_field(10007)
 
@@ -184,18 +184,15 @@ def test_q_relation_coefficients():
 
 
 def test_q_relation_alpha0_coordinate_change():
-    """With f0 = 1, g0 = 0 the conic relation substitutes into the section
-    ring as x1^2 times the x0^2-relation, which is the degree-2 equation of
-    the classified normal shape."""
+    """With f0 = 1, g0 = 0 the conic relation substitutes into the
+    polynomials in (x0, x1, y, z) as x1^2 times the x0^2-relation, which is
+    the degree-2 equation of the classified normal shape."""
     rng = random.Random(4)
     pg, theta = 4, 2
     data = alpha0_data(pg, theta, rng, g0_zero=True)
     rel = q_relation(data)
 
-    bundle = BundleData(pg, theta)
-    x0 = GradedSection.variable(bundle, QQ, 0)
-    x1 = GradedSection.variable(bundle, QQ, 1)
-    y = GradedSection.variable(bundle, QQ, 2)
+    x0, x1, y, _ = fiber_variables(QQ)
     img = {
         0: x0 * x1 - y.scale(data.f1),  # f0*y0 + f1*y1 maps to x0*x1
         1: y,
