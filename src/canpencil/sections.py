@@ -190,7 +190,8 @@ class SparsePoly(Record):
     __slots__ = ("field", "terms")
 
     def __init__(self, field: FieldSpec, terms: Dict[tuple, BinForm]):
-        super().__init__(field, _checked_terms(field, terms, tuple))
+        _setattr(self, "field", field)  # not `Record.__init__`: YPoly builds several per op
+        _setattr(self, "terms", _checked_terms(field, terms, tuple))
 
     def coefficient(self, exps) -> BinForm:
         return self.terms.get(tuple(exps), BinForm.zero(self.field))
