@@ -221,7 +221,20 @@ class BinForm:
         return _new(self.field, tuple([-n % p for n in self.nums]), 1)
 
     def __sub__(self, other: "BinForm") -> "BinForm":
-        return self + (-other)
+        _require_same_field(self, other)
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return -other
+        if len(a) != len(b):
+            raise BinFormError(f"degree mismatch in sum: {self.degree} vs {other.degree}")
+        da, db = self.den, other.den
+        if da == db:
+            return BinForm.from_numerators(self.field, [x - y for x, y in zip(a, b)], da)
+        g = math.gcd(da, db)
+        ma, mb = db // g, da // g
+        return BinForm.from_numerators(self.field, [x * ma - y * mb for x, y in zip(a, b)], da * ma)
 
     def __mul__(self, other: "BinForm") -> "BinForm":
         _require_same_field(self, other)
@@ -244,16 +257,26 @@ class BinForm:
         return BinForm.from_numerators(f, [c * x for x in self.nums])
 
     def __pow__(self, n: int) -> "BinForm":
+        """The n-th power: c^n t0^(n(d-i)) t1^(n i) for a monomial, else by repeated squaring."""
         if n < 0:
             raise BinFormError("negative power")
-        result, base = _new(self.field, (1,), 1), self
-        while n:
+        nums = self.nums
+        if not n:
+            return _new(self.field, (1,), 1)
+        if len(nums) - nums.count(0) == 1:  # a monomial; the zero form has no term and falls through
+            i = next(i for i, c in enumerate(nums) if c)
+            p, c = self.field.p, nums[i]
+            top = [0] * ((len(nums) - 1) * n + 1)
+            top[i * n] = c**n if p is None else pow(c, n, p)
+            return _new(self.field, tuple(top), self.den**n)  # c, den coprime: so are their powers
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def monic(self) -> "BinForm":
         if self.is_zero:
@@ -466,11 +489,14 @@ def _zquotient(u: list, v: list) -> Optional[list]:
 def gcd(a: BinForm, b: BinForm) -> BinForm:
     """Monic greatest common divisor; leading coefficient normalized to 1.
 
-    Raises when both inputs are zero.
+    Raises when both inputs are zero.  A nonzero constant operand gives 1
+    at once; otherwise Euclid runs on the charts (`_gcd`, or `_zgcd` over QQ).
     """
     _require_same_field(a, b)
     if a.is_zero and b.is_zero:
         raise BinFormError("gcd(0, 0) is undefined")
+    if len(a.nums) == 1 or len(b.nums) == 1:
+        return _new(a.field, (1,), 1)
     e = min(g.t1_multiplicity() for g in (a, b) if not g.is_zero)
     p = a.field.p
     if p is None:

@@ -263,12 +263,13 @@ LEDGERS = {
 }
 
 
-#: largest --trials that verify runs: `verify all` costs about 0.27-0.28 ms
-#: per trial over F_10007 and over QQ, and 0.35 ms over F_(2^31 - 1)
-#: (1000 trials, median of 3 in-process runs, CPython 3.11.7 on a shared
-#: 2-core host; 200 trials take 56-58 ms and 73 ms) and grows linearly in
-#: the trials, so a run at the limit took 2.7-2.8 s over F_10007 or QQ and
-#: 3.5 s over F_(2^31 - 1), as one fresh process each.
+#: largest --trials that verify runs: `verify all` costs about 0.37 ms
+#: per trial over F_10007, 0.36 ms over QQ and 0.49 ms over F_(2^31 - 1)
+#: (1000 trials, fastest of 7 in-process runs, CPython 3.11.7 on a shared
+#: 2-core host in a slow spell, where the previous code took 0.42, 0.41
+#: and 0.54 ms; 200 trials take 70, 74 and 85 ms) and grows linearly in
+#: the trials, so a run at the limit took 3.8-5.1 s over F_10007, 3.9-4.9 s
+#: over QQ and 5.3-5.6 s over F_(2^31 - 1), three fresh processes each.
 TRIALS_MAX = 10_000
 
 

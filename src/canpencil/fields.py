@@ -69,12 +69,20 @@ class Record:
     """Immutable record of the fields its `__slots__` name, in order; ``==``, hash and repr by value.
 
     Never equal to another class's record; those built or compared on every op have direct methods.
+    The fields are those of the nearest class in the MRO with non-empty `__slots__`, so a
+    subclass that declares ``__slots__ = ()`` keeps its base's fields.
     """
 
     __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        declared = (c.__dict__.get("__slots__") for c in cls.__mro__)
+        cls._fields = next((names for names in declared if names), ())
 
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         if kwargs or len(args) != len(names):
             if len(args) + len(kwargs) != len(names) or not kwargs.keys() <= set(names[len(args):]):
                 raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
@@ -88,7 +96,7 @@ class Record:
     __delattr__ = __setattr__
 
     def __reduce__(self):  # (class, fields): what pickle and copy rebuild from, and == and hash read
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         return type(other) is type(self) and self.__reduce__() == other.__reduce__()
@@ -97,7 +105,7 @@ class Record:
         return hash(self.__reduce__()[1])
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
 

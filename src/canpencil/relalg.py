@@ -30,7 +30,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .binform import (
     BinForm,
+    BinFormError,
     _pack,
+    _quotient,
     _unpack,
     count_distinct_roots,
     divexact,
@@ -53,17 +55,9 @@ class SigmaError(ValueError):
 
 
 class YPoly(SparsePoly):
-    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2, keyed by exponents.
+    """Sparse polynomial in the three rank-3 coordinates y0, y1, y2, keyed by exponents."""
 
-    No `__slots__` of its own: `Record` reads the fields from `__slots__`,
-    so YPoly inherits `SparsePoly`'s.
-    """
-
-    @staticmethod
-    def variable(field: FieldSpec, index: int) -> "YPoly":
-        exps = [0, 0, 0]
-        exps[index] = 1
-        return YPoly(field, {tuple(exps): BinForm.one(field)})
+    __slots__ = ()  # `Record` reads the fields from `SparsePoly`, the nearest class that names them
 
     @staticmethod
     def from_linear(c0: BinForm, c1: BinForm, c2: BinForm) -> "YPoly":
@@ -71,10 +65,22 @@ class YPoly(SparsePoly):
         return YPoly(field, {(1, 0, 0): c0, (0, 1, 0): c1, (0, 0, 1): c2})
 
     def substitute(self, y0: BinForm, y1: BinForm, y2: BinForm) -> BinForm:
-        """Evaluate at binary-form values of the three coordinates."""
+        """Evaluate at binary-form values of the three coordinates.
+
+        A term with a positive power of a zero coordinate is skipped, each
+        power y_i^e is computed once, and a zeroth power is not multiplied in.
+        """
+        values, powers = (y0, y1, y2), ({}, {}, {})
         total = BinForm.zero(self.field)
-        for (e0, e1, e2), coeff in self.terms.items():
-            total = total + coeff * y0**e0 * y1**e1 * y2**e2
+        for exps, coeff in self.terms.items():
+            if any(e and not y.nums for e, y in zip(exps, values)):
+                continue
+            for e, y, known in zip(exps, values, powers):
+                if e:
+                    if e not in known:
+                        known[e] = y**e
+                    coeff = coeff * known[e]
+            total = total + coeff
         return total
 
     def twist_offset(self, twists: Tuple[int, int, int]) -> Optional[int]:
@@ -107,39 +113,71 @@ BinMatrix = List[List[BinForm]]
 
 
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
-    """The product a b.
+    """The product a b, on packed ints (Kronecker substitution, von zur Gathen-Gerhard §8.4).
 
-    Over F_p each entry is packed once into slots of k 64-bit words, the
-    fewest that hold inner * n * (p - 1)^2 for entries of at most n
-    coefficients (Kronecker substitution, von zur Gathen-Gerhard §8.4): an
-    output entry is one sum of big-int products, unpacked and reduced once.
-    Over QQ, for mixed fields, and where its nonzero products differ in
-    degree, an entry is their BinForm sum in k order, which raises on the
-    mismatch unless the partial sum has cancelled to zero first.
+    Each nonzero entry of at most n coefficients is packed once into one
+    int, slot i of w = 64 k bits holding its coefficient of t1^i, with k the
+    fewest words that hold every coefficient of a product entry.  Over F_p
+    a slot holds a residue, packed by `_pack`, and k holds
+    inner * n * (p - 1)^2.  Over QQ, when every denominator is 1, a slot
+    holds a signed numerator, packed exactly by `_pack_signed`, and k keeps
+    inner * n * max|num|^2 below 2^(w-1).  An output entry is one sum
+    of big-int products over its nonzero pairs, unpacked once and reduced
+    once.  Over QQ one bias int first adds 2^(w-1) to every slot, so that no
+    slot is negative, and 2^(w-1) is taken off each unpacked slot.  For
+    mixed fields, a denominator other than 1, and an entry whose nonzero
+    products differ in degree, the entry is their BinForm sum in k order,
+    which raises on the mismatch unless the partial sum has cancelled to
+    zero first.
     """
     inner, cols = len(b), len(b[0])
     if any(len(r) != inner for r in a) or any(len(r) != cols for r in b):
         raise AssertionError("matrix shapes do not chain")
     entries = [e for r in (*a, *b) for e in r]
     field = entries[0].field if entries else QQ  # no entry: the loop's empty product
-    if (p := field.p) is None or any(e.field is not field and e.field != field for e in entries):
+    if any(e.den != 1 or (e.field is not field and e.field != field) for e in entries):
         return [[_sum_of_products(r, b, j) for j in range(cols)] for r in a]
-    n = max([len(e.nums) for e in entries]) or 1
-    k = -(-(inner * n * (p - 1) ** 2).bit_length() // 64)
-    columns = [[(len(e.nums), _pack(e.nums, k) if e.nums else 0) for e in c] for c in zip(*b)]
+    n = max([len(e.nums) for e in entries], default=0) or 1
+    if (p := field.p) is not None:
+        k = -(-(inner * n * (p - 1) ** 2).bit_length() // 64)
+        pack, half = _pack, 0
+    else:
+        top = max([max(max(e.nums), -min(e.nums)) for e in entries if e.nums], default=0)
+        k = (inner * n * top * top).bit_length() // 64 + 1
+        pack, half, most = _pack_signed, 1 << (64 * k - 1), 2 * n - 1
+        bias = int.from_bytes(half.to_bytes(8 * k, "little") * most, "little")  # half in every slot
+    zero = BinForm.zero(field)
+    columns = [[(len(e.nums), pack(e.nums, k)) if e.nums else (0, 0) for e in c] for c in zip(*b)]
     out = []
     for r in a:
-        packed = [(len(e.nums), _pack(e.nums, k) if e.nums else 0) for e in r]
+        packed = [(len(e.nums), pack(e.nums, k)) if e.nums else (0, 0) for e in r]
         row = []
         for j, col in enumerate(columns):
-            lengths = {la + lb - 1 for (la, x), (lb, y) in zip(packed, col) if x and y}
-            if len(lengths) > 1:
+            # (length of the product, packed product) of each nonzero pair
+            pairs = [(la + lb - 1, x * y) for (la, x), (lb, y) in zip(packed, col) if la and lb]
+            if not pairs:
+                row.append(zero)
+            elif any(length != pairs[0][0] for length, _ in pairs):
                 row.append(_sum_of_products(r, b, j))
+            elif acc := sum([xy for _, xy in pairs]):
+                length = pairs[0][0]
+                if half:  # over QQ: every slot non-negative for the unpack, then the bias off again
+                    nums = _unpack(acc + (bias >> 64 * k * (most - length)), length, k)
+                    row.append(BinForm.from_numerators(field, [c - half for c in nums]))
+                else:
+                    row.append(BinForm.from_numerators(field, _unpack(acc, length, k)))
             else:
-                acc = sum([x * y for (_, x), (_, y) in zip(packed, col)])
-                row.append(BinForm.from_numerators(field, _unpack(acc, max(lengths, default=0), k)))
+                row.append(zero)
         out.append(row)
     return out
+
+
+def _pack_signed(nums, k: int) -> int:
+    """`_pack` for signed ints: sum nums[i] 2^(64 k i), by Horner's rule."""
+    w, x = 64 * k, 0
+    for c in reversed(nums):
+        x = (x << w) + c
+    return x
 
 
 def _sum_of_products(row: List[BinForm], b: BinMatrix, j: int) -> BinForm:
@@ -275,7 +313,7 @@ def q_relation(data: SigmaTwoData) -> YPoly:
     """The conic relation (f0 y0 + f1 y1)^2 - y2 (g0 y0 + g1 y1 + g2 y2)."""
     lin_f = YPoly.from_linear(data.f0, data.f1, BinForm.zero(data.field))
     lin_g = YPoly.from_linear(data.g0, data.g1, data.g2)
-    y2 = YPoly.variable(data.field, 2)
+    y2 = YPoly(data.field, {(0, 0, 1): BinForm.one(data.field)})
     rel = lin_f * lin_f - y2 * lin_g
     # bihomogeneity against the splitting twists, with offset -(2 p_g + 4)
     st = SplitType.from_params(data.pg, data.theta, data.alpha)
@@ -421,18 +459,15 @@ class ExampleReport(Record):
 def _branch_cubic(data: SigmaTwoData) -> YPoly:
     """The displayed branch numerator for the exceptional families.
 
-    E = f0 * (t1^(T-a) y1^2 - y0 y2) * (f0 y1 - 2 t1^(p_g-2) y2) - 4 f0^2 y0 y1 y2.
+    E = f0 * (t1^(T-a) y1^2 - y0 y2) * (f0 y1 - 2 t1^(p_g-2) y2) - 4 f0^2 y0 y1 y2,
+    each displayed factor built as it is written, the products expanded in the ring.
     """
     field = data.field
     t1 = BinForm.t1(field)
-    y0 = YPoly.variable(field, 0)
-    y1 = YPoly.variable(field, 1)
-    y2 = YPoly.variable(field, 2)
-    first = (y1 * y1).scale(t1 ** (data.theta - data.alpha)) - y0 * y2
-    second = y1.scale(data.f0) - y2.scale((t1 ** (data.pg - 2)).scale(2))
-    cubic = (first * second).scale(data.f0)
-    corr = (y0 * y1 * y2).scale((data.f0 * data.f0).scale(4))
-    return cubic - corr
+    first = YPoly(field, {(0, 2, 0): t1 ** (data.theta - data.alpha), (1, 0, 1): -BinForm.one(field)})
+    second = YPoly(field, {(0, 1, 0): data.f0, (0, 0, 1): (t1 ** (data.pg - 2)).scale(-2)})
+    corr = YPoly(field, {(1, 1, 1): (data.f0 * data.f0).scale(4)})
+    return (first * second).scale(data.f0) - corr
 
 
 def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
@@ -461,8 +496,10 @@ def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
     E = _branch_cubic(data)
     F030 = E.coefficient((0, 3, 0))
     f02 = f0 * f0
-    checks["F030-divisible-by-f0^2"] = divides(f02, F030) and not F030.is_zero
-    h = divexact(F030, f02)
+    h = _quotient(F030, f02)  # F030 / f0^2, or None when f0^2 does not divide it
+    checks["F030-divisible-by-f0^2"] = h is not None and not F030.is_zero
+    if h is None:
+        raise BinFormError("inexact division")  # as divexact: the cofactor is needed below
     details["F030_cofactor_degree"] = h.degree  # theta - alpha, in {0, 1}
     checks["F030-cofactor-degree"] = h.degree == data.theta - data.alpha
 
@@ -482,9 +519,9 @@ def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
 
     # (c) restriction to the section, cleared of the f1^3 y0^3 unit
     restricted = E.substitute(f1, -f0, BinForm.zero(field))
-    checks["restriction-divisible-by-f0^4"] = divides(f04, restricted)
-    if checks["restriction-divisible-by-f0^4"]:
-        cleared = divexact(restricted, f04)
+    cleared = _quotient(restricted, f04)
+    checks["restriction-divisible-by-f0^4"] = cleared is not None
+    if cleared is not None:
         expected = t1 ** (data.theta - data.alpha) * f0
         checks["restriction-shape"] = cleared.proportional_to(expected)
         nroots = count_distinct_roots(cleared)

@@ -10,9 +10,26 @@ from fractions import Fraction  # noqa: E402
 
 import pytest  # noqa: E402
 
+import canpencil.cli  # noqa: E402,F401  (imports every module of the package)
 from canpencil.family import FamilyParams, SurfaceEquations, generate_member  # noqa: E402
 from canpencil.fields import QQ  # noqa: E402
 from canpencil.sections import FiberMonomial, GradedSection  # noqa: E402
+
+#: the package modules that the test modules import, by name
+PACKAGE_MODULES = {name: module for name, module in sys.modules.items()
+                   if name == "canpencil" or name.startswith("canpencil.")}
+
+
+@pytest.fixture(autouse=True)
+def package_modules():
+    """Put back the package modules that the test modules imported.
+
+    `perfbench/run.py` imports the package anew for each run, which puts new
+    modules in `sys.modules`.  Run in the same process before these tests,
+    it would leave pickle looking up a record's class in a module other
+    than the one the record was built from.
+    """
+    sys.modules.update(PACKAGE_MODULES)
 
 
 def save_equations(eqs: SurfaceEquations, path: Path) -> None:

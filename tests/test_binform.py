@@ -939,6 +939,39 @@ def test_wide_rationals_match_per_scalar_reference(check, data):
     check(data, QQ, wide_rationals)
 
 
+def nonzero_scalars(fld):
+    return oracle_scalars(fld).filter(lambda c: c != 0)
+
+
+@pytest.mark.oracle
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sub_pow_and_constant_gcd_match_per_scalar_reference(data):
+    # the one-pass difference, the closed-form power of a monomial and the
+    # gcd that a nonzero constant operand decides without Euclid; over QQ the
+    # coefficients have denominators up to 7
+    fld = data.draw(st.sampled_from(ORACLE_FIELDS))
+    a = data.draw(oracle_forms(fld))
+    b = data.draw(oracle_forms(fld, a.degree if not a.is_zero and data.draw(st.booleans()) else None))
+    check_against(operator.sub, ref_sub, a, b)
+    if not (a.is_zero or b.is_zero) and a.degree != b.degree:
+        with pytest.raises(BinFormError) as info:
+            a - b
+        assert str(info.value) == f"degree mismatch in sum: {a.degree} vs {b.degree}"
+    degree = data.draw(st.integers(0, 6))
+    c = data.draw(nonzero_scalars(fld))
+    monomial = BinForm.monomial(fld, degree, data.draw(st.integers(0, degree)), c)
+    for form in (monomial, BinForm.constant(fld, c), a):
+        for n in (0, 1, data.draw(st.integers(2, 7))):
+            check_against(operator.pow, ref_pow, form, n)
+    constant, zero = BinForm.constant(fld, data.draw(nonzero_scalars(fld))), BinForm.zero(fld)
+    for x, y in ((constant, a), (a, constant), (constant, constant), (zero, constant)):
+        check_against(gcd, ref_gcd, x, y)
+        assert gcd(x, y) == BinForm.one(fld)
+    if not a.is_zero:  # a zero operand is no constant: gcd(a, 0) is a made monic
+        check_against(gcd, ref_gcd, a, zero)
+
+
 @pytest.mark.oracle
 def test_mixed_fields_rejected_by_every_binary_operation():
     forms = [BinForm(fld, (1, 2, 3)) for fld in ORACLE_FIELDS]

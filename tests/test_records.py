@@ -37,9 +37,10 @@ from canpencil.relalg import (
     S6Prime,
     SigmaTwoData,
     SplitType,
+    YPoly,
     lifting_annihilator,
 )
-from canpencil.sections import BundleData
+from canpencil.sections import BundleData, SparsePoly
 
 F101 = FieldSpec(101)
 
@@ -219,6 +220,26 @@ def test_forms_and_sections_copy_and_pickle():
     for obj in (member.Q, member.G, *forms):
         for back in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert back == obj and type(back) is type(obj)
+
+
+class SlotlessPoly(SparsePoly):
+    """A subclass that declares no field of its own, as `YPoly` does."""
+
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("cls", [SlotlessPoly, YPoly], ids=lambda c: c.__name__)
+def test_a_subclass_with_empty_slots_keeps_its_base_fields(cls):
+    one, t0 = BinForm.one(QQ), BinForm.t0(QQ)
+    poly = cls(QQ, {(1, 0, 0): one})
+    assert cls._fields == ("field", "terms") and not hasattr(poly, "__dict__")
+    assert poly == cls(QQ, {(1, 0, 0): one})
+    assert poly != cls(QQ, {(0, 1, 0): t0}) and poly != cls(F101, {})
+    assert poly != SparsePoly(QQ, {(1, 0, 0): one})
+    for back in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
+        assert back == poly and type(back) is cls
+    if cls is SlotlessPoly:
+        assert repr(poly) == f"SlotlessPoly(field={QQ!r}, terms={{(1, 0, 0): {one!r}}})"
 
 
 @CLASSES

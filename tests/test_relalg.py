@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
 import pytest
@@ -24,6 +27,7 @@ from canpencil.relalg import (
     SigmaTwoData,
     SplitType,
     YPoly,
+    _branch_cubic,
     alpha_feasible,
     example_data,
     example_verify,
@@ -308,11 +312,45 @@ def test_example_verify_all_checks(key):
     assert rep.details["restriction_distinct_roots"] == key[1]  # theta
 
 
+@pytest.mark.oracle
+@pytest.mark.parametrize("key", EXAMPLE_KEYS)
+def test_example_verify_matches_the_old_checks(key):
+    got, old = example_verify(key), relalg_reference.example_verify(key)
+    assert got == old
+    assert list(got.checks.items()) == list(old.checks.items())  # in the order the ledger prints
+    assert list(got.details.items()) == list(old.details.items())
+    data = example_data(key)
+    assert _branch_cubic(data) == relalg_reference._branch_cubic(data)
+
+
+def _substituted(substitute, poly, values):
+    """The value, or the message of the BinFormError the substitution raises."""
+    try:
+        return substitute(poly, *values)
+    except BinFormError as exc:
+        return str(exc)
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("fld", [QQ, FieldSpec.prime_field(101)], ids=str)
+def test_ypoly_substitute_matches_the_old_one(fld):
+    # y_i has degree i + 1 and the coefficient of y^e degree 18 - sum (i + 1) e_i,
+    # so every term has degree 18; some coordinates are zero, and in every
+    # fifth draw y0 has another degree, so that a sum may raise
+    rng = random.Random(7)
+    for trial in range(60):
+        terms = {e: random_binform(fld, 18 - e[0] - 2 * e[1] - 3 * e[2], rng)
+                 for e in itertools.product(range(4), repeat=3) if rng.random() < 0.3}
+        poly = YPoly(fld, terms)
+        values = [BinForm.zero(fld) if rng.random() < 0.3 else
+                  random_binform(fld, i + 1 + (i == 0 and trial % 5 == 0), rng) for i in range(3)]
+        got = _substituted(YPoly.substitute, poly, values)
+        assert got == _substituted(relalg_reference.substitute, poly, values)
+
+
 def test_example_f111_is_minus5_f0sq():
     for key in EXAMPLE_KEYS:
         data = example_data(key)
-        from canpencil.relalg import _branch_cubic
-
         E = _branch_cubic(data)
         assert E.coefficient((1, 1, 1)) == (data.f0 * data.f0).scale(-5)
 
@@ -419,8 +457,8 @@ def test_z_summand_degree():
 
 
 def test_ypoly_substitute():
-    y0 = YPoly.variable(QQ, 0)
-    y1 = YPoly.variable(QQ, 1)
+    y0 = relalg_reference.variable(QQ, 0)
+    y1 = relalg_reference.variable(QQ, 1)
     poly = y0 * y0 - y1.scale(qq("t0"))
     val = poly.substitute(qq("t1^2"), qq("t1^3"), BinForm.zero(QQ))
     assert val == qq("t1^4") - qq("t0*t1^3")
@@ -452,38 +490,52 @@ def chained_matrices(draw, fld):
 
     Entry (i, k) of a has degree u_i + v_k and entry (k, j) of b degree
     w_j - v_k, so every product of an output entry has degree u_i + w_j.
-    Entries are zero, all p - 1, or random; in a skewed pair some entries
-    take another degree, so products of one output entry differ in degree.
+    Entries are zero, all top, or random, with top = p - 1 over F_p; over
+    QQ they are signed integers up to a top of 9, 2^31 or 2^70, an entry
+    may be -top throughout, and one may have a denominator other than 1.
+    A row of a may be all zero.  In a skewed pair some entries take
+    another degree, so products of one output entry differ in degree.
     """
     rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
     u = [draw(st.integers(0, 4)) for _ in range(rows)]
     v = [draw(st.integers(0, 3)) for _ in range(inner)]
     w = [draw(st.integers(3, 7)) for _ in range(cols)]
     skewed = draw(st.booleans())
-    top = fld.p - 1
-    scalars = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
+    if fld.p is None:
+        top = draw(st.sampled_from([9, 2**31, 2**70]))
+        scalars = st.one_of(st.integers(-top, top), st.sampled_from([0, 1, -1, top, -top]))
+        kinds = ["zero", "top", "-top", "random", "random", "other", "fraction"]
+    else:
+        top = fld.p - 1
+        scalars = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
+        kinds = ["zero", "top", "random", "random", "other"]
 
     def entry(degree):
-        kind = draw(st.sampled_from(["zero", "top", "random", "random", "other"]))
+        kind = draw(st.sampled_from(kinds))
         if kind == "other" and skewed:
             degree = draw(st.integers(0, 9))
         if kind == "zero":
             return BinForm.zero(fld)
-        if kind == "top":
-            return BinForm(fld, [top] * (degree + 1))
-        return BinForm(fld, draw(st.lists(scalars, min_size=degree + 1, max_size=degree + 1)))
+        if kind in ("top", "-top"):
+            return BinForm(fld, [top if kind == "top" else -top] * (degree + 1))
+        coeffs = draw(st.lists(scalars, min_size=degree + 1, max_size=degree + 1))
+        if kind == "fraction":
+            coeffs[0] = Fraction(2 * draw(scalars) + 1, draw(st.sampled_from([2, 3, 7])))
+        return BinForm(fld, coeffs)
 
     a = [[entry(u[i] + v[k]) for k in range(inner)] for i in range(rows)]
     b = [[entry(w[j] - v[k]) for j in range(cols)] for k in range(inner)]
+    if draw(st.booleans()):
+        a[draw(st.integers(0, rows - 1))] = [BinForm.zero(fld)] * inner
     return a, b
 
 
 @pytest.mark.oracle
-@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("p", [*ORACLE_PRIMES, None])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_mat_mul_matches_the_loop(p, data):
-    fld = FieldSpec.prime_field(p)
+    fld = QQ if p is None else FieldSpec.prime_field(p)
     a, b = data.draw(chained_matrices(fld))
     got = _outcome(mat_mul, a, b)
     assert got == _outcome(relalg_reference.mat_mul, a, b)
@@ -504,6 +556,25 @@ def test_mat_mul_of_all_top_entries_at_the_slot_width_boundary(inner, n):
     assert mat_mul(a, b) == relalg_reference.mat_mul(a, b)
     middle = inner * n * (p - 1) ** 2 % p
     assert mat_mul(a, b)[0][0].nums[n - 1] == middle
+
+
+@pytest.mark.oracle
+@pytest.mark.parametrize("bound", [2**63, 2**127], ids=["2^63", "2^127"])
+@pytest.mark.parametrize("side", [-1, 0], ids=["below", "at-or-above"])
+@pytest.mark.parametrize("inner, n", [(1, 1), (3, 1), (1, 4), (2, 3), (4, 16)])
+def test_mat_mul_of_signed_top_entries_at_the_slot_width_boundary(bound, side, inner, n):
+    # over QQ a slot holds a signed numerator below 2^(w-1) in size: the
+    # middle coefficients +-inner * n * top^2 lie just below the bound, or at
+    # or just above it, where the slots must grow by one 64-bit word
+    top = math.isqrt((bound - 1) // (inner * n)) + 1 + side
+    middle = inner * n * top**2
+    assert (middle < bound) is (side == -1) and (inner * n * (top - 1) ** 2 < bound)
+    plus, minus = BinForm(QQ, [top] * n), BinForm(QQ, [-top] * n)
+    a = [[plus] * inner, [minus] * inner, [plus, *[minus] * (inner - 1)]]
+    b = [[plus, minus]] * inner
+    got = mat_mul(a, b)
+    assert got == relalg_reference.mat_mul(a, b)
+    assert [[e.nums[n - 1] for e in row] for row in got[:2]] == [[middle, -middle], [-middle, middle]]
 
 
 @pytest.mark.oracle
