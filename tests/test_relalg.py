@@ -492,7 +492,8 @@ def chained_matrices(draw, fld):
     w_j - v_k, so every product of an output entry has degree u_i + w_j.
     Entries are zero, all top, or random, with top = p - 1 over F_p; over
     QQ they are signed integers up to a top of 9, 2^31 or 2^70, an entry
-    may be -top throughout, and one may have a denominator other than 1.
+    may be -top throughout, and in half the pairs an entry may have a
+    denominator other than 1.
     A row of a may be all zero.  In a skewed pair some entries take
     another degree, so products of one output entry differ in degree.
     """
@@ -504,7 +505,7 @@ def chained_matrices(draw, fld):
     if fld.p is None:
         top = draw(st.sampled_from([9, 2**31, 2**70]))
         scalars = st.one_of(st.integers(-top, top), st.sampled_from([0, 1, -1, top, -top]))
-        kinds = ["zero", "top", "-top", "random", "random", "other", "fraction"]
+        kinds = ["zero", "top", "-top", "random", "random", "other"] + ["fraction"] * draw(st.booleans())
     else:
         top = fld.p - 1
         scalars = st.one_of(st.integers(0, top), st.sampled_from([0, 1, top]))
