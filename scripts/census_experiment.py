@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from canpencil.census import quasi_smooth_sweep  # noqa: E402
-from canpencil.family import FamilyParams, generate_member  # noqa: E402
+from canpencil.family import generate_member  # noqa: E402
 from canpencil.fields import FieldSpec  # noqa: E402
 
 n_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 20
@@ -30,7 +30,7 @@ for theta in (0, 2):
     singular_seeds = []
     start = time.perf_counter()
     for seed in range(1, n_seeds + 1):
-        member = generate_member(FamilyParams(2, theta, F11, seed=seed))
+        member = generate_member(2, theta, F11, seed=seed)
         failures = quasi_smooth_sweep(member, 11)
         if failures:
             singular_seeds.append((seed, len(failures)))

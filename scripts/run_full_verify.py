@@ -14,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from canpencil.cli import emit, main as cli_main  # noqa: E402
 from canpencil.census import run_census  # noqa: E402
-from canpencil.family import FamilyParams, generate_member  # noqa: E402
+from canpencil.family import generate_member  # noqa: E402
 from canpencil.fields import FieldSpec  # noqa: E402
 
 
@@ -26,9 +26,7 @@ def run():
         return code
 
     print("\n== end-to-end member: generate at (2,0)/F_101, census and sweep at F_101 ==")
-    member = generate_member(
-        FamilyParams(2, 0, FieldSpec.prime_field(101), seed=20260808), split_qy=True
-    )
+    member = generate_member(2, 0, FieldSpec.prime_field(101), seed=20260808, split_qy=True)
     report = run_census(member, skip_sweep=False)
     emit(report.to_json_dict(), None)
     if not report.clean:

@@ -5,13 +5,13 @@ Subpackage map:
 - :mod:`canpencil.fields`, :mod:`canpencil.binform` -- exact scalars and
   binary forms on the base line, with the literal parser;
 - :mod:`canpencil.sections` -- the sections of the weighted bundle
-  P(1:1:2:3) over P^1 as checked records, with their JSON bodies, and
-  the one sparse polynomial ring, which :mod:`canpencil.relalg` uses;
+  P(1:1:2:3) over P^1 as checked records, with their JSON bodies;
 - :mod:`canpencil.chow` -- intersection numbers and surface invariants;
 - :mod:`canpencil.family` -- degree tables, seeded members, bidouble-cover
   branch data, genus feasibility;
 - :mod:`canpencil.relalg` -- the conic-bundle multiplication data, tau,
-  annihilator certificates, and the exceptional families;
+  annihilator certificates, the exceptional families, and the one sparse
+  polynomial ring, `YPoly`;
 - :mod:`canpencil.census` -- finite-field node census and smoothness sweep;
 - :mod:`canpencil.cli` -- the command-line interface.
 """

@@ -25,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
 from .fields import FieldSpec, Record, _setattr
 from .family import SurfaceEquations
-from .sections import _Y, FiberMonomial, _section
+from .sections import _Y, FiberMonomial, GradedSection
 
 
 @total_ordering
@@ -94,9 +94,9 @@ def _over_prime(eqs: SurfaceEquations, p: int,
     for coeff in (*eqs.Q.terms.values(), *eqs.G.terms.values()):
         if coeff.den % p == 0:
             _reduce_form(coeff, spec)  # words the bad reduction
-    Q, G = (_section(eqs.bundle, spec, s.bidegree,
-                     {m: _reduce_form(c, spec) for m, c in s.terms.items()
-                      if monomials is None or m in monomials})
+    Q, G = (GradedSection(eqs.bundle, spec, s.bidegree,
+                          {m: _reduce_form(c, spec) for m, c in s.terms.items()
+                           if monomials is None or m in monomials})
             for s in (eqs.Q, eqs.G))
     return SurfaceEquations(eqs.bundle, spec, Q, G)
 

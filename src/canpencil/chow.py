@@ -49,7 +49,6 @@ _new_class = tuple.__new__
 
 
 H = DivisorClass(1, 0)
-F = DivisorClass(0, 1)
 #: the class of Q, in |2H - 2F| for every (p_g, theta)
 CLASS_Q = DivisorClass(2, -2)
 #: the canonical class of the surface, K_X = (H - 2F)|_X

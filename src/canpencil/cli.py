@@ -105,8 +105,8 @@ def cmd_degrees(args) -> dict:
 
 
 def cmd_generate(args) -> dict:
-    params = family.FamilyParams(args.pg, args.theta, parse_field(args.field), args.seed)
-    member = family.generate_member(params, split_qy=args.split_qy)
+    field = parse_field(args.field)
+    member = family.generate_member(args.pg, args.theta, field, args.seed, split_qy=args.split_qy)
     doc = member.to_json_dict()
     doc["seed"] = args.seed
     return doc
@@ -283,7 +283,7 @@ def cmd_verify(args) -> dict:
     for ledger in LEDGERS[args.what]:
         try:
             found = ledger(rng, field, trials)
-        except (AssertionError, relalg.SigmaError) as exc:
+        except (AssertionError, ValueError) as exc:  # SigmaError and BinFormError included
             found = [(ledger.__name__.removeprefix("_ledger_"), False, {"error": str(exc)})]
         checks += [{"name": name, "passed": passed, "details": details}
                    for name, passed, details in found]

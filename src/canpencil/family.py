@@ -51,13 +51,6 @@ def _member_bundle(pg: int, theta: int) -> BundleData:
     return bundle
 
 
-class FamilyParams(Record):
-    __slots__ = ("pg", "theta", "field", "seed")
-
-    def __init__(self, pg: int, theta: int, field: FieldSpec, seed: int):  # p_g, theta range-checked
-        Record.__init__(self, _member_bundle(pg, theta).pg, theta, field, seed)
-
-
 # ---------------------------------------------------------------------------
 # degree tables
 # ---------------------------------------------------------------------------
@@ -203,9 +196,11 @@ class SurfaceEquations(Record):
             return SurfaceEquations.from_json_dict(json.load(fh))
 
 
-def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEquations:
-    """Random member of the family, a pure function of (params, seed).
+def generate_member(pg: int, theta: int, field: FieldSpec, seed: int,
+                    split_qy: bool = False) -> SurfaceEquations:
+    """Random member of the family, a pure function of its arguments.
 
+    (p_g, theta) is checked first, p_g against PG_MAX too, before any draw.
     Coefficients are drawn uniformly over a prime field and as bounded
     integers over the rationals, at the prescribed degrees.  At theta >= 5
     every member is singular along a curve
@@ -215,17 +210,16 @@ def generate_member(params: FamilyParams, split_qy: bool = False) -> SurfaceEqua
     the base field.  A q_y that comes out identically zero (possible
     over a small prime) is redrawn, so every member has a node census.
     """
-    table = degree_table(params.pg, params.theta)
+    bundle = _member_bundle(pg, theta)
+    table = degree_table(pg, theta)
     if table.branch_in_y_squared():
         warnings.warn(
-            f"theta = {params.theta}: every member is singular along the curve "
+            f"theta = {theta}: every member is singular along the curve "
             "y = z = 0, x0^2 + q_x*x1^2 = 0, since every branch slot left has "
             "a factor y^2",
             stacklevel=2,
         )
-    rng = Random(params.seed)
-    bundle = BundleData(params.pg, params.theta)
-    field = params.field
+    rng = Random(seed)
     one = BinForm.one(field)
     if split_qy:
         q_y = random_split_squarefree(field, table.q_y, rng)

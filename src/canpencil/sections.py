@@ -12,14 +12,13 @@ accidental one.
 
 A `GradedSection` is a plain record of bundle, field, bidegree and terms:
 the toolkit builds, loads, reduces and checks the sections Q and G but
-never adds or multiplies them.  The one sparse ring is `SparsePoly`, with
-tuple keys and no grading; `relalg.YPoly` adds its own helpers to it.
+never adds or multiplies them.  Its constructor only drops zero terms;
+`GradedSection.validate` checks the terms of a section built in code.
 """
 
 from __future__ import annotations
 
 import sys
-from operator import add
 from typing import Dict, NamedTuple, Tuple
 
 from .binform import BinForm, ParseError, build_binform, format_binform, scan_binform
@@ -169,82 +168,6 @@ def _check_term(
         )
 
 
-def _checked_terms(field: FieldSpec, terms: dict, key) -> dict:
-    """`terms` keyed by `key(exps)` without zero coefficients; refuse one of another field."""
-    clean = {}
-    for exps, coeff in terms.items():
-        if coeff.field is not field and coeff.field != field:
-            raise ValueError("coefficient field disagrees with the polynomial field")
-        if coeff.nums:
-            clean[key(exps)] = coeff
-    return clean
-
-
-class SparsePoly(Record):
-    """Immutable sparse polynomial: exponent tuples -> nonzero BinForms over one field.
-
-    The one sparse ring: ``+``, ``-``, ``*`` and `scale` take operands of
-    one type and field, and ``==`` is `Record`'s, by type, field and terms.
-    """
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field: FieldSpec, terms: Dict[tuple, BinForm]):
-        _setattr(self, "field", field)  # not `Record.__init__`: YPoly builds several per op
-        _setattr(self, "terms", _checked_terms(field, terms, tuple))
-
-    def coefficient(self, exps) -> BinForm:
-        return self.terms.get(tuple(exps), BinForm.zero(self.field))
-
-    def _compat(self, other: "SparsePoly") -> None:
-        """Refuse `other` unless it is of this type and over this field, before reading a term."""
-        if type(other) is not type(self):
-            raise ValueError("mismatched polynomial rings")
-        if self.field != other.field:
-            raise ValueError("mismatched coefficient fields")
-
-    def _like(self, terms: dict) -> "SparsePoly":
-        """A ring result of this type and field, from `terms` that the operation built.
-
-        Built the way `BinForm._new` builds a form: `_compat` and the
-        `BinForm` operations have checked the operands, and every key is
-        already a tuple, so only zero coefficients are dropped.
-        """
-        poly = object.__new__(type(self))
-        _setattr(poly, "field", self.field)
-        _setattr(poly, "terms", {m: c for m, c in terms.items() if c.nums})
-        return poly
-
-    def __add__(self, other: "SparsePoly") -> "SparsePoly":
-        self._compat(other)
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = terms.get(mono)
-            terms[mono] = coeff if acc is None else acc + coeff
-        return self._like(terms)
-
-    def __neg__(self) -> "SparsePoly":
-        return self._like({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "SparsePoly") -> "SparsePoly":
-        self._compat(other)
-        terms: Dict[tuple, BinForm] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(map(add, m1, m2))
-                prod = c1 * c2
-                acc = terms.get(mono)
-                terms[mono] = prod if acc is None else acc + prod
-        return self._like(terms)
-
-    def scale(self, coeff: BinForm) -> "SparsePoly":
-        """Multiply every coefficient by one base form."""
-        return self._like({m: coeff * c for m, c in self.terms.items()})
-
-
 class GradedSection(Record):
     """Section of O_P(h*H + m*F), `FiberMonomial` -> nonzero BinForm over one field; immutable.
 
@@ -255,15 +178,9 @@ class GradedSection(Record):
 
     __slots__ = ("bundle", "field", "bidegree", "terms")
 
-    def __init__(
-        self,
-        bundle: BundleData,
-        field: FieldSpec,
-        bidegree: Tuple[int, int],
-        terms: Dict[FiberMonomial, BinForm],
-    ):
-        super().__init__(bundle, field, tuple(bidegree),
-                         _checked_terms(field, terms, FiberMonomial._make))
+    def __init__(self, bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
+                 terms: Dict[FiberMonomial, BinForm]):
+        super().__init__(bundle, field, tuple(bidegree), {m: c for m, c in terms.items() if c.nums})
 
     def coefficient(self, mono: FiberMonomial) -> BinForm:
         return self.terms.get(mono, BinForm.zero(self.field))
@@ -285,15 +202,6 @@ class GradedSection(Record):
         for mono, coeff in self.terms.items():
             _check_term(self.bundle, self.bidegree, mono, coeff.degree)
         return self
-
-
-def _section(bundle: BundleData, field: FieldSpec, bidegree: Tuple[int, int],
-             terms: Dict[FiberMonomial, BinForm]) -> GradedSection:
-    """A section of checked terms keyed by `FiberMonomial`; only zero coefficients are dropped."""
-    section = object.__new__(GradedSection)
-    Record.__init__(section, bundle, field, tuple(bidegree),
-                    {m: c for m, c in terms.items() if c.nums})
-    return section
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +227,8 @@ def section_terms_from_dict(
     error.  Each literal is read once, by `scan_binform`, and its degree
     checked against its monomial's slot before its dense form is built, so a
     literal such as ``"t0^99999999999"`` is refused without allocating it.
-    The section is built from the checked terms by `_section`, without
-    `GradedSection.validate` or the constructor's walk over the same terms.
+    The section is built from the checked terms without
+    `GradedSection.validate`'s walk over the same terms.
     """
     terms = {}
     for mono_s, coeff_s in body.items():
@@ -335,4 +243,4 @@ def section_terms_from_dict(
         if mono in terms:
             raise ValueError(f"duplicate monomial {mono_s!r}")
         terms[mono] = build_binform(scanned, field)
-    return _section(bundle, field, bidegree, terms)
+    return GradedSection(bundle, field, bidegree, terms)

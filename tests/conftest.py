@@ -11,7 +11,7 @@ from fractions import Fraction  # noqa: E402
 import pytest  # noqa: E402
 
 import canpencil.cli  # noqa: E402,F401  (imports every module of the package)
-from canpencil.family import FamilyParams, SurfaceEquations, generate_member  # noqa: E402
+from canpencil.family import SurfaceEquations, generate_member  # noqa: E402
 from canpencil.fields import QQ  # noqa: E402
 from canpencil.sections import FiberMonomial, GradedSection  # noqa: E402
 
@@ -40,7 +40,7 @@ def save_equations(eqs: SurfaceEquations, path: Path) -> None:
 @pytest.fixture
 def member_over_11():
     """A rational member whose q_x has denominator 11: no reduction mod 11."""
-    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    member = generate_member(2, 0, QQ, seed=6)
     terms = dict(member.Q.terms)
     terms[FiberMonomial(0, 2, 0, 0)] = member.q_x.scale(Fraction(1, 11))
     Q = GradedSection(member.bundle, QQ, member.Q.bidegree, terms)
@@ -50,7 +50,7 @@ def member_over_11():
 @pytest.fixture
 def branch_over_11():
     """A rational member whose only denominator 11 divides is in G's x1^4*y slot (1/33 of it)."""
-    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    member = generate_member(2, 0, QQ, seed=6)
     terms = dict(member.G.terms)
     terms[FiberMonomial(0, 4, 1, 0)] = terms[FiberMonomial(0, 4, 1, 0)].scale(Fraction(1, 33))
     G = GradedSection(member.bundle, QQ, member.G.bidegree, terms)

@@ -15,7 +15,6 @@ from canpencil.binform import BinForm, random_binform
 from canpencil.census import branch_disjointness, node_census, quasi_smooth_sweep
 from canpencil.chow import H, adjunction_check, surface_invariants
 from canpencil.family import (
-    FamilyParams,
     bidouble_branch_data,
     bidouble_invariants,
     degree_table,
@@ -132,7 +131,7 @@ def test_criterion_06_bidouble_cross_check():
 def test_criterion_07_node_census():
     with criterion(7, "split member at (2,0)/F_101: 2 A1 nodes, branch disjoint",
                    budget_s=10.0):
-        member = generate_member(FamilyParams(2, 0, F101, seed=20260808), split_qy=True)
+        member = generate_member(2, 0, F101, seed=20260808, split_qy=True)
         out = node_census(member, 101)
         assert len(out.nodes) == 2 == out.bound  # 2 p_g - 2 + theta
         assert all(rec.a1_ok for rec in out.nodes)
@@ -150,7 +149,7 @@ def test_criterion_08_quasi_smoothness(theta):
     with criterion(8, f"(2,{theta})/F_11 sweep: at least 4 of 5 seeds clean", budget_s=300.0):
         clean = 0
         for seed in SWEEP_SEEDS[theta]:
-            member = generate_member(FamilyParams(2, theta, F11, seed=seed))
+            member = generate_member(2, theta, F11, seed=seed)
             t0 = time.perf_counter()
             failures = quasi_smooth_sweep(member, 11)
             assert time.perf_counter() - t0 < 60.0  # per-member budget

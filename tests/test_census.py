@@ -16,14 +16,14 @@ from canpencil.census import (
     quasi_smooth_sweep,
     run_census,
 )
-from canpencil.family import FamilyParams, SurfaceEquations, degree_table, generate_member
+from canpencil.family import SurfaceEquations, degree_table, generate_member
 from canpencil.fields import FieldSpec, QQ
+from canpencil.relalg import YPoly
 from canpencil.sections import (
     BRANCH_MONOMIALS,
     BundleData,
     FiberMonomial,
     GradedSection,
-    SparsePoly,
 )
 
 import binform_reference
@@ -34,9 +34,7 @@ F101 = FieldSpec.prime_field(101)
 
 
 def member_2_0(seed, p=101, split=True):
-    return generate_member(
-        FamilyParams(2, 0, FieldSpec.prime_field(p), seed=seed), split_qy=split
-    )
+    return generate_member(2, 0, FieldSpec.prime_field(p), seed=seed, split_qy=split)
 
 
 # -- point enumeration -----------------------------------------------------------
@@ -156,7 +154,7 @@ def test_node_census_irrational_roots_flagged():
          FiberMonomial(0, 2, 0, 0): parse_binform("t0^4", F101),
          FiberMonomial(0, 0, 1, 0): qy},
     )
-    member = generate_member(FamilyParams(2, 0, F101, seed=9))
+    member = generate_member(2, 0, F101, seed=9)
     eqs = SurfaceEquations(bundle, F101, Q, member.G).validate()
     out = node_census(eqs, 101)
     assert len(out.nodes) == 0
@@ -167,7 +165,7 @@ def test_node_census_double_root_fails_a1():
     bundle = BundleData(2, 0)
     one = BinForm.one(F101)
     qy = parse_binform("t0^2", F101)  # double root at (0:1)
-    member = generate_member(FamilyParams(2, 0, F101, seed=10))
+    member = generate_member(2, 0, F101, seed=10)
     Q = GradedSection(
         bundle, F101, (2, -2),
         {FiberMonomial(2, 0, 0, 0): one,
@@ -190,7 +188,7 @@ def test_node_hessian_det_is_closed_form(p):
     occurs next to simple ones.
     """
     field = FieldSpec.prime_field(p)
-    members = [generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=True)
+    members = [generate_member(pg, theta, field, seed=seed, split_qy=True)
                for pg, theta in ((2, 0), (3, 2), (4, 4)) for seed in range(3)]
     member = members[-1]
     lin = _linear_factor(field, min(roots(member.q_y)))
@@ -212,7 +210,7 @@ def test_node_hessian_det_is_closed_form(p):
 
 def test_node_census_rejects_zero_qy():
     bundle = BundleData(2, 0)
-    member = generate_member(FamilyParams(2, 0, F101, seed=11))
+    member = generate_member(2, 0, F101, seed=11)
     Q = GradedSection(
         bundle, F101, (2, -2),
         {FiberMonomial(2, 0, 0, 0): BinForm.one(F101),
@@ -225,15 +223,15 @@ def test_node_census_rejects_zero_qy():
 
 def test_node_census_count_bounded():
     for seed in range(3):
-        member = generate_member(FamilyParams(3, 2, F101, seed=seed))
+        member = generate_member(3, 2, F101, seed=seed)
         out = node_census(member, 101)
         assert len(out.nodes) <= out.bound == 2 * 3 - 2 + 2
 
 
 def fiber_variables(field):
-    """x0, x1, y and z as `SparsePoly`s keyed by their exponents (i, j, k, l)."""
+    """x0, x1, y and z as `YPoly`s keyed by their exponents (i, j, k, l)."""
     one = BinForm.one(field)
-    return [SparsePoly(field, {tuple(int(i == n) for i in range(4)): one}) for n in range(4)]
+    return [YPoly(field, {tuple(int(i == n) for i in range(4)): one}) for n in range(4)]
 
 
 def test_node_local_model_identity():
@@ -244,17 +242,17 @@ def test_node_local_model_identity():
     identically as polynomials in (x0, x1, y, z), for any member.
     """
     for seed in (1, 2, 3):
-        member = generate_member(FamilyParams(3, 2, QQ, seed=seed))
+        member = generate_member(3, 2, QQ, seed=seed)
         x0, x1, y, _ = fiber_variables(member.field)
         v = x0 * x1
         w = x1 * x1
         lhs = v * v + (w * w).scale(member.q_x) + (w * y).scale(member.q_y)
-        assert lhs == (x1 * x1) * SparsePoly(member.field, member.Q.terms)
+        assert lhs == (x1 * x1) * YPoly(member.field, member.Q.terms)
 
 
 def test_node_count_matches_root_count():
     for seed in range(6):
-        member = generate_member(FamilyParams(2, 1, F101, seed=seed))
+        member = generate_member(2, 1, F101, seed=seed)
         if member.q_y.is_zero:
             continue
         out = node_census(member, 101)
@@ -273,7 +271,7 @@ def test_branch_disjointness_generic_member_clean():
 def test_branch_disjointness_doctored_member():
     # the (0,0,3) slot has degree theta, so doctor a (2,2) member where a
     # coefficient vanishing at a chosen node exists
-    member22 = generate_member(FamilyParams(2, 2, F101, seed=4), split_qy=True)
+    member22 = generate_member(2, 2, F101, seed=4, split_qy=True)
     nodes22 = node_census(member22, 101)
     assert nodes22.nodes, "need a rational node to doctor"
     (a, b) = nodes22.nodes[0].point.base
@@ -297,13 +295,13 @@ def test_branch_disjointness_doctored_member():
 
 
 def test_branch_disjointness_accepts_precomputed_census():
-    member = generate_member(FamilyParams(2, 2, F101, seed=4), split_qy=True)
+    member = generate_member(2, 2, F101, seed=4, split_qy=True)
     census = node_census(member, 101)
     assert branch_disjointness(member, 101, census) == branch_disjointness(member, 101)
 
 
 def test_branch_value_is_g003_at_nodes():
-    member = generate_member(FamilyParams(2, 2, F101, seed=4), split_qy=True)
+    member = generate_member(2, 2, F101, seed=4, split_qy=True)
     for rec in node_census(member, 101).nodes:
         t0, t1 = rec.point.base
         g003 = member.g_coefficient(0, 0, 3)
@@ -320,7 +318,7 @@ def test_sweep_detects_double_line():
     bundle = BundleData(2, 0)
     one = BinForm.one(F11)
     Q = GradedSection(bundle, F11, (2, -2), {FiberMonomial(2, 0, 0, 0): one})
-    member = generate_member(FamilyParams(2, 0, F11, seed=2))
+    member = generate_member(2, 0, F11, seed=2)
     eqs = SurfaceEquations(bundle, F11, Q, member.G)
     fails = quasi_smooth_sweep(eqs, 11)
     assert fails
@@ -328,12 +326,12 @@ def test_sweep_detects_double_line():
 
 
 def test_sweep_clean_member():
-    member = generate_member(FamilyParams(2, 0, F11, seed=1))
+    member = generate_member(2, 0, F11, seed=1)
     assert quasi_smooth_sweep(member, 11) == []
 
 
 def test_sweep_deterministic_and_order_independent(monkeypatch):
-    member = generate_member(FamilyParams(2, 0, F11, seed=4))  # has failures
+    member = generate_member(2, 0, F11, seed=4)  # has failures
     serial = quasi_smooth_sweep(member, 11)
     assert serial, "seed 4 should produce a singular member for this test"
     shuffled = base_points(11)
@@ -459,7 +457,7 @@ def _double_line_member(p, seed=2, theta=0):
     bundle = BundleData(2, theta)
     field = FieldSpec.prime_field(p)
     Q = GradedSection(bundle, field, (2, -2), {FiberMonomial(2, 0, 0, 0): BinForm.one(field)})
-    member = generate_member(FamilyParams(2, theta, field, seed=seed))
+    member = generate_member(2, theta, field, seed=seed)
     return SurfaceEquations(bundle, field, Q, member.G)
 
 
@@ -498,7 +496,7 @@ def _shared_root_member(p, pg, theta, seed):
     rank drops with z != 0.
     """
     field = FieldSpec.prime_field(p)
-    member = generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=True)
+    member = generate_member(pg, theta, field, seed=seed, split_qy=True)
     lin = _linear_factor(field, min(roots(member.q_y)))
     rest = random_binform(field, member.q_x.degree - 1, random.Random(seed))
     return _with_q_x(member, lin * rest)
@@ -516,7 +514,7 @@ def _flat_fiber_member(p, seed=0):
     """
     field = FieldSpec.prime_field(p)
     rng = random.Random(seed)
-    member = generate_member(FamilyParams(2, 0, field, seed=seed), split_qy=True)
+    member = generate_member(2, 0, field, seed=seed, split_qy=True)
     r, s = sorted(roots(member.q_y))
     square = (_linear_factor(field, r) * _linear_factor(field, s)) ** 2
     g_terms = {m: square * random_binform(field, c.degree - 4, rng)
@@ -531,7 +529,7 @@ def _sweep_members(p, seeds):
     field = FieldSpec.prime_field(p)
     shapes = ((2, 0), (2, 2), (3, 1))
     members = [
-        generate_member(FamilyParams(pg, theta, field, seed=seed), split_qy=split)
+        generate_member(pg, theta, field, seed=seed, split_qy=split)
         for (pg, theta) in shapes
         for split in (False, True)
         for seed in seeds
@@ -686,7 +684,7 @@ def _vanishing_fiber_member(p, power, seed=0):
     """
     field = FieldSpec.prime_field(p)
     rng = random.Random(seed)
-    member = generate_member(FamilyParams(3, 1, field, seed=seed))
+    member = generate_member(3, 1, field, seed=seed)
     base = next(b for b in base_points(p) if member.q_y.evaluate(*b))
     lin = _linear_factor(field, base) ** power
     terms = {m: lin * random_binform(field, c.degree - power, rng)
@@ -730,7 +728,7 @@ def test_sweep_matches_orbit_sweep(p):
     b vanishes.
     """
     field = FieldSpec.prime_field(p)
-    members = [generate_member(FamilyParams(pg, theta, field, seed=seed))
+    members = [generate_member(pg, theta, field, seed=seed)
                for pg, theta in ((4, 4), (6, 0)) for seed in range(2)]
     members += _sweep_members(p, range(2))
     rng = random.Random(p)
@@ -890,7 +888,7 @@ def test_slot_test_at_the_largest_prime_it_holds_for():
 
 
 def test_sweep_refuses_a_prime_past_the_slot_bound():
-    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    member = generate_member(2, 0, QQ, seed=6)
     with pytest.raises(ValueError, match="p <= 24771"):
         quasi_smooth_sweep(member, 24781)
 
@@ -978,7 +976,7 @@ def test_sweep_matches_cone_point_sweep(p):
 
 
 def test_sweep_failures_lie_on_both_hypersurfaces():
-    member = generate_member(FamilyParams(2, 0, F11, seed=4))
+    member = generate_member(2, 0, F11, seed=4)
     for pt in quasi_smooth_sweep(member, 11):
         t = pt.base
         x0, x1, y, z = pt.fiber
@@ -990,7 +988,7 @@ def test_sweep_failures_lie_on_both_hypersurfaces():
 @pytest.mark.parametrize("p", [35027, 2**31 - 1])
 def test_node_census_matches_schoolbook_powering(p, monkeypatch):
     # deg q_y = 398; seed 3 has a node at both primes, three at 2^31 - 1
-    member = generate_member(FamilyParams(200, 0, QQ, seed=3))
+    member = generate_member(200, 0, QQ, seed=3)
     census = node_census(member, p)
     assert census.nodes
     monkeypatch.setattr(binform_mod, "_fp_shift_power", binform_reference.shift_power_schoolbook)
@@ -1001,7 +999,7 @@ def test_node_census_matches_schoolbook_powering(p, monkeypatch):
 
 
 def test_run_census_rational_member_reduces():
-    member = generate_member(FamilyParams(2, 0, QQ, seed=6), split_qy=False)
+    member = generate_member(2, 0, QQ, seed=6, split_qy=False)
     report = run_census(member)
     doc = report.to_json_dict()
     assert doc["prime_nodes"] == 101
@@ -1011,7 +1009,7 @@ def test_run_census_rational_member_reduces():
 
 
 def test_run_census_prime_member_uses_own_prime():
-    member = generate_member(FamilyParams(2, 0, F11, seed=1))
+    member = generate_member(2, 0, F11, seed=1)
     for prime in (None, 11):
         report = run_census(member, prime)
         assert report.p_nodes == 11 and report.p_sweep == 11
@@ -1050,7 +1048,7 @@ def test_run_census_builds_one_prime_field(monkeypatch):
         tested.append(n)
         return original(n)
 
-    member = generate_member(FamilyParams(3, 2, QQ, seed=5))
+    member = generate_member(3, 2, QQ, seed=5)
     monkeypatch.setattr(fields_mod, "is_prime", counting)
     run_census(member, 35027, skip_sweep=True)
     assert tested == [35027]
@@ -1059,7 +1057,7 @@ def test_run_census_builds_one_prime_field(monkeypatch):
 def test_run_census_refuses_large_sweep_before_any_work(monkeypatch):
     calls = []
     monkeypatch.setattr(census_mod, "node_census", lambda eqs, p: calls.append(p))
-    member = generate_member(FamilyParams(2, 0, QQ, seed=6))
+    member = generate_member(2, 0, QQ, seed=6)
     p = next(q for q in range(census_mod.SWEEP_PRIME_MAX + 1, 2**31)
              if all(q % d for d in range(2, int(q**0.5) + 1)))  # 1013, the next prime
     with pytest.raises(ValueError, match=f"sweep at p = {p} would visit"):
@@ -1109,7 +1107,7 @@ def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_ove
 
 def _doctored_rational_member():
     """A seed-1 rational member with denominators 3 and 7 whose y^3-coefficient is 0 mod 11."""
-    member = generate_member(FamilyParams(2, 0, QQ, seed=1))
+    member = generate_member(2, 0, QQ, seed=1)
     terms = dict(member.G.terms)
     terms[FiberMonomial(0, 0, 3, 0)] = terms[FiberMonomial(0, 0, 3, 0)].scale(Fraction(11, 3))
     terms[FiberMonomial(0, 4, 1, 0)] = terms[FiberMonomial(0, 4, 1, 0)].scale(Fraction(1, 7))
@@ -1121,7 +1119,7 @@ def _doctored_rational_member():
 def test_reduction_matches_the_coefficientwise_oracle(p):
     # every coefficient reduced on its own by BinForm's scalar rule, zero forms dropped
     spec = FieldSpec.prime_field(p)
-    members = [generate_member(FamilyParams(pg, theta, QQ, seed=seed))
+    members = [generate_member(pg, theta, QQ, seed=seed)
                for pg, theta, seed in ((2, 0, 1), (3, 2, 5), (7, 3, 5))]
     for member in members + [_doctored_rational_member()]:
         expected = [{m: f for m, c in s.terms.items() if not (f := BinForm(spec, c.coeffs)).is_zero}
@@ -1140,7 +1138,7 @@ def test_reduction_matches_the_coefficientwise_oracle(p):
 
 
 def test_one_rule_refuses_a_prime_member_at_another_prime():
-    member = generate_member(FamilyParams(2, 0, F11, seed=1))
+    member = generate_member(2, 0, F11, seed=1)
     message = "^member lives over F_11; censusing at --prime 13 would cross characteristics$"
     for census in (node_census, branch_disjointness, quasi_smooth_sweep, run_census):
         with pytest.raises(ValueError, match=message):

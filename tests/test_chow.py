@@ -9,7 +9,6 @@ from canpencil.chow import (
     CLASS_K_SURFACE,
     CLASS_Q,
     DivisorClass,
-    F,
     H,
     adjunction_check,
     class_G,
@@ -22,6 +21,8 @@ from canpencil.sections import BundleData
 
 import chow_reference
 from canpencil import chow
+
+F = DivisorClass(0, 1)  # the fiber class
 
 
 def test_h3f_value():

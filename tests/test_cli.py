@@ -14,8 +14,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import canpencil.cli as cli
+from canpencil.binform import BinForm
 from canpencil.cli import main, parse_field
-from canpencil.family import FamilyParams, generate_member
+from canpencil.family import generate_member
 from canpencil.fields import FieldSpec
 from canpencil.sections import _KEYS
 from conftest import save_equations
@@ -341,7 +342,7 @@ def test_census_of_respaced_reordered_member_is_unchanged(tmp_path, capsys, memb
     assert docs[0] == docs[1]
 
 
-_MEMBER = generate_member(FamilyParams(2, 0, FieldSpec.prime_field(11), seed=1)).to_json_dict()
+_MEMBER = generate_member(2, 0, FieldSpec.prime_field(11), seed=1).to_json_dict()
 _TABLE_KEYS = sorted(_KEYS)
 
 #: a key from the table of printed monomials, one spelled off it, garbage,
@@ -393,9 +394,9 @@ def test_census_of_mutated_member_is_one_json_document(tmp_path, capsys, time_li
 
 
 def test_pg_above_bound_is_refused_before_any_work(tmp_path, capsys):
-    from canpencil.family import PG_MAX, FamilyParams
+    from canpencil.family import PG_MAX, _member_bundle
 
-    FamilyParams(PG_MAX, 0, FieldSpec.prime_field(11), 1)
+    _member_bundle(PG_MAX, 0)
     refusal = {"error": f"p_g must be at most {PG_MAX} for a family member, got 100000000"}
     path = tmp_path / "member.json"
     main(["generate", "--pg", "2", "--theta", "0", "--field", "fp:11",
@@ -527,8 +528,19 @@ def _bidouble_k2_off_by_one(monkeypatch):
     return {"bidouble": "theta=0, p_g=2"}
 
 
+def _annihilator_raises_a_form_error(monkeypatch):
+    from canpencil import relalg
+    from canpencil.binform import BinFormError
+
+    def faulty(data):
+        raise BinFormError("inexact division")
+
+    monkeypatch.setattr(relalg, "lifting_annihilator", faulty)
+    return {"lifting": "inexact division"}
+
+
 @pytest.mark.parametrize("fault", [_k2_off_by_one_at_pg7, _certificate_never_verifies,
-                                   _bidouble_k2_off_by_one],
+                                   _bidouble_k2_off_by_one, _annihilator_raises_a_form_error],
                          ids=lambda f: f.__name__.strip("_"))
 def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
     messages = fault(monkeypatch)
@@ -541,6 +553,10 @@ def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
     assert sorted(failed) == sorted(messages)
     for ledger, message in messages.items():
         assert message in failed[ledger]["error"]
+    # every other ledger still reports its checks
+    passed = {c["name"].partition("/")[0] for c in doc["checks"] if c["passed"]}
+    assert passed | set(failed) == {"sigma2", "lifting", "eq.S3S2->S6", "examples", "bidouble",
+                                    "invariants"}
 
 
 def _one_indented_document(printed):
@@ -572,6 +588,41 @@ def test_failing_example_prints_one_indented_document(capsys, monkeypatch):
     doc = _one_indented_document(capsys.readouterr().out)
     assert code == 1 and doc["all_passed"] is False
     assert [e["checks"]["tau-shape"] for e in doc["examples"]] == [False] * 3
+
+
+#: the checks of one family that need F030's cofactor by f0^2
+_COFACTOR_CHECKS = ("F030-divisible-by-f0^2", "F030-cofactor-degree", "congruence-mod-f0^4")
+
+
+@pytest.mark.parametrize("argv", [["example"], ["verify", "examples", "--seed", "1"]],
+                         ids=lambda argv: argv[0])
+def test_f030_not_divisible_by_f0_squared_fails_the_named_checks(capsys, monkeypatch, argv):
+    from canpencil import relalg
+
+    exact = relalg._branch_cubic
+
+    def faulty(data):  # F030 + t1^deg(F030): homogeneous, and prime to f0 where F030 was not
+        E = exact(data)
+        bump = BinForm.t1(data.field) ** E.coefficient((0, 3, 0)).degree
+        return E + relalg.YPoly(data.field, {(0, 3, 0): bump})
+
+    monkeypatch.setattr(relalg, "_branch_cubic", faulty)
+    code = main(argv)
+    doc = _one_indented_document(capsys.readouterr().out)
+    assert code == 1 and doc["all_passed"] is False
+    if argv[0] == "example":
+        checks = [e["checks"] for e in doc["examples"]]
+        assert [e["passed"] for e in doc["examples"]] == [False] * 3
+    else:
+        checks = [c["details"] for c in doc["checks"]]
+        assert [c["passed"] for c in doc["checks"]] == [False] * 3
+    assert len(checks) == 3
+    for family_checks in checks:
+        assert [family_checks[name] for name in _COFACTOR_CHECKS] == [False] * 3
+        # (b), (c) and the tau checks still ran
+        assert {"F111-is-minus-5-f0^2", "restriction-divisible-by-f0^4", "tau-shape",
+                "tau-degree"} <= set(family_checks)
+        assert family_checks["F111-is-minus-5-f0^2"] and family_checks["tau-shape"]
 
 
 def test_verify_recomputes_every_closed_form_on_every_run(capsys, monkeypatch):

@@ -12,7 +12,6 @@ from canpencil.chow import surface_invariants
 from canpencil.family import (
     BranchData,
     PG_MAX,
-    FamilyParams,
     SurfaceEquations,
     bidouble_branch_data,
     bidouble_cross_check,
@@ -22,6 +21,7 @@ from canpencil.family import (
     genus_feasibility,
 )
 import canpencil.binform as binform_mod
+import canpencil.family as family_mod
 import canpencil.sections as sections_mod
 from canpencil.binform import BinForm, parse_binform
 from canpencil.fields import QQ, FieldSpec
@@ -76,23 +76,20 @@ def test_degree_table_json():
 
 
 def test_generate_member_deterministic():
-    params = FamilyParams(2, 0, F101, seed=42)
-    a = generate_member(params)
-    b = generate_member(params)
+    a = generate_member(2, 0, F101, seed=42)
+    b = generate_member(2, 0, F101, seed=42)
     assert a == b or a.to_json_dict() == b.to_json_dict()
 
 
 def test_generate_member_validates():
-    params = FamilyParams(3, 2, QQ, seed=7)
-    member = generate_member(params)
+    member = generate_member(3, 2, QQ, seed=7)
     member.validate()
     assert member.q_x.degree == 6
     assert member.q_y.degree == 6
 
 
 def test_generate_member_theta4_divisible_by_y():
-    params = FamilyParams(9, 4, QQ, seed=1)
-    member = generate_member(params)
+    member = generate_member(9, 4, QQ, seed=1)
     assert member.g_coefficient(0, 6, 0).is_zero
     for mono in member.branch_terms():
         assert mono.k >= 1  # every branch monomial carries a factor of y
@@ -100,10 +97,29 @@ def test_generate_member_theta4_divisible_by_y():
 
 def test_generate_member_warns_above_theta4():
     with pytest.warns(UserWarning, match=r"^theta = 5: every member is singular along the curve"):
-        generate_member(FamilyParams(3, 5, QQ, seed=1))
+        generate_member(3, 5, QQ, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        generate_member(FamilyParams(3, 4, QQ, seed=1))
+        generate_member(3, 4, QQ, seed=1)
+
+
+@pytest.mark.parametrize("pg, theta, message", [
+    (1, 0, "p_g >= 2 required"),
+    (-3, 9, "p_g >= 2 required"),
+    (2, -1, "theta must lie in [0, 6]"),
+    (2, 7, "theta must lie in [0, 6]"),
+    (1001, 0, "p_g must be at most 1000 for a family member, got 1001"),
+    (1001, 7, "theta must lie in [0, 6]"),
+])
+def test_generate_member_refuses_before_any_draw(pg, theta, message, monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("drew a coefficient")
+
+    monkeypatch.setattr(family_mod, "Random", no_draw)
+    for split_qy in (False, True):
+        with pytest.raises(ValueError) as info:
+            generate_member(pg, theta, QQ, seed=1, split_qy=split_qy)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("theta", range(7))
@@ -121,7 +137,7 @@ def test_theta_5_and_6_members_are_singular_along_the_curve(theta):
     # every F_p-point of {y = z = 0, x0^2 + q_x x1^2 = 0}, in canonical form, fails the sweep
     p = 13
     with pytest.warns(UserWarning, match="singular along the curve"):
-        member = generate_member(FamilyParams(2, theta, FieldSpec.prime_field(p), seed=1))
+        member = generate_member(2, theta, FieldSpec.prime_field(p), seed=1)
     fibers = [(1, a, 0, 0) for a in range(p)] + [(0, 1, 0, 0)]
     curve = {
         WPSPoint(base, fiber)
@@ -136,8 +152,7 @@ def test_theta_5_and_6_members_are_singular_along_the_curve(theta):
 def test_generate_member_split_qy():
     from canpencil.binform import roots
 
-    params = FamilyParams(2, 0, F101, seed=3)
-    member = generate_member(params, split_qy=True)
+    member = generate_member(2, 0, F101, seed=3, split_qy=True)
     found = roots(member.q_y)
     assert sum(found.values()) == member.q_y.degree == 2
     assert all(m == 1 for m in found.values())
@@ -151,7 +166,7 @@ def test_generate_member_redraws_only_a_zero_q_y():
     table = degree_table(2, 0)
     first_draw_zero = []
     for seed in range(40):
-        member = generate_member(FamilyParams(2, 0, f5, seed))
+        member = generate_member(2, 0, f5, seed)
         assert member.q_y.degree == table.q_y
         rng = random.Random(seed)
         q_y = random_binform(f5, table.q_y, rng)
@@ -176,20 +191,19 @@ def assert_equation_file_roundtrip(member, tmp_path):
 
 
 def test_equation_file_roundtrip(tmp_path):
-    assert_equation_file_roundtrip(generate_member(FamilyParams(3, 1, QQ, seed=5)), tmp_path)
+    assert_equation_file_roundtrip(generate_member(3, 1, QQ, seed=5), tmp_path)
 
 
 def test_equation_file_roundtrip_of_largest_member(tmp_path):
     # the member CI censuses: literals of up to ~2000 terms
     with pytest.warns(UserWarning):
-        member = generate_member(FamilyParams(PG_MAX, 6, QQ, seed=1))
+        member = generate_member(PG_MAX, 6, QQ, seed=1)
     assert max(len(c.nums) for c in member.Q.terms.values()) > 1990
     assert_equation_file_roundtrip(member, tmp_path)
 
 
 def test_malformed_coefficient_rejected(tmp_path):
-    params = FamilyParams(2, 0, QQ, seed=5)
-    doc = generate_member(params).to_json_dict()
+    doc = generate_member(2, 0, QQ, seed=5).to_json_dict()
     doc["Q"]["x1^2"] = "t2^3"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -198,8 +212,7 @@ def test_malformed_coefficient_rejected(tmp_path):
 
 
 def test_wrong_degree_coefficient_rejected(tmp_path):
-    params = FamilyParams(2, 0, QQ, seed=5)
-    doc = generate_member(params).to_json_dict()
+    doc = generate_member(2, 0, QQ, seed=5).to_json_dict()
     doc["Q"]["x1^2"] = "t0"  # prescribed degree is 2 p_g = 4
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -208,7 +221,7 @@ def test_wrong_degree_coefficient_rejected(tmp_path):
 
 
 def test_over_degree_literal_refused_before_allocation():
-    doc = generate_member(FamilyParams(2, 0, FieldSpec.prime_field(11), seed=1)).to_json_dict()
+    doc = generate_member(2, 0, FieldSpec.prime_field(11), seed=1).to_json_dict()
     doc["Q"]["y"] = "t0^1000000"  # the y slot has degree 2 p_g + theta - 2 = 2
     tracemalloc.start()
     try:
@@ -229,7 +242,7 @@ def test_every_printed_coefficient_takes_the_printed_lane(field, monkeypatch):
     lane = binform_mod._scan_printed
     literals = [(pg, theta, c) for pg in (2, 3, 10, 40) for theta in range(7)
                 for s in ("Q", "G")
-                for c in generate_member(FamilyParams(pg, theta, field, seed=pg + theta))
+                for c in generate_member(pg, theta, field, seed=pg + theta)
                 .to_json_dict()[s].values()]
     fast = [lane(c, field.p) for _, _, c in literals]
     monkeypatch.setattr(binform_mod, "_scan_printed", lambda text, p: None)
@@ -246,7 +259,7 @@ def _counting_check_term(monkeypatch):
 
 
 def test_loading_checks_each_nonzero_term_once(monkeypatch):
-    doc = generate_member(FamilyParams(3, 1, QQ, seed=5)).to_json_dict()
+    doc = generate_member(3, 1, QQ, seed=5).to_json_dict()
     doc["G"]["x0^6"] = "0"  # a forced-zero slot may hold a zero literal; it is not checked
     literals = [c for s in ("Q", "G") for c in doc[s].values()]
     calls = _counting_check_term(monkeypatch)
@@ -255,7 +268,7 @@ def test_loading_checks_each_nonzero_term_once(monkeypatch):
 
 
 def test_validate_of_member_built_in_code_checks_every_term(monkeypatch):
-    member = generate_member(FamilyParams(3, 1, QQ, seed=5))
+    member = generate_member(3, 1, QQ, seed=5)
     calls = _counting_check_term(monkeypatch)
     assert member.validate() is member
     assert len(calls) == len(member.Q.terms) + len(member.G.terms)
@@ -281,7 +294,7 @@ def _respelled(key, rng):
 
 @pytest.mark.parametrize("shape", [(2, 0), (3, 2), (7, 3)])
 def test_off_table_key_spellings_load_equal(shape):
-    doc = generate_member(FamilyParams(*shape, QQ, seed=4)).to_json_dict()
+    doc = generate_member(*shape, QQ, seed=4).to_json_dict()
     canonical = SurfaceEquations.from_json_dict(doc)
     named = {"x0^2": "x0*x0", "x1^2": " x1^2 ", "y": "y ", "x1^4*y": "y*x1^4",
              "x1^2*y^2": "y^2*x1^2"}
@@ -296,7 +309,7 @@ def test_off_table_key_spellings_load_equal(shape):
 @pytest.mark.parametrize("field", [QQ, FieldSpec.prime_field(11)], ids=["qq", "fp:11"])
 def test_mixed_body_loads_as_its_literals_parse(field):
     """Printed literals next to a zero, a respelled key and literals the printed lane does not take."""
-    doc = generate_member(FamilyParams(2, 0, field, seed=4)).to_json_dict()
+    doc = generate_member(2, 0, field, seed=4).to_json_dict()
     doc["Q"]["y"] = "1/2*t0^2"
     doc["G"]["y^2*x1^2"] = " t0^2 "
     del doc["G"]["x1^2*y^2"]
@@ -314,7 +327,7 @@ def test_mixed_body_loads_as_its_literals_parse(field):
 
 @pytest.mark.parametrize("first, second", [("x1^2", " x1^2 "), ("x1 * x1", "x1^2")])
 def test_two_spellings_of_one_monomial_are_duplicate(first, second):
-    doc = generate_member(FamilyParams(2, 0, QQ, seed=4)).to_json_dict()
+    doc = generate_member(2, 0, QQ, seed=4).to_json_dict()
     literal = doc["Q"].pop("x1^2")
     doc["Q"] = {first: literal, **doc["Q"], second: literal}
     with pytest.raises(ValueError) as err:

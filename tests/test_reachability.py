@@ -1,4 +1,5 @@
-"""Every definition in `src/canpencil` is reached from a command, a script or the public API.
+"""Every definition in `src/canpencil` is reached from a command, a script or the public API,
+and every name a module-level assignment binds is read by package or script code.
 
 The walk matches definitions by name, so it over-approximates what is
 reached: a name read anywhere in reached code reaches every definition of
@@ -6,9 +7,9 @@ that name, in any module.  It never flags live code; what it flags no user
 path can call.  What it passes may still be dead.  A dunder is reached
 whenever its class is, and a method name reached anywhere reaches every
 override of it: `GradedSection` once carried a graded ring (``+``, ``*``,
-`scale`, `variable` and the hooks of `SparsePoly`) that no command used,
-kept alive by `YPoly.variable`, `BinForm.scale` and `SparsePoly`'s own
-hook calls.
+`scale`, `variable` and the hooks of a shared sparse-ring base class) that
+no command used, kept alive by `YPoly.variable`, `BinForm.scale` and the
+base class's own hook calls.
 
 Roots: every module-level statement of the package except imports and
 definitions (so `cli._DISPATCH`, `cli.LEDGERS`, the constants and the
@@ -17,6 +18,11 @@ the bases, decorators and defaults of every definition, every statement
 of `scripts/*.py`, and `canpencil.__all__` with the public methods of the
 classes it names.  Dunder methods are reached with their class, since
 Python calls them without naming them.
+
+Since module-level statements are roots, a constant is never flagged by
+that walk; the second test flags one that no package or script code reads
+by name (tests do not count), apart from `__all__` and `__version__`, which
+importers read.
 """
 
 import ast
@@ -107,6 +113,28 @@ def unreached():
 def test_every_definition_is_reached_from_a_command_a_script_or_the_public_api():
     dead = unreached()
     assert not dead, "no command, script or public name reaches " + ", ".join(dead)
+
+
+def test_every_module_level_name_is_read():
+    trees = {path: ast.parse(path.read_text(), str(path))
+             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(SCRIPTS.glob("*.py"))]}
+    read = {"__all__", "__version__"}
+    for tree in trees.values():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for stmt in tree.body:
+            targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                       else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+            unread += [f"{path.stem}.{node.id}" for target in targets for node in ast.walk(target)
+                       if isinstance(node, ast.Name) and node.id not in read]
+    assert not unread, "no package or script code reads " + ", ".join(unread)
 
 
 def _spans_literal(name):

@@ -24,10 +24,10 @@ from canpencil.census import NodeCensus, NodeRecord, SingularReport, WPSPoint
 from canpencil.family import (
     BranchData,
     DegreeTable,
-    FamilyParams,
     FeasibilityReport,
     GenusVerdict,
     SurfaceEquations,
+    _member_bundle,
     generate_member,
 )
 from canpencil.fields import QQ, FieldSpec
@@ -40,13 +40,13 @@ from canpencil.relalg import (
     YPoly,
     lifting_annihilator,
 )
-from canpencil.sections import BundleData, SparsePoly
+from canpencil.sections import BundleData
 
 F101 = FieldSpec(101)
 
 
 def _member():
-    return generate_member(FamilyParams(2, 0, QQ, seed=6))
+    return generate_member(2, 0, QQ, seed=6)
 
 
 def _sigma():
@@ -74,7 +74,6 @@ RECORDS = {
                      lambda: (11, None, NodeCensus((_node(),), 2), [WPSPoint((3, 1), (0, 0, 1, 0))],
                               [], {"nodes_s": 0.5}),
                      (13, 17, NodeCensus((), 2), [], [WPSPoint((1, 0), (0, 0, 1, 0))], {})),
-    FamilyParams: (("pg", "theta", "field", "seed"), lambda: (2, 0, QQ, 6), (3, 1, F101, 7)),
     DegreeTable: (("pg", "theta", "q_x", "q_y", "g"), lambda: (2, 0, 3, 2, {(0, 0, 3): 6}),
                   (3, 1, 4, 5, {})),
     SurfaceEquations: (("bundle", "field", "Q", "G"),
@@ -222,8 +221,8 @@ def test_forms_and_sections_copy_and_pickle():
             assert back == obj and type(back) is type(obj)
 
 
-class SlotlessPoly(SparsePoly):
-    """A subclass that declares no field of its own, as `YPoly` does."""
+class SlotlessPoly(YPoly):
+    """A subclass that declares no field of its own."""
 
     __slots__ = ()
 
@@ -235,11 +234,11 @@ def test_a_subclass_with_empty_slots_keeps_its_base_fields(cls):
     assert cls._fields == ("field", "terms") and not hasattr(poly, "__dict__")
     assert poly == cls(QQ, {(1, 0, 0): one})
     assert poly != cls(QQ, {(0, 1, 0): t0}) and poly != cls(F101, {})
-    assert poly != SparsePoly(QQ, {(1, 0, 0): one})
+    other = YPoly if cls is SlotlessPoly else SlotlessPoly
+    assert poly != other(QQ, {(1, 0, 0): one})
     for back in (copy.copy(poly), copy.deepcopy(poly), pickle.loads(pickle.dumps(poly))):
         assert back == poly and type(back) is cls
-    if cls is SlotlessPoly:
-        assert repr(poly) == f"SlotlessPoly(field={QQ!r}, terms={{(1, 0, 0): {one!r}}})"
+    assert repr(poly) == "YPoly([1]*y^(1, 0, 0))"  # the fields, by YPoly's own repr
 
 
 @CLASSES
@@ -299,17 +298,10 @@ def test_field_spec_bounds_admit_primes():
 ])
 def test_bundle_and_family_range_refusals(pg, theta, message):
     for build in (lambda: BundleData(pg, theta), lambda: BundleData(pg=pg, theta=theta),
-                  lambda: FamilyParams(pg, theta, QQ, seed=1)):
+                  lambda: _member_bundle(pg, theta)):
         with pytest.raises(ValueError) as info:
             build()
         assert str(info.value) == message
-
-
-def test_family_params_refuse_pg_above_the_member_bound():
-    assert BundleData(1001, 0).pg == 1001 and FamilyParams(1000, 6, QQ, 1).pg == 1000
-    with pytest.raises(ValueError) as info:
-        FamilyParams(1001, 0, QQ, seed=1)
-    assert str(info.value) == "p_g must be at most 1000 for a family member, got 1001"
 
 
 @pytest.mark.parametrize("args, message", [
