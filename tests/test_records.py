@@ -304,6 +304,16 @@ def test_bundle_and_family_range_refusals(pg, theta, message):
         assert str(info.value) == message
 
 
+def test_family_params_refuse_pg_above_the_member_bound():
+    # a bare bundle takes any p_g; a family member's bundle stops at PG_MAX = 1000
+    assert BundleData(1001, 0).pg == 1001 and _member_bundle(1000, 6).pg == 1000
+    for build in (lambda: _member_bundle(1001, 0),
+                  lambda: generate_member(1001, 0, QQ, seed=1)):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "p_g must be at most 1000 for a family member, got 1001"
+
+
 @pytest.mark.parametrize("args, message", [
     ((-1, (1, 4), (3, 3), (1, 1)), "Hirzebruch index must be non-negative"),
     ((1, (-1, 2), (3, 3), (1, 1)), "branch class (-1, 2) is not effective on F_1"),
