@@ -12,44 +12,26 @@ P(1:1:2:3); points are classes of (x0, x1, y, z) != 0 modulo
 point by its canonical representative: the first nonzero coordinate is
 normalized to 1 whenever the weighted action allows it (always, for x0 or
 x1 nonzero), and otherwise the representative is the lexicographically
-smallest orbit element.
+smallest orbit element.  A point of the bundle is the plain tuple
+(base, fiber): base (t0, t1) in P^1, fiber (x0, x1, y, z); points sort
+as tuples, by base and then fiber.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from functools import total_ordering
 from typing import List, Optional, Sequence, Tuple
 
 from .binform import BinForm, _pack, _unpack, least_nonresidue, roots, sqrt_mod
-from .fields import FieldSpec, Record, _setattr
+from .fields import FieldSpec, Record
 from .family import SurfaceEquations
 from .sections import _Y, FiberMonomial, GradedSection
 
 
-@total_ordering
-class WPSPoint(Record):
-    """A point of the bundle over F_p: base in P^1, fiber in P(1:1:2:3); sorted by (base, fiber)."""
-
-    __slots__ = ("base", "fiber")
-
-    def __init__(self, base: Tuple[int, int], fiber: Tuple[int, int, int, int]):
-        _setattr(self, "base", base)
-        _setattr(self, "fiber", fiber)
-
-    def __eq__(self, other):
-        return type(other) is WPSPoint and self.base == other.base and self.fiber == other.fiber
-
-    def __lt__(self, other):  # (base, fiber) in tuple order, without building the tuples
-        return NotImplemented if type(other) is not WPSPoint else (
-            self.base < other.base if self.base != other.base else self.fiber < other.fiber)
-
-    def __hash__(self):
-        return hash((self.base, self.fiber))
-
-    def to_json_dict(self) -> dict:
-        return {"base": list(self.base), "fiber": list(self.fiber)}
+def _point_json(point: tuple) -> dict:
+    base, fiber = point
+    return {"base": list(base), "fiber": list(fiber)}
 
 
 def base_points(p: int) -> List[Tuple[int, int]]:
@@ -115,7 +97,7 @@ class NodeRecord(Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "point": self.point.to_json_dict(),
+            "point": _point_json(self.point),
             "multiplicity": self.multiplicity,
             "type": "A1" if self.a1_ok else "degenerate",
             "hessian_det": self.hessian_det,
@@ -176,7 +158,7 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     records = []
     for base in sorted(found):
         qy_d = _chart_value_and_derivative(qy, base, p)[1]
-        records.append(NodeRecord(WPSPoint(base, (0, 0, 1, 0)), found[base], -2 * qy_d * qy_d % p))
+        records.append(NodeRecord((base, (0, 0, 1, 0)), found[base], -2 * qy_d * qy_d % p))
     return NodeCensus(tuple(records), 2 * eqs.bundle.pg - 2 + eqs.bundle.theta)
 
 
@@ -187,7 +169,7 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
 
 def branch_disjointness(
     eqs: SurfaceEquations, p: int, census: Optional[NodeCensus] = None
-) -> List[WPSPoint]:
+) -> List[tuple]:
     """Nodes where the branch curve passes through the branch point set.
 
     The branch form is the z-free part of G; at a node x0 = x1 = 0, y = 1
@@ -199,7 +181,7 @@ def branch_disjointness(
     if census is None:
         census = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
-    return [rec.point for rec in census.nodes if g003.evaluate(*rec.point.base) == 0]
+    return [rec.point for rec in census.nodes if g003.evaluate(*rec.point[0]) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +292,7 @@ def _fiber_candidates(p: int, qx: int, n: int) -> List[Tuple[int, int, Sequence[
     return out + [(0, 0, (1, n))]
 
 
-def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
+def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[tuple]:
     """Rational points of X where the Jacobian of its affine cone drops rank.
 
     In the chart of a base point Q = x0^2 + q_x x1^2 + q_y y and
@@ -385,7 +367,7 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
                         if r is not None:
                             # at (0 : 0) l = -1 maps z to -z: the least root alone
                             for z in (r, p - r) if x1 else (r,):
-                                failures.add(WPSPoint(base, (x0, x1, y, z)))
+                                failures.add((base, (x0, x1, y, z)))
                     continue
                 b_x0 = b_x1 = b_y = b_t = 0
                 for (i, j, k, g, gd) in gl:
@@ -399,7 +381,7 @@ def quasi_smooth_sweep(eqs: SurfaceEquations, p: int) -> List[WPSPoint]:
                 row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
                 row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
                 if _rank_below_two(row_q, row_g, p):
-                    failures.add(WPSPoint(base, (x0, x1, y, 0)))
+                    failures.add((base, (x0, x1, y, 0)))
     return sorted(failures)
 
 
@@ -436,9 +418,8 @@ class SingularReport(Record):
             "node_count": len(self.nodes.nodes),
             "roots_outside_field": self.nodes.roots_outside_field,
             "nodes": [r.to_json_dict() for r in self.nodes.nodes],
-            "branch_hits": [{"point": q.to_json_dict(), "branch_value": 0}
-                            for q in self.branch_hits],
-            "cone_singularities": [q.to_json_dict() for q in self.cone_singularities],
+            "branch_hits": [{"point": _point_json(q), "branch_value": 0} for q in self.branch_hits],
+            "cone_singularities": [_point_json(q) for q in self.cone_singularities],
             "sweep_skipped": self.sweep_skipped,
             "clean": self.clean,
             "timings": self.timings,

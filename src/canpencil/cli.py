@@ -184,7 +184,7 @@ def _random_data(rng, field, trials):
 
 def _ledger_sigma2(rng, field, trials):
     # random_sigma_data returns only data that validate_sigma2 and tau_of
-    # accept; they raise on a wrong degree sum d0 + d1 + d2 or deg tau
+    # accept: every slot at its prescribed degree, and tau_of raises on a wrong deg tau
     for _ in _random_data(rng, field, trials):
         pass
     return [("sigma2/degree-slots", True, {"trials": trials}),
@@ -205,15 +205,15 @@ def _ledger_lifting(rng, field, trials):
 
 def _ledger_s6(rng, field, trials):
     for data in _random_data(rng, field, trials):
-        s6 = relalg.s6prime_matrix(data)
+        rows, summand_degrees = relalg.s6prime_matrix(data)
         rel = relalg.relation_matrix(data.f0, data.f1)
-        prod = relalg.mat_mul([list(r) for r in s6.matrix], rel)
+        prod = relalg.mat_mul([list(r) for r in rows], rel)
         if not relalg.mat_is_zero(prod):
             return [("eq.S3S2->S6/kernel", False, {})]
         # entry (r, j) maps y0^(3-j) y1^j, of twist (3-j) d0 + j d1, into summand r
-        split = relalg.SplitType.from_params(data.pg, data.theta, data.alpha)
-        if any(e.degree + (3 - j) * split.d0 + j * split.d1 != s6.summand_degrees[r]
-               for r, row in enumerate(s6.matrix) for j, e in enumerate(row) if not e.is_zero):
+        d0, d1, _ = relalg.split_type(data.pg, data.theta, data.alpha)
+        if any(e.degree + (3 - j) * d0 + j * d1 != summand_degrees[r]
+               for r, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero):
             return [("eq.S3S2->S6/summands", False, {})]
     return [("eq.S3S2->S6/kernel", True, {"trials": trials}),
             ("eq.S3S2->S6/summands", True, {"trials": trials})]
@@ -317,22 +317,19 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         return lambda *flags, **kw: actions.setdefault(name, []).append(p.add_argument(*flags, **kw))
 
-    def add_common(add, pg=False, theta=False, out=True):
-        if pg:
-            add("--pg", type=int, required=True)
-        if theta:
-            add("--theta", type=int, required=True)
-        if out:
-            add("--out", type=str, default=None)
+    def add_common(add):
+        add("--pg", type=int, required=True)
+        add("--theta", type=int, required=True)
+        add("--out", type=str, default=None)
 
     add = command("invariants", help="K^2, chi and the divisor classes")
-    add_common(add, pg=True, theta=True)
+    add_common(add)
 
     add = command("degrees", help="prescribed coefficient degrees")
-    add_common(add, pg=True, theta=True)
+    add_common(add)
 
     add = command("generate", help="seeded random family member")
-    add_common(add, pg=True, theta=True)
+    add_common(add)
     add("--field", type=str, required=True, help="qq or fp:P")
     add("--seed", type=int, required=True)
     add("--split-qy", action="store_true", dest="split_qy",
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--out", type=str, default=None)
 
     add = command("bidouble", help="branch data on the Hirzebruch base")
-    add_common(add, pg=True, theta=True)
+    add_common(add)
 
     add = command("feasibility", help="genus feasibility filter")
     add("--k2", type=int, required=True)

@@ -282,26 +282,9 @@ def degree_slots(pg: int, theta: int, alpha: int) -> Dict[str, int]:
     }
 
 
-class SplitType(Record):
-    """Splitting degrees (d0, d1, d2) of the rank-3 bundle."""
-
-    __slots__ = ("d0", "d1", "d2")
-
-    def __init__(self, d0: int, d1: int, d2: int):
-        _setattr(self, "d0", d0)
-        _setattr(self, "d1", d1)
-        _setattr(self, "d2", d2)
-
-    @staticmethod
-    def from_params(pg: int, theta: int, alpha: int) -> "SplitType":
-        st = SplitType(pg + 2 + alpha, 2 * pg + theta - alpha, 2 * pg + 2)
-        if st.d0 + st.d1 + st.d2 != 5 * pg + theta + 4:
-            raise AssertionError(f"splitting degrees {st} do not sum to 5 p_g + theta + 4")
-        return st
-
-    @property
-    def twists(self) -> Tuple[int, int, int]:
-        return (self.d0, self.d1, self.d2)
+def split_type(pg: int, theta: int, alpha: int) -> Tuple[int, int, int]:
+    """Splitting degrees (d0, d1, d2) of the rank-3 bundle; they sum to 5 p_g + theta + 4."""
+    return (pg + 2 + alpha, 2 * pg + theta - alpha, 2 * pg + 2)
 
 
 def alpha_feasible(pg: int, theta: int, alpha: int) -> bool:
@@ -316,8 +299,8 @@ def alpha_feasible(pg: int, theta: int, alpha: int) -> bool:
     return 1 <= alpha <= theta and pg <= 2 * alpha - theta + 4
 
 
-def validate_sigma2(data: SigmaTwoData) -> SplitType:
-    """Full consistency check; returns the splitting type.
+def validate_sigma2(data: SigmaTwoData) -> Tuple[int, int, int]:
+    """Full consistency check; returns the splitting degrees (d0, d1, d2).
 
     Order matters for diagnostics: the (p_g, theta, alpha) feasibility
     bound is decided before any polynomial is inspected.
@@ -347,7 +330,7 @@ def validate_sigma2(data: SigmaTwoData) -> SplitType:
         raise SigmaError("f0 and f1 cannot both vanish")
     if gcd(data.f0, data.f1) != BinForm.one(data.field):
         raise SigmaError("gcd(f0, f1) != 1")
-    return SplitType.from_params(pg, th, a)
+    return split_type(pg, th, a)
 
 
 def tau_of(data: SigmaTwoData) -> BinForm:
@@ -372,17 +355,10 @@ def q_relation(data: SigmaTwoData) -> YPoly:
     y2 = YPoly(data.field, {(0, 0, 1): BinForm.one(data.field)})
     rel = lin_f * lin_f - y2 * lin_g
     # bihomogeneity against the splitting twists, with offset -(2 p_g + 4)
-    st = SplitType.from_params(data.pg, data.theta, data.alpha)
-    offset = rel.twist_offset(st.twists)
+    offset = rel.twist_offset(split_type(data.pg, data.theta, data.alpha))
     if offset is not None and offset != -(2 * data.pg + 4):
         raise AssertionError(f"relation twist offset {offset} != {-(2 * data.pg + 4)}")
     return rel
-
-
-class S6Prime(Record):
-    """The rank-2 quotient of cubics in (y0, y1) and its summand degrees."""
-
-    __slots__ = ("matrix", "summand_degrees")  # matrix: 2 x 4 of BinForm on the cubic monomials
 
 
 def s6prime_rows(f0: BinForm, f1: BinForm) -> tuple:
@@ -396,14 +372,15 @@ def s6prime_rows(f0: BinForm, f1: BinForm) -> tuple:
     return ((f11.scale(3), m2f01, f00, zero), (zero, f11, m2f01, f00.scale(3)))
 
 
-def s6prime_matrix(data: SigmaTwoData) -> S6Prime:
-    """The surjection matrix together with the two summand degrees
-    5p_g + 2T + alpha + 2 and 6p_g + 3T - alpha."""
+def s6prime_matrix(data: SigmaTwoData) -> Tuple[tuple, Tuple[int, int]]:
+    """(rows, summand_degrees): the surjection matrix of the rank-2 quotient of
+    cubics in (y0, y1) and its two summand degrees 5p_g + 2T + alpha + 2 and
+    6p_g + 3T - alpha."""
     degs = (
         5 * data.pg + 2 * data.theta + data.alpha + 2,
         6 * data.pg + 3 * data.theta - data.alpha,
     )
-    return S6Prime(s6prime_rows(data.f0, data.f1), degs)
+    return s6prime_rows(data.f0, data.f1), degs
 
 
 def relation_matrix(f0: BinForm, f1: BinForm) -> BinMatrix:
@@ -540,9 +517,8 @@ def example_verify(key: Tuple[int, int, int, int]) -> ExampleReport:
     False, and (b), (c) and the tau checks still run.
     """
     data = example_data(key)
-    split = validate_sigma2(data)
     checks: Dict[str, bool] = {}
-    details: Dict[str, object] = {"split_type": split.twists}
+    details: Dict[str, object] = {"split_type": validate_sigma2(data)}
 
     f0, f1, g0 = data.f0, data.f1, data.g0
     field = data.field

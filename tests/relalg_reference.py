@@ -141,9 +141,8 @@ def _branch_cubic(data) -> YPoly:
 
 def example_verify(key) -> ExampleReport:
     data = example_data(key)
-    split = validate_sigma2(data)
     checks: Dict[str, bool] = {}
-    details: Dict[str, object] = {"split_type": split.twists}
+    details: Dict[str, object] = {"split_type": validate_sigma2(data)}
 
     f0, f1, g0 = data.f0, data.f1, data.g0
     field = data.field

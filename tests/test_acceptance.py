@@ -135,7 +135,7 @@ def test_criterion_07_node_census():
         out = node_census(member, 101)
         assert len(out.nodes) == 2 == out.bound  # 2 p_g - 2 + theta
         assert all(rec.a1_ok for rec in out.nodes)
-        assert all(rec.point.fiber == (0, 0, 1, 0) for rec in out.nodes)
+        assert all(rec.point[1] == (0, 0, 1, 0) for rec in out.nodes)
         assert branch_disjointness(member, 101) == []
 
 

@@ -9,7 +9,6 @@ import canpencil.census as census_mod
 import canpencil.fields as fields_mod
 from canpencil.binform import BinForm, least_nonresidue, parse_binform, random_binform, roots
 from canpencil.census import (
-    WPSPoint,
     base_points,
     branch_disjointness,
     node_census,
@@ -119,7 +118,7 @@ def test_enumerate_points_shape():
     fibers = enumerate_fiber_classes(5)
     assert len(pts) == 6 * len(fibers)
     assert len(set(pts)) == len(pts)
-    assert pts[0].base == (0, 1)
+    assert pts[0][0] == (0, 1)
 
 
 def test_enumerate_points_rejects_bad_prime():
@@ -136,7 +135,7 @@ def test_node_census_split_member():
     assert out.bound == 2
     assert len(out.nodes) == 2
     assert all(r.a1_ok and r.multiplicity == 1 for r in out.nodes)
-    assert all(r.point.fiber == (0, 0, 1, 0) for r in out.nodes)
+    assert all(r.point[1] == (0, 0, 1, 0) for r in out.nodes)
     assert not out.roots_outside_field
     # node count equals the number of distinct rational roots of q_y
     assert len(out.nodes) == len(roots(member.q_y))
@@ -200,7 +199,7 @@ def test_node_hessian_det_is_closed_form(p):
     mults = set()
     for eqs in members:
         for rec in node_census(eqs, p).nodes:
-            t0, t1 = rec.point.base
+            t0, t1 = rec.point[0]
             d = (deriv_t0 if t1 else deriv_t1)(eqs.q_y).evaluate(t0, t1)
             assert rec.hessian_det == -2 * d * d % p
             assert rec.a1_ok == (rec.multiplicity == 1)
@@ -274,7 +273,7 @@ def test_branch_disjointness_doctored_member():
     member22 = generate_member(2, 2, F101, seed=4, split_qy=True)
     nodes22 = node_census(member22, 101)
     assert nodes22.nodes, "need a rational node to doctor"
-    (a, b) = nodes22.nodes[0].point.base
+    (a, b) = nodes22.nodes[0].point[0]
     vanishing = parse_binform(f"t0 - {a}*t1", F101) * parse_binform("t1", F101)
     assert vanishing.degree == member22.g_coefficient(0, 0, 3).degree
     terms = dict(member22.G.terms)
@@ -282,10 +281,9 @@ def test_branch_disjointness_doctored_member():
     G = GradedSection(member22.bundle, F101, member22.G.bidegree, terms)
     doctored = SurfaceEquations(member22.bundle, F101, member22.Q, G).validate()
     hits = branch_disjointness(doctored, 101)
-    assert any(v.base == (a, b) for v in hits)
+    assert any(base == (a, b) for base, _ in hits)
     # independent recheck: the full branch section vanishes at each hit
-    for v in hits:
-        t0, t1 = v.base
+    for (t0, t1), _ in hits:
         value = sum(
             c.evaluate(t0, t1)
             for m, c in doctored.branch_terms().items()
@@ -303,7 +301,7 @@ def test_branch_disjointness_accepts_precomputed_census():
 def test_branch_value_is_g003_at_nodes():
     member = generate_member(2, 2, F101, seed=4, split_qy=True)
     for rec in node_census(member, 101).nodes:
-        t0, t1 = rec.point.base
+        t0, t1 = rec.point[0]
         g003 = member.g_coefficient(0, 0, 3)
         full = evaluate_section(member.G, (t0, t1, 0, 0, 1, 0))
         assert full == g003.evaluate(t0, t1)
@@ -322,7 +320,7 @@ def test_sweep_detects_double_line():
     eqs = SurfaceEquations(bundle, F11, Q, member.G)
     fails = quasi_smooth_sweep(eqs, 11)
     assert fails
-    assert all(q.fiber[0] == 0 for q in fails)
+    assert all(fiber[0] == 0 for _, fiber in fails)
 
 
 def test_sweep_clean_member():
@@ -412,7 +410,7 @@ def enumerate_points(pg, theta, p):
     fibers = enumerate_fiber_classes(p)
     for base in base_points(p):
         for fiber in fibers:
-            yield WPSPoint(base, fiber)
+            yield base, fiber
 
 
 def evaluate_section(section, point):
@@ -440,16 +438,16 @@ def evaluate_section(section, point):
 def _brute_force_singular_points(eqs, p):
     """Every point of the bundle where Q = G = 0 and the Jacobian has rank < 2."""
     out, chart = [], {}
-    for pt in enumerate_points(eqs.bundle.pg, eqs.bundle.theta, p):
-        if pt.base not in chart:
-            chart[pt.base] = (_chart_terms(eqs.Q, pt.base), _chart_terms(eqs.G, pt.base))
-        q_terms, g_terms = chart[pt.base]
-        if _value(q_terms, pt.fiber, p) or _value(g_terms, pt.fiber, p):
+    for base, fiber in enumerate_points(eqs.bundle.pg, eqs.bundle.theta, p):
+        if base not in chart:
+            chart[base] = (_chart_terms(eqs.Q, base), _chart_terms(eqs.G, base))
+        q_terms, g_terms = chart[base]
+        if _value(q_terms, fiber, p) or _value(g_terms, fiber, p):
             continue
-        dq, dg = _gradient(q_terms, pt.fiber, p), _gradient(g_terms, pt.fiber, p)
+        dq, dg = _gradient(q_terms, fiber, p), _gradient(g_terms, fiber, p)
         if all((dq[a] * dg[b] - dq[b] * dg[a]) % p == 0
                for a in range(5) for b in range(a + 1, 5)):
-            out.append(pt)
+            out.append((base, fiber))
     return sorted(out)
 
 
@@ -546,10 +544,9 @@ def _tally(counts, eqs, expected, p):
     non-residue n) and by z = 0 or z != 0.
     """
     counts["singular" if expected else "clean"] += 1
-    counts["z != 0"] += any(pt.fiber[3] for pt in expected)
-    for pt in expected:
-        if census_mod._chart_value_and_derivative(eqs.q_y, pt.base, p)[0] == 0:
-            x0, x1, y, z = pt.fiber
+    counts["z != 0"] += any(fiber[3] for _, fiber in expected)
+    for base, (x0, x1, y, z) in expected:
+        if census_mod._chart_value_and_derivative(eqs.q_y, base, p)[0] == 0:
             if x0 or x1:
                 counts["x0 = 1" if x0 else "(0 : 1)"] += 1
             else:
@@ -650,7 +647,7 @@ def _orbit_sweep(eqs, p):
                 if (x0 == 0 and qy == 0 and qx * x1 % p == 0
                         and (qx_d * x1 * x1 + qy_d * y) % p == 0):
                     for z in sqrt.get(p - b_val, ()):
-                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                        failures.add((base, canonical_fiber_rep(p, (x0, x1, y, z))))
                 continue
             b_x0 = b_x1 = b_y = b_t = 0
             for (i, j, k, g, gd) in gl:
@@ -664,7 +661,7 @@ def _orbit_sweep(eqs, p):
             row_q = (2 * x0, 2 * qx * x1 % p, qy, 0, (qx_d * x1 * x1 + qy_d * y) % p)
             row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
             if census_mod._rank_below_two(row_q, row_g, p):
-                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+                failures.add((base, canonical_fiber_rep(p, (x0, x1, y, 0))))
     return sorted(failures)
 
 
@@ -702,7 +699,7 @@ def _sextic_paths(eqs, expected, p):
     (0 : 1 : q_x / -q_y), so c6 = c5 = 0; "z != 0": a failure off z = 0,
     which lies over a root of q_y.
     """
-    hit = {"z != 0"} if any(pt.fiber[3] for pt in expected) else set()
+    hit = {"z != 0"} if any(fiber[3] for _, fiber in expected) else set()
     for base in base_points(p):
         qx, qy = eqs.q_x.evaluate(*base), eqs.q_y.evaluate(*base)
         if not qy:
@@ -739,7 +736,7 @@ def test_sweep_matches_orbit_sweep(p):
         expected = _orbit_sweep(eqs, p)
         found = quasi_smooth_sweep(eqs, p)
         assert found == expected
-        assert all(canonical_fiber_rep(p, pt.fiber) == pt.fiber for pt in found)
+        assert all(canonical_fiber_rep(p, fiber) == fiber for _, fiber in found)
         paths |= _sextic_paths(eqs, expected, p)
         _tally(counts, eqs, expected, p)
     assert paths == {"beta = 0", "(0 : 1)", "z != 0"}
@@ -755,9 +752,9 @@ def test_flat_fiber_sweep_reports_canonical_points(p, time_limit):
     """
     time_limit(20)
     found = quasi_smooth_sweep(_flat_fiber_member(p), p)
-    assert any(pt.fiber[:2] == (0, 0) for pt in found)
-    for pt in found:
-        assert canonical_fiber_rep(p, pt.fiber) == pt.fiber, pt
+    assert any(fiber[:2] == (0, 0) for _, fiber in found)
+    for _, fiber in found:
+        assert canonical_fiber_rep(p, fiber) == fiber, fiber
 
 
 def test_sweep_finds_the_least_nonresidue_once(monkeypatch):
@@ -767,7 +764,7 @@ def test_sweep_finds_the_least_nonresidue_once(monkeypatch):
     for p in (11, 101):
         calls.clear()
         found = quasi_smooth_sweep(_flat_fiber_member(p), p)
-        assert any(pt.fiber[:2] == (0, 0) for pt in found)
+        assert any(fiber[:2] == (0, 0) for _, fiber in found)
         assert calls in ([], [p])
 
 
@@ -941,7 +938,7 @@ def _cone_point_sweep(eqs, p, base_order=None):
                         if (x0 == 0 and qy == 0 and qx * x1 % p == 0
                                 and (qx_d * x1sq + qy_d * y) % p == 0):
                             for z in sqrt.get(p - b_val, ()):
-                                failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, z))))
+                                failures.add((base, canonical_fiber_rep(p, (x0, x1, y, z))))
                         continue
                     if x0 == 0 and x1 == 0 and y == 0:
                         continue  # z = 0 too: the vertex of the cone
@@ -959,7 +956,7 @@ def _cone_point_sweep(eqs, p, base_order=None):
                              (qx_d * x1sq + qy_d * y) % p)
                     row_g = (b_x0 % p, b_x1 % p, b_y % p, 0, b_t % p)
                     if census_mod._rank_below_two(row_q, row_g, p):
-                        failures.add(WPSPoint(base, canonical_fiber_rep(p, (x0, x1, y, 0))))
+                        failures.add((base, canonical_fiber_rep(p, (x0, x1, y, 0))))
     return sorted(failures)
 
 
@@ -977,9 +974,7 @@ def test_sweep_matches_cone_point_sweep(p):
 
 def test_sweep_failures_lie_on_both_hypersurfaces():
     member = generate_member(2, 0, F11, seed=4)
-    for pt in quasi_smooth_sweep(member, 11):
-        t = pt.base
-        x0, x1, y, z = pt.fiber
+    for t, (x0, x1, y, z) in quasi_smooth_sweep(member, 11):
         assert evaluate_section(member.Q, (t[0], t[1], x0, x1, y, z)) == 0
         assert evaluate_section(member.G, (t[0], t[1], x0, x1, y, z)) == 0
 

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -485,8 +486,8 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
     exact = relalg.s6prime_matrix
 
     def shifted(data):
-        s6 = exact(data)
-        return relalg.S6Prime(s6.matrix, (s6.summand_degrees[0] + 1, s6.summand_degrees[1]))
+        rows, (first, second) = exact(data)
+        return rows, (first + 1, second)
 
     monkeypatch.setattr(relalg, "s6prime_matrix", shifted)
     code, doc = run_cli(capsys, "verify", "s6", "--seed", "5", "--trials", "3")
@@ -840,6 +841,50 @@ def test_reader_returns_only_what_argparse_returns(line):
     args = cli.read_exact(line, COMMANDS)
     if args is not None:
         assert PARSER.parse_args(line) == args
+
+
+def _few_trials(line):
+    """`line` with every --trials value in 51..TRIALS_MAX, in any spelling argparse takes,
+    mapped onto 1..50: at most 50 trials run, and values above TRIALS_MAX stay refused."""
+    def small(value):
+        try:
+            n = int(value)
+        except ValueError:
+            return value
+        return str(n % 50 + 1) if 50 < n <= cli.TRIALS_MAX else value
+
+    if "verify" not in line:
+        return line
+    out = list(line)
+    for i, token in enumerate(line):
+        flag, equals, value = token.partition("=")
+        if len(flag) > 2 and "--trials".startswith(flag):
+            if equals:
+                out[i] = f"{flag}={small(value)}"
+            elif i + 1 < len(out):
+                out[i + 1] = small(out[i + 1])
+    return out
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command_lines())
+def test_every_command_line_prints_one_document_or_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                                  time_limit, line):
+    """Exit 0 with one JSON document, a nonzero exit with {"error": ...}, or argparse's own
+    exit: 2 with nothing on stdout, or 0 with the help text; never a traceback."""
+    time_limit(20)
+    line = _few_trials(line)
+    with tempfile.TemporaryDirectory(dir=tmp_path) as cwd:  # --out writes here, census reads here
+        monkeypatch.chdir(cwd)
+        try:
+            code = main(line)
+        except SystemExit as exc:
+            out = capsys.readouterr().out
+            usage_error, help_text = exc.code == 2 and out == "", exc.code == 0
+            assert usage_error or (help_text and out.startswith("usage:")), line
+            return
+    doc = json.loads(capsys.readouterr().out)
+    assert (code == 0 and "error" not in doc) or (code != 0 and list(doc) == ["error"]), (line, doc)
 
 
 @pytest.mark.parametrize("line, read", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from canpencil.census import WPSPoint, base_points, quasi_smooth_sweep
+from canpencil.census import base_points, quasi_smooth_sweep
 from canpencil.chow import surface_invariants
 from canpencil.family import (
     BranchData,
@@ -140,7 +140,7 @@ def test_theta_5_and_6_members_are_singular_along_the_curve(theta):
         member = generate_member(2, theta, FieldSpec.prime_field(p), seed=1)
     fibers = [(1, a, 0, 0) for a in range(p)] + [(0, 1, 0, 0)]
     curve = {
-        WPSPoint(base, fiber)
+        (base, fiber)
         for base in base_points(p)
         for fiber in fibers
         if (fiber[0] ** 2 + member.q_x.evaluate(*base) * fiber[1] ** 2) % p == 0

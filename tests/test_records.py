@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from canpencil.binform import BinForm
-from canpencil.census import NodeCensus, NodeRecord, SingularReport, WPSPoint
+from canpencil.census import NodeCensus, NodeRecord, SingularReport
 from canpencil.family import (
     BranchData,
     DegreeTable,
@@ -34,11 +34,11 @@ from canpencil.fields import QQ, FieldSpec
 from canpencil.relalg import (
     ExampleReport,
     LiftingCertificate,
-    S6Prime,
     SigmaTwoData,
-    SplitType,
     YPoly,
+    example_verify,
     lifting_annihilator,
+    split_type,
 )
 from canpencil.sections import BundleData
 
@@ -55,7 +55,7 @@ def _sigma():
 
 
 def _node():
-    return NodeRecord(WPSPoint((3, 1), (0, 0, 1, 0)), 1, 5)
+    return NodeRecord(((3, 1), (0, 0, 1, 0)), 1, 5)
 
 
 def _verdict():
@@ -64,16 +64,14 @@ def _verdict():
 
 #: class -> (its fields in positional order, a factory of field values, another value per field)
 RECORDS = {
-    WPSPoint: (("base", "fiber"), lambda: ((3, 1), (0, 0, 1, 0)),
-               ((1, 0), (0, 0, 1, 1))),
     NodeRecord: (("point", "multiplicity", "hessian_det"),
-                 lambda: (WPSPoint((3, 1), (0, 0, 1, 0)), 1, 5),
-                 (WPSPoint((1, 0), (0, 0, 1, 0)), 2, 0)),
+                 lambda: (((3, 1), (0, 0, 1, 0)), 1, 5),
+                 (((1, 0), (0, 0, 1, 0)), 2, 0)),
     NodeCensus: (("nodes", "bound"), lambda: ((_node(),), 2), ((), 4)),
     SingularReport: (("p_nodes", "p_sweep", "nodes", "branch_hits", "cone_singularities", "timings"),
-                     lambda: (11, None, NodeCensus((_node(),), 2), [WPSPoint((3, 1), (0, 0, 1, 0))],
+                     lambda: (11, None, NodeCensus((_node(),), 2), [((3, 1), (0, 0, 1, 0))],
                               [], {"nodes_s": 0.5}),
-                     (13, 17, NodeCensus((), 2), [], [WPSPoint((1, 0), (0, 0, 1, 0))], {})),
+                     (13, 17, NodeCensus((), 2), [], [((1, 0), (0, 0, 1, 0))], {})),
     DegreeTable: (("pg", "theta", "q_x", "q_y", "g"), lambda: (2, 0, 3, 2, {(0, 0, 3): 6}),
                   (3, 1, 4, 5, {})),
     SurfaceEquations: (("bundle", "field", "Q", "G"),
@@ -92,9 +90,6 @@ RECORDS = {
                                  ("pg", "theta", "alpha", "f0", "f1", "g0", "g1", "g2")),
                    (6, 2, 0, BinForm.one(QQ), BinForm.t0(QQ), BinForm.t1(QQ),
                     BinForm.t0(QQ)**2, BinForm.one(QQ))),
-    SplitType: (("d0", "d1", "d2"), lambda: (5, 7, 8), (6, 8, 9)),
-    S6Prime: (("matrix", "summand_degrees"),
-              lambda: (((BinForm.t0(QQ), BinForm.t1(QQ)),), (12, 13)), (((),), (13, 12))),
     LiftingCertificate: (("data", "solutions"),
                          lambda: (_sigma(), lifting_annihilator(_sigma()).solutions),
                          (SigmaTwoData(6, 2, 0, *[BinForm.one(QQ)] * 5), ())),
@@ -199,8 +194,8 @@ def test_records_of_different_classes_never_compare_equal():
         fields = tuple(getattr(a, n) for n in names)
         assert a != fields and fields != a
     # equal field values in two classes
-    assert BundleData(5, 2) != FieldSpec(5) and SplitType(5, 7, 8) != WPSPoint(5, 7)
-    same = [cls(2, ()) for cls in (WPSPoint, NodeCensus, GenusVerdict, S6Prime, LiftingCertificate)]
+    assert BundleData(5, 2) != FieldSpec(5)
+    same = [cls(2, ()) for cls in (NodeCensus, GenusVerdict, LiftingCertificate)]
     assert [a == b for a in same for b in same] == [a is b for a in same for b in same]
 
 
@@ -249,21 +244,27 @@ def test_repr_names_class_and_fields(cls):
     assert repr(rec) == f"{cls.__name__}({body})"
 
 
-def test_split_type_repr_in_the_sum_check():
-    assert repr(SplitType(5, 7, 8)) == "SplitType(d0=5, d1=7, d2=8)"
-    assert f"{SplitType.from_params(5, 1, 1)}" == "SplitType(d0=8, d1=10, d2=12)"
+def test_split_type_prints_as_a_plain_tuple():
+    # `example` prints each detail with str(), so the splitting degrees read "(d0, d1, d2)"
+    assert split_type(5, 1, 1) == (8, 10, 12) and type(split_type(5, 1, 1)) is tuple
+    split = example_verify((1, 1, 15, 5)).details["split_type"]
+    assert type(split) is tuple and str(split) == "(8, 10, 12)"
 
 
 def test_wps_points_sort_by_base_then_fiber():
-    points = [WPSPoint((3, 1), (1, 0, 0, 0)), WPSPoint((1, 0), (0, 0, 1, 0)),
-              WPSPoint((0, 1), (1, 2, 0, 0)), WPSPoint((0, 1), (0, 1, 5, 2)),
-              WPSPoint((3, 1), (0, 0, 1, 1))]
+    # a census point is the tuple (base, fiber), written as {"base": [...], "fiber": [...]}
+    points = [((3, 1), (1, 0, 0, 0)), ((1, 0), (0, 0, 1, 0)), ((0, 1), (1, 2, 0, 0)),
+              ((0, 1), (0, 1, 5, 2)), ((3, 1), (0, 0, 1, 1))]
     assert sorted(points) == [points[3], points[2], points[1], points[4], points[0]]
-    a, b = points[3], points[2]
-    assert a < b and a <= b and b > a and b >= a and a <= a and a >= a
-    assert not (b < a or a > b or b <= a or a >= b)
-    with pytest.raises(TypeError):
-        a < (0, 1)
+    report = SingularReport(11, 11, NodeCensus((NodeRecord(points[1], 1, 5),), 2), points[:1],
+                            sorted(points), {})
+    doc = report.to_json_dict()
+    assert doc["nodes"][0]["point"] == {"base": [1, 0], "fiber": [0, 0, 1, 0]}
+    assert doc["branch_hits"] == [{"point": {"base": [3, 1], "fiber": [1, 0, 0, 0]},
+                                   "branch_value": 0}]
+    assert [(q["base"], q["fiber"]) for q in doc["cone_singularities"]] == [
+        ([0, 1], [0, 1, 5, 2]), ([0, 1], [1, 2, 0, 0]), ([1, 0], [0, 0, 1, 0]),
+        ([3, 1], [0, 0, 1, 1]), ([3, 1], [1, 0, 0, 0])]
 
 
 @pytest.mark.parametrize("p, message", [

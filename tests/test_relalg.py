@@ -25,7 +25,6 @@ from canpencil.relalg import (
     LiftingCertificate,
     SigmaError,
     SigmaTwoData,
-    SplitType,
     YPoly,
     _branch_cubic,
     alpha_feasible,
@@ -39,6 +38,7 @@ from canpencil.relalg import (
     relation_matrix,
     s6prime_matrix,
     s6prime_rows,
+    split_type,
     tau_of,
     validate_sigma2,
 )
@@ -94,7 +94,7 @@ def test_theta0_only_alpha0():
 def test_validate_checks_degree_slots():
     rng = random.Random(0)
     data = alpha0_data(3, 1, rng)
-    assert validate_sigma2(data) == SplitType(5, 7, 8)
+    assert validate_sigma2(data) == (5, 7, 8)
     bad = SigmaTwoData(3, 1, 0, data.f0, data.f1, data.g0, qq("t0"), data.g2)
     with pytest.raises(SigmaError):
         validate_sigma2(bad)
@@ -108,9 +108,13 @@ def test_validate_requires_coprimality():
 
 
 def test_split_type_sum():
-    st = SplitType.from_params(5, 1, 1)
-    assert (st.d0, st.d1, st.d2) == (8, 10, 12)
-    assert st.d0 + st.d1 + st.d2 == 5 * 5 + 1 + 4
+    """d0 + d1 + d2 = 5 p_g + theta + 4 at every feasible (p_g, theta, alpha) up to p_g = 60."""
+    assert split_type(5, 1, 1) == (8, 10, 12)
+    grid = [(pg, theta, alpha) for pg in range(2, 61) for theta in range(7)
+            for alpha in range(theta + 1) if alpha_feasible(pg, theta, alpha)]
+    assert len(grid) > 59 * 7  # alpha = 0 at every (p_g, theta), and more
+    for pg, theta, alpha in grid:
+        assert sum(split_type(pg, theta, alpha)) == 5 * pg + theta + 4, (pg, theta, alpha)
 
 
 # -- tau -------------------------------------------------------------------------
@@ -220,29 +224,29 @@ def test_q_relation_alpha0_coordinate_change():
 def test_s6prime_degenerate_f1_zero():
     data = SigmaTwoData(4, 2, 0, BinForm.one(QQ), BinForm.zero(QQ), qq("t1^4"),
                         qq("t0^8"), BinForm.zero(QQ))
-    s6 = s6prime_matrix(data)
+    rows, _ = s6prime_matrix(data)
     z = BinForm.zero(QQ)
-    assert s6.matrix[0] == (z, z, BinForm.one(QQ), z)
-    assert s6.matrix[1] == (z, z, z, BinForm.constant(QQ, 3))
+    assert rows[0] == (z, z, BinForm.one(QQ), z)
+    assert rows[1] == (z, z, z, BinForm.constant(QQ, 3))
 
 
 def test_s6prime_example_entries():
     data = example_data((1, 2, 12, 4))
-    s6 = s6prime_matrix(data)
-    assert s6.matrix[0] == (qq("3*t1^6"), qq("-2*t0*t1^3"), qq("t0^2"), qq("0"))
-    assert s6.matrix[1] == (qq("0"), qq("t1^6"), qq("-2*t0*t1^3"), qq("3*t0^2"))
+    rows, _ = s6prime_matrix(data)
+    assert rows[0] == (qq("3*t1^6"), qq("-2*t0*t1^3"), qq("t0^2"), qq("0"))
+    assert rows[1] == (qq("0"), qq("t1^6"), qq("-2*t0*t1^3"), qq("3*t0^2"))
 
 
 def test_s6prime_summand_degrees():
     data = example_data((1, 1, 15, 5))
-    assert s6prime_matrix(data).summand_degrees == (30, 32)
+    assert s6prime_matrix(data)[1] == (30, 32)
 
 
 def test_s6prime_kills_relation_image():
     rng = random.Random(5)
     for _ in range(25):
         data = random_sigma_data(F10007, rng)
-        prod = mat_mul([list(r) for r in s6prime_matrix(data).matrix],
+        prod = mat_mul([list(r) for r in s6prime_matrix(data)[0]],
                        relation_matrix(data.f0, data.f1))
         assert mat_is_zero(prod)
 
@@ -467,8 +471,7 @@ def test_ypoly_substitute():
 def test_ypoly_twist_offset():
     data = example_data((1, 1, 15, 5))
     rel = q_relation(data)
-    st = SplitType.from_params(5, 1, 1)
-    assert rel.twist_offset(st.twists) == -(2 * 5 + 4)
+    assert rel.twist_offset(split_type(5, 1, 1)) == -(2 * 5 + 4)
 
 
 # -- matrix products and shared quadratics against the code they replaced ----------------------
