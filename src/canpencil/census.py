@@ -14,7 +14,9 @@ normalized to 1 whenever the weighted action allows it (always, for x0 or
 x1 nonzero), and otherwise the representative is the lexicographically
 smallest orbit element.  A point of the bundle is the plain tuple
 (base, fiber): base (t0, t1) in P^1, fiber (x0, x1, y, z); points sort
-as tuples, by base and then fiber.
+as tuples, by base and then fiber.  The node census is the tuple of its
+`NodeRecord`s; `SingularReport` holds them together with the node bound
+2 p_g - 2 + theta and says whether some roots of q_y lie outside F_p.
 """
 
 from __future__ import annotations
@@ -104,18 +106,6 @@ class NodeRecord(Record):
         }
 
 
-class NodeCensus(Record):
-    __slots__ = ("nodes", "bound")  # bound: 2 p_g - 2 + theta, the count over the algebraic closure
-
-    @property
-    def rational_multiplicity_total(self) -> int:
-        return sum(r.multiplicity for r in self.nodes)
-
-    @property
-    def roots_outside_field(self) -> bool:
-        return self.rational_multiplicity_total < self.bound
-
-
 def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int], p: int) -> Tuple[int, int]:
     """(f, df/dt) at a base point over F_p, in the chart where it is finite.
 
@@ -135,8 +125,8 @@ def _chart_value_and_derivative(form: BinForm, base: Tuple[int, int], p: int) ->
     return val, der
 
 
-def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
-    """Nodes of C = Q intersect {z = 0} along the section x0 = x1 = 0.
+def node_census(eqs: SurfaceEquations, p: int) -> Tuple[NodeRecord, ...]:
+    """Nodes of C = Q intersect {z = 0} along the section x0 = x1 = 0, one record per root.
 
     They sit over the F_p-zeros of q_y at the fiber point (0:0:1:0).  Near
     such a point the chart y != 0 of the conic bundle has the invariant
@@ -159,7 +149,7 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
     for base in sorted(found):
         qy_d = _chart_value_and_derivative(qy, base, p)[1]
         records.append(NodeRecord((base, (0, 0, 1, 0)), found[base], -2 * qy_d * qy_d % p))
-    return NodeCensus(tuple(records), 2 * eqs.bundle.pg - 2 + eqs.bundle.theta)
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +158,20 @@ def node_census(eqs: SurfaceEquations, p: int) -> NodeCensus:
 
 
 def branch_disjointness(
-    eqs: SurfaceEquations, p: int, census: Optional[NodeCensus] = None
+    eqs: SurfaceEquations, p: int, nodes: Optional[Tuple[NodeRecord, ...]] = None
 ) -> List[tuple]:
     """Nodes where the branch curve passes through the branch point set.
 
     The branch form is the z-free part of G; at a node x0 = x1 = 0, y = 1
     only the y^3-coefficient survives.  A nonempty list is a report about
-    the member, not an error.  `census` is the member's node census at p
-    when the caller already has it; otherwise it is computed here.
+    the member, not an error.  `nodes` are the member's node records at p
+    when the caller already has them; otherwise they are computed here.
     """
     eqs = _over_prime(eqs, p, _NODE_MONOMIALS)
-    if census is None:
-        census = node_census(eqs, p)
+    if nodes is None:
+        nodes = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
-    return [rec.point for rec in census.nodes if g003.evaluate(*rec.point[0]) == 0]
+    return [rec.point for rec in nodes if g003.evaluate(*rec.point[0]) == 0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +389,31 @@ def _rank_below_two(r1, r2, p: int) -> bool:
 
 
 class SingularReport(Record):
-    __slots__ = ("p_nodes", "p_sweep", "nodes", "branch_hits", "cone_singularities", "timings")
+    # node_bound: 2 p_g - 2 + theta = deg q_y, the node count over the algebraic closure
+    __slots__ = ("p_nodes", "p_sweep", "nodes", "node_bound", "branch_hits", "cone_singularities",
+                 "timings")
 
     @property
     def sweep_skipped(self) -> bool:
         return self.p_sweep is None
 
     @property
+    def roots_outside_field(self) -> bool:
+        return sum(r.multiplicity for r in self.nodes) < self.node_bound
+
+    @property
     def clean(self) -> bool:
-        nodes_ok = all(r.a1_ok for r in self.nodes.nodes)
+        nodes_ok = all(r.a1_ok for r in self.nodes)
         return nodes_ok and not self.branch_hits and not self.cone_singularities
 
     def to_json_dict(self) -> dict:
         return {
             "prime_nodes": self.p_nodes,
             "prime_sweep": self.p_sweep,
-            "node_bound": self.nodes.bound,
-            "node_count": len(self.nodes.nodes),
-            "roots_outside_field": self.nodes.roots_outside_field,
-            "nodes": [r.to_json_dict() for r in self.nodes.nodes],
+            "node_bound": self.node_bound,
+            "node_count": len(self.nodes),
+            "roots_outside_field": self.roots_outside_field,
+            "nodes": [r.to_json_dict() for r in self.nodes],
             "branch_hits": [{"point": _point_json(q), "branch_value": 0} for q in self.branch_hits],
             "cone_singularities": [_point_json(q) for q in self.cone_singularities],
             "sweep_skipped": self.sweep_skipped,
@@ -483,4 +479,5 @@ def run_census(eqs: SurfaceEquations, prime: Optional[int] = None,
         t1 = time.perf_counter()
         cone_singularities = quasi_smooth_sweep(eqs, p_sweep)
         timings["sweep_s"] = round(time.perf_counter() - t1, 6)
-    return SingularReport(p_nodes, p_sweep, nodes, branch_hits, cone_singularities, timings)
+    bound = 2 * eqs.bundle.pg - 2 + eqs.bundle.theta
+    return SingularReport(p_nodes, p_sweep, nodes, bound, branch_hits, cone_singularities, timings)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from math import isfinite
@@ -88,7 +89,7 @@ def emit(doc: dict, out: Optional[str]) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise CliError(f"cannot write {out}: {exc.strerror}")
-    print(text)
+    print(text, flush=True)  # a reader that closed the pipe raises BrokenPipeError here
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +120,7 @@ def cmd_census(args) -> dict:
 
 
 def cmd_bidouble(args) -> dict:
-    data = family.bidouble_branch_data(args.pg, args.theta)
-    inv = family.bidouble_invariants(data)
-    reference = chow.surface_invariants(args.pg, args.theta)
+    data, inv, matches = family.bidouble_cross_check(args.pg, args.theta)
     return {
         "theta": args.theta,
         "p_g": args.pg,
@@ -132,12 +131,12 @@ def cmd_bidouble(args) -> dict:
         "D3": list(data.d3),
         "K2": inv["K2"],
         "chi": inv["chi"],
-        "matches_intersection_theory": inv == {"K2": reference["K2"], "chi": reference["chi"]},
+        "matches_intersection_theory": matches,
     }
 
 
 def cmd_feasibility(args) -> dict:
-    return family.genus_feasibility(args.k2, args.chi, args.q).to_json_dict()
+    return family.genus_feasibility(args.k2, args.chi, args.q)
 
 
 def cmd_example(args) -> dict:
@@ -204,19 +203,17 @@ def _ledger_lifting(rng, field, trials):
 
 
 def _ledger_s6(rng, field, trials):
+    kernel = summands = True
     for data in _random_data(rng, field, trials):
         rows, summand_degrees = relalg.s6prime_matrix(data)
         rel = relalg.relation_matrix(data.f0, data.f1)
-        prod = relalg.mat_mul([list(r) for r in rows], rel)
-        if not relalg.mat_is_zero(prod):
-            return [("eq.S3S2->S6/kernel", False, {})]
+        kernel &= relalg.mat_is_zero(relalg.mat_mul([list(r) for r in rows], rel))
         # entry (r, j) maps y0^(3-j) y1^j, of twist (3-j) d0 + j d1, into summand r
         d0, d1, _ = relalg.split_type(data.pg, data.theta, data.alpha)
-        if any(e.degree + (3 - j) * d0 + j * d1 != summand_degrees[r]
-               for r, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero):
-            return [("eq.S3S2->S6/summands", False, {})]
-    return [("eq.S3S2->S6/kernel", True, {"trials": trials}),
-            ("eq.S3S2->S6/summands", True, {"trials": trials})]
+        summands &= all(e.degree + (3 - j) * d0 + j * d1 == summand_degrees[r]
+                        for r, row in enumerate(rows) for j, e in enumerate(row) if not e.is_zero)
+    return [("eq.S3S2->S6/kernel", kernel, {"trials": trials}),
+            ("eq.S3S2->S6/summands", summands, {"trials": trials})]
 
 
 def _ledger_examples(rng, field, trials):
@@ -229,12 +226,10 @@ def _ledger_examples(rng, field, trials):
 
 
 def _ledger_bidouble(rng, field, trials):
-    # bidouble_cross_check raises on a mismatch, naming theta and p_g, and
-    # surface_invariants inside it raises on a fault in intersection theory
-    for theta in range(7):
-        for pg in range(2, 21):
-            family.bidouble_cross_check(pg, theta)
-    return [("bidouble/cross-check", True, {"failures": []})]
+    # surface_invariants inside bidouble_cross_check raises on a fault in intersection theory
+    failures = [[theta, pg] for theta in range(7) for pg in range(2, 21)
+                if not family.bidouble_cross_check(pg, theta)[2]]
+    return [("bidouble/cross-check", not failures, {"failures": failures})]
 
 
 def _ledger_invariants(rng, field, trials):
@@ -247,12 +242,14 @@ def _ledger_invariants(rng, field, trials):
 
 
 #: verify target -> its ledgers, run in this order.  Each ledger takes
-#: (rng, field, trials) and returns (name, passed, details) triples; the
-#: random-data ledgers report only the check that failed first, and the
-#: last three draw no random data.  An identity that the library checks
-#: itself is not checked again here: when it fails, the library raises, and
-#: cmd_verify reports the whole ledger as one failed check named after it
-#: ("sigma2", ..., "invariants") with the message in its details.
+#: (rng, field, trials) and returns (name, passed, details) triples under
+#: fixed names; the last three draw no random data.  `s6` and `bidouble`
+#: compute their checks: s6 reports both of its names on every run, each
+#: over all the draws, and bidouble lists each mismatching [theta, p_g] in
+#: its failures.  An identity that the library checks itself is not checked
+#: again here: when it fails, the library raises, and cmd_verify reports
+#: the whole ledger as one failed check named after it ("sigma2", ...,
+#: "invariants") with the message in its details.
 LEDGERS = {
     "all": (_ledger_sigma2, _ledger_lifting, _ledger_s6, _ledger_examples,
             _ledger_bidouble, _ledger_invariants),
@@ -437,11 +434,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args is None:
         args = _parser.parse_args(argv)
     try:
-        doc = _DISPATCH[args.command](args)
-        emit(doc, getattr(args, "out", None))
-    except (CliError, ValueError) as exc:  # SigmaError included
-        print(json.dumps({"error": str(exc)}, sort_keys=True))
-        return getattr(exc, "code", 1)
+        try:
+            doc = _DISPATCH[args.command](args)
+            emit(doc, getattr(args, "out", None))
+        except (CliError, ValueError) as exc:  # SigmaError included
+            print(json.dumps({"error": str(exc)}, sort_keys=True), flush=True)
+            return getattr(exc, "code", 1)
+    except BrokenPipeError:
+        # the reader closed stdout: as the `signal` docs' note on SIGPIPE does,
+        # point it at devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     # verify and example report a failed check in their document
     return 0 if doc.get("all_passed", True) else 1
 

@@ -1,9 +1,11 @@
 """Construction and analysis of the classified families.
 
 Covers the coefficient degree tables, seeded random members and their
-equation files, the bidouble-cover branch data over Hirzebruch surfaces,
+equation files, the bidouble-cover branch data over Hirzebruch surfaces
+with the one comparison of their invariants against intersection theory
+(`bidouble_cross_check`, which reports a mismatch rather than raising),
 and the genus feasibility filter driven by the classical numeric
-inequalities.
+inequalities, which returns the `feasibility` document itself.
 """
 
 from __future__ import annotations
@@ -330,18 +332,12 @@ def bidouble_invariants(data: BranchData) -> dict:
     return {"K2": k2, "chi": twice_chi // 2}
 
 
-def bidouble_cross_check(pg: int, theta: int) -> dict:
-    """Branch-data invariants vs intersection theory; raises on mismatch."""
+def bidouble_cross_check(pg: int, theta: int) -> Tuple[BranchData, dict, bool]:
+    """(branch data, its invariants, whether they equal intersection theory's K^2 and chi)."""
     data = bidouble_branch_data(pg, theta)
     got = bidouble_invariants(data)
     want = surface_invariants(pg, theta)
-    ok = got["K2"] == want["K2"] and got["chi"] == want["chi"]
-    if not ok:
-        raise AssertionError(
-            f"bidouble invariants {got} disagree with intersection theory "
-            f"({want['K2']}, {want['chi']}) at theta={theta}, p_g={pg}"
-        )
-    return {"theta": theta, "p_g": pg, "K2": got["K2"], "chi": got["chi"], "base": data.base_name}
+    return data, got, got["K2"] == want["K2"] and got["chi"] == want["chi"]
 
 
 # ---------------------------------------------------------------------------
@@ -349,50 +345,14 @@ def bidouble_cross_check(pg: int, theta: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class GenusVerdict(Record):
-    __slots__ = ("genus", "conditions")  # conditions: (name, holds) pairs
-
-    @property
-    def feasible(self) -> bool:
-        return all(ok for _, ok in self.conditions)
-
-
-class FeasibilityReport(Record):
-    __slots__ = ("k2", "chi", "q", "verdicts")
-
-    @property
-    def classification_complete(self) -> bool:
-        return self.chi > 20  # the filter is sharp only for chi > 20
-
-    @property
-    def feasible_genera(self) -> set:
-        return {v.genus for v in self.verdicts if v.feasible}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "K2": self.k2,
-            "chi": self.chi,
-            "q": self.q,
-            "feasible_genera": sorted(self.feasible_genera),
-            "classification_complete": self.classification_complete,
-            "caveat": "necessary-condition filter; complete as a classification only for chi > 20",
-            "genera": {
-                str(v.genus): {
-                    "feasible": v.feasible,
-                    "conditions": {name: ok for name, ok in v.conditions},
-                }
-                for v in self.verdicts
-            },
-        }
-
-
-def genus_feasibility(k2: int, chi: int, q: int) -> FeasibilityReport:
-    """Which pencil genera in {2,3,4,5} pass the necessary inequalities.
+def genus_feasibility(k2: int, chi: int, q: int) -> dict:
+    """The `feasibility` document: which pencil genera in {2,3,4,5} pass the necessary inequalities.
 
     Per genus g: the general bound K^2 >= 2(g-1)(chi-2); for g = 2 the
     slope bound K^2 >= 4chi + 6q - 10; for g in {3,4,5} the sharper linear
     bounds 12K^2 >= 63p_g - 142, 7K^2 >= 48p_g - 134, 9K^2 >= 80p_g - 262
-    with p_g = chi - 1 + q; and always K^2 <= 9chi.
+    with p_g = chi - 1 + q; and always K^2 <= 9chi.  The filter is a
+    classification only for chi > 20.
     """
     if k2 <= 0 or chi <= 0:
         raise ValueError("K^2 and chi must be positive")
@@ -400,16 +360,23 @@ def genus_feasibility(k2: int, chi: int, q: int) -> FeasibilityReport:
         raise ValueError("q must be 0 or 1")
     pg = chi - 1 + q
     my = k2 <= 9 * chi
-    verdicts = []
-    for g in (2, 3, 4, 5):
-        conds = [("beauville", k2 >= 2 * (g - 1) * (chi - 2)), ("miyaoka_yau", my)]
-        if g == 2:
-            conds.append(("genus2_slope", k2 >= 4 * chi + 6 * q - 10))
-        elif g == 3:
-            conds.append(("genus3_linear", 12 * k2 >= 63 * pg - 142))
-        elif g == 4:
-            conds.append(("genus4_linear", 7 * k2 >= 48 * pg - 134))
-        else:
-            conds.append(("genus5_linear", 9 * k2 >= 80 * pg - 262))
-        verdicts.append(GenusVerdict(g, tuple(conds)))
-    return FeasibilityReport(k2, chi, q, tuple(verdicts))
+    linear = {2: ("genus2_slope", k2 >= 4 * chi + 6 * q - 10),
+              3: ("genus3_linear", 12 * k2 >= 63 * pg - 142),
+              4: ("genus4_linear", 7 * k2 >= 48 * pg - 134),
+              5: ("genus5_linear", 9 * k2 >= 80 * pg - 262)}
+    genera, feasible = {}, []
+    for g, (name, holds) in linear.items():
+        conds = {"beauville": k2 >= 2 * (g - 1) * (chi - 2), "miyaoka_yau": my, name: holds}
+        ok = all(conds.values())
+        if ok:
+            feasible.append(g)
+        genera[str(g)] = {"feasible": ok, "conditions": conds}
+    return {
+        "K2": k2,
+        "chi": chi,
+        "q": q,
+        "feasible_genera": feasible,
+        "classification_complete": chi > 20,
+        "caveat": "necessary-condition filter; complete as a classification only for chi > 20",
+        "genera": genera,
+    }

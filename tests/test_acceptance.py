@@ -12,10 +12,11 @@ from contextlib import contextmanager
 import pytest
 
 from canpencil.binform import BinForm, random_binform
-from canpencil.census import branch_disjointness, node_census, quasi_smooth_sweep
+from canpencil.census import branch_disjointness, node_census, quasi_smooth_sweep, run_census
 from canpencil.chow import H, adjunction_check, surface_invariants
 from canpencil.family import (
     bidouble_branch_data,
+    bidouble_cross_check,
     bidouble_invariants,
     degree_table,
     generate_member,
@@ -121,21 +122,25 @@ def test_criterion_06_bidouble_cross_check():
     with criterion(6, "bidouble invariants match intersection theory, theta 0..6, p_g 2..20"):
         for theta in range(7):
             for pg in range(2, 21):
-                inv = bidouble_invariants(bidouble_branch_data(pg, theta))
+                data, inv, matches = bidouble_cross_check(pg, theta)
+                assert data == bidouble_branch_data(pg, theta) and inv == bidouble_invariants(data)
                 assert inv["K2"] == 4 * pg - 6 + theta
                 assert inv["chi"] == pg + 1
                 ref = surface_invariants(pg, theta)
                 assert (inv["K2"], inv["chi"]) == (ref["K2"], ref["chi"])
+                assert matches is True
 
 
 def test_criterion_07_node_census():
     with criterion(7, "split member at (2,0)/F_101: 2 A1 nodes, branch disjoint",
                    budget_s=10.0):
         member = generate_member(2, 0, F101, seed=20260808, split_qy=True)
-        out = node_census(member, 101)
-        assert len(out.nodes) == 2 == out.bound  # 2 p_g - 2 + theta
-        assert all(rec.a1_ok for rec in out.nodes)
-        assert all(rec.point[1] == (0, 0, 1, 0) for rec in out.nodes)
+        nodes = node_census(member, 101)
+        report = run_census(member, 101, skip_sweep=True)
+        assert len(nodes) == 2 == report.node_bound  # 2 p_g - 2 + theta
+        assert report.nodes == nodes and not report.roots_outside_field
+        assert all(rec.a1_ok for rec in nodes)
+        assert all(rec.point[1] == (0, 0, 1, 0) for rec in nodes)
         assert branch_disjointness(member, 101) == []
 
 
@@ -161,11 +166,11 @@ def test_criterion_08_quasi_smoothness(theta):
 def test_criterion_09_genus_feasibility():
     with criterion(9, "chi = 30: K^2 <= 112 leaves only genus 2; K^2 = 9 chi + 1 leaves none"):
         for k2 in range(1, 113):
-            feasible = genus_feasibility(k2, 30, 0).feasible_genera
-            assert feasible <= {2}, (k2, feasible)  # the linear bounds kill g >= 3
+            feasible = genus_feasibility(k2, 30, 0)["feasible_genera"]
+            assert set(feasible) <= {2}, (k2, feasible)  # the linear bounds kill g >= 3
             if k2 >= 110:  # the genus-2 slope bound holds from 4 chi - 10 upward
-                assert feasible == {2}
-        assert genus_feasibility(9 * 30 + 1, 30, 0).feasible_genera == set()
+                assert feasible == [2]
+        assert genus_feasibility(9 * 30 + 1, 30, 0)["feasible_genera"] == []
 
 
 def _probe_data(pg, theta, alpha):

@@ -131,14 +131,15 @@ def test_enumerate_points_rejects_bad_prime():
 
 def test_node_census_split_member():
     member = member_2_0(seed=20260808)
-    out = node_census(member, 101)
-    assert out.bound == 2
-    assert len(out.nodes) == 2
-    assert all(r.a1_ok and r.multiplicity == 1 for r in out.nodes)
-    assert all(r.point[1] == (0, 0, 1, 0) for r in out.nodes)
-    assert not out.roots_outside_field
+    nodes = node_census(member, 101)
+    report = run_census(member, 101, skip_sweep=True)
+    assert report.node_bound == 2 and report.nodes == nodes
+    assert len(nodes) == 2
+    assert all(r.a1_ok and r.multiplicity == 1 for r in nodes)
+    assert all(r.point[1] == (0, 0, 1, 0) for r in nodes)
+    assert not report.roots_outside_field
     # node count equals the number of distinct rational roots of q_y
-    assert len(out.nodes) == len(roots(member.q_y))
+    assert len(nodes) == len(roots(member.q_y))
 
 
 def test_node_census_irrational_roots_flagged():
@@ -155,9 +156,8 @@ def test_node_census_irrational_roots_flagged():
     )
     member = generate_member(2, 0, F101, seed=9)
     eqs = SurfaceEquations(bundle, F101, Q, member.G).validate()
-    out = node_census(eqs, 101)
-    assert len(out.nodes) == 0
-    assert out.roots_outside_field
+    assert node_census(eqs, 101) == ()
+    assert run_census(eqs, 101, skip_sweep=True).roots_outside_field
 
 
 def test_node_census_double_root_fails_a1():
@@ -172,10 +172,10 @@ def test_node_census_double_root_fails_a1():
          FiberMonomial(0, 0, 1, 0): qy},
     )
     eqs = SurfaceEquations(bundle, F101, Q, member.G).validate()
-    out = node_census(eqs, 101)
-    assert len(out.nodes) == 1
-    rec = out.nodes[0]
+    (rec,) = node_census(eqs, 101)
     assert rec.multiplicity == 2 and not rec.a1_ok and rec.hessian_det == 0
+    # the double root is counted twice against the bound: every root lies in F_101
+    assert not run_census(eqs, 101, skip_sweep=True).roots_outside_field
 
 
 @pytest.mark.parametrize("p", [101, 35027])
@@ -198,7 +198,7 @@ def test_node_hessian_det_is_closed_form(p):
     members.append(SurfaceEquations(member.bundle, field, Q, member.G))
     mults = set()
     for eqs in members:
-        for rec in node_census(eqs, p).nodes:
+        for rec in node_census(eqs, p):
             t0, t1 = rec.point[0]
             d = (deriv_t0 if t1 else deriv_t1)(eqs.q_y).evaluate(t0, t1)
             assert rec.hessian_det == -2 * d * d % p
@@ -223,8 +223,8 @@ def test_node_census_rejects_zero_qy():
 def test_node_census_count_bounded():
     for seed in range(3):
         member = generate_member(3, 2, F101, seed=seed)
-        out = node_census(member, 101)
-        assert len(out.nodes) <= out.bound == 2 * 3 - 2 + 2
+        report = run_census(member, 101, skip_sweep=True)
+        assert len(report.nodes) <= report.node_bound == 2 * 3 - 2 + 2
 
 
 def fiber_variables(field):
@@ -254,9 +254,9 @@ def test_node_count_matches_root_count():
         member = generate_member(2, 1, F101, seed=seed)
         if member.q_y.is_zero:
             continue
-        out = node_census(member, 101)
-        assert len(out.nodes) == len(roots(member.q_y))
-        assert out.rational_multiplicity_total == sum(roots(member.q_y).values())
+        nodes = node_census(member, 101)
+        assert len(nodes) == len(roots(member.q_y))
+        assert sum(r.multiplicity for r in nodes) == sum(roots(member.q_y).values())
 
 
 # -- branch disjointness ----------------------------------------------------------------
@@ -272,8 +272,8 @@ def test_branch_disjointness_doctored_member():
     # coefficient vanishing at a chosen node exists
     member22 = generate_member(2, 2, F101, seed=4, split_qy=True)
     nodes22 = node_census(member22, 101)
-    assert nodes22.nodes, "need a rational node to doctor"
-    (a, b) = nodes22.nodes[0].point[0]
+    assert nodes22, "need a rational node to doctor"
+    (a, b) = nodes22[0].point[0]
     vanishing = parse_binform(f"t0 - {a}*t1", F101) * parse_binform("t1", F101)
     assert vanishing.degree == member22.g_coefficient(0, 0, 3).degree
     terms = dict(member22.G.terms)
@@ -294,13 +294,13 @@ def test_branch_disjointness_doctored_member():
 
 def test_branch_disjointness_accepts_precomputed_census():
     member = generate_member(2, 2, F101, seed=4, split_qy=True)
-    census = node_census(member, 101)
-    assert branch_disjointness(member, 101, census) == branch_disjointness(member, 101)
+    nodes = node_census(member, 101)
+    assert branch_disjointness(member, 101, nodes) == branch_disjointness(member, 101)
 
 
 def test_branch_value_is_g003_at_nodes():
     member = generate_member(2, 2, F101, seed=4, split_qy=True)
-    for rec in node_census(member, 101).nodes:
+    for rec in node_census(member, 101):
         t0, t1 = rec.point[0]
         g003 = member.g_coefficient(0, 0, 3)
         full = evaluate_section(member.G, (t0, t1, 0, 0, 1, 0))
@@ -985,7 +985,7 @@ def test_node_census_matches_schoolbook_powering(p, monkeypatch):
     # deg q_y = 398; seed 3 has a node at both primes, three at 2^31 - 1
     member = generate_member(200, 0, QQ, seed=3)
     census = node_census(member, p)
-    assert census.nodes
+    assert census
     monkeypatch.setattr(binform_mod, "_fp_shift_power", binform_reference.shift_power_schoolbook)
     assert node_census(member, p) == census
 

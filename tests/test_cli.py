@@ -494,6 +494,35 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
     assert code == 1
     assert doc["all_passed"] is False
     assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["eq.S3S2->S6/summands"]
+    # both names are reported: the kernel check ran over every draw and held
+    passed = {c["name"]: c["passed"] for c in doc["checks"]}
+    assert passed == {"eq.S3S2->S6/kernel": True, "eq.S3S2->S6/summands": False}
+
+
+def test_verify_and_bidouble_report_a_planted_bidouble_fault(capsys, monkeypatch):
+    from canpencil import family
+
+    exact, planted = family.bidouble_invariants, family.bidouble_branch_data(9, 4)
+
+    def faulty(data):  # K^2 off by one at (p_g, theta) = (9, 4) alone
+        inv = exact(data)
+        return dict(inv, K2=inv["K2"] + 1) if data == planted else inv
+
+    monkeypatch.setattr(family, "bidouble_invariants", faulty)
+    code, doc = run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "3")
+    assert code == 1 and doc["all_passed"] is False
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert [name for name, c in checks.items() if not c["passed"]] == ["bidouble/cross-check"]
+    assert checks["bidouble/cross-check"]["details"] == {"failures": [[4, 9]]}
+    # every other check is still reported
+    monkeypatch.undo()
+    code, clean = run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "3")
+    assert code == 0 and sorted(checks) == [c["name"] for c in clean["checks"]]
+    monkeypatch.setattr(family, "bidouble_invariants", faulty)
+    code, row = run_cli(capsys, "bidouble", "--pg", "9", "--theta", "4")
+    assert code == 0 and row["matches_intersection_theory"] is False and row["K2"] == 35
+    code, row = run_cli(capsys, "bidouble", "--pg", "8", "--theta", "4")
+    assert row["matches_intersection_theory"] is True
 
 
 def _k2_off_by_one_at_pg7(monkeypatch):
@@ -526,7 +555,9 @@ def _bidouble_k2_off_by_one(monkeypatch):
         return {**inv, "K2": inv["K2"] + 1}
 
     monkeypatch.setattr(family, "bidouble_invariants", faulty)
-    return {"bidouble": "theta=0, p_g=2"}
+    # a mismatch is the check's result, not a raise: every pair, in loop order
+    return {"bidouble/cross-check": {"failures": [[theta, pg] for theta in range(7)
+                                                  for pg in range(2, 21)]}}
 
 
 def _annihilator_raises_a_form_error(monkeypatch):
@@ -552,12 +583,14 @@ def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
     assert doc["all_passed"] is False
     failed = {c["name"]: c["details"] for c in doc["checks"] if not c["passed"]}
     assert sorted(failed) == sorted(messages)
-    for ledger, message in messages.items():
-        assert message in failed[ledger]["error"]
+    for name, expected in messages.items():  # the failed details, or the error message in them
+        if isinstance(expected, dict):
+            assert failed[name] == expected
+        else:
+            assert expected in failed[name]["error"]
     # every other ledger still reports its checks
-    passed = {c["name"].partition("/")[0] for c in doc["checks"] if c["passed"]}
-    assert passed | set(failed) == {"sigma2", "lifting", "eq.S3S2->S6", "examples", "bidouble",
-                                    "invariants"}
+    ledgers = {c["name"].partition("/")[0] for c in doc["checks"]}
+    assert ledgers == {"sigma2", "lifting", "eq.S3S2->S6", "examples", "bidouble", "invariants"}
 
 
 def _one_indented_document(printed):
@@ -704,6 +737,23 @@ def test_python_dash_m_entry():
     doc = json.loads(proc.stdout)
     assert doc["K2"] == 2
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--pg", "1000", "--theta", "0", "--field", "qq", "--seed", "7"),
+    ("feasibility", "--k2", "112", "--chi", "30"),
+], ids=" ".join)
+def test_a_closed_pipe_exits_1_with_nothing_on_stderr(argv):
+    # the read end is closed before the child starts, so its first write meets EPIPE
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "canpencil", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def run_in_fresh_process(argv):
@@ -1035,6 +1085,14 @@ GOLDEN_STDOUT_SHA256 = {
         "28bdd1b0a6d01c880d96c0f902d5d932cdc67e228d29ef06e5ac2e370830ccd4",
     ("generate", "--pg", "5", "--theta", "1", "--field", "fp:2147483647", "--seed", "1"):
         "7bf7197f0d9ded260c07da28cd6d295bd1e6d8f1e08dcdc4c7def8bd90735fae",
+    ("feasibility", "--k2", "112", "--chi", "30", "--q", "0"):  # the README line
+        "81598d05dfea073c88ec9f558edabfe0a768f6af779bf7f17d0e8cc926631b57",
+    ("feasibility", "--k2", "30", "--chi", "10", "--q", "1"):  # q = 1, classification incomplete
+        "9245b62b643823e5e0c6163e743fcb9037abe60faabe7bff2b19f031292be8a5",
+    ("feasibility", "--k2", "271", "--chi", "30"):  # no genus feasible
+        "e0ab7b19226b322673d4556f6b0f5ebfe2df2482d4eafa3d7d8f0c0f688df72d",
+    ("bidouble", "--pg", "2", "--theta", "6"):  # the external-source row
+        "8574dd673065616590349d8105004cf66d7d7cd098c9fd23c80b6c8a28f59432",
 }
 
 

@@ -358,14 +358,20 @@ def test_bidouble_invariants_match_chow():
             want = surface_invariants(pg, theta)
             assert inv["K2"] == want["K2"] == 4 * pg - 6 + theta
             assert inv["chi"] == want["chi"] == pg + 1
-            bidouble_cross_check(pg, theta)
+            assert bidouble_cross_check(pg, theta) == (data, inv, True)
 
 
 def test_bidouble_cross_check_takes_pg_then_theta():
     # the order of surface_invariants(pg, theta): (2, 0) is p_g = 2, theta = 0
-    row = bidouble_cross_check(2, 0)
-    assert (row["p_g"], row["theta"], row["K2"], row["chi"]) == (2, 0, 2, 3)
+    data, inv, matches = bidouble_cross_check(2, 0)
+    assert (data, inv, matches) == (bidouble_branch_data(2, 0), {"K2": 2, "chi": 3}, True)
     assert bidouble_branch_data(2, 0) == bidouble_reference.bidouble_branch_data(0, 2)
+
+
+def test_bidouble_cross_check_reports_a_mismatch(monkeypatch):
+    # a K^2 off by one is the third value, not a raise
+    monkeypatch.setattr(family_mod, "bidouble_invariants", lambda data: {"K2": 0, "chi": 3})
+    assert bidouble_cross_check(2, 0) == (bidouble_branch_data(2, 0), {"K2": 0, "chi": 3}, False)
 
 
 def test_bidouble_rejects_odd_pair_sum():
@@ -424,30 +430,33 @@ def test_bidouble_invariants_match_reference_on_any_triple(data):
 
 def test_feasibility_chi30_window():
     for k2 in (110, 111, 112):
-        assert genus_feasibility(k2, 30, 0).feasible_genera == {2}
+        assert genus_feasibility(k2, 30, 0)["feasible_genera"] == [2]
     # no genus >= 3 survives anywhere below the window either
     for k2 in range(1, 113):
-        assert genus_feasibility(k2, 30, 0).feasible_genera <= {2}
+        assert set(genus_feasibility(k2, 30, 0)["feasible_genera"]) <= {2}
 
 
 def test_feasibility_miyaoka_yau_kills_all():
-    assert genus_feasibility(9 * 30 + 1, 30, 0).feasible_genera == set()
+    assert genus_feasibility(9 * 30 + 1, 30, 0)["feasible_genera"] == []
 
 
 def test_feasibility_horikawa_case():
-    assert 2 in genus_feasibility(2, 3, 0).feasible_genera
+    assert 2 in genus_feasibility(2, 3, 0)["feasible_genera"]
 
 
 def test_feasibility_q_restricted():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^q must be 0 or 1$"):
         genus_feasibility(10, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^K\^2 and chi must be positive$"):
         genus_feasibility(0, 5, 0)
+    # the sign refusal comes first
+    with pytest.raises(ValueError, match=r"^K\^2 and chi must be positive$"):
+        genus_feasibility(10, 0, 2)
 
 
 def test_feasibility_caveat_flag():
-    assert genus_feasibility(112, 30, 0).classification_complete
-    assert not genus_feasibility(30, 10, 0).classification_complete
+    assert genus_feasibility(112, 30, 0)["classification_complete"] is True
+    assert genus_feasibility(30, 10, 0)["classification_complete"] is False
 
 
 @settings(max_examples=60)
@@ -462,9 +471,9 @@ def test_feasibility_monotone_below_my_line(chi, k2, bump, q):
     # K^2 = 9 chi can only shrink the set, by design
     if k2 + bump > 9 * chi:
         k2 = max(1, 9 * chi - bump)
-    small = genus_feasibility(k2, chi, q).feasible_genera
-    large = genus_feasibility(k2 + bump, chi, q).feasible_genera
-    assert small <= large
+    small = genus_feasibility(k2, chi, q)["feasible_genera"]
+    large = genus_feasibility(k2 + bump, chi, q)["feasible_genera"]
+    assert set(small) <= set(large)
 
 
 def test_g_slot_degree_formula():

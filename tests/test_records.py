@@ -20,12 +20,10 @@ from pathlib import Path
 import pytest
 
 from canpencil.binform import BinForm
-from canpencil.census import NodeCensus, NodeRecord, SingularReport
+from canpencil.census import NodeRecord, SingularReport
 from canpencil.family import (
     BranchData,
     DegreeTable,
-    FeasibilityReport,
-    GenusVerdict,
     SurfaceEquations,
     _member_bundle,
     generate_member,
@@ -58,20 +56,16 @@ def _node():
     return NodeRecord(((3, 1), (0, 0, 1, 0)), 1, 5)
 
 
-def _verdict():
-    return GenusVerdict(*RECORDS[GenusVerdict][1]())
-
-
 #: class -> (its fields in positional order, a factory of field values, another value per field)
 RECORDS = {
     NodeRecord: (("point", "multiplicity", "hessian_det"),
                  lambda: (((3, 1), (0, 0, 1, 0)), 1, 5),
                  (((1, 0), (0, 0, 1, 0)), 2, 0)),
-    NodeCensus: (("nodes", "bound"), lambda: ((_node(),), 2), ((), 4)),
-    SingularReport: (("p_nodes", "p_sweep", "nodes", "branch_hits", "cone_singularities", "timings"),
-                     lambda: (11, None, NodeCensus((_node(),), 2), [((3, 1), (0, 0, 1, 0))],
-                              [], {"nodes_s": 0.5}),
-                     (13, 17, NodeCensus((), 2), [], [((1, 0), (0, 0, 1, 0))], {})),
+    SingularReport: (("p_nodes", "p_sweep", "nodes", "node_bound", "branch_hits",
+                      "cone_singularities", "timings"),
+                     lambda: (11, None, (_node(),), 2, [((3, 1), (0, 0, 1, 0))], [],
+                              {"nodes_s": 0.5}),
+                     (13, 17, (), 4, [], [((1, 0), (0, 0, 1, 0))], {})),
     DegreeTable: (("pg", "theta", "q_x", "q_y", "g"), lambda: (2, 0, 3, 2, {(0, 0, 3): 6}),
                   (3, 1, 4, 5, {})),
     SurfaceEquations: (("bundle", "field", "Q", "G"),
@@ -80,10 +74,6 @@ RECORDS = {
     BranchData: (("base_r", "d1", "d2", "d3", "source"),
                  lambda: (1, (1, 5), (3, 3), (1, 1), "table row"),
                  (2, (1, 4), (3, 6), (1, 0), "explicit construction")),
-    GenusVerdict: (("genus", "conditions"), lambda: (2, (("beauville", True), ("miyaoka_yau", True))),
-                   (3, ())),
-    FeasibilityReport: (("k2", "chi", "q", "verdicts"), lambda: (10, 4, 0, (_verdict(),)),
-                        (11, 5, 1, ())),
     FieldSpec: (("p",), lambda: (101,), (103,)),
     SigmaTwoData: (("pg", "theta", "alpha", "f0", "f1", "g0", "g1", "g2"),
                    lambda: tuple(getattr(_sigma(), f) for f in
@@ -195,7 +185,7 @@ def test_records_of_different_classes_never_compare_equal():
         assert a != fields and fields != a
     # equal field values in two classes
     assert BundleData(5, 2) != FieldSpec(5)
-    same = [cls(2, ()) for cls in (NodeCensus, GenusVerdict, LiftingCertificate)]
+    same = [cls(2, 0) for cls in (BundleData, LiftingCertificate)]
     assert [a == b for a in same for b in same] == [a is b for a in same for b in same]
 
 
@@ -256,7 +246,7 @@ def test_wps_points_sort_by_base_then_fiber():
     points = [((3, 1), (1, 0, 0, 0)), ((1, 0), (0, 0, 1, 0)), ((0, 1), (1, 2, 0, 0)),
               ((0, 1), (0, 1, 5, 2)), ((3, 1), (0, 0, 1, 1))]
     assert sorted(points) == [points[3], points[2], points[1], points[4], points[0]]
-    report = SingularReport(11, 11, NodeCensus((NodeRecord(points[1], 1, 5),), 2), points[:1],
+    report = SingularReport(11, 11, (NodeRecord(points[1], 1, 5),), 2, points[:1],
                             sorted(points), {})
     doc = report.to_json_dict()
     assert doc["nodes"][0]["point"] == {"base": [1, 0], "fiber": [0, 0, 1, 0]}
