@@ -493,7 +493,6 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
     code, doc = run_cli(capsys, "verify", "s6", "--seed", "5", "--trials", "3")
     assert code == 1
     assert doc["all_passed"] is False
-    assert [c["name"] for c in doc["checks"] if not c["passed"]] == ["eq.S3S2->S6/summands"]
     # both names are reported: the kernel check ran over every draw and held
     passed = {c["name"]: c["passed"] for c in doc["checks"]}
     assert passed == {"eq.S3S2->S6/kernel": True, "eq.S3S2->S6/summands": False}
