@@ -28,8 +28,8 @@ def run():
     print("\n== end-to-end member: generate at (2,0)/F_101, census and sweep at F_101 ==")
     member = generate_member(2, 0, FieldSpec.prime_field(101), seed=20260808, split_qy=True)
     report = run_census(member, skip_sweep=False)
-    emit(report.to_json_dict(), None)
-    if not report.clean:
+    emit(report, None)
+    if not report["clean"]:
         print("census found singularities; regenerate with another seed", file=sys.stderr)
         return 1
     print("\nall checks passed")

@@ -15,8 +15,9 @@ x1 nonzero), and otherwise the representative is the lexicographically
 smallest orbit element.  A point of the bundle is the plain tuple
 (base, fiber): base (t0, t1) in P^1, fiber (x0, x1, y, z); points sort
 as tuples, by base and then fiber.  The node census is the tuple of its
-`NodeRecord`s; `SingularReport` holds them together with the node bound
-2 p_g - 2 + theta and says whether some roots of q_y lie outside F_p.
+`NodeRecord`s; `run_census` writes the census document, which adds the
+node bound 2 p_g - 2 + theta and says whether some roots of q_y lie
+outside F_p.
 """
 
 from __future__ import annotations
@@ -157,19 +158,15 @@ def node_census(eqs: SurfaceEquations, p: int) -> Tuple[NodeRecord, ...]:
 # ---------------------------------------------------------------------------
 
 
-def branch_disjointness(
-    eqs: SurfaceEquations, p: int, nodes: Optional[Tuple[NodeRecord, ...]] = None
-) -> List[tuple]:
-    """Nodes where the branch curve passes through the branch point set.
+def branch_disjointness(eqs: SurfaceEquations, p: int,
+                        nodes: Tuple[NodeRecord, ...]) -> List[tuple]:
+    """The points of `nodes`, the member's node census at p, where the branch curve passes.
 
     The branch form is the z-free part of G; at a node x0 = x1 = 0, y = 1
     only the y^3-coefficient survives.  A nonempty list is a report about
-    the member, not an error.  `nodes` are the member's node records at p
-    when the caller already has them; otherwise they are computed here.
+    the member, not an error.
     """
     eqs = _over_prime(eqs, p, _NODE_MONOMIALS)
-    if nodes is None:
-        nodes = node_census(eqs, p)
     g003 = eqs.g_coefficient(0, 0, 3)
     return [rec.point for rec in nodes if g003.evaluate(*rec.point[0]) == 0]
 
@@ -384,42 +381,8 @@ def _rank_below_two(r1, r2, p: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# assembled report
+# the census document
 # ---------------------------------------------------------------------------
-
-
-class SingularReport(Record):
-    # node_bound: 2 p_g - 2 + theta = deg q_y, the node count over the algebraic closure
-    __slots__ = ("p_nodes", "p_sweep", "nodes", "node_bound", "branch_hits", "cone_singularities",
-                 "timings")
-
-    @property
-    def sweep_skipped(self) -> bool:
-        return self.p_sweep is None
-
-    @property
-    def roots_outside_field(self) -> bool:
-        return sum(r.multiplicity for r in self.nodes) < self.node_bound
-
-    @property
-    def clean(self) -> bool:
-        nodes_ok = all(r.a1_ok for r in self.nodes)
-        return nodes_ok and not self.branch_hits and not self.cone_singularities
-
-    def to_json_dict(self) -> dict:
-        return {
-            "prime_nodes": self.p_nodes,
-            "prime_sweep": self.p_sweep,
-            "node_bound": self.node_bound,
-            "node_count": len(self.nodes),
-            "roots_outside_field": self.roots_outside_field,
-            "nodes": [r.to_json_dict() for r in self.nodes],
-            "branch_hits": [{"point": _point_json(q), "branch_value": 0} for q in self.branch_hits],
-            "cone_singularities": [_point_json(q) for q in self.cone_singularities],
-            "sweep_skipped": self.sweep_skipped,
-            "clean": self.clean,
-            "timings": self.timings,
-        }
 
 
 #: largest prime the sweep runs at: the refusal quotes the (p + 1)^2 fiber
@@ -449,15 +412,18 @@ def _census_prime(eqs: SurfaceEquations, p: Optional[int], default: Optional[int
 
 
 def run_census(eqs: SurfaceEquations, prime: Optional[int] = None,
-               skip_sweep: bool = False) -> SingularReport:
-    """Node census plus branch check, and optionally the full sweep.
+               skip_sweep: bool = False) -> dict:
+    """The census document: node census plus branch check, and optionally the full sweep.
 
     A member over F_p is censused at p: None stands for p, and any other
     prime is a ValueError.  A rational member is reduced modulo `prime`
     for both; None stands for 101 for the nodes and 11 for the sweep.  A
     sweep above SWEEP_PRIME_MAX is refused with a ValueError before any
     work is done; a `prime` that is no prime below 2**31 is reported as
-    such first.
+    such first.  `node_bound` is 2 p_g - 2 + theta = deg q_y, the node
+    count over the algebraic closure, so the roots of q_y lie outside F_p
+    when the nodes' multiplicities sum to less.  A member is clean when
+    every node is A1 and there is no branch hit and no cone singularity.
     """
     p_nodes = _census_prime(eqs, prime, 101)
     p_sweep = _census_prime(eqs, prime, 11)
@@ -480,4 +446,16 @@ def run_census(eqs: SurfaceEquations, prime: Optional[int] = None,
         cone_singularities = quasi_smooth_sweep(eqs, p_sweep)
         timings["sweep_s"] = round(time.perf_counter() - t1, 6)
     bound = 2 * eqs.bundle.pg - 2 + eqs.bundle.theta
-    return SingularReport(p_nodes, p_sweep, nodes, bound, branch_hits, cone_singularities, timings)
+    return {
+        "prime_nodes": p_nodes,
+        "prime_sweep": p_sweep,
+        "node_bound": bound,
+        "node_count": len(nodes),
+        "roots_outside_field": sum(r.multiplicity for r in nodes) < bound,
+        "nodes": [r.to_json_dict() for r in nodes],
+        "branch_hits": [{"point": _point_json(q), "branch_value": 0} for q in branch_hits],
+        "cone_singularities": [_point_json(q) for q in cone_singularities],
+        "sweep_skipped": p_sweep is None,
+        "clean": all(r.a1_ok for r in nodes) and not branch_hits and not cone_singularities,
+        "timings": timings,
+    }

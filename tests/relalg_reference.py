@@ -20,7 +20,6 @@ from typing import Dict
 
 from canpencil.binform import BinForm, count_distinct_roots, divexact, divides, format_binform
 from canpencil.relalg import (
-    ExampleReport,
     LiftingCertificate,
     SigmaError,
     YPoly,
@@ -139,7 +138,7 @@ def _branch_cubic(data) -> YPoly:
     return cubic - corr
 
 
-def example_verify(key) -> ExampleReport:
+def example_verify(key) -> dict:
     data = example_data(key)
     checks: Dict[str, bool] = {}
     details: Dict[str, object] = {"split_type": validate_sigma2(data)}
@@ -191,4 +190,6 @@ def example_verify(key) -> ExampleReport:
     checks["tau-degree"] = tau.degree == 2 * data.pg + data.theta - 2
     details["tau"] = format_binform(tau)
 
-    return ExampleReport(key, checks, details)
+    alpha, theta, k2, pg = key
+    return {"alpha": alpha, "theta": theta, "K2": k2, "p_g": pg, "checks": checks,
+            "details": {k: str(v) for k, v in details.items()}, "passed": all(checks.values())}

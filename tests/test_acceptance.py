@@ -111,11 +111,11 @@ def test_criterion_05_exceptional_examples():
     with criterion(5, "three exceptional families verify (congruence, F111, roots)",
                    budget_s=10.0):
         for key in EXAMPLE_KEYS:
-            rep = example_verify(key)
-            assert rep.passed, (key, rep.checks)
-            assert rep.checks["congruence-mod-f0^4"]
-            assert rep.checks["F111-is-minus-5-f0^2"]
-            assert rep.details["restriction_distinct_roots"] == key[1]
+            entry = example_verify(key)
+            assert entry["passed"], (key, entry["checks"])
+            assert entry["checks"]["congruence-mod-f0^4"]
+            assert entry["checks"]["F111-is-minus-5-f0^2"]
+            assert entry["details"]["restriction_distinct_roots"] == str(key[1])
 
 
 def test_criterion_06_bidouble_cross_check():
@@ -136,12 +136,13 @@ def test_criterion_07_node_census():
                    budget_s=10.0):
         member = generate_member(2, 0, F101, seed=20260808, split_qy=True)
         nodes = node_census(member, 101)
-        report = run_census(member, 101, skip_sweep=True)
-        assert len(nodes) == 2 == report.node_bound  # 2 p_g - 2 + theta
-        assert report.nodes == nodes and not report.roots_outside_field
+        doc = run_census(member, 101, skip_sweep=True)
+        assert len(nodes) == 2 == doc["node_bound"]  # 2 p_g - 2 + theta
+        assert doc["nodes"] == [rec.to_json_dict() for rec in nodes]
+        assert not doc["roots_outside_field"]
         assert all(rec.a1_ok for rec in nodes)
         assert all(rec.point[1] == (0, 0, 1, 0) for rec in nodes)
-        assert branch_disjointness(member, 101) == []
+        assert branch_disjointness(member, 101, nodes) == []
 
 
 # deterministic seed panels; theta = 0 includes one genuinely singular draw,

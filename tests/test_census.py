@@ -132,12 +132,12 @@ def test_enumerate_points_rejects_bad_prime():
 def test_node_census_split_member():
     member = member_2_0(seed=20260808)
     nodes = node_census(member, 101)
-    report = run_census(member, 101, skip_sweep=True)
-    assert report.node_bound == 2 and report.nodes == nodes
+    doc = run_census(member, 101, skip_sweep=True)
+    assert doc["node_bound"] == 2 and doc["nodes"] == [r.to_json_dict() for r in nodes]
     assert len(nodes) == 2
     assert all(r.a1_ok and r.multiplicity == 1 for r in nodes)
     assert all(r.point[1] == (0, 0, 1, 0) for r in nodes)
-    assert not report.roots_outside_field
+    assert not doc["roots_outside_field"]
     # node count equals the number of distinct rational roots of q_y
     assert len(nodes) == len(roots(member.q_y))
 
@@ -157,7 +157,7 @@ def test_node_census_irrational_roots_flagged():
     member = generate_member(2, 0, F101, seed=9)
     eqs = SurfaceEquations(bundle, F101, Q, member.G).validate()
     assert node_census(eqs, 101) == ()
-    assert run_census(eqs, 101, skip_sweep=True).roots_outside_field
+    assert run_census(eqs, 101, skip_sweep=True)["roots_outside_field"] is True
 
 
 def test_node_census_double_root_fails_a1():
@@ -175,7 +175,10 @@ def test_node_census_double_root_fails_a1():
     (rec,) = node_census(eqs, 101)
     assert rec.multiplicity == 2 and not rec.a1_ok and rec.hessian_det == 0
     # the double root is counted twice against the bound: every root lies in F_101
-    assert not run_census(eqs, 101, skip_sweep=True).roots_outside_field
+    doc = run_census(eqs, 101, skip_sweep=True)
+    assert doc["roots_outside_field"] is False
+    # a degenerate node alone keeps the member from being clean
+    assert (doc["branch_hits"], doc["cone_singularities"], doc["clean"]) == ([], [], False)
 
 
 @pytest.mark.parametrize("p", [101, 35027])
@@ -223,8 +226,8 @@ def test_node_census_rejects_zero_qy():
 def test_node_census_count_bounded():
     for seed in range(3):
         member = generate_member(3, 2, F101, seed=seed)
-        report = run_census(member, 101, skip_sweep=True)
-        assert len(report.nodes) <= report.node_bound == 2 * 3 - 2 + 2
+        doc = run_census(member, 101, skip_sweep=True)
+        assert doc["node_count"] == len(doc["nodes"]) <= doc["node_bound"] == 2 * 3 - 2 + 2
 
 
 def fiber_variables(field):
@@ -264,7 +267,7 @@ def test_node_count_matches_root_count():
 
 def test_branch_disjointness_generic_member_clean():
     member = member_2_0(seed=20260808)
-    assert branch_disjointness(member, 101) == []
+    assert branch_disjointness(member, 101, node_census(member, 101)) == []
 
 
 def test_branch_disjointness_doctored_member():
@@ -280,7 +283,7 @@ def test_branch_disjointness_doctored_member():
     terms[FiberMonomial(0, 0, 3, 0)] = vanishing
     G = GradedSection(member22.bundle, F101, member22.G.bidegree, terms)
     doctored = SurfaceEquations(member22.bundle, F101, member22.Q, G).validate()
-    hits = branch_disjointness(doctored, 101)
+    hits = branch_disjointness(doctored, 101, node_census(doctored, 101))
     assert any(base == (a, b) for base, _ in hits)
     # independent recheck: the full branch section vanishes at each hit
     for (t0, t1), _ in hits:
@@ -290,12 +293,6 @@ def test_branch_disjointness_doctored_member():
             if m.i == 0 and m.j == 0
         ) % 101
         assert value == 0
-
-
-def test_branch_disjointness_accepts_precomputed_census():
-    member = generate_member(2, 2, F101, seed=4, split_qy=True)
-    nodes = node_census(member, 101)
-    assert branch_disjointness(member, 101, nodes) == branch_disjointness(member, 101)
 
 
 def test_branch_value_is_g003_at_nodes():
@@ -995,8 +992,7 @@ def test_node_census_matches_schoolbook_powering(p, monkeypatch):
 
 def test_run_census_rational_member_reduces():
     member = generate_member(2, 0, QQ, seed=6, split_qy=False)
-    report = run_census(member)
-    doc = report.to_json_dict()
+    doc = run_census(member)
     assert doc["prime_nodes"] == 101
     assert doc["prime_sweep"] == 11
     assert doc["node_bound"] == 2
@@ -1006,8 +1002,8 @@ def test_run_census_rational_member_reduces():
 def test_run_census_prime_member_uses_own_prime():
     member = generate_member(2, 0, F11, seed=1)
     for prime in (None, 11):
-        report = run_census(member, prime)
-        assert report.p_nodes == 11 and report.p_sweep == 11
+        doc = run_census(member, prime)
+        assert doc["prime_nodes"] == 11 and doc["prime_sweep"] == 11
     for prime in (101, 13):
         with pytest.raises(ValueError, match="would cross characteristics"):
             run_census(member, prime, skip_sweep=True)
@@ -1015,9 +1011,9 @@ def test_run_census_prime_member_uses_own_prime():
 
 def test_run_census_skip_sweep():
     member = member_2_0(seed=20260808)
-    report = run_census(member, skip_sweep=True)
-    assert report.sweep_skipped
-    assert report.to_json_dict()["cone_singularities"] == []
+    doc = run_census(member, skip_sweep=True)
+    assert doc["sweep_skipped"] is True and doc["prime_sweep"] is None
+    assert doc["cone_singularities"] == [] and "sweep_s" not in doc["timings"]
 
 
 def test_run_census_computes_node_census_once(monkeypatch):
@@ -1064,7 +1060,7 @@ def test_census_bad_reduction_is_value_error(member_over_11):
     with pytest.raises(ValueError, match="bad reduction mod 11"):
         run_census(member_over_11, 11, skip_sweep=True)
     # any other prime reduces fine
-    assert run_census(member_over_11, 13, skip_sweep=True).p_nodes == 13
+    assert run_census(member_over_11, 13, skip_sweep=True)["prime_nodes"] == 13
 
 
 def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
@@ -1085,7 +1081,9 @@ def test_census_bad_reduction_names_the_coefficient_denominator(member_over_11):
 def test_census_bad_reduction_in_a_slot_the_node_census_does_not_read(branch_over_11):
     # q_y and the y^3-coefficient reduce mod 11, but x1^4*y does not: the census still refuses
     message = "^bad reduction mod 11: denominator 33 not invertible mod 11$"
-    for census in (node_census, branch_disjointness, quasi_smooth_sweep):
+    # branch_disjointness refuses the member before it reads a node
+    for census in (node_census, lambda eqs, p: branch_disjointness(eqs, p, ()),
+                   quasi_smooth_sweep):
         with pytest.raises(ValueError, match=message):
             census(branch_over_11, 11)
     with pytest.raises(ValueError, match=message):
@@ -1135,7 +1133,8 @@ def test_reduction_matches_the_coefficientwise_oracle(p):
 def test_one_rule_refuses_a_prime_member_at_another_prime():
     member = generate_member(2, 0, F11, seed=1)
     message = "^member lives over F_11; censusing at --prime 13 would cross characteristics$"
-    for census in (node_census, branch_disjointness, quasi_smooth_sweep, run_census):
+    for census in (node_census, lambda eqs, p: branch_disjointness(eqs, p, ()),
+                   quasi_smooth_sweep, run_census):
         with pytest.raises(ValueError, match=message):
             census(member, 13)
     with pytest.raises(ValueError, match="^prime modulus must satisfy 5 <= p < 2\\*\\*31, got None$"):

@@ -480,7 +480,21 @@ def test_verify_bit_reproducible(capsys):
 
 
 
-def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
+#: every name that `verify all` reports, and those of them that read the literal True
+VERIFY_ALL_NAMES = {
+    "sigma2/degree-slots", "sigma2/tau-degree", "lifting/f0^4-annihilator",
+    "eq.S3S2->S6/kernel", "eq.S3S2->S6/summands", "examples/alpha1-theta1-K2-15",
+    "examples/alpha1-theta2-K2-12", "examples/alpha2-theta2-K2-20", "bidouble/cross-check",
+    "invariants/closed-forms", "invariants/adjunction"}
+LITERAL_CHECKS = {"sigma2/degree-slots", "sigma2/tau-degree", "invariants/closed-forms",
+                  "invariants/adjunction"}
+
+# Each fault below plants one error and returns {name: expected}: a failed check's
+# name with the details it changes against a clean run, or a ledger's name with a
+# part of the error message that its one failed check carries.
+
+
+def _s6_summands_shifted(monkeypatch):
     from canpencil import relalg
 
     exact = relalg.s6prime_matrix
@@ -490,34 +504,119 @@ def test_verify_s6_fails_on_shifted_summand_degrees(capsys, monkeypatch):
         return rows, (first + 1, second)
 
     monkeypatch.setattr(relalg, "s6prime_matrix", shifted)
-    code, doc = run_cli(capsys, "verify", "s6", "--seed", "5", "--trials", "3")
-    assert code == 1
-    assert doc["all_passed"] is False
-    # both names are reported: the kernel check ran over every draw and held
-    passed = {c["name"]: c["passed"] for c in doc["checks"]}
-    assert passed == {"eq.S3S2->S6/kernel": True, "eq.S3S2->S6/summands": False}
+    return {"eq.S3S2->S6/summands": {}}
 
 
-def test_verify_and_bidouble_report_a_planted_bidouble_fault(capsys, monkeypatch):
+def _relation_matrix_entry_bumped(monkeypatch):
+    from canpencil import relalg
+
+    exact = relalg.relation_matrix
+
+    def bumped(f0, f1):  # entry [0][0] + t1^deg: homogeneous, and no longer in the kernel
+        rel = exact(f0, f1)
+        rel[0][0] = rel[0][0] + BinForm.t1(f0.field) ** rel[0][0].degree
+        return rel
+
+    monkeypatch.setattr(relalg, "relation_matrix", bumped)
+    return {"eq.S3S2->S6/kernel": {}}
+
+
+def _bidouble_k2_off_by_one_at_pg9_theta4(monkeypatch):
     from canpencil import family
 
     exact, planted = family.bidouble_invariants, family.bidouble_branch_data(9, 4)
 
-    def faulty(data):  # K^2 off by one at (p_g, theta) = (9, 4) alone
+    def faulty(data):
         inv = exact(data)
         return dict(inv, K2=inv["K2"] + 1) if data == planted else inv
 
     monkeypatch.setattr(family, "bidouble_invariants", faulty)
-    code, doc = run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "3")
-    assert code == 1 and doc["all_passed"] is False
+    return {"bidouble/cross-check": {"failures": [[4, 9]]}}
+
+
+def _f030_bumped(E, data):
+    """E with F030 + t1^deg(F030): homogeneous, and prime to f0 where F030 was not."""
+    from canpencil import relalg
+
+    bump = BinForm.t1(data.field) ** E.coefficient((0, 3, 0)).degree
+    return E + relalg.YPoly(data.field, {(0, 3, 0): bump})
+
+
+#: the checks of one family that need F030's cofactor by f0^2
+_COFACTOR_CHECKS = ("F030-divisible-by-f0^2", "F030-cofactor-degree", "congruence-mod-f0^4")
+
+
+def _f030_bumped_in_one_family(alpha, theta, k2):
+    def plant(monkeypatch):
+        from canpencil import relalg
+
+        exact = relalg._branch_cubic
+
+        def faulty(data):
+            E = exact(data)
+            return _f030_bumped(E, data) if (data.alpha, data.theta) == (alpha, theta) else E
+
+        monkeypatch.setattr(relalg, "_branch_cubic", faulty)
+        # the bump moves the y1^3 coefficient, so the restriction to the section fails too
+        return {f"examples/alpha{alpha}-theta{theta}-K2-{k2}": dict.fromkeys(
+            (*_COFACTOR_CHECKS, "restriction-divisible-by-f0^4", "restriction-shape",
+             "restriction-root-count"), False)}
+
+    plant.__name__ = f"f030_bumped_at_alpha{alpha}_theta{theta}"
+    return plant
+
+
+def _certificate_never_verifies(monkeypatch):
+    from canpencil import relalg
+
+    monkeypatch.setattr(relalg.LiftingCertificate, "verify", lambda self: False)
+    # the trials and the sample certificate are reported as on a clean run
+    return {"lifting/f0^4-annihilator": {}}
+
+
+#: one planted fault per computed check of `verify all`
+PLANTED_FAULTS = [_s6_summands_shifted, _relation_matrix_entry_bumped,
+                  _bidouble_k2_off_by_one_at_pg9_theta4,
+                  _f030_bumped_in_one_family(1, 1, 15), _f030_bumped_in_one_family(1, 2, 12),
+                  _f030_bumped_in_one_family(2, 2, 20), _certificate_never_verifies]
+
+
+def _failed_against_clean(capsys, monkeypatch, fault):
+    """(exit status, checks by name, failed details by name, the fault's expectations)."""
+    argv = ["verify", "all", "--seed", "1", "--trials", "3"]
+    code, clean = run_cli(capsys, *argv)
+    assert code == 0
+    expected = fault(monkeypatch)
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)  # one JSON document, no traceback
+    assert captured.err == "" and doc["all_passed"] is (code == 0)
+    clean_details = {c["name"]: c["details"] for c in clean["checks"]}
+    for name, change in expected.items():  # a failed check: its clean details, changed
+        if isinstance(change, dict):
+            expected[name] = {**clean_details[name], **change}
     checks = {c["name"]: c for c in doc["checks"]}
-    assert [name for name, c in checks.items() if not c["passed"]] == ["bidouble/cross-check"]
-    assert checks["bidouble/cross-check"]["details"] == {"failures": [[4, 9]]}
-    # every other check is still reported
-    monkeypatch.undo()
-    code, clean = run_cli(capsys, "verify", "all", "--seed", "1", "--trials", "3")
-    assert code == 0 and sorted(checks) == [c["name"] for c in clean["checks"]]
-    monkeypatch.setattr(family, "bidouble_invariants", faulty)
+    failed = {name: c["details"] for name, c in checks.items() if not c["passed"]}
+    return code, checks, failed, expected
+
+
+@pytest.mark.parametrize("fault", PLANTED_FAULTS, ids=lambda f: f.__name__.strip("_"))
+def test_a_planted_fault_flips_exactly_its_check(capsys, monkeypatch, fault):
+    code, checks, failed, expected = _failed_against_clean(capsys, monkeypatch, fault)
+    assert code == 1 and set(checks) == VERIFY_ALL_NAMES and len(checks) == 11
+    assert failed == expected
+
+
+def test_every_computed_check_has_a_planted_fault():
+    planted = set()
+    for fault in PLANTED_FAULTS:
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            planted |= set(fault(monkeypatch))
+    assert VERIFY_ALL_NAMES - planted == LITERAL_CHECKS
+
+
+def test_bidouble_reports_a_planted_bidouble_fault(capsys, monkeypatch):
+    _bidouble_k2_off_by_one_at_pg9_theta4(monkeypatch)
     code, row = run_cli(capsys, "bidouble", "--pg", "9", "--theta", "4")
     assert code == 0 and row["matches_intersection_theory"] is False and row["K2"] == 35
     code, row = run_cli(capsys, "bidouble", "--pg", "8", "--theta", "4")
@@ -535,13 +634,6 @@ def _k2_off_by_one_at_pg7(monkeypatch):
     monkeypatch.setattr(chow, "top_intersection_numerator", faulty)
     # the bidouble cross-check recomputes K^2 too, and names the same fault
     return {"invariants": "K^2 cross-check failed", "bidouble": "K^2 cross-check failed"}
-
-
-def _certificate_never_verifies(monkeypatch):
-    from canpencil import relalg
-
-    monkeypatch.setattr(relalg.LiftingCertificate, "verify", lambda self: False)
-    return {"lifting": "certificate failed to verify"}
 
 
 def _bidouble_k2_off_by_one(monkeypatch):
@@ -574,21 +666,16 @@ def _annihilator_raises_a_form_error(monkeypatch):
                                    _bidouble_k2_off_by_one, _annihilator_raises_a_form_error],
                          ids=lambda f: f.__name__.strip("_"))
 def test_verify_library_fault_is_a_failed_check(capsys, monkeypatch, fault):
-    messages = fault(monkeypatch)
-    code = main(["verify", "all", "--seed", "1", "--trials", "3"])
-    captured = capsys.readouterr()
-    doc = json.loads(captured.out)  # one JSON document, no traceback
-    assert (code, captured.err) == (1, "")
-    assert doc["all_passed"] is False
-    failed = {c["name"]: c["details"] for c in doc["checks"] if not c["passed"]}
-    assert sorted(failed) == sorted(messages)
-    for name, expected in messages.items():  # the failed details, or the error message in them
-        if isinstance(expected, dict):
-            assert failed[name] == expected
+    code, checks, failed, expected = _failed_against_clean(capsys, monkeypatch, fault)
+    assert code == 1
+    assert sorted(failed) == sorted(expected)
+    for name, want in expected.items():  # the failed details, or the error message in them
+        if isinstance(want, dict):
+            assert failed[name] == want
         else:
-            assert expected in failed[name]["error"]
+            assert want in failed[name]["error"]
     # every other ledger still reports its checks
-    ledgers = {c["name"].partition("/")[0] for c in doc["checks"]}
+    ledgers = {name.partition("/")[0] for name in checks}
     assert ledgers == {"sigma2", "lifting", "eq.S3S2->S6", "examples", "bidouble", "invariants"}
 
 
@@ -613,8 +700,8 @@ def test_failing_example_prints_one_indented_document(capsys, monkeypatch):
     exact = relalg.example_verify
 
     def failing(key):
-        rep = exact(key)
-        return relalg.ExampleReport(rep.key, {**rep.checks, "tau-shape": False}, rep.details)
+        entry = exact(key)
+        return dict(entry, checks={**entry["checks"], "tau-shape": False}, passed=False)
 
     monkeypatch.setattr(relalg, "example_verify", failing)
     code = main(["example"])
@@ -623,23 +710,13 @@ def test_failing_example_prints_one_indented_document(capsys, monkeypatch):
     assert [e["checks"]["tau-shape"] for e in doc["examples"]] == [False] * 3
 
 
-#: the checks of one family that need F030's cofactor by f0^2
-_COFACTOR_CHECKS = ("F030-divisible-by-f0^2", "F030-cofactor-degree", "congruence-mod-f0^4")
-
-
 @pytest.mark.parametrize("argv", [["example"], ["verify", "examples", "--seed", "1"]],
                          ids=lambda argv: argv[0])
 def test_f030_not_divisible_by_f0_squared_fails_the_named_checks(capsys, monkeypatch, argv):
     from canpencil import relalg
 
     exact = relalg._branch_cubic
-
-    def faulty(data):  # F030 + t1^deg(F030): homogeneous, and prime to f0 where F030 was not
-        E = exact(data)
-        bump = BinForm.t1(data.field) ** E.coefficient((0, 3, 0)).degree
-        return E + relalg.YPoly(data.field, {(0, 3, 0): bump})
-
-    monkeypatch.setattr(relalg, "_branch_cubic", faulty)
+    monkeypatch.setattr(relalg, "_branch_cubic", lambda data: _f030_bumped(exact(data), data))
     code = main(argv)
     doc = _one_indented_document(capsys.readouterr().out)
     assert code == 1 and doc["all_passed"] is False
@@ -1119,6 +1196,9 @@ GOLDEN_CENSUS_SHA256 = {
     # 2 branch hits and 4 cone singularities
     (("--pg", "2", "--theta", "0", "--field", "fp:17", "--seed", "17"), ()):
         "f6955cc3f443b70e8245344fded8af802e540eda70f8825e2cc6f472b61fb2b7",
+    # one degenerate node alone: not clean, and roots outside F_11
+    (("--pg", "3", "--theta", "1", "--field", "fp:11", "--seed", "3"), ("--skip-sweep",)):
+        "ec6a53acf09033c4724171b77c9900d98d37e1580f2a9f9e1600ff0b8edd6ba4",
 }
 
 

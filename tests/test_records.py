@@ -10,8 +10,10 @@ Importing the package loads no dataclass code generator.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -19,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
+import canpencil
 from canpencil.binform import BinForm
-from canpencil.census import NodeRecord, SingularReport
+from canpencil.census import NodeRecord, _point_json
 from canpencil.family import (
     BranchData,
     DegreeTable,
@@ -28,9 +31,8 @@ from canpencil.family import (
     _member_bundle,
     generate_member,
 )
-from canpencil.fields import QQ, FieldSpec
+from canpencil.fields import QQ, FieldSpec, Record
 from canpencil.relalg import (
-    ExampleReport,
     LiftingCertificate,
     SigmaTwoData,
     YPoly,
@@ -38,7 +40,7 @@ from canpencil.relalg import (
     lifting_annihilator,
     split_type,
 )
-from canpencil.sections import BundleData
+from canpencil.sections import BundleData, GradedSection
 
 F101 = FieldSpec(101)
 
@@ -52,20 +54,11 @@ def _sigma():
     return SigmaTwoData(5, 1, 1, t0, t1**3, t1**6, t0**8, BinForm.zero(QQ))
 
 
-def _node():
-    return NodeRecord(((3, 1), (0, 0, 1, 0)), 1, 5)
-
-
 #: class -> (its fields in positional order, a factory of field values, another value per field)
 RECORDS = {
     NodeRecord: (("point", "multiplicity", "hessian_det"),
                  lambda: (((3, 1), (0, 0, 1, 0)), 1, 5),
                  (((1, 0), (0, 0, 1, 0)), 2, 0)),
-    SingularReport: (("p_nodes", "p_sweep", "nodes", "node_bound", "branch_hits",
-                      "cone_singularities", "timings"),
-                     lambda: (11, None, (_node(),), 2, [((3, 1), (0, 0, 1, 0))], [],
-                              {"nodes_s": 0.5}),
-                     (13, 17, (), 4, [], [((1, 0), (0, 0, 1, 0))], {})),
     DegreeTable: (("pg", "theta", "q_x", "q_y", "g"), lambda: (2, 0, 3, 2, {(0, 0, 3): 6}),
                   (3, 1, 4, 5, {})),
     SurfaceEquations: (("bundle", "field", "Q", "G"),
@@ -83,13 +76,26 @@ RECORDS = {
     LiftingCertificate: (("data", "solutions"),
                          lambda: (_sigma(), lifting_annihilator(_sigma()).solutions),
                          (SigmaTwoData(6, 2, 0, *[BinForm.one(QQ)] * 5), ())),
-    ExampleReport: (("key", "checks", "details"),
-                    lambda: ((1, 1, 15, 5), {"tau": True}, {"split_type": (4, 5, 6)}),
-                    ((1, 2, 12, 4), {}, {})),
     BundleData: (("pg", "theta"), lambda: (2, 0), (5, 6)),
 }
 
 CLASSES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_package_record_has_a_row():
+    # so a deleted record's row goes with it, and a new record gets one; YPoly
+    # and GradedSection have their own copy and pickle tests below
+    for module in pkgutil.iter_modules(canpencil.__path__):
+        if module.name != "__main__":  # which runs the CLI
+            importlib.import_module(f"canpencil.{module.name}")
+    package = {c for c in _subclasses(Record) if c.__module__.startswith("canpencil.")}
+    assert package - {YPoly, GradedSection} == set(RECORDS)
 
 
 def _build(cls):
@@ -237,8 +243,7 @@ def test_repr_names_class_and_fields(cls):
 def test_split_type_prints_as_a_plain_tuple():
     # `example` prints each detail with str(), so the splitting degrees read "(d0, d1, d2)"
     assert split_type(5, 1, 1) == (8, 10, 12) and type(split_type(5, 1, 1)) is tuple
-    split = example_verify((1, 1, 15, 5)).details["split_type"]
-    assert type(split) is tuple and str(split) == "(8, 10, 12)"
+    assert example_verify((1, 1, 15, 5))["details"]["split_type"] == "(8, 10, 12)"
 
 
 def test_wps_points_sort_by_base_then_fiber():
@@ -246,13 +251,9 @@ def test_wps_points_sort_by_base_then_fiber():
     points = [((3, 1), (1, 0, 0, 0)), ((1, 0), (0, 0, 1, 0)), ((0, 1), (1, 2, 0, 0)),
               ((0, 1), (0, 1, 5, 2)), ((3, 1), (0, 0, 1, 1))]
     assert sorted(points) == [points[3], points[2], points[1], points[4], points[0]]
-    report = SingularReport(11, 11, (NodeRecord(points[1], 1, 5),), 2, points[:1],
-                            sorted(points), {})
-    doc = report.to_json_dict()
-    assert doc["nodes"][0]["point"] == {"base": [1, 0], "fiber": [0, 0, 1, 0]}
-    assert doc["branch_hits"] == [{"point": {"base": [3, 1], "fiber": [1, 0, 0, 0]},
-                                   "branch_value": 0}]
-    assert [(q["base"], q["fiber"]) for q in doc["cone_singularities"]] == [
+    node = NodeRecord(points[1], 1, 5).to_json_dict()
+    assert node["point"] == {"base": [1, 0], "fiber": [0, 0, 1, 0]}
+    assert [(q["base"], q["fiber"]) for q in map(_point_json, sorted(points))] == [
         ([0, 1], [0, 1, 5, 2]), ([0, 1], [1, 2, 0, 0]), ([1, 0], [0, 0, 1, 0]),
         ([3, 1], [0, 0, 1, 1]), ([3, 1], [1, 0, 0, 0])]
 
